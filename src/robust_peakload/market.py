@@ -7,8 +7,12 @@ alpha_t - beta_t * s.  Production cost factors scale as
 c_var + a * u with u drawn from a polyhedral uncertainty set; the nominal
 solves here evaluate at u = 0 (or at a supplied mean scenario).
 
-Decision variables are ordered producer-major: x[i*T + t] is production of
-producer i in period t, followed by the N capacity variables.
+Every program in the package uses one variable layout: production x, an
+N x T matrix flattened producer-major (x[i*T + t] is production of producer
+i in period t, as x.reshape(-1) gives it), followed by the N capacities y;
+programs that need more variables append them after y.  The private block
+builders here (_capacity_rows, _clearing_rows, _welfare_hessian,
+_welfare_gradient) are the only code that lays rows out over x and y.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from robust_peakload.geometry import Polytope, ValidationReport, validate
-from robust_peakload.solver import LpSpec, QpSpec, solve_lp, solve_qp
+from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
 CLEARING_TOL = 1e-9
 CAPACITY_TOL = 1e-9
@@ -170,35 +174,57 @@ class EquilibriumSolution:
 
 
 def _capacity_rows(N, T):
-    """Rows x_{i,t} - y_i <= 0 in the producer-major variable layout."""
-    n_vars = N * T + N
-    A = np.zeros((N * T, n_vars))
-    for i in range(N):
-        for t in range(T):
-            row = i * T + t
-            A[row, i * T + t] = 1.0
-            A[row, N * T + i] = -1.0
-    return A
+    """Rows x_{i,t} - y_i <= 0 over (x, y)."""
+    return np.hstack([np.eye(N * T), 0.0 - np.kron(np.eye(N), np.ones((T, 1)))])
+
+
+def _clearing_rows(N, T):
+    """Rows sum_i x_{i,t}, one per period, over x."""
+    return np.tile(np.eye(T), N)
+
+
+def _welfare_hessian(inst: MarketInstance, n_vars):
+    """n_vars x n_vars Hessian of gross surplus: -beta_t on every pair of
+    period-t productions, zero on y and on any trailing variables."""
+    N = inst.N
+    Q = np.zeros((n_vars, n_vars))
+    Q[: N * inst.T, : N * inst.T] = np.kron(np.ones((N, N)), np.diag(-inst.demand.beta))
+    return Q
+
+
+def _welfare_gradient(inst: MarketInstance, costs):
+    """Linear welfare coefficients alpha_t - c_{i,t} over x."""
+    return (np.tile(inst.demand.alpha, (inst.N, 1)) - costs).reshape(-1)
+
+
+def _fixed_program(inst: MarketInstance, costs):
+    """(A, rhs, kinds, cost) of the fixed-demand dispatch LP over (x, y):
+    N*T capacity rows, then T clearing rows."""
+    N, T = inst.N, inst.T
+    A = np.vstack([_capacity_rows(N, T),
+                   np.hstack([_clearing_rows(N, T), np.zeros((T, N))])])
+    rhs = np.concatenate([np.zeros(N * T), inst.demand.d])
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    return (A, rhs, ["<="] * (N * T) + ["="] * T,
+            np.concatenate([costs.reshape(-1), c_inv]))
+
+
+def _welfare_program(inst: MarketInstance, costs):
+    """(A, rhs, kinds, cost) of the linear part of the welfare QP over (x, y):
+    N*T capacity rows; the Hessian comes from _welfare_hessian."""
+    N, T = inst.N, inst.T
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    return (_capacity_rows(N, T), np.zeros(N * T), ["<="] * (N * T),
+            np.concatenate([_welfare_gradient(inst, costs), -c_inv]))
 
 
 def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray):
     """Cost-minimal plan meeting fixed demand exactly; returns the solution
     and the raw solver outcome (rows: N*T capacity rows, then T clearing rows)."""
-    demand = inst.demand
     N, T = inst.N, inst.T
-    n_vars = N * T + N
-    cap = _capacity_rows(N, T)
-    clearing = np.zeros((T, n_vars))
-    for t in range(T):
-        for i in range(N):
-            clearing[t, i * T + t] = 1.0
-    A = np.vstack([cap, clearing])
-    b = np.concatenate([np.zeros(N * T), demand.d])
-    kinds = ["<="] * (N * T) + ["="] * T
-    c_inv = np.array([p.c_inv for p in inst.producers])
-    cost_vec = np.concatenate([costs.reshape(-1), c_inv])
-    out = solve_lp(LpSpec("min", cost_vec, A, b, kinds))
-    assert out.status == "optimal", f"fixed-demand planner solve is {out.status}"
+    A, rhs, kinds, cost = _fixed_program(inst, costs)
+    out = _checked(solve_lp(LpSpec("min", cost, A, rhs, kinds)),
+                   "fixed-demand planner program")
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T:]
     prices = out.duals[N * T:].copy()
@@ -219,21 +245,10 @@ def solve_elastic_welfare(inst: MarketInstance, costs: np.ndarray):
     solution and the raw solver outcome (rows: N*T capacity rows)."""
     demand = inst.demand
     N, T = inst.N, inst.T
-    n_vars = N * T + N
-    Q = np.zeros((n_vars, n_vars))
-    for t in range(T):
-        idx = [i * T + t for i in range(N)]
-        Q[np.ix_(idx, idx)] = -demand.beta[t]
-    c_inv = np.array([p.c_inv for p in inst.producers])
-    cost_vec = np.concatenate([
-        (np.tile(demand.alpha, (N, 1)) - costs).reshape(-1),
-        -c_inv,
-    ])
-    A = _capacity_rows(N, T)
-    b = np.zeros(N * T)
-    out = solve_qp(QpSpec("max", cost_vec, A, b, ["<="] * (N * T),
-                          quadratic_matrix=Q))
-    assert out.status == "optimal", f"elastic welfare solve is {out.status}"
+    A, rhs, kinds, cost = _welfare_program(inst, costs)
+    out = _checked(solve_qp(QpSpec("max", cost, A, rhs, kinds,
+                                   quadratic_matrix=_welfare_hessian(inst, cost.size))),
+                   "elastic welfare program")
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T:]
     prices = demand.alpha - demand.beta * x.sum(axis=0)

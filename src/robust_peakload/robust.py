@@ -10,16 +10,19 @@ by dualizing the inner adversary into auxiliary variables z >= 0 with rows
 P' z >= diag(lam) x, where U = {u >= 0 : P u <= r}.  The multipliers of those
 dualized rows recover the worst-case scenario.
 
-Market solves lift the per-period uncertainty set over the horizon in
-period-major coordinate order (coordinate t*N + i scales producer i in
-period t) and report equilibria/plans together with the worst-case value and
-the adversarial scenario as an N x T matrix.
+Market solves lift the per-period uncertainty set over the horizon and
+report equilibria/plans together with the worst-case value and the
+adversarial scenario as an N x T matrix.  The lifted coordinate order is
+known only to scenario_to_vector and its inverse vector_to_scenario; the
+planners build their adversary rows through them, and every program shares
+the (x, y) variable layout and block builders of robust_peakload.market.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from robust_peakload.geometry import (
     Polytope,
@@ -34,6 +37,12 @@ from robust_peakload.market import (
     EquilibriumSolution,
     Fixed,
     MarketInstance,
+    _capacity_rows,
+    _clearing_rows,
+    _fixed_program,
+    _welfare_gradient,
+    _welfare_hessian,
+    _welfare_program,
     cost_matrix,
     scaling_matrix,
     solve_elastic_welfare,
@@ -41,20 +50,15 @@ from robust_peakload.market import (
     total_cost,
     welfare,
 )
-from robust_peakload.solver import LpSpec, QpSpec, solve_lp, solve_qp
+# Infeasible and Unbounded live in solver (market raises them too) and are
+# re-exported here under their public names.
+from robust_peakload.solver import (Infeasible, LpSpec, QpSpec, Unbounded,
+                                    _checked, solve_lp, solve_qp)
 
 CHAIN_TOL = 1e-7
 SADDLE_TOL = 1e-6
 DEFAULT_SAMPLES = 64
 DEFAULT_SEED = 2024
-
-
-class Infeasible(Exception):
-    """The robust program has no feasible point."""
-
-
-class Unbounded(Exception):
-    """The robust program is unbounded."""
 
 
 class SaddleViolated(Exception):
@@ -126,12 +130,26 @@ def _worst_case_gain(U: Polytope, gains):
     scaled (non-unit-projection) sets are handled exactly.
     """
     gains = np.asarray(gains, dtype=float)
-    out = solve_lp(LpSpec("max", gains, U.P, U.r, ["<="] * U.r.size))
-    if out.status == "infeasible":
-        raise Infeasible("uncertainty set admits no scenario")
-    if out.status != "optimal":
-        raise Unbounded("uncertainty set is unbounded along the gain direction")
+    out = _checked(solve_lp(LpSpec("max", gains, U.P, U.r, ["<="] * U.r.size)),
+                   "adversary program over the uncertainty set")
     return float(out.objective), out.primal.copy()
+
+
+def _with_adversary(A, rhs, kinds, cost, gain, U, sign):
+    """Dualize the adversary of a program over v, who picks u in
+    U = {u >= 0 : P u <= r} to add the surcharge sum_k u_k (-gain_k v) to
+    its cost: append multipliers z >= 0 priced sign * r (sign +1 for a min
+    program, -1 for a max) and one row gain_k v + (P' z)_k >= 0 per
+    coordinate of u.  The multipliers of the appended rows recover the
+    worst-case u.  Returns the extended (A, rhs, kinds, cost)."""
+    m, n = A.shape
+    n_u, m_u = gain.shape[0], U.P.shape[0]
+    full = np.zeros((m + n_u, n + m_u))
+    full[:m, :n] = A
+    full[m:, :n] = gain
+    full[m:, n:] = U.P.T
+    return (full, np.concatenate([rhs, np.zeros(n_u)]),
+            list(kinds) + [">="] * n_u, np.concatenate([cost, sign * U.r]))
 
 
 def _min_norm_optimum(cost, Q, A, rhs, kinds, v_star):
@@ -161,21 +179,11 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
     tau-based gap certificate for a RobustLp."""
     nx, ny = p.c.size, p.d.size
     m_rows = p.b.size
-    mU = p.U.P.shape[0]
-    n_vars = nx + ny + mU
-    A = np.zeros((m_rows + nx, n_vars))
-    A[:m_rows, :nx] = p.A
-    A[:m_rows, nx : nx + ny] = p.B
-    A[m_rows:, :nx] = -np.diag(p.lam)
-    A[m_rows:, nx + ny:] = p.U.P.T
-    b = np.concatenate([p.b, np.zeros(nx)])
-    kinds = [">="] * (m_rows + nx)
-    cost = np.concatenate([p.c, p.d, p.U.r])
-    out = solve_lp(LpSpec("min", cost, A, b, kinds))
-    if out.status == "infeasible":
-        raise Infeasible("robust program is infeasible")
-    if out.status == "unbounded":
-        raise Unbounded("robust program is unbounded")
+    AB = np.hstack([p.A, p.B])
+    gain = np.hstack([-np.diag(p.lam), np.zeros((nx, ny))])
+    A, b, kinds, cost = _with_adversary(AB, p.b, [">="] * m_rows,
+                                        np.concatenate([p.c, p.d]), gain, p.U, 1.0)
+    out = _checked(solve_lp(LpSpec("min", cost, A, b, kinds)), "robust program")
     val_R = float(out.objective)
     x_star = out.primal[:nx]
     y_star = out.primal[nx : nx + ny]
@@ -188,12 +196,9 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
     if not p.U.contains(worst_u, tol=1e-7) or abs(inner_at_dual - val_R) > SADDLE_TOL:
         _, worst_u = _worst_case_gain(p.U, p.lam * x_star)
 
-    box_out = solve_lp(LpSpec("min", np.concatenate([p.c + p.lam, p.d]),
-                              np.hstack([p.A, p.B]), p.b, [">="] * m_rows))
-    if box_out.status == "infeasible":
-        raise Infeasible("box relaxation is infeasible")
-    if box_out.status == "unbounded":
-        raise Unbounded("box relaxation is unbounded")
+    box_out = _checked(solve_lp(LpSpec("min", np.concatenate([p.c + p.lam, p.d]),
+                                       AB, p.b, [">="] * m_rows)),
+                       "box relaxation")
     val_Btilde = float(box_out.objective)
     x_box = box_out.primal[:nx]
     y_box = box_out.primal[nx:]
@@ -240,10 +245,31 @@ def lifted_vertices(inst: MarketInstance):
     """Vertices of the lifted uncertainty set as N x T matrices, built as the
     T-fold Cartesian product of the per-period vertex list."""
     per_period = enumerate_vertices(inst.uncertainty)
-    scenarios = []
-    for combo in itertools.product(per_period, repeat=inst.T):
-        scenarios.append(np.column_stack(combo))
-    return scenarios
+    return [np.column_stack(combo)
+            for combo in itertools.product(per_period, repeat=inst.T)]
+
+
+def _adversary_gain(inst: MarketInstance):
+    """Rows -a_{i,t} x_{i,t} over (x, y), one per lifted coordinate, in the
+    order scenario_to_vector gives them."""
+    N, T = inst.N, inst.T
+    columns = scenario_to_vector(np.arange(N * T).reshape(N, T)).astype(int)
+    gain = np.zeros((N * T, N * T + N))
+    gain[np.arange(N * T), columns] = scenario_to_vector(-scaling_matrix(inst))
+    return gain
+
+
+def _worst_u_readout(inst: MarketInstance, lifted, u_vec, value_at, target,
+                     fallback):
+    """Worst-case N x T scenario of a planner solve, read off the multipliers
+    u_vec of its dualized adversary rows.  When the basis blurs them (u_vec
+    leaves the lifted set, or value_at(u) misses the planner value target),
+    returns fallback() instead."""
+    worst_u = vector_to_scenario(u_vec, inst.N, inst.T)
+    if (not lifted.contains(u_vec, tol=1e-7)
+            or abs(value_at(worst_u) - target) > SADDLE_TOL):
+        return fallback()
+    return worst_u
 
 
 # ---------------------------------------------------------------------------
@@ -287,56 +313,18 @@ def solve_robust_cp_fixed(inst: MarketInstance):
         raise ValueError("fixed-demand robust planner requires Fixed demand")
     N, T = inst.N, inst.T
     lifted = lifted_set(inst)
-    mZ = lifted.P.shape[0]
-    n_x = N * T
-    n_vars = n_x + N + mZ
+    A, b, kinds, cost = _with_adversary(*_fixed_program(inst, cost_matrix(inst)),
+                                        _adversary_gain(inst), lifted, 1.0)
+    out = _checked(solve_lp(LpSpec("min", cost, A, b, kinds)),
+                   "robust planner program")
 
-    A_rows = []
-    rhs = []
-    kinds = []
-    for i in range(N):
-        for t in range(T):
-            row = np.zeros(n_vars)
-            row[i * T + t] = 1.0
-            row[n_x + i] = -1.0
-            A_rows.append(row)
-            rhs.append(0.0)
-            kinds.append("<=")
-    for t in range(T):
-        row = np.zeros(n_vars)
-        for i in range(N):
-            row[i * T + t] = 1.0
-        A_rows.append(row)
-        rhs.append(inst.demand.d[t])
-        kinds.append("=")
-    a = scaling_matrix(inst)
-    PT = lifted.P.T
-    for k in range(N * T):
-        i, t = k % N, k // N
-        row = np.zeros(n_vars)
-        row[i * T + t] = -a[i, t]
-        row[n_x + N:] = PT[k]
-        A_rows.append(row)
-        rhs.append(0.0)
-        kinds.append(">=")
-
-    c_inv = np.array([p.c_inv for p in inst.producers])
-    cost = np.concatenate([cost_matrix(inst).reshape(-1), c_inv, lifted.r])
-    out = solve_lp(LpSpec("min", cost, np.array(A_rows), np.array(rhs), kinds))
-    if out.status == "infeasible":
-        raise Infeasible("robust planner program is infeasible")
-    if out.status == "unbounded":
-        raise Unbounded("robust planner program is unbounded")
-
-    x = out.primal[:n_x].reshape(N, T)
-    y = out.primal[n_x : n_x + N]
-    prices = out.duals[n_x : n_x + T].copy()
+    x = out.primal[: N * T].reshape(N, T)
+    y = out.primal[N * T : N * T + N]
+    prices = out.duals[N * T : N * T + T].copy()
     C = float(out.objective)
-    worst_vec = out.duals[n_x + T:].copy()
-    worst_u = vector_to_scenario(worst_vec, N, T)
-    if (not lifted.contains(worst_vec, tol=1e-7)
-            or abs(total_cost(inst, x, y, worst_u) - C) > SADDLE_TOL):
-        _, worst_u = worst_case_scenario(inst, x)
+    worst_u = _worst_u_readout(inst, lifted, out.duals[N * T + T:].copy(),
+                               lambda u: total_cost(inst, x, y, u), C,
+                               lambda: worst_case_scenario(inst, x)[1])
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -374,65 +362,26 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     N, T = inst.N, inst.T
     demand = inst.demand
     lifted = lifted_set(inst)
-    mZ = lifted.P.shape[0]
-    n_x = N * T
-    n_vars = n_x + N + mZ
-
-    Q = np.zeros((n_vars, n_vars))
-    for t in range(T):
-        idx = [i * T + t for i in range(N)]
-        Q[np.ix_(idx, idx)] = -demand.beta[t]
-    c_inv = np.array([p.c_inv for p in inst.producers])
-    cost = np.concatenate([
-        (np.tile(demand.alpha, (N, 1)) - cost_matrix(inst)).reshape(-1),
-        -c_inv,
-        -lifted.r,
-    ])
-
-    A_rows, rhs, kinds = [], [], []
-    for i in range(N):
-        for t in range(T):
-            row = np.zeros(n_vars)
-            row[i * T + t] = 1.0
-            row[n_x + i] = -1.0
-            A_rows.append(row)
-            rhs.append(0.0)
-            kinds.append("<=")
-    a = scaling_matrix(inst)
-    PT = lifted.P.T
-    for k in range(N * T):
-        i, t = k % N, k // N
-        row = np.zeros(n_vars)
-        row[i * T + t] = -a[i, t]
-        row[n_x + N:] = PT[k]
-        A_rows.append(row)
-        rhs.append(0.0)
-        kinds.append(">=")
-
-    out = solve_qp(QpSpec("max", cost, np.array(A_rows), np.array(rhs), kinds,
-                          quadratic_matrix=Q))
-    if out.status == "infeasible":
-        raise Infeasible("robust welfare program is infeasible")
-    if out.status == "unbounded":
-        raise Unbounded("robust welfare program is unbounded")
+    A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
+                                        _adversary_gain(inst), lifted, -1.0)
+    Q = _welfare_hessian(inst, cost.size)
+    out = _checked(solve_qp(QpSpec("max", cost, A, b, kinds, quadratic_matrix=Q)),
+                   "robust welfare program")
 
     # Welfare optima can be degenerate across capacity splits; canonicalize
     # to the minimum-norm optimum so interchangeable producers split evenly.
-    primal = _min_norm_optimum(cost, Q, np.array(A_rows), np.array(rhs),
-                               kinds, out.primal)
-    x = primal[:n_x].reshape(N, T)
-    y = primal[n_x : n_x + N]
+    primal = _min_norm_optimum(cost, Q, A, b, kinds, out.primal)
+    x = primal[: N * T].reshape(N, T)
+    y = primal[N * T : N * T + N]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
     # The value is the worst-case welfare of the returned plan, free of the
     # tie-break term in the QP objective.
     _, worst_exact = worst_case_scenario(inst, x)
     C = float(welfare(inst, x, y, worst_exact))
     # Max-sense >= rows carry nonpositive multipliers; negate to read u.
-    worst_vec = -out.duals[n_x:].copy()
-    worst_u = vector_to_scenario(worst_vec, N, T)
-    if (not lifted.contains(worst_vec, tol=1e-7)
-            or abs(welfare(inst, x, y, worst_u) - C) > SADDLE_TOL):
-        worst_u = worst_exact
+    worst_u = _worst_u_readout(inst, lifted, -out.duals[N * T:],
+                               lambda u: welfare(inst, x, y, u), C,
+                               lambda: worst_exact)
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -453,25 +402,17 @@ def dispatch_at_capacity(inst: MarketInstance, y_star, u) -> tuple:
     caps = np.repeat(y_star, T)
     c_inv = np.array([p.c_inv for p in inst.producers])
     if isinstance(inst.demand, Fixed):
-        clearing = np.zeros((T, N * T))
-        for t in range(T):
-            for i in range(N):
-                clearing[t, i * T + t] = 1.0
-        out = solve_lp(LpSpec("min", costs.reshape(-1), clearing, inst.demand.d,
-                              ["="] * T, variable_upper_bounds=caps))
-        if out.status != "optimal":
-            raise Infeasible("capacities cannot meet demand")
+        out = _checked(solve_lp(LpSpec("min", costs.reshape(-1), _clearing_rows(N, T),
+                                       inst.demand.d, ["="] * T,
+                                       variable_upper_bounds=caps)),
+                       "dispatch at the given capacities")
         x = out.primal.reshape(N, T)
         return float(c_inv @ y_star + out.objective), x
-    demand = inst.demand
-    Q = np.zeros((N * T, N * T))
-    for t in range(T):
-        idx = [i * T + t for i in range(N)]
-        Q[np.ix_(idx, idx)] = -demand.beta[t]
-    cost = (np.tile(demand.alpha, (N, 1)) - costs).reshape(-1)
-    out = solve_qp(QpSpec("max", cost, np.zeros((0, N * T)), [], [],
-                          variable_upper_bounds=caps, quadratic_matrix=Q))
-    assert out.status == "optimal"
+    out = _checked(solve_qp(QpSpec("max", _welfare_gradient(inst, costs),
+                                   np.zeros((0, N * T)), [], [],
+                                   variable_upper_bounds=caps,
+                                   quadratic_matrix=_welfare_hessian(inst, N * T))),
+                   "welfare dispatch at fixed capacities")
     x = out.primal.reshape(N, T)
     return float(out.objective - c_inv @ y_star), x
 
@@ -569,56 +510,29 @@ def adjustable_scenario_form_fixed(inst: MarketInstance,
     scenarios = lifted_vertices(inst)
     V = len(scenarios)
     n_x = N * T
-    n_vars = 1 + V * n_x + N
 
-    def x_idx(j, i, t):
-        return 1 + j * n_x + i * T + t
-
-    A_rows, rhs, kinds = [], [], []
-    for j, scenario in enumerate(scenarios):
-        row = np.zeros(n_vars)
-        row[0] = 1.0
-        costs = cost_matrix(inst, scenario)
-        for i in range(N):
-            for t in range(T):
-                row[x_idx(j, i, t)] = -costs[i, t]
-        A_rows.append(row)
-        rhs.append(0.0)
-        kinds.append(">=")
-    for j in range(V):
-        for i in range(N):
-            for t in range(T):
-                row = np.zeros(n_vars)
-                row[x_idx(j, i, t)] = 1.0
-                row[1 + V * n_x + i] = -1.0
-                A_rows.append(row)
-                rhs.append(0.0)
-                kinds.append("<=")
-    clearing_start = len(A_rows)
-    for j in range(V):
-        for t in range(T):
-            row = np.zeros(n_vars)
-            for i in range(N):
-                row[x_idx(j, i, t)] = 1.0
-            A_rows.append(row)
-            rhs.append(inst.demand.d[t])
-            kinds.append("=")
-
+    # Variables: the epigraph theta, V production copies, shared capacities.
+    # Rows: V epigraph rows theta >= cost of copy j at scenario j, then the
+    # capacity rows and the clearing rows of every copy.
+    cap = _capacity_rows(N, T)
+    epigraph = block_diag(*[-cost_matrix(inst, s).reshape(1, -1) for s in scenarios])
+    x_part = np.vstack([epigraph, np.kron(np.eye(V), cap[:, :n_x]),
+                        np.kron(np.eye(V), _clearing_rows(N, T))])
+    y_part = np.vstack([np.zeros((V, N)), np.tile(cap[:, n_x:], (V, 1)),
+                        np.zeros((V * T, N))])
+    theta = np.concatenate([np.ones(V), np.zeros(V * n_x + V * T)])
+    clearing_start = V + V * n_x
+    rhs = np.concatenate([np.zeros(clearing_start), np.tile(inst.demand.d, V)])
+    kinds = [">="] * V + ["<="] * (V * n_x) + ["="] * (V * T)
     c_inv = np.array([p.c_inv for p in inst.producers])
-    cost = np.zeros(n_vars)
-    cost[0] = 1.0
-    cost[1 + V * n_x:] = c_inv
-    spec = LpSpec("min", cost, np.array(A_rows), np.array(rhs), kinds)
-    out = solve_lp(spec)
-    if out.status == "infeasible":
-        raise Infeasible("scenario reformulation is infeasible")
-    if out.status == "unbounded":
-        raise Unbounded("scenario reformulation is unbounded")
+    cost = np.concatenate([[1.0], np.zeros(V * n_x), c_inv])
+    spec = LpSpec("min", cost, np.column_stack([theta, x_part, y_part]), rhs, kinds)
+    out = _checked(solve_lp(spec), "scenario reformulation")
 
     duals = out.duals
     if canonical_duals:
         # Scenarios whose epigraph row is slack get zero clearing-dual mass.
-        epi_slack = spec.constraint_matrix[:V] @ out.primal - np.asarray(rhs)[:V]
+        epi_slack = spec.constraint_matrix[:V] @ out.primal - rhs[:V]
         inactive = np.flatnonzero(epi_slack > 1e-8 * (1.0 + abs(out.objective)))
         force_zero = [clearing_start + int(j) * T + t
                       for j in inactive for t in range(T)]
@@ -630,8 +544,7 @@ def adjustable_scenario_form_fixed(inst: MarketInstance,
     clearing_duals = duals[clearing_start:].reshape(V, T)
 
     value = float(out.objective)
-    productions = [out.primal[1 + j * n_x : 1 + (j + 1) * n_x].reshape(N, T)
-                   for j in range(V)]
+    productions = list(out.primal[1 : 1 + V * n_x].reshape(V, N, T))
     return {
         "value": value,
         "capacities": out.primal[1 + V * n_x:].copy(),
@@ -651,7 +564,8 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     variables at zero, binding-row multipliers keep their sense sign, and
     slack rows carry zero.  Returns None when the restricted set is empty.
     """
-    assert spec.objective_sense == "min"
+    if spec.objective_sense != "min":
+        raise ValueError("helper assumes a min-sense program")
     if not np.all(np.isinf(spec.variable_upper_bounds)):
         raise ValueError("helper assumes no finite upper bounds")
     x = outcome.primal
@@ -681,12 +595,7 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     G = np.zeros((spec.n_vars, n_mult))
     for col, (j, sign) in enumerate(cols):
         G[:, col] = sign * spec.constraint_matrix[j]
-    pos = x > 1e-9
-    A_rows, rhs, kinds = [], [], []
-    for k in range(spec.n_vars):
-        A_rows.append(G[k])
-        rhs.append(spec.cost[k])
-        kinds.append("=" if pos[k] else "<=")
+    kinds = ["=" if positive else "<=" for positive in x > 1e-9]
     Q = np.zeros((n_mult, n_mult))
     for j, idxs in var_of_row.items():
         if len(idxs) == 1:
@@ -695,8 +604,7 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
             p_i, m_i = idxs
             Q[p_i, p_i] = Q[m_i, m_i] = 1.0
             Q[p_i, m_i] = Q[m_i, p_i] = -1.0
-    qp = QpSpec("min", np.zeros(n_mult), np.array(A_rows), np.array(rhs), kinds,
-                quadratic_matrix=Q)
+    qp = QpSpec("min", np.zeros(n_mult), G, spec.cost, kinds, quadratic_matrix=Q)
     sol = solve_qp(qp)
     if sol.status != "optimal":
         return None
@@ -719,12 +627,11 @@ def market_robust_report(inst: MarketInstance) -> MarketRobustReport:
     if isinstance(inst.demand, Fixed):
         market_solution, E = solve_robust_market_fixed(inst)
         cp_solution, C, worst_u_cp = solve_robust_cp_fixed(inst)
-        _, worst_u_market = worst_case_scenario(inst, market_solution.production)
         poa = E / C if C > 0 else np.inf
     else:
         market_solution, E = solve_robust_market_elastic(inst)
         cp_solution, C, worst_u_cp = solve_robust_cp_elastic(inst)
-        _, worst_u_market = worst_case_scenario(inst, market_solution.production)
         poa = C / E if E > 0 else np.inf
+    _, worst_u_market = worst_case_scenario(inst, market_solution.production)
     return MarketRobustReport(market_solution, E, C, cp_solution,
                               worst_u_market, worst_u_cp, float(poa))

@@ -45,6 +45,26 @@ class NotConvex(SolverError):
     """Quadratic matrix fails the positive-semidefiniteness floor."""
 
 
+class Infeasible(Exception):
+    """The program (for a robust solve, its robust counterpart) has no
+    feasible point."""
+
+
+class Unbounded(Exception):
+    """The program (for a robust solve, its robust counterpart) is
+    unbounded."""
+
+
+def _checked(out, what):
+    """Return an optimal SolveOutcome; raise Infeasible or Unbounded, naming
+    the program `what`, for any other status."""
+    if out.status == "infeasible":
+        raise Infeasible(f"{what} is infeasible")
+    if out.status != "optimal":
+        raise Unbounded(f"{what} is unbounded")
+    return out
+
+
 def _as_vector(v, n, name):
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.shape != (n,):

@@ -24,6 +24,9 @@ import numpy as np
 from robust_peakload.market import (
     AffineElastic,
     MarketInstance,
+    _capacity_rows,
+    _welfare_gradient,
+    _welfare_hessian,
     cost_matrix,
 )
 from robust_peakload.robust import (
@@ -33,7 +36,7 @@ from robust_peakload.robust import (
     solve_robust_cp_elastic,
     vector_to_scenario,
 )
-from robust_peakload.solver import QpSpec, solve_qp
+from robust_peakload.solver import QpSpec, _checked, solve_qp
 
 KKT_TOL = 1e-7
 PROFIT_TOL = 1e-6
@@ -107,20 +110,13 @@ def solve_fixed_capacity_welfare(inst: MarketInstance, y_star,
 
     demand = inst.demand
     costs = cost_matrix(inst, u)
-    n_vars = N * T
-    Q = np.zeros((n_vars, n_vars))
-    for t in range(T):
-        idx = [i * T + t for i in range(N)]
-        Q[np.ix_(idx, idx)] = -demand.beta[t]
-    cost_vec = (np.tile(demand.alpha, (N, 1)) - costs).reshape(-1)
-    A = np.zeros((N * T, n_vars))
-    for i in range(N):
-        for t in range(T):
-            A[i * T + t, i * T + t] = 1.0
-    b = np.repeat(y_star, T)
-    out = solve_qp(QpSpec("max", cost_vec, A, b, ["<="] * (N * T),
-                          quadratic_matrix=Q))
-    assert out.status == "optimal", f"fixed-capacity welfare solve is {out.status}"
+    # Capacity rows x_{i,t} <= y*_i: the x block of the capacity rows, with
+    # the pinned capacities moved to the right-hand side.
+    A = _capacity_rows(N, T)[:, : N * T]
+    out = _checked(solve_qp(QpSpec("max", _welfare_gradient(inst, costs), A,
+                                   np.repeat(y_star, T), ["<="] * (N * T),
+                                   quadratic_matrix=_welfare_hessian(inst, N * T))),
+                   "fixed-capacity welfare program")
 
     x = out.primal.reshape(N, T)
     mu = out.duals.reshape(N, T)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from robust_peakload import cli
+from robust_peakload import cli, market, robust, subsidy
 from robust_peakload.geometry import simplex, tau
 from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           canonical_dumps, format_number,
@@ -21,6 +21,7 @@ from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           write_instance)
 from robust_peakload.market import AffineElastic, Fixed
 from robust_peakload.robust import Infeasible, Unbounded
+from robust_peakload.solver import LpSpec, SolveOutcome
 
 VALUE_TOL = 1e-7
 CERT_TOL = 1e-6
@@ -565,3 +566,68 @@ class TestReportContract:
                                str(INSTANCES / "prices_reform.json"),
                                "--mode", "robust-cp")
         assert code == 2 and "forced" in err
+
+
+def _solver_returning(status):
+    """Stand-in for solve_lp/solve_qp that reports `status` for every spec."""
+    def solve(spec):
+        return SolveOutcome(status, None, None, None, None, [], 0, {})
+    return solve
+
+
+def _instance(name):
+    return load_instance(str(INSTANCES / name))[0]
+
+
+def _nominal_fixed():
+    market.solve_nominal_fixed(_instance("box_fixed.json"))
+
+
+def _nominal_elastic():
+    market.solve_nominal_elastic(_instance("subsidy_example.json"))
+
+
+def _elastic_dispatch():
+    inst = _instance("subsidy_example.json")
+    robust.dispatch_at_capacity(inst, np.ones(inst.N), None)
+
+
+def _pinned_welfare():
+    inst = _instance("subsidy_example.json")
+    subsidy.solve_fixed_capacity_welfare(inst, np.ones(inst.N),
+                                         np.zeros((inst.N, inst.T)))
+
+
+class TestNonOptimalSolves:
+    """A solve that does not come back optimal raises the typed error of its
+    status, under -O as well, and the CLI maps it to exit code 2."""
+
+    @pytest.mark.parametrize("status, error", [("infeasible", Infeasible),
+                                               ("unbounded", Unbounded)])
+    @pytest.mark.parametrize("module, solver, call", [
+        (market, "solve_lp", _nominal_fixed),
+        (market, "solve_qp", _nominal_elastic),
+        (robust, "solve_qp", _elastic_dispatch),
+        (subsidy, "solve_qp", _pinned_welfare),
+    ])
+    def test_typed_error(self, monkeypatch, module, solver, call, status, error):
+        monkeypatch.setattr(module, solver, _solver_returning(status))
+        with pytest.raises(error, match=status):
+            call()
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    @pytest.mark.parametrize("solver, instance", [
+        ("solve_lp", "box_fixed.json"),
+        ("solve_qp", "subsidy_example.json"),
+    ])
+    def test_nominal_cli_exits_two(self, capsys, monkeypatch, solver, instance,
+                                   status):
+        monkeypatch.setattr(market, solver, _solver_returning(status))
+        code, out, err = run_cli(capsys, "solve", "--instance",
+                                 str(INSTANCES / instance), "--mode", "nominal")
+        assert code == 2 and status in err and not out
+
+    def test_min_norm_duals_rejects_max_sense(self):
+        spec = LpSpec("max", [1.0], [[1.0]], [1.0], ["<="])
+        with pytest.raises(ValueError, match="min-sense"):
+            robust._min_norm_duals(spec, None, [])

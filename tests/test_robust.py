@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from robust_peakload.geometry import (
     Polytope,
@@ -16,6 +17,7 @@ from robust_peakload.market import (
     Fixed,
     MarketInstance,
     Producer,
+    cost_matrix,
     solve_nominal_elastic,
     solve_nominal_fixed,
     total_cost,
@@ -41,7 +43,8 @@ from robust_peakload.robust import (
     verify_adjustable_equivalence,
     worst_case_scenario,
 )
-from robust_peakload.solver import LpSpec, solve_lp
+from robust_peakload.solver import (LpSpec, NumericBreakdown, QpSpec, solve_lp,
+                                    solve_qp)
 
 VALUE_TOL = 1e-7
 SADDLE_TOL = 1e-6
@@ -489,3 +492,119 @@ class TestDispatchAtCapacity:
         value, x = dispatch_at_capacity(inst, np.zeros(2), None)
         assert_allclose(x, 0.0, atol=1e-12)
         assert_allclose(value, 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-period scalings a_{i,t} against the vertex-epigraph programs
+
+EPIGRAPH_TOL = 1e-9
+
+# (N, T, uncertainty set): N != T both ways and N == T, box and simplex.
+PER_PERIOD_SHAPES = [(N, T, U) for N, T in ((2, 3), (3, 2), (2, 2), (3, 3))
+                     for U in ("box", "simplex")]
+
+
+def per_period_instance(rng, N, T, U, elastic):
+    """Random instance whose uncertainty scalings vary by period."""
+    producers = [Producer(c_inv=float(rng.uniform(0.1, 1.0)),
+                          c_var=float(rng.uniform(0.1, 1.5)),
+                          a_by_period=rng.uniform(0.0, 1.5, size=T))
+                 for _ in range(N)]
+    if elastic:
+        demand = AffineElastic(rng.uniform(2.0, 6.0, size=T),
+                               rng.uniform(0.5, 2.0, size=T))
+    else:
+        demand = Fixed(rng.uniform(0.5, 3.0, size=T))
+    uncertainty = box(N) if U == "box" else simplex(N)
+    return MarketInstance(producers=producers, demand=demand, T=T,
+                          uncertainty=uncertainty)
+
+
+def epigraph_rows(inst):
+    """Rows over (x_{i,t} producer-major, y, theta), all <= 0: one
+    sum_{i,t} c_{i,t}(v) x_{i,t} - theta per lifted vertex v, then the
+    capacity rows x_{i,t} - y_i."""
+    N, T = inst.N, inst.T
+    rows = []
+    for v in lifted_vertices(inst):
+        costs = cost_matrix(inst, v)
+        row = np.zeros(N * T + N + 1)
+        for i in range(N):
+            for t in range(T):
+                row[i * T + t] = costs[i, t]
+        row[-1] = -1.0
+        rows.append(row)
+    for i in range(N):
+        for t in range(T):
+            row = np.zeros(N * T + N + 1)
+            row[i * T + t] = 1.0
+            row[N * T + i] = -1.0
+            rows.append(row)
+    return np.array(rows)
+
+
+def fixed_epigraph_value(inst):
+    """min c_inv' y + theta over the vertex epigraph, solved by HiGHS."""
+    N, T = inst.N, inst.T
+    clearing = np.zeros((T, N * T + N + 1))
+    for t in range(T):
+        for i in range(N):
+            clearing[t, i * T + t] = 1.0
+    c_inv = [p.c_inv for p in inst.producers]
+    cost = np.concatenate([np.zeros(N * T), c_inv, [1.0]])
+    A = epigraph_rows(inst)
+    res = linprog(cost, A_ub=A, b_ub=np.zeros(A.shape[0]), A_eq=clearing,
+                  b_eq=inst.demand.d, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def elastic_epigraph_value(inst):
+    """max sum_t (alpha_t s_t - beta_t s_t^2 / 2) - c_inv' y - theta over the
+    vertex epigraph, with s_t = sum_i x_{i,t}."""
+    N, T = inst.N, inst.T
+    n = N * T + N + 1
+    Q = np.zeros((n, n))
+    cost = np.zeros(n)
+    for t in range(T):
+        for i in range(N):
+            cost[i * T + t] = inst.demand.alpha[t]
+            for j in range(N):
+                Q[i * T + t, j * T + t] = -inst.demand.beta[t]
+    cost[N * T : N * T + N] = [-p.c_inv for p in inst.producers]
+    cost[-1] = -1.0
+    A = epigraph_rows(inst)
+    out = solve_qp(QpSpec("max", cost, A, np.zeros(A.shape[0]),
+                          ["<="] * A.shape[0], quadratic_matrix=Q))
+    assert out.status == "optimal"
+    return out.objective
+
+
+class TestPerPeriodScalings:
+    """Planner values with a_{i,t} varying by period equal the optimum over
+    the vertex epigraph of the lifted set, an independent formulation that
+    applies the scalings through cost_matrix only."""
+
+    @pytest.mark.parametrize("N, T, U", PER_PERIOD_SHAPES)
+    def test_fixed_planner_matches_vertex_epigraph(self, N, T, U):
+        rng = np.random.default_rng([71, N, T, U == "box"])
+        for trial in range(3):
+            inst = per_period_instance(rng, N, T, U, elastic=False)
+            _, C, _ = solve_robust_cp_fixed(inst)
+            assert_allclose(C, fixed_epigraph_value(inst), atol=EPIGRAPH_TOL,
+                            rtol=0, err_msg=f"trial {trial}")
+
+    @pytest.mark.parametrize("N, T, U", [
+        pytest.param(*shape, marks=pytest.mark.xfail(
+            raises=NumericBreakdown, strict=True,
+            reason="solve_qp stalls on the 521-row epigraph QP, whose start "
+                   "point x = 0 has every row active"))
+        if shape == (3, 3, "box") else shape
+        for shape in PER_PERIOD_SHAPES])
+    def test_elastic_planner_matches_vertex_epigraph(self, N, T, U):
+        rng = np.random.default_rng([73, N, T, U == "box"])
+        for trial in range(2):
+            inst = per_period_instance(rng, N, T, U, elastic=True)
+            _, C, _ = solve_robust_cp_elastic(inst)
+            assert_allclose(C, elastic_epigraph_value(inst), atol=EPIGRAPH_TOL,
+                            rtol=0, err_msg=f"trial {trial}")
