@@ -29,7 +29,7 @@ _RISK_KEYS = {"var", "coherent"}
 _VAR_KEYS = {"alpha", "marginal_var"}
 _COHERENT_KEYS = {"scenarios", "Q"}
 _Q_KEYS = {"P", "r"}
-_OPTION_KEYS = {"tolerances", "sample_count", "grid", "seed"}
+_OPTION_KEYS = {"sample_count", "grid", "seed"}
 
 
 class SchemaError(ValueError):
@@ -245,17 +245,10 @@ def parse_instance_data(data: dict):
             except ValueError as exc:
                 raise SchemaError(f"risk.coherent: {exc}") from exc
 
-    options = {"tolerances": {}, "sample_count": None, "grid": None,
-               "seed": None}
+    options = {"sample_count": None, "grid": None, "seed": None}
     if "options" in data:
         opt = data["options"]
         _require_keys("options", opt, _OPTION_KEYS, [])
-        if "tolerances" in opt:
-            if not isinstance(opt["tolerances"], dict):
-                raise SchemaError("options.tolerances must be an object")
-            options["tolerances"] = {
-                str(k): _number(f"options.tolerances.{k}", v)
-                for k, v in opt["tolerances"].items()}
         if "sample_count" in opt:
             options["sample_count"] = _count("options.sample_count",
                                              opt["sample_count"])
@@ -294,7 +287,12 @@ def load_instance(path: str):
 
 def instance_to_data(inst: MarketInstance, options: dict = None) -> dict:
     """Serializable document for a MarketInstance; uncertainty is emitted in
-    inequality form (exact for any polytope)."""
+    inequality form (exact for any polytope).  Raises ValueError for a
+    producer with per-period scalings, which the schema cannot hold."""
+    for i, p in enumerate(inst.producers):
+        if p.a_by_period is not None:
+            raise ValueError(f"producers[{i}] has per-period scalings "
+                             "(a_by_period), which instance files cannot hold")
     data = {
         "schema_version": SCHEMA_VERSION,
         "periods": int(inst.T),

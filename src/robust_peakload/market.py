@@ -13,6 +13,9 @@ i in period t, as x.reshape(-1) gives it), followed by the N capacities y;
 programs that need more variables append them after y.  The private block
 builders here (_capacity_rows, _clearing_rows, _welfare_hessian,
 _welfare_gradient) are the only code that lays rows out over x and y.
+_solve is the only code that turns the demand mode into a solver call (a
+cost-minimal LP or a welfare-maximal QP), and _dispatch is the one
+second-stage program: production's best response at pinned capacities.
 """
 
 from dataclasses import dataclass, field
@@ -175,7 +178,7 @@ class EquilibriumSolution:
 
 def _capacity_rows(N, T):
     """Rows x_{i,t} - y_i <= 0 over (x, y)."""
-    return np.hstack([np.eye(N * T), 0.0 - np.kron(np.eye(N), np.ones((T, 1)))])
+    return np.hstack([np.eye(N * T), 0.0 - np.repeat(np.eye(N), T, axis=0)])
 
 
 def _clearing_rows(N, T):
@@ -218,13 +221,35 @@ def _welfare_program(inst: MarketInstance, costs):
             np.concatenate([_welfare_gradient(inst, costs), -c_inv]))
 
 
+def _solve(inst: MarketInstance, A, rhs, kinds, cost, what):
+    """Solve a program over (x, y, ...) in the demand mode of inst: the
+    cost-minimal LP for fixed demand, the welfare-maximal QP with the welfare
+    Hessian for elastic demand.  Non-optimal statuses raise, naming `what`."""
+    if isinstance(inst.demand, Fixed):
+        return _checked(solve_lp(LpSpec("min", cost, A, rhs, kinds)), what)
+    return _checked(solve_qp(QpSpec("max", cost, A, rhs, kinds,
+                                    quadratic_matrix=_welfare_hessian(inst, cost.size))),
+                    what)
+
+
+def _dispatch(inst: MarketInstance, y, costs):
+    """Best response of production at capacities pinned to y: the nominal
+    program of inst's demand mode with the y columns moved to the right-hand
+    side and the cost of y kept as a constant.  Returns the outcome over x
+    (rows as in the nominal program) and its value including the cost of y."""
+    program = _fixed_program if isinstance(inst.demand, Fixed) else _welfare_program
+    A, rhs, kinds, cost = program(inst, costs)
+    n_x = inst.N * inst.T
+    out = _solve(inst, A[:, :n_x], rhs - A[:, n_x:] @ y, kinds, cost[:n_x],
+                 "dispatch at fixed capacities")
+    return out, float(out.objective + cost[n_x:] @ y)
+
+
 def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray):
     """Cost-minimal plan meeting fixed demand exactly; returns the solution
     and the raw solver outcome (rows: N*T capacity rows, then T clearing rows)."""
     N, T = inst.N, inst.T
-    A, rhs, kinds, cost = _fixed_program(inst, costs)
-    out = _checked(solve_lp(LpSpec("min", cost, A, rhs, kinds)),
-                   "fixed-demand planner program")
+    out = _solve(inst, *_fixed_program(inst, costs), "fixed-demand planner program")
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T:]
     prices = out.duals[N * T:].copy()
@@ -245,10 +270,7 @@ def solve_elastic_welfare(inst: MarketInstance, costs: np.ndarray):
     solution and the raw solver outcome (rows: N*T capacity rows)."""
     demand = inst.demand
     N, T = inst.N, inst.T
-    A, rhs, kinds, cost = _welfare_program(inst, costs)
-    out = _checked(solve_qp(QpSpec("max", cost, A, rhs, kinds,
-                                   quadratic_matrix=_welfare_hessian(inst, cost.size))),
-                   "elastic welfare program")
+    out = _solve(inst, *_welfare_program(inst, costs), "elastic welfare program")
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T:]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
@@ -271,9 +293,6 @@ def solve_expected(inst: MarketInstance, mean_u) -> EquilibriumSolution:
         raise BadMean("mean scenario must be an N x T matrix")
     if np.any(mean_u < -1e-12) or np.any(mean_u > 1.0 + 1e-12):
         raise BadMean("mean scenario must lie in the unit box")
-    costs = cost_matrix(inst, mean_u)
-    if isinstance(inst.demand, Fixed):
-        solution, _ = solve_fixed_dispatch(inst, costs)
-    else:
-        solution, _ = solve_elastic_welfare(inst, costs)
+    solve = solve_fixed_dispatch if isinstance(inst.demand, Fixed) else solve_elastic_welfare
+    solution, _ = solve(inst, cost_matrix(inst, mean_u))
     return solution

@@ -39,8 +39,9 @@ from robust_peakload.market import (
     MarketInstance,
     _capacity_rows,
     _clearing_rows,
+    _dispatch,
     _fixed_program,
-    _welfare_gradient,
+    _solve,
     _welfare_hessian,
     _welfare_program,
     cost_matrix,
@@ -188,13 +189,11 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
     x_star = out.primal[:nx]
     y_star = out.primal[nx : nx + ny]
 
-    # Multipliers of the dualized adversary rows recover the worst-case u;
-    # fall back to the inner maximization when the basis blurs them.
-    worst_u = out.duals[m_rows:].copy()
+    # Multipliers of the dualized adversary rows recover the worst-case u.
     base_cost = float(p.c @ x_star + p.d @ y_star)
-    inner_at_dual = base_cost + float((p.lam * worst_u) @ x_star)
-    if not p.U.contains(worst_u, tol=1e-7) or abs(inner_at_dual - val_R) > SADDLE_TOL:
-        _, worst_u = _worst_case_gain(p.U, p.lam * x_star)
+    worst_u = _readout(p.U, out.duals[m_rows:].copy(),
+                       lambda u: base_cost + float((p.lam * u) @ x_star), val_R,
+                       lambda: _worst_case_gain(p.U, p.lam * x_star)[1])
 
     box_out = _checked(solve_lp(LpSpec("min", np.concatenate([p.c + p.lam, p.d]),
                                        AB, p.b, [">="] * m_rows)),
@@ -234,10 +233,8 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
     Returns (surcharge value, N x T scenario).  The surcharge is
     max over u in the lifted set of sum_{i,t} a_{i,t} u_{i,t} x_{i,t}.
     """
-    x = np.asarray(x, dtype=float)
-    gains = scenario_to_vector(scaling_matrix(inst) * x)
-    lifted = lifted_set(inst)
-    value, u_vec = _worst_case_gain(lifted, gains)
+    gains = scenario_to_vector(scaling_matrix(inst) * np.asarray(x, dtype=float))
+    value, u_vec = _worst_case_gain(lifted_set(inst), gains)
     return value, vector_to_scenario(u_vec, inst.N, inst.T)
 
 
@@ -259,17 +256,23 @@ def _adversary_gain(inst: MarketInstance):
     return gain
 
 
-def _worst_u_readout(inst: MarketInstance, lifted, u_vec, value_at, target,
-                     fallback):
-    """Worst-case N x T scenario of a planner solve, read off the multipliers
-    u_vec of its dualized adversary rows.  When the basis blurs them (u_vec
-    leaves the lifted set, or value_at(u) misses the planner value target),
-    returns fallback() instead."""
-    worst_u = vector_to_scenario(u_vec, inst.N, inst.T)
-    if (not lifted.contains(u_vec, tol=1e-7)
-            or abs(value_at(worst_u) - target) > SADDLE_TOL):
+def _readout(U: Polytope, u, value_at, target, fallback):
+    """Worst-case scenario of a robust solve, read off the multipliers u of
+    its dualized adversary rows (a vector over U's coordinates).  When the
+    basis blurs them (u leaves U, or value_at(u) misses the program value
+    target), returns fallback() instead."""
+    if not U.contains(u, tol=1e-7) or abs(value_at(u) - target) > SADDLE_TOL:
         return fallback()
-    return worst_u
+    return u
+
+
+def _mixtures(inst: MarketInstance, scenarios, samples, seed):
+    """`samples` random convex combinations of the N x T scenarios, with
+    uniform Dirichlet weights drawn from a generator seeded by seed."""
+    rng = np.random.default_rng(seed)
+    stacked = np.stack([scenario_to_vector(u) for u in scenarios])
+    return [vector_to_scenario(w @ stacked, inst.N, inst.T)
+            for w in rng.dirichlet(np.ones(len(scenarios)), size=samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +316,19 @@ def solve_robust_cp_fixed(inst: MarketInstance):
         raise ValueError("fixed-demand robust planner requires Fixed demand")
     N, T = inst.N, inst.T
     lifted = lifted_set(inst)
-    A, b, kinds, cost = _with_adversary(*_fixed_program(inst, cost_matrix(inst)),
-                                        _adversary_gain(inst), lifted, 1.0)
-    out = _checked(solve_lp(LpSpec("min", cost, A, b, kinds)),
-                   "robust planner program")
+    out = _solve(inst, *_with_adversary(*_fixed_program(inst, cost_matrix(inst)),
+                                        _adversary_gain(inst), lifted, 1.0),
+                 "robust planner program")
 
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T : N * T + N]
     prices = out.duals[N * T : N * T + T].copy()
     C = float(out.objective)
-    worst_u = _worst_u_readout(inst, lifted, out.duals[N * T + T:].copy(),
-                               lambda u: total_cost(inst, x, y, u), C,
-                               lambda: worst_case_scenario(inst, x)[1])
+    as_matrix = lambda u: vector_to_scenario(u, N, T)
+    worst_u = as_matrix(_readout(
+        lifted, out.duals[N * T + T:].copy(),
+        lambda u: total_cost(inst, x, y, as_matrix(u)), C,
+        lambda: scenario_to_vector(worst_case_scenario(inst, x)[1])))
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -364,13 +368,12 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     lifted = lifted_set(inst)
     A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
                                         _adversary_gain(inst), lifted, -1.0)
-    Q = _welfare_hessian(inst, cost.size)
-    out = _checked(solve_qp(QpSpec("max", cost, A, b, kinds, quadratic_matrix=Q)),
-                   "robust welfare program")
+    out = _solve(inst, A, b, kinds, cost, "robust welfare program")
 
     # Welfare optima can be degenerate across capacity splits; canonicalize
     # to the minimum-norm optimum so interchangeable producers split evenly.
-    primal = _min_norm_optimum(cost, Q, A, b, kinds, out.primal)
+    primal = _min_norm_optimum(cost, _welfare_hessian(inst, cost.size), A, b,
+                               kinds, out.primal)
     x = primal[: N * T].reshape(N, T)
     y = primal[N * T : N * T + N]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
@@ -379,9 +382,10 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     _, worst_exact = worst_case_scenario(inst, x)
     C = float(welfare(inst, x, y, worst_exact))
     # Max-sense >= rows carry nonpositive multipliers; negate to read u.
-    worst_u = _worst_u_readout(inst, lifted, -out.duals[N * T:],
-                               lambda u: welfare(inst, x, y, u), C,
-                               lambda: worst_exact)
+    as_matrix = lambda u: vector_to_scenario(u, N, T)
+    worst_u = as_matrix(_readout(lifted, -out.duals[N * T:],
+                                 lambda u: welfare(inst, x, y, as_matrix(u)), C,
+                                 lambda: scenario_to_vector(worst_exact)))
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -396,25 +400,8 @@ def dispatch_at_capacity(inst: MarketInstance, y_star, u) -> tuple:
     Fixed demand: cost-minimal dispatch, returns (total cost, x).
     Elastic demand: welfare-maximal dispatch, returns (welfare, x).
     """
-    y_star = np.asarray(y_star, dtype=float)
-    N, T = inst.N, inst.T
-    costs = cost_matrix(inst, u)
-    caps = np.repeat(y_star, T)
-    c_inv = np.array([p.c_inv for p in inst.producers])
-    if isinstance(inst.demand, Fixed):
-        out = _checked(solve_lp(LpSpec("min", costs.reshape(-1), _clearing_rows(N, T),
-                                       inst.demand.d, ["="] * T,
-                                       variable_upper_bounds=caps)),
-                       "dispatch at the given capacities")
-        x = out.primal.reshape(N, T)
-        return float(c_inv @ y_star + out.objective), x
-    out = _checked(solve_qp(QpSpec("max", _welfare_gradient(inst, costs),
-                                   np.zeros((0, N * T)), [], [],
-                                   variable_upper_bounds=caps,
-                                   quadratic_matrix=_welfare_hessian(inst, N * T))),
-                   "welfare dispatch at fixed capacities")
-    x = out.primal.reshape(N, T)
-    return float(out.objective - c_inv @ y_star), x
+    out, value = _dispatch(inst, np.asarray(y_star, dtype=float), cost_matrix(inst, u))
+    return value, out.primal.reshape(inst.N, inst.T)
 
 
 def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_SAMPLES,
@@ -444,12 +431,8 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
 
     vertices = lifted_vertices(inst)
     vertex_values = [dispatch_at_capacity(inst, y_star, v)[0] for v in vertices]
-    rng = np.random.default_rng(seed)
-    sample_values = []
-    for _ in range(samples):
-        weights = rng.dirichlet(np.ones(len(vertices)))
-        u = sum(w * v for w, v in zip(weights, vertices))
-        sample_values.append(dispatch_at_capacity(inst, y_star, u)[0])
+    sample_values = [dispatch_at_capacity(inst, y_star, u)[0]
+                     for u in _mixtures(inst, vertices, samples, seed)]
     worst_value = dispatch_at_capacity(inst, y_star, worst_u)[0]
 
     all_values = vertex_values + sample_values

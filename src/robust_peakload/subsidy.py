@@ -21,22 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robust_peakload.market import (
-    AffineElastic,
-    MarketInstance,
-    _capacity_rows,
-    _welfare_gradient,
-    _welfare_hessian,
-    cost_matrix,
-)
+from robust_peakload.market import AffineElastic, MarketInstance, _dispatch, cost_matrix
 from robust_peakload.robust import (
-    lifted_set,
+    _mixtures,
     lifted_vertices,
     scenario_to_vector,
     solve_robust_cp_elastic,
-    vector_to_scenario,
 )
-from robust_peakload.solver import QpSpec, _checked, solve_qp
 
 KKT_TOL = 1e-7
 PROFIT_TOL = 1e-6
@@ -105,26 +96,17 @@ def solve_fixed_capacity_welfare(inst: MarketInstance, y_star,
     u = np.asarray(u, dtype=float)
     if u.shape != (N, T):
         raise ValueError("scenario must be an N x T matrix")
-    if not lifted_set(inst).contains(scenario_to_vector(u), tol=1e-7):
+    if not all(inst.uncertainty.contains(u[:, t], tol=1e-7) for t in range(T)):
         raise ValueError("scenario lies outside the lifted uncertainty set")
 
     demand = inst.demand
-    costs = cost_matrix(inst, u)
-    # Capacity rows x_{i,t} <= y*_i: the x block of the capacity rows, with
-    # the pinned capacities moved to the right-hand side.
-    A = _capacity_rows(N, T)[:, : N * T]
-    out = _checked(solve_qp(QpSpec("max", _welfare_gradient(inst, costs), A,
-                                   np.repeat(y_star, T), ["<="] * (N * T),
-                                   quadratic_matrix=_welfare_hessian(inst, N * T))),
-                   "fixed-capacity welfare program")
-
+    out, value = _dispatch(inst, y_star, cost_matrix(inst, u))
     x = out.primal.reshape(N, T)
     mu = out.duals.reshape(N, T)
     phi = -out.reduced_costs.reshape(N, T)
     pi = demand.alpha - demand.beta * x.sum(axis=0)
     c_inv = np.array([p.c_inv for p in inst.producers])
     chi = mu.sum(axis=1) - c_inv
-    value = float(out.objective) - float(c_inv @ y_star)
     return FixedCapacityWelfareResult(u=u.copy(), x=x, pi=pi, mu=mu, phi=phi,
                                       chi=chi, value=value)
 
@@ -158,6 +140,12 @@ def _margin_deficits(inst: MarketInstance, result: FixedCapacityWelfareResult) -
     running = result.x > SUPPORT_TOL
     deficit = np.where(running, costs - result.pi[None, :], 0.0)
     return deficit.sum(axis=1)
+
+
+def _require_grid(grid):
+    """The deviation check tries `grid` capacities from 0 to 2 max(y*)."""
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
 
 
 def _verification(inst: MarketInstance, eta, y_star, results, grid):
@@ -238,6 +226,9 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
     (eta = 0) is returned."""
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("subsidies are defined for elastic demand")
+    _require_grid(grid)
+    if audit_samples < 0:
+        raise ValueError(f"audit_samples must be nonnegative, got {audit_samples}")
     solution, _, _ = solve_robust_cp_elastic(inst)
     y_star = np.maximum(solution.capacities, 0.0)
     y_star[y_star <= SUPPORT_TOL] = 0.0
@@ -267,12 +258,8 @@ def _interior_audit(inst, y_star, vertex_max, samples, seed, vertices):
              "max_excess": 0.0, "flagged": False}
     if samples <= 0 or len(vertices) <= 1:
         return audit
-    rng = np.random.default_rng(seed)
-    stacked = np.stack([scenario_to_vector(u) for u in vertices])
     excess = 0.0
-    for _ in range(samples):
-        w = rng.dirichlet(np.ones(len(vertices)))
-        u = vector_to_scenario(w @ stacked, inst.N, inst.T)
+    for u in _mixtures(inst, vertices, samples, seed):
         res = solve_fixed_capacity_welfare(inst, y_star, u)
         excess = max(excess, float(np.max(_margin_deficits(inst, res) - vertex_max)))
     audit["max_excess"] = excess
@@ -288,6 +275,7 @@ def verify_subsidized_equilibrium(inst: MarketInstance, bundle: SubsidyBundle,
                                   grid: int = DEFAULT_GRID) -> dict:
     """Re-run the three equilibrium checks for a bundle; raises
     NotEquilibrium with the violating (producer, scenario, deviation)."""
+    _require_grid(grid)
     record, violation = _verification(inst, bundle.eta, bundle.y_star,
                                       bundle.scenario_results, grid)
     if violation is not None:

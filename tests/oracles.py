@@ -110,3 +110,21 @@ def maximin_coordinate_grid(P, r, resolution=401):
             if np.all(P @ u <= r + 1e-12):
                 best = max(best, min(u1, u2))
     return best
+
+
+def merit_order_dispatch(costs, capacities, demand):
+    """Cheapest production meeting fixed demand at fixed capacities, by merit
+    order: in every period t, fill capacities in increasing order of the unit
+    cost c_{i,t} until d_t is met.  Returns (production cost, N x T plan), or
+    None when the capacities cannot meet some period's demand."""
+    costs = np.asarray(costs, dtype=float)
+    N, T = costs.shape
+    x = np.zeros((N, T))
+    for t in range(T):
+        left = float(demand[t])
+        for i in sorted(range(N), key=lambda i: costs[i, t]):
+            x[i, t] = min(float(capacities[i]), left)
+            left -= x[i, t]
+        if left > FEAS_TOL:
+            return None
+    return float(np.sum(costs * x)), x

@@ -5,21 +5,24 @@ program, 3 failed subsidy verification.  JSON reports must round-trip
 byte-identically and be deterministic apart from the timing field.
 """
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import robust_peakload
 from robust_peakload import cli, market, robust, subsidy
-from robust_peakload.geometry import simplex, tau
+from robust_peakload.geometry import box, simplex, tau
 from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           canonical_dumps, format_number,
                                           instance_digest, instance_to_data,
                                           load_instance, parse_instance_data,
                                           write_instance)
-from robust_peakload.market import AffineElastic, Fixed
+from robust_peakload.market import AffineElastic, Fixed, MarketInstance, Producer
 from robust_peakload.robust import Infeasible, Unbounded
 from robust_peakload.solver import LpSpec, SolveOutcome
 
@@ -151,6 +154,8 @@ class TestInstanceFile:
          "risk.var"),
         (lambda d: d.update(options={"grid": 1}), "options.grid"),
         (lambda d: d.update(options={"speed": 1}), "unknown key 'speed'"),
+        (lambda d: d.update(options={"tolerances": {"value": 1e-7}}),
+         "unknown key 'tolerances'"),
     ])
     def test_schema_violations_name_the_field(self, mutate, fragment):
         data = minimal_data()
@@ -187,6 +192,16 @@ class TestInstanceFile:
         t_a, _ = tau(inst.uncertainty)
         t_b, _ = tau(reloaded.uncertainty)
         assert_allclose(t_a, t_b, atol=1e-9)
+
+    def test_per_period_scalings_are_not_emitted(self):
+        # The schema has one scaling a per producer; writing a_by_period as
+        # a would describe a different market.
+        inst = MarketInstance(
+            producers=[Producer(1.0, 1.0, 1.0, a_by_period=[0.5, 2.0]),
+                       Producer(1.0, 1.0, 1.0)],
+            demand=Fixed([1.0, 1.0]), T=2, uncertainty=box(2))
+        with pytest.raises(ValueError, match=r"producers\[0\]"):
+            instance_to_data(inst)
 
 
 class TestSolveCommand:
@@ -455,6 +470,19 @@ class TestSubsidyCommand:
                                str(INSTANCES / "prices_reform.json"))
         assert code == 1 and "elastic" in err
 
+    @pytest.mark.parametrize("flag, value, fragment", [
+        ("--samples", "-3", "audit_samples"),
+        ("--grid", "0", "grid"),
+        ("--grid", "1", "grid"),
+        ("--grid", "-5", "grid"),
+    ])
+    def test_bad_grid_or_samples_is_input_error(self, capsys, flag, value,
+                                                fragment):
+        code, out, err = run_cli(capsys, "subsidy", "--instance",
+                                 str(INSTANCES / "subsidy_example.json"),
+                                 flag, value)
+        assert code == 1 and fragment in err and not out
+
 
 class TestSetCommands:
     def test_box_tau(self, capsys):
@@ -575,27 +603,43 @@ def _solver_returning(status):
     return solve
 
 
+def _fail_solvers(monkeypatch, status, names=("solve_lp", "solve_qp")):
+    """Install _solver_returning(status) at every binding of the named
+    solvers in the package, wherever a module imported them."""
+    modules = [robust_peakload] + [
+        importlib.import_module(f"robust_peakload.{info.name}")
+        for info in pkgutil.iter_modules(robust_peakload.__path__)]
+    for module in modules:
+        for name in names:
+            if vars(module).get(name) is getattr(robust_peakload.solver, name):
+                monkeypatch.setattr(module, name, _solver_returning(status))
+
+
 def _instance(name):
     return load_instance(str(INSTANCES / name))[0]
 
 
+# Each call loads its instance (whose validation solves LPs) and returns the
+# solve under test, to run once the solvers are replaced.
 def _nominal_fixed():
-    market.solve_nominal_fixed(_instance("box_fixed.json"))
+    inst = _instance("box_fixed.json")
+    return lambda: market.solve_nominal_fixed(inst)
 
 
 def _nominal_elastic():
-    market.solve_nominal_elastic(_instance("subsidy_example.json"))
+    inst = _instance("subsidy_example.json")
+    return lambda: market.solve_nominal_elastic(inst)
 
 
 def _elastic_dispatch():
     inst = _instance("subsidy_example.json")
-    robust.dispatch_at_capacity(inst, np.ones(inst.N), None)
+    return lambda: robust.dispatch_at_capacity(inst, np.ones(inst.N), None)
 
 
 def _pinned_welfare():
     inst = _instance("subsidy_example.json")
-    subsidy.solve_fixed_capacity_welfare(inst, np.ones(inst.N),
-                                         np.zeros((inst.N, inst.T)))
+    return lambda: subsidy.solve_fixed_capacity_welfare(
+        inst, np.ones(inst.N), np.zeros((inst.N, inst.T)))
 
 
 class TestNonOptimalSolves:
@@ -604,16 +648,13 @@ class TestNonOptimalSolves:
 
     @pytest.mark.parametrize("status, error", [("infeasible", Infeasible),
                                                ("unbounded", Unbounded)])
-    @pytest.mark.parametrize("module, solver, call", [
-        (market, "solve_lp", _nominal_fixed),
-        (market, "solve_qp", _nominal_elastic),
-        (robust, "solve_qp", _elastic_dispatch),
-        (subsidy, "solve_qp", _pinned_welfare),
-    ])
-    def test_typed_error(self, monkeypatch, module, solver, call, status, error):
-        monkeypatch.setattr(module, solver, _solver_returning(status))
+    @pytest.mark.parametrize("call", [_nominal_fixed, _nominal_elastic,
+                                      _elastic_dispatch, _pinned_welfare])
+    def test_typed_error(self, monkeypatch, call, status, error):
+        run = call()
+        _fail_solvers(monkeypatch, status)
         with pytest.raises(error, match=status):
-            call()
+            run()
 
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
     @pytest.mark.parametrize("solver, instance", [
@@ -622,7 +663,14 @@ class TestNonOptimalSolves:
     ])
     def test_nominal_cli_exits_two(self, capsys, monkeypatch, solver, instance,
                                    status):
-        monkeypatch.setattr(market, solver, _solver_returning(status))
+        load = cli.load_instance
+
+        def load_then_fail(path):
+            loaded = load(path)
+            _fail_solvers(monkeypatch, status, (solver,))
+            return loaded
+
+        monkeypatch.setattr(cli, "load_instance", load_then_fail)
         code, out, err = run_cli(capsys, "solve", "--instance",
                                  str(INSTANCES / instance), "--mode", "nominal")
         assert code == 2 and status in err and not out

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
+from oracles import merit_order_dispatch
 from robust_peakload.geometry import (
     Polytope,
     box,
@@ -45,6 +46,7 @@ from robust_peakload.robust import (
 )
 from robust_peakload.solver import (LpSpec, NumericBreakdown, QpSpec, solve_lp,
                                     solve_qp)
+from robust_peakload.subsidy import solve_fixed_capacity_welfare
 
 VALUE_TOL = 1e-7
 SADDLE_TOL = 1e-6
@@ -481,6 +483,9 @@ class TestMarketRobustReport:
         assert_allclose(report.poa, report.C / report.E, atol=1e-12)
 
 
+DISPATCH_TOL = 1e-9
+
+
 class TestDispatchAtCapacity:
     def test_fixed_dispatch_infeasible_capacity(self):
         inst = two_producer_peak_instance()
@@ -492,6 +497,43 @@ class TestDispatchAtCapacity:
         value, x = dispatch_at_capacity(inst, np.zeros(2), None)
         assert_allclose(x, 0.0, atol=1e-12)
         assert_allclose(value, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("N, T, U", [(2, 2, "box"), (2, 3, "simplex"),
+                                         (3, 2, "box")])
+    def test_elastic_dispatch_matches_pinned_welfare(self, N, T, U):
+        # The certificate and the subsidies evaluate one pinned program; at
+        # every lifted vertex and at an interior mixture both readings agree.
+        rng = np.random.default_rng(100 + 10 * N + T)
+        inst = per_period_instance(rng, N, T, U, elastic=True)
+        y = rng.uniform(0.2, 1.5, size=N)
+        vertices = lifted_vertices(inst)
+        weights = rng.dirichlet(np.ones(len(vertices)))
+        mixture = sum(w * v for w, v in zip(weights, vertices))
+        for u in vertices + [mixture]:
+            value, x = dispatch_at_capacity(inst, y, u)
+            pinned = solve_fixed_capacity_welfare(inst, y, u)
+            assert_allclose(value, pinned.value, atol=DISPATCH_TOL, rtol=0)
+            assert_allclose(x, pinned.x, atol=DISPATCH_TOL, rtol=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fixed_dispatch_matches_merit_order(self, seed):
+        rng = np.random.default_rng(seed)
+        N, T = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        inst = per_period_instance(rng, N, T, "box" if seed % 2 else "simplex",
+                                   elastic=False)
+        # Capacities that cover the peak demand with room to spare.
+        y = rng.uniform(0.2, 1.0, size=N)
+        y *= 1.25 * inst.demand.d.max() / y.sum()
+        c_inv = np.array([p.c_inv for p in inst.producers])
+        vertices = lifted_vertices(inst)
+        weights = rng.dirichlet(np.ones(len(vertices)))
+        mixture = sum(w * v for w, v in zip(weights, vertices))
+        for u in vertices + [mixture]:
+            value, _ = dispatch_at_capacity(inst, y, u)
+            merit_cost, _ = merit_order_dispatch(cost_matrix(inst, u), y,
+                                                 inst.demand.d)
+            assert_allclose(value, c_inv @ y + merit_cost, atol=DISPATCH_TOL,
+                            rtol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,17 @@ class TestFixedCapacityWelfare:
             solve_fixed_capacity_welfare(inst, np.array([0.9, 0.9]),
                                          np.array([[1.0], [1.0]]))
 
+    @pytest.mark.parametrize("period", [0, 1])
+    def test_scenario_outside_set_in_one_period_rejected(self, period):
+        # Over two periods, a scenario that leaves U' in one period only.
+        inst = dataclasses.replace(
+            hull_example(), T=2,
+            demand=AffineElastic(np.array([5.0, 4.0]), np.array([1.0, 1.5])))
+        u = np.full((2, 2), 0.5)
+        u[:, period] = 1.0
+        with pytest.raises(ValueError, match="outside"):
+            solve_fixed_capacity_welfare(inst, np.array([0.9, 0.9]), u)
+
     def test_input_validation(self):
         inst = hull_example()
         with pytest.raises(ValueError):
@@ -220,6 +231,24 @@ class TestComputeSubsidies:
                                T=1, uncertainty=inst.uncertainty)
         with pytest.raises(ValueError):
             compute_subsidies(fixed)
+
+
+class TestGridAndSamples:
+    @pytest.mark.parametrize("grid", [1, 0, -5])
+    def test_compute_rejects_short_grid(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            compute_subsidies(hull_example(), grid=grid)
+
+    def test_compute_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="audit_samples"):
+            compute_subsidies(hull_example(), audit_samples=-3)
+
+    @pytest.mark.parametrize("grid", [1, 0, -5])
+    def test_verify_rejects_short_grid(self, grid):
+        inst = hull_example()
+        bundle = compute_subsidies(inst, audit_samples=0)
+        with pytest.raises(ValueError, match="grid"):
+            verify_subsidized_equilibrium(inst, bundle, grid=grid)
 
 
 class TestVerification:
