@@ -265,6 +265,8 @@ def _generate_instance(args):
 def _cmd_poa(args):
     if (args.instance is None) == (args.generate is None):
         raise CliError("exactly one of --instance and --generate is required")
+    if args.producers < 1:
+        raise CliError(f"--producers must be at least 1, got {args.producers}")
     flags = {"instance": args.instance, "generate": args.generate,
              "delta": args.delta, "rho": args.rho, "alpha": args.alpha,
              "producers": args.producers,

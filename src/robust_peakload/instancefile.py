@@ -314,5 +314,10 @@ def instance_to_data(inst: MarketInstance, options: dict = None) -> dict:
 
 
 def write_instance(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_dumps(data) + "\n")
+    """Write `data` as a canonical instance file; an unwritable path raises
+    ValueError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(canonical_dumps(data) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write instance file: {exc}") from exc

@@ -291,7 +291,8 @@ def solve_expected(inst: MarketInstance, mean_u) -> EquilibriumSolution:
     mean_u = np.asarray(mean_u, dtype=float)
     if mean_u.shape != (inst.N, inst.T):
         raise BadMean("mean scenario must be an N x T matrix")
-    if np.any(mean_u < -1e-12) or np.any(mean_u > 1.0 + 1e-12):
+    # Written so that NaN entries fail the test too.
+    if not np.all((mean_u >= -1e-12) & (mean_u <= 1.0 + 1e-12)):
         raise BadMean("mean scenario must lie in the unit box")
     solve = solve_fixed_dispatch if isinstance(inst.demand, Fixed) else solve_elastic_welfare
     solution, _ = solve(inst, cost_matrix(inst, mean_u))

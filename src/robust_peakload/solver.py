@@ -28,9 +28,6 @@ from scipy.linalg import null_space
 
 FEAS_TOL = 1e-9
 CERT_TOL = 1e-7
-PIVOT_TOL = 1e-12
-
-_KINDS = ("<=", ">=", "=")
 
 
 class SolverError(Exception):
@@ -171,174 +168,127 @@ class SolveOutcome:
 # ---------------------------------------------------------------------------
 # simplex core
 
+_MAX_PIVOTS = 20000
+
 
 def _pivot(S, rhs, basis, row, col):
     piv = S[row, col]
     S[row] /= piv
     rhs[row] /= piv
-    for i in range(S.shape[0]):
-        if i != row and S[i, col] != 0.0:
-            factor = S[i, col]
-            S[i] -= factor * S[row]
-            rhs[i] -= factor * rhs[row]
+    factor = S[:, col].copy()
+    factor[row] = 0.0
+    S -= np.outer(factor, S[row])
+    rhs -= factor * rhs[row]
     np.clip(rhs, 0.0, None, out=rhs)
     basis[row] = col
 
 
-def _simplex_phase(S, rhs, cost, basis, allowed, max_iter):
+def _simplex_phase(S, rhs, cost, basis, allowed):
     """Bland-rule simplex on min cost'w s.t. S w = rhs, w >= 0 (in place).
 
-    Returns (status, iterations, entering_col_if_unbounded).
+    Returns (status, iterations).
     """
-    m = S.shape[0]
     tol = 1e-9 * (1.0 + np.max(np.abs(cost), initial=0.0))
     iterations = 0
     while True:
-        if iterations > max_iter:
+        if iterations > _MAX_PIVOTS:
             raise NumericBreakdown("simplex iteration limit exceeded")
-        reduced = cost - cost[basis] @ S
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", iterations, -1
+        improving = np.flatnonzero(allowed & (cost - cost[basis] @ S < -tol))
+        if improving.size == 0:
+            return "optimal", iterations
+        entering = improving[0]
         col = S[:, entering]
         rows = np.flatnonzero(col > 1e-10)
         if rows.size == 0:
-            return "unbounded", iterations, entering
+            return "unbounded", iterations
         ratios = rhs[rows] / col[rows]
         best = np.min(ratios)
         # Bland tie-break: smallest basic-variable index among the minimizers.
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        leave_row = ties[np.argmin([basis[i] for i in ties])]
-        if abs(col[leave_row]) < PIVOT_TOL:
-            raise NumericBreakdown("pivot magnitude below zero-pivot threshold")
-        _pivot(S, rhs, basis, leave_row, entering)
+        _pivot(S, rhs, basis, ties[np.argmin(basis[ties])], entering)
         iterations += 1
 
 
-def _lp_internal(c_int, A, kinds, b, max_iter=20000):
-    """Solve min c_int'v s.t. A v (kinds) b, v >= 0.
+def _lp_internal(c_int, A, kinds, b):
+    """Solve min c_int'v s.t. A v (kinds) b, v >= 0; kinds is an array of
+    "<=", ">=" and "=".
 
-    Returns a dict with status and, when optimal, v, row duals for the stated
-    rows (internal min convention), and iteration count.
+    Returns (status, iterations, found): when optimal, found is v and the row
+    duals for the stated rows (internal min convention); otherwise it is the
+    certificate of the status.
     """
     m, n = A.shape
-    flips = np.ones(m)
-    rows = A.copy()
-    rhs = b.copy()
-    row_kinds = list(kinds)
-    for j in range(m):
-        if rhs[j] < 0.0:
-            rows[j] = -rows[j]
-            rhs[j] = -rhs[j]
-            flips[j] = -1.0
-            if row_kinds[j] == "<=":
-                row_kinds[j] = ">="
-            elif row_kinds[j] == ">=":
-                row_kinds[j] = "<="
+    # Rows with a negative right-hand side are negated, which swaps <= and >=.
+    flips = np.where(b < 0.0, -1.0, 1.0)
+    rhs = flips * b
+    eq = kinds == "="
+    le = np.where(flips > 0.0, kinds == "<=", kinds == ">=")
+    # Columns: v, one slack per inequality row (+1 on <=, -1 on >=), one
+    # artificial per >= or = row; the start basis is the slacks of the <=
+    # rows and the artificials.
+    slack = np.diag(np.where(le, 1.0, -1.0))[:, ~eq]
 
-    slack_cols = []
-    art_cols = []
-    blocks = [rows]
-    for j, kind in enumerate(row_kinds):
-        if kind == "<=":
-            col = np.zeros((m, 1))
-            col[j, 0] = 1.0
-            blocks.append(col)
-            slack_cols.append((j, n + len(slack_cols) + len(art_cols)))
-        elif kind == ">=":
-            col = np.zeros((m, 1))
-            col[j, 0] = -1.0
-            blocks.append(col)
-            slack_cols.append((j, n + len(slack_cols) + len(art_cols)))
-    n_slack = len(slack_cols)
-    basis = [-1] * m
-    for j, kind in enumerate(row_kinds):
-        if kind == "<=":
-            pass
-        else:
-            col = np.zeros((m, 1))
-            col[j, 0] = 1.0
-            blocks.append(col)
-            art_cols.append((j, n + n_slack + len(art_cols)))
-    S0 = np.hstack(blocks) if blocks else rows
-    ncols = S0.shape[1]
-    for j, col_idx in slack_cols:
-        if row_kinds[j] == "<=":
-            basis[j] = col_idx
-    for j, col_idx in art_cols:
-        basis[j] = col_idx
-    art_set = {col_idx for _, col_idx in art_cols}
+    # Built again for the final basis instead of kept as a copy, so that
+    # only one tableau-sized array lives beside each pivot's update.
+    def tableau():
+        return np.hstack([flips[:, None] * A, slack, np.eye(m)[:, ~le]])
 
-    S = S0.copy()
+    S = tableau()
+    n_real = n + slack.shape[1]
+    basis = np.where(le, n + np.cumsum(~eq) - 1, n_real + np.cumsum(~le) - 1)
+    artificial = np.arange(S.shape[1]) >= n_real
+
     r = rhs.copy()
     iterations = 0
-    if art_cols:
-        phase1_cost = np.zeros(ncols)
-        for col_idx in art_set:
-            phase1_cost[col_idx] = 1.0
-        allowed = np.ones(ncols, dtype=bool)
-        status, it, _ = _simplex_phase(S, r, phase1_cost, basis, allowed, max_iter)
-        iterations += it
+    if artificial.any():
+        phase1_cost = artificial.astype(float)
+        _, iterations = _simplex_phase(S, r, phase1_cost, basis, np.ones_like(artificial))
         phase1_val = phase1_cost[basis] @ r
         if phase1_val > 1e-9 * (1.0 + np.max(np.abs(b), initial=0.0)):
-            return {"status": "infeasible", "iterations": iterations,
-                    "phase1_objective": float(phase1_val)}
+            return "infeasible", iterations, {"phase1_objective": float(phase1_val)}
         # Drive remaining artificials out of the basis where possible.
-        for i in range(m):
-            if basis[i] in art_set:
-                for j in range(n + n_slack):
-                    if abs(S[i, j]) > 1e-9:
-                        _pivot(S, r, basis, i, j)
-                        break
+        for i in np.flatnonzero(artificial[basis]):
+            cols = np.flatnonzero(np.abs(S[i, :n_real]) > 1e-9)
+            if cols.size:
+                _pivot(S, r, basis, i, cols[0])
 
-    cost = np.zeros(ncols)
+    cost = np.zeros(S.shape[1])
     cost[:n] = c_int
-    allowed = np.ones(ncols, dtype=bool)
-    for col_idx in art_set:
-        allowed[col_idx] = False
-    status, it, _ = _simplex_phase(S, r, cost, basis, allowed, max_iter)
+    status, it = _simplex_phase(S, r, cost, basis, ~artificial)
     iterations += it
     if status == "unbounded":
-        return {"status": "unbounded", "iterations": iterations}
+        return "unbounded", iterations, {}
 
     # Recompute primal and dual values from the optimal basis and the
     # original data, clearing accumulated tableau drift.
-    B = S0[:, basis]
+    B = tableau()[:, basis]
     try:
         x_basic = np.linalg.solve(B, rhs)
         y = np.linalg.solve(B.T, cost[basis])
     except np.linalg.LinAlgError as exc:
         raise NumericBreakdown("optimal basis is numerically singular") from exc
-    w = np.zeros(ncols)
+    w = np.zeros(S.shape[1])
     w[basis] = x_basic
-    v = w[:n]
-    duals = flips * y
-    return {"status": "optimal", "iterations": iterations, "v": v, "duals": duals}
+    return "optimal", iterations, (w[:n], flips * y)
 
 
 def _certificate(sense, x, A, b, kinds, lb, ub, duals, reduced):
-    """KKT residuals for the stated-sense problem at (x, duals, reduced)."""
-    primal = 0.0
-    comp = 0.0
-    dual_feas = 0.0
-    if A.shape[0]:
-        resid = A @ x - b
-        for j, kind in enumerate(kinds):
-            if kind == "<=":
-                primal = max(primal, resid[j])
-                bad = duals[j] if sense == "min" else -duals[j]
-                dual_feas = max(dual_feas, bad)
-            elif kind == ">=":
-                primal = max(primal, -resid[j])
-                bad = -duals[j] if sense == "min" else duals[j]
-                dual_feas = max(dual_feas, bad)
-            else:
-                primal = max(primal, abs(resid[j]))
-            comp = max(comp, abs(duals[j] * resid[j]))
+    """KKT residuals for the stated-sense problem at (x, duals, reduced).
+
+    Returns (primal, dual, complementarity, gap_terms, mass): gap_terms is the
+    bound part of the dual objective and mass the total complementarity mass.
+    """
+    kinds = np.array(kinds, dtype="U2")
+    eq = kinds == "="
+    up = np.where(kinds == ">=", -1.0, 1.0)
+    sign = 1.0 if sense == "min" else -1.0
+    resid = A @ x - b
+    # max(0.0, ...) turns the -0.0 that np.max returns for all -0.0 entries
+    # into 0.0, so the certificate never reports a signed zero.
+    primal = max(0.0, np.max(np.where(eq, np.abs(resid), up * resid), initial=0.0))
+    dual_feas = max(0.0, np.max((sign * up * duals)[~eq], initial=0.0))
+    comp = np.max(np.abs(duals * resid), initial=0.0)
+    mass = abs(float(duals @ resid))
     primal = max(primal, np.max(lb - x, initial=0.0))
     finite_ub = np.isfinite(ub)
     if np.any(finite_ub):
@@ -350,14 +300,17 @@ def _certificate(sense, x, A, b, kinds, lb, ub, duals, reduced):
             continue
         lower_side = red > 0 if sense == "min" else red < 0
         if lower_side:
-            comp = max(comp, abs(red * (x[i] - lb[i])))
+            slack = abs(red * (x[i] - lb[i]))
             gap_terms += red * lb[i]
         elif np.isfinite(ub[i]):
-            comp = max(comp, abs(red * (ub[i] - x[i])))
+            slack = abs(red * (ub[i] - x[i]))
             gap_terms += red * ub[i]
         else:
             dual_feas = max(dual_feas, abs(red))
-    return primal, float(dual_feas), comp, gap_terms
+            continue
+        comp = max(comp, slack)
+        mass += slack
+    return primal, float(dual_feas), comp, gap_terms, mass
 
 
 def solve_lp(spec: LpSpec) -> SolveOutcome:
@@ -369,34 +322,23 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
     c_int = c_stated if spec.objective_sense == "min" else -c_stated
 
     # Shift to v = x - lb >= 0 and fold finite upper bounds in as rows.
-    rows = [spec.constraint_matrix]
-    rhs = [spec.constraint_rhs - spec.constraint_matrix @ lb]
-    kinds = list(spec.constraint_kinds)
     ub_rows = np.flatnonzero(np.isfinite(ub))
-    if ub_rows.size:
-        extra = np.zeros((ub_rows.size, n))
-        for k, i in enumerate(ub_rows):
-            extra[k, i] = 1.0
-        rows.append(extra)
-        rhs.append(ub[ub_rows] - lb[ub_rows])
-        kinds.extend(["<="] * ub_rows.size)
-    A_all = np.vstack(rows)
-    b_all = np.concatenate(rhs)
+    A_all = np.vstack([spec.constraint_matrix, np.eye(n)[ub_rows]])
+    b_all = np.concatenate([spec.constraint_rhs - spec.constraint_matrix @ lb,
+                            ub[ub_rows] - lb[ub_rows]])
+    kinds = np.array(spec.constraint_kinds + ("<=",) * ub_rows.size, dtype="U2")
 
-    result = _lp_internal(c_int, A_all, kinds, b_all)
-    iterations = result["iterations"]
-    if result["status"] == "infeasible":
-        return SolveOutcome("infeasible", None, None, None, None, [], iterations,
-                            {"phase1_objective": result["phase1_objective"]})
-    if result["status"] == "unbounded":
-        return SolveOutcome("unbounded", None, None, None, None, [], iterations, {})
+    status, iterations, found = _lp_internal(c_int, A_all, kinds, b_all)
+    if status != "optimal":
+        return SolveOutcome(status, None, None, None, None, [], iterations, found)
 
-    x = result["v"] + lb
-    duals_int = result["duals"][: spec.n_rows]
+    v, duals_int = found
+    x = v + lb
+    duals_int = duals_int[: spec.n_rows]
     duals = duals_int if spec.objective_sense == "min" else -duals_int
     reduced = c_stated - spec.constraint_matrix.T @ duals
     objective = float(c_stated @ x)
-    primal, dual_feas, comp, gap_terms = _certificate(
+    primal, dual_feas, comp, gap_terms, _ = _certificate(
         spec.objective_sense, x, spec.constraint_matrix, spec.constraint_rhs,
         spec.constraint_kinds, lb, ub, duals, reduced)
     dual_objective = float(spec.constraint_rhs @ duals + gap_terms)
@@ -412,12 +354,8 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
 
 
 def _binding_rows(spec, x):
-    active = []
     resid = spec.constraint_matrix @ x - spec.constraint_rhs
-    for j, kind in enumerate(spec.constraint_kinds):
-        if abs(resid[j]) <= 1e-8 * (1.0 + abs(spec.constraint_rhs[j])):
-            active.append(j)
-    return active
+    return np.flatnonzero(np.abs(resid) <= 1e-8 * (1.0 + np.abs(spec.constraint_rhs))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -438,44 +376,21 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
 
     lb = spec.variable_lower_bounds
     ub = spec.variable_upper_bounds
+    A, b = spec.constraint_matrix, spec.constraint_rhs
 
-    E_rows, E_rhs = [], []
-    G_rows, G_rhs, G_origin = [], [], []
-    for j, kind in enumerate(spec.constraint_kinds):
-        a = spec.constraint_matrix[j]
-        bj = spec.constraint_rhs[j]
-        if kind == "=":
-            E_rows.append(a)
-            E_rhs.append(bj)
-        elif kind == "<=":
-            G_rows.append(a)
-            G_rhs.append(bj)
-            G_origin.append(("row", j, 1.0))
-        else:
-            G_rows.append(-a)
-            G_rhs.append(-bj)
-            G_origin.append(("row", j, -1.0))
-    eq_row_indices = [j for j, kind in enumerate(spec.constraint_kinds) if kind == "="]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = -1.0
-        G_rows.append(e)
-        G_rhs.append(-lb[i])
-        G_origin.append(("lb", i, 1.0))
-    for i in range(n):
-        if np.isfinite(ub[i]):
-            e = np.zeros(n)
-            e[i] = 1.0
-            G_rows.append(e)
-            G_rhs.append(ub[i])
-            G_origin.append(("ub", i, 1.0))
-    E = np.array(E_rows) if E_rows else np.zeros((0, n))
-    f = np.array(E_rhs) if E_rhs else np.zeros(0)
-    G = np.array(G_rows) if G_rows else np.zeros((0, n))
-    h = np.array(G_rhs) if G_rhs else np.zeros(0)
+    # E x = b[eq] holds the "=" rows; G x <= h holds the stated inequality rows
+    # G_row (">=" rows negated, G_flip = -1), then -x <= -lb and the finite
+    # x <= ub.
+    kinds = np.array(spec.constraint_kinds, dtype="U2")
+    eq = kinds == "="
+    G_row = np.flatnonzero(~eq)
+    G_flip = np.where(kinds[G_row] == ">=", -1.0, 1.0)
+    ub_rows = np.flatnonzero(np.isfinite(ub))
+    E = A[eq]
+    G = np.vstack([G_flip[:, None] * A[G_row], np.diag(np.full(n, -1.0)), np.eye(n)[ub_rows]])
+    h = np.concatenate([G_flip * b[G_row], -lb, ub[ub_rows]])
 
-    feas = solve_lp(LpSpec("min", np.zeros(n), spec.constraint_matrix, spec.constraint_rhs,
-                           spec.constraint_kinds, lb, ub))
+    feas = solve_lp(LpSpec("min", np.zeros(n), A, b, spec.constraint_kinds, lb, ub))
     if feas.status != "optimal":
         return SolveOutcome(feas.status, None, None, None, None, [], feas.iterations,
                             feas.certificate)
@@ -492,13 +407,13 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
         if r > rank:
             stacked, rank, working = cand, r, working + [int(k)]
 
-    max_iter = 200 + 30 * (n + len(G_rows))
+    max_iter = 200 + 30 * (n + G.shape[0])
     iterations = 0
     stall = 0
     bland_mode = False
     mu_w = np.zeros(len(working))
     while True:
-        if iterations > max_iter or stall > 400:
+        if iterations > max_iter:
             raise NumericBreakdown("active-set iteration limit exceeded")
         iterations += 1
         grad = Q @ x + c
@@ -576,32 +491,18 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
 
     # Map working-set multipliers back to stated rows.
     duals = np.zeros(spec.n_rows)
-    for idx, j in enumerate(eq_row_indices):
-        duals[j] = -sign * nu[idx]
-    for mu_val, k in zip(mu_w, working):
-        origin, j, flip = G_origin[k]
-        if origin == "row":
-            duals[j] = -sign * flip * float(mu_val)
+    duals[eq] = -sign * nu
+    k = np.array(working, dtype=int)
+    on_row = k < G_row.size
+    duals[G_row[k[on_row]]] = -sign * G_flip[k[on_row]] * mu_w[on_row]
 
     grad_stated = Q_stated @ x + c_stated
-    reduced = grad_stated - spec.constraint_matrix.T @ duals
+    reduced = grad_stated - A.T @ duals
     objective = float(c_stated @ x + 0.5 * x @ Q_stated @ x)
-    primal, dual_feas, comp, _ = _certificate(
-        spec.objective_sense, x, spec.constraint_matrix, spec.constraint_rhs,
-        spec.constraint_kinds, lb, ub, duals, reduced)
     # For the quadratic path the certified gap is the total complementarity
     # mass of the KKT point (zero exactly at a primal-dual optimum).
-    resid_rows = spec.constraint_matrix @ x - spec.constraint_rhs if spec.n_rows else np.zeros(0)
-    comp_mass = abs(float(duals @ resid_rows)) if spec.n_rows else 0.0
-    for i in range(n):
-        red = reduced[i]
-        if abs(red) <= 1e-12:
-            continue
-        lower_side = red > 0 if spec.objective_sense == "min" else red < 0
-        if lower_side:
-            comp_mass += abs(red * (x[i] - lb[i]))
-        elif np.isfinite(ub[i]):
-            comp_mass += abs(red * (ub[i] - x[i]))
+    primal, dual_feas, comp, _, comp_mass = _certificate(
+        spec.objective_sense, x, A, b, spec.constraint_kinds, lb, ub, duals, reduced)
     certificate = {
         "primal_residual": float(primal),
         "dual_residual": float(dual_feas),

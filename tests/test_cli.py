@@ -282,6 +282,10 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--instance", instance,
                                "--mode", "expected", "--mean-u", "1.5")
         assert code == 1 and "unit box" in err
+        for mean in ("nan", "0.5,nan", "inf"):
+            code, out, err = run_cli(capsys, "solve", "--instance", instance,
+                                     "--mode", "expected", "--mean-u", mean)
+            assert code == 1 and out == "" and "unit box" in err, mean
 
     def test_robust_certificates_on_random_instances(self, capsys, tmp_path):
         rng = np.random.default_rng(23)
@@ -393,6 +397,19 @@ class TestPoaCommand:
         code, _, err = run_cli(capsys, "poa", "--generate", "tight-fixed",
                                "--delta", "1.5")
         assert code == 1 and "delta" in err
+        for producers in ("0", "-2"):
+            code, out, err = run_cli(capsys, "poa", "--generate", "tight-fixed",
+                                     "--delta", "0.5", "--producers", producers)
+            assert code == 1 and out == "" and "--producers" in err, producers
+
+    def test_unwritable_emit_path_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "family.json"
+        code, out, err = run_cli(capsys, "poa", "--generate", "tight-fixed",
+                                 "--delta", "0.5", "--emit-instance",
+                                 str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert not path.exists()
 
     def test_zero_planner_cost_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "poa", "--instance",

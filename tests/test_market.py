@@ -156,6 +156,9 @@ class TestSolveExpected:
             solve_expected(inst, np.full((1, 1), -0.2))
         with pytest.raises(BadMean):
             solve_expected(inst, np.zeros((2, 1)))
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(BadMean):
+                solve_expected(inst, np.full((1, 1), value))
 
 
 class TestInstanceValidation:

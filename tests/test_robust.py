@@ -44,8 +44,7 @@ from robust_peakload.robust import (
     verify_adjustable_equivalence,
     worst_case_scenario,
 )
-from robust_peakload.solver import (LpSpec, NumericBreakdown, QpSpec, solve_lp,
-                                    solve_qp)
+from robust_peakload.solver import LpSpec, QpSpec, solve_lp, solve_qp
 from robust_peakload.subsidy import solve_fixed_capacity_welfare
 
 VALUE_TOL = 1e-7
@@ -636,13 +635,7 @@ class TestPerPeriodScalings:
             assert_allclose(C, fixed_epigraph_value(inst), atol=EPIGRAPH_TOL,
                             rtol=0, err_msg=f"trial {trial}")
 
-    @pytest.mark.parametrize("N, T, U", [
-        pytest.param(*shape, marks=pytest.mark.xfail(
-            raises=NumericBreakdown, strict=True,
-            reason="solve_qp stalls on the 521-row epigraph QP, whose start "
-                   "point x = 0 has every row active"))
-        if shape == (3, 3, "box") else shape
-        for shape in PER_PERIOD_SHAPES])
+    @pytest.mark.parametrize("N, T, U", PER_PERIOD_SHAPES)
     def test_elastic_planner_matches_vertex_epigraph(self, N, T, U):
         rng = np.random.default_rng([73, N, T, U == "box"])
         for trial in range(2):

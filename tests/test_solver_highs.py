@@ -1,0 +1,126 @@
+"""Property tests: solve_lp against scipy's HiGHS on small random LPs.
+
+HiGHS (`scipy.optimize.linprog(method="highs")`) is an independent reference
+for the status and the optimal value, and solve_lp's own KKT certificate must
+hold at every optimal answer.  The programs mix all three row kinds in both
+senses, with negative right-hand sides, shifted lower bounds and finite upper
+bounds; three further families force degenerate, infeasible and unbounded
+programs.  Hypothesis runs derandomized, so every run sees the same examples.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from robust_peakload.solver import CERT_TOL, LpSpec, solve_lp
+
+OBJ_TOL = 1e-7
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+ints = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def lps(draw, family="random"):
+    """An LpSpec; in the forced families the rows of the drawn program hold
+    at an integer point x0 inside the bounds (all tightly when degenerate)."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0 if family == "random" else 1, 4))
+    A = np.array(draw(st.lists(ints, min_size=m * n, max_size=m * n))).reshape(m, n)
+    kinds = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))
+    cost = np.array(draw(st.lists(ints, min_size=n, max_size=n)))
+    sense = draw(st.sampled_from(["min", "max"]))
+    lb = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    width = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n, max_size=n))
+    ub = np.array([np.inf if w is None else lo + w for lo, w in zip(lb, width)])
+    if family == "random":
+        rhs = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), dtype=float)
+        return LpSpec(sense, cost, A, rhs, kinds, lb, ub)
+
+    x0 = lb + np.array([draw(st.integers(0, 2)) if np.isinf(w) else draw(st.integers(0, w))
+                        for w in ub - lb])
+    if family == "unbounded":
+        # A free direction +e_j that improves the objective and leaves every
+        # row unchanged.
+        j = draw(st.integers(0, n - 1))
+        A[:, j] = 0.0
+        ub[j] = np.inf
+        cost[j] = -1.0 if sense == "min" else 1.0
+    rhs = A @ x0
+    if family == "unbounded":
+        margin = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+        rhs += np.select([np.array(kinds) == "<=", np.array(kinds) == ">="],
+                         [margin, -margin], 0.0)
+    if family == "degenerate":
+        # A repeated row on top of every row being tight at x0.
+        A, rhs, kinds = np.vstack([A, A[:1]]), np.append(rhs, rhs[0]), kinds + kinds[:1]
+    if family == "infeasible":
+        # a'x <= k and a'x >= k + 1 for a row a of the program.
+        k = float(draw(st.integers(-4, 4)))
+        A, rhs, kinds = np.vstack([A, A[:1], A[:1]]), np.append(rhs, [k, k + 1.0]), \
+            kinds + ["<=", ">="]
+    return LpSpec(sense, cost, A, rhs, kinds, lb, ub)
+
+
+def _highs(spec):
+    """(status, objective) from HiGHS, with ">=" rows negated into A_ub."""
+    kinds = np.array(spec.constraint_kinds)
+    A, b = spec.constraint_matrix, spec.constraint_rhs
+    eq = kinds == "="
+    flip = np.where(kinds == ">=", -1.0, 1.0)[~eq]
+    sign = 1.0 if spec.objective_sense == "min" else -1.0
+
+    def run(cost):
+        return linprog(cost, A_ub=flip[:, None] * A[~eq], b_ub=flip * b[~eq],
+                       A_eq=A[eq], b_eq=b[eq],
+                       bounds=list(zip(spec.variable_lower_bounds,
+                                       spec.variable_upper_bounds)),
+                       method="highs")
+
+    res = run(sign * spec.cost)
+    if res.status == 4 and "unbounded or infeasible" in res.message:
+        # Settle the ambiguity with a feasibility solve.
+        res_feas = run(np.zeros(spec.n_vars))
+        return ("unbounded" if res_feas.status == 0 else "infeasible"), None
+    assert res.status in HIGHS_STATUS, res.message
+    status = HIGHS_STATUS[res.status]
+    return status, (sign * res.fun if status == "optimal" else None)
+
+
+def _check_against_highs(spec):
+    out = solve_lp(spec)
+    status, objective = _highs(spec)
+    assert out.status == status
+    if status == "optimal":
+        assert abs(out.objective - objective) <= OBJ_TOL
+        cert = out.certificate
+        assert max(cert["primal_residual"], cert["dual_residual"],
+                   cert["complementarity"], cert["duality_gap"]) <= CERT_TOL
+    return out.status
+
+
+class TestLpAgainstHighs:
+    @PROPERTY
+    @given(lps())
+    def test_random(self, spec):
+        _check_against_highs(spec)
+
+    @PROPERTY
+    @given(lps("degenerate"))
+    def test_degenerate(self, spec):
+        assert _check_against_highs(spec) != "infeasible"
+
+    @PROPERTY
+    @given(lps("infeasible"))
+    def test_infeasible(self, spec):
+        assert _check_against_highs(spec) == "infeasible"
+
+    @PROPERTY
+    @given(lps("unbounded"))
+    def test_unbounded(self, spec):
+        assert _check_against_highs(spec) == "unbounded"
