@@ -137,8 +137,8 @@ def gen_tight_instance_fixed(U: Polytope, delta: float) -> MarketInstance:
 def gen_tight_instance_restricted(U: Polytope, rho: float, delta: float) -> MarketInstance:
     """Variant of the tight family with unit base costs and uncertainty
     scaled by rho, staying inside the restricted class a_i <= rho * c_var_i."""
-    if rho <= 0.0:
-        raise BadParams(f"rho must be positive, got {rho}")
+    if not (np.isfinite(rho) and rho > 0.0):
+        raise BadParams(f"rho must be positive and finite, got {rho}")
     if not 0.0 < delta < 1.0:
         raise BadParams(f"delta must lie in (0, 1), got {delta}")
     producers = [Producer(c_inv=0.0, c_var=1.0,
@@ -153,8 +153,8 @@ def gen_elastic_family(alpha: float, epsilon: float = 1e-6) -> MarketInstance:
     capacity, and fully uncertain unit-scale costs over the 2-simplex
     (producer 2 pays an epsilon base cost to break ties).  The welfare ratio
     is unbounded on alpha in (1/2, 1]."""
-    if alpha <= 0.0:
-        raise BadAlpha(f"alpha must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise BadAlpha(f"alpha must be positive and finite, got {alpha}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     producers = [Producer(c_inv=0.0, c_var=0.0, a=1.0),
@@ -175,7 +175,7 @@ def tight_fixed_values(delta: float) -> dict:
 
 def tight_restricted_values(rho: float, delta: float) -> dict:
     """Closed forms for gen_tight_instance_restricted over the 2-simplex."""
-    if rho <= 0.0 or not 0.0 < delta < 1.0:
+    if not (np.isfinite(rho) and rho > 0.0) or not 0.0 < delta < 1.0:
         raise BadParams(f"invalid (rho, delta) = ({rho}, {delta})")
     E = 1.0 + rho * (1.0 - delta)
     C = 1.0 + rho * (1.0 - delta) / (2.0 - delta)
@@ -185,8 +185,8 @@ def tight_restricted_values(rho: float, delta: float) -> dict:
 
 def elastic_family_values(alpha: float) -> dict:
     """Closed forms for gen_elastic_family (epsilon-free limits)."""
-    if alpha <= 0.0:
-        raise BadAlpha(f"alpha must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise BadAlpha(f"alpha must be positive and finite, got {alpha}")
     E = 0.5 * (alpha - 1.0) ** 2 if alpha > 1.0 else 0.0
     C = 0.5 * (alpha - 0.5) ** 2 if alpha > 0.5 else 0.0
     if E > 0.0:

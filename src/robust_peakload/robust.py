@@ -241,9 +241,47 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
 def lifted_vertices(inst: MarketInstance):
     """Vertices of the lifted uncertainty set as N x T matrices, built as the
     T-fold Cartesian product of the per-period vertex list."""
-    per_period = enumerate_vertices(inst.uncertainty)
-    return [np.column_stack(combo)
-            for combo in itertools.product(per_period, repeat=inst.T)]
+    return _lift(enumerate_vertices(inst.uncertainty), inst.T)
+
+
+def _lift(per_period, T):
+    """Lifted vertices as N x T matrices from the per-period vertex list, in
+    _lifted_indices order."""
+    return [np.column_stack([per_period[j] for j in combo])
+            for combo in _lifted_indices(len(per_period), T)]
+
+
+def _lifted_indices(V, T):
+    """(V^T) x T array whose row k holds, per period, the index into the
+    per-period vertex list of lifted vertex k: the itertools.product order,
+    first period slowest, shared by lifted_vertices and every output composed
+    from per-period solves."""
+    return np.array(list(itertools.product(range(V), repeat=T)), dtype=int)
+
+
+def _period_solves(inst: MarketInstance, solve):
+    """Second stage at pinned capacities, solved once per vertex v of the
+    per-period set: solve(u) returns (outcome, x) at the N x T scenario u,
+    here with every period at v.  Pinned programs separate by period, so
+    column t of each outcome is the period-t optimum at v, and the value at
+    lifted vertex (j_1, ..., j_T) is the capacity term plus
+    sum_t table[j_t, t].  Returns the per-period vertices, the |V| outcomes
+    and that |V| x T table of period values: production cost for fixed
+    demand, gross surplus minus production cost for elastic demand."""
+    vertices = enumerate_vertices(inst.uncertainty)
+    outcomes, table = [], []
+    for v in vertices:
+        u = np.tile(v[:, None], (1, inst.T))
+        outcome, x = solve(u)
+        outcomes.append(outcome)
+        spend = (cost_matrix(inst, u) * x).sum(axis=0)
+        if isinstance(inst.demand, Fixed):
+            table.append(spend)
+        else:
+            xbar = x.sum(axis=0)
+            demand = inst.demand
+            table.append(demand.alpha * xbar - 0.5 * demand.beta * xbar ** 2 - spend)
+    return vertices, outcomes, np.array(table)
 
 
 def _adversary_gain(inst: MarketInstance):
@@ -415,6 +453,11 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     planner value C (cost <= C for fixed demand, welfare >= C for elastic),
     and the extracted worst-case scenario must achieve C within 1e-6.
 
+    At pinned capacities the dispatch separates by period, so the |V|^T
+    lifted-vertex values are composed from |V| dispatches, one per vertex of
+    the per-period set; with the samples and the worst-case scenario that is
+    |V| + samples + 1 pinned solves.
+
     Raises SaddleViolated when a check fails beyond tolerance; that signals
     a solver defect, not a property of the model.
     """
@@ -424,13 +467,20 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     if mode == "fixed":
         cp_solution, C, worst_u = solve_robust_cp_fixed(inst)
         dominated = lambda value: value <= C + SADDLE_TOL
+        capacity_sign = 1.0
     else:
         cp_solution, C, worst_u = solve_robust_cp_elastic(inst)
         dominated = lambda value: value >= C - SADDLE_TOL
+        capacity_sign = -1.0
     y_star = cp_solution.capacities
+    c_inv = np.array([p.c_inv for p in inst.producers])
 
-    vertices = lifted_vertices(inst)
-    vertex_values = [dispatch_at_capacity(inst, y_star, v)[0] for v in vertices]
+    per_period, _, table = _period_solves(
+        inst, lambda u: dispatch_at_capacity(inst, y_star, u))
+    vertices = _lift(per_period, inst.T)
+    period_sums = table[_lifted_indices(len(per_period), inst.T),
+                        np.arange(inst.T)].sum(axis=1)
+    vertex_values = (capacity_sign * (c_inv @ y_star) + period_sums).tolist()
     sample_values = [dispatch_at_capacity(inst, y_star, u)[0]
                      for u in _mixtures(inst, vertices, samples, seed)]
     worst_value = dispatch_at_capacity(inst, y_star, worst_u)[0]

@@ -1,8 +1,8 @@
 """Investment subsidies and scenario-indexed prices that make the robust
 planner solution an equilibrium of the adjustable market (elastic demand).
 
-The construction pins capacities at the planner optimum y*, solves the
-fixed-capacity welfare problem at every vertex u of the lifted uncertainty
+The construction pins capacities at the planner optimum y*, takes the
+fixed-capacity welfare optimum at every vertex u of the lifted uncertainty
 set, and prices each scenario off the demand curve: pi_t(u) = alpha_t -
 beta_t * xbar_t(u).  The subsidy per capacity unit is
 
@@ -11,9 +11,12 @@ beta_t * xbar_t(u).  The subsidy per capacity unit is
 for producers with y*_i > 0 (zero otherwise), which lifts every producer's
 worst-case best-response profit to exactly zero, so holding y*_i is optimal.
 
-The maximization over u is evaluated on the lifted vertices only; a sampling
-audit over random convex combinations flags any interior scenario whose
-value exceeds the vertex maximum instead of silently correcting it.
+At pinned capacities the welfare problem separates by period, so the
+|V|^T lifted-vertex results are composed from |V| pinned solves, one per
+vertex of the per-period set.  The maximization over u is evaluated on the
+lifted vertices only; a sampling audit over random convex combinations (one
+more pinned solve per sample) flags any interior scenario whose value
+exceeds the vertex maximum instead of silently correcting it.
 """
 
 import warnings
@@ -23,8 +26,10 @@ import numpy as np
 
 from robust_peakload.market import AffineElastic, MarketInstance, _dispatch, cost_matrix
 from robust_peakload.robust import (
+    _lift,
+    _lifted_indices,
     _mixtures,
-    lifted_vertices,
+    _period_solves,
     scenario_to_vector,
     solve_robust_cp_elastic,
 )
@@ -68,7 +73,7 @@ class FixedCapacityWelfareResult:
 
 @dataclass
 class SubsidyBundle:
-    """Subsidies eta, one fixed-capacity solve per lifted vertex, the pinned
+    """Subsidies eta, one fixed-capacity result per lifted vertex, the pinned
     capacities, the equilibrium verification record, and the interior
     sampling audit."""
 
@@ -154,6 +159,8 @@ def _verification(inst: MarketInstance, eta, y_star, results, grid):
     N, T = inst.N, inst.T
     c_inv = np.array([p.c_inv for p in inst.producers])
     eta = np.asarray(eta, dtype=float)
+    if not np.all(np.isfinite(eta)):
+        raise ValueError(f"eta must be finite, got {eta.tolist()}")
     y_star = np.asarray(y_star, dtype=float)
     V = len(results)
     violation = None
@@ -234,8 +241,11 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
     y_star[y_star <= SUPPORT_TOL] = 0.0
     c_inv = np.array([p.c_inv for p in inst.producers])
 
-    vertices = lifted_vertices(inst)
-    results = [solve_fixed_capacity_welfare(inst, y_star, u) for u in vertices]
+    def pinned(u):
+        res = solve_fixed_capacity_welfare(inst, y_star, u)
+        return res, res.x
+
+    results = _lifted_results(inst, y_star, *_period_solves(inst, pinned))
     deficits = np.stack([_margin_deficits(inst, res) for res in results])
 
     active = y_star > SUPPORT_TOL
@@ -244,10 +254,30 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
         eta[active] = c_inv[active] + deficits.max(axis=0)[active]
 
     audit = _interior_audit(inst, y_star, deficits.max(axis=0), audit_samples,
-                            seed, vertices)
+                            seed, [res.u for res in results])
     verification, _ = _verification(inst, eta, y_star, results, grid)
     return SubsidyBundle(eta=eta, scenario_results=results, y_star=y_star,
                          verification=verification, audit=audit)
+
+
+def _lifted_results(inst, y_star, per_period, outcomes, table):
+    """The pinned welfare result at every lifted vertex, in lifted_vertices
+    order, composed from the per-period solves: lifted vertex
+    (j_1, ..., j_T) takes column t of x, mu, phi and pi from the solve at
+    per-period vertex j_t, and its value is sum_t table[j_t, t] minus the
+    investment cost of y_star."""
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    combos = _lifted_indices(len(per_period), inst.T)
+    periods = np.arange(inst.T)
+    x, mu, phi = (np.ascontiguousarray(
+        np.stack([getattr(res, name) for res in outcomes])[combos, :, periods]
+        .transpose(0, 2, 1)) for name in ("x", "mu", "phi"))
+    pi = np.stack([res.pi for res in outcomes])[combos, periods]
+    values = table[combos, periods].sum(axis=1) - c_inv @ y_star
+    return [FixedCapacityWelfareResult(u=u, x=x[k], pi=pi[k], mu=mu[k],
+                                       phi=phi[k], chi=mu[k].sum(axis=1) - c_inv,
+                                       value=float(values[k]))
+            for k, u in enumerate(_lift(per_period, inst.T))]
 
 
 def _interior_audit(inst, y_star, vertex_max, samples, seed, vertices):

@@ -401,6 +401,14 @@ class TestPoaCommand:
             code, out, err = run_cli(capsys, "poa", "--generate", "tight-fixed",
                                      "--delta", "0.5", "--producers", producers)
             assert code == 1 and out == "" and "--producers" in err, producers
+        for value in ("nan", "inf", "-inf"):
+            code, out, err = run_cli(capsys, "poa", "--generate",
+                                     "tight-restricted", "--rho", value,
+                                     "--delta", "0.5")
+            assert code == 1 and out == "" and "rho" in err, value
+            code, out, err = run_cli(capsys, "poa", "--generate",
+                                     "elastic-family", "--alpha", value)
+            assert code == 1 and out == "" and "alpha" in err, value
 
     def test_unwritable_emit_path_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "family.json"
@@ -453,6 +461,14 @@ class TestSubsidyCommand:
                                str(INSTANCES / "subsidy_example.json"),
                                "--eta", "0,0,0")
         assert code == 1 and "--eta" in err
+
+    @pytest.mark.parametrize("eta", ["nan,nan", "inf,0", "0,-inf"])
+    def test_non_finite_eta_is_input_error(self, capsys, eta):
+        code, out, err = run_cli(capsys, "subsidy", "--instance",
+                                 str(INSTANCES / "subsidy_example.json"),
+                                 "--eta", eta)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "eta" in err
 
     def test_seed_resolution_order(self, capsys, monkeypatch):
         instance = str(INSTANCES / "subsidy_example.json")

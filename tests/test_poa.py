@@ -130,6 +130,11 @@ class TestTightRestricted:
             gen_tight_instance_restricted(simplex(2), 1.0, 1.0)
         with pytest.raises(BadParams):
             tight_restricted_values(-1.0, 0.5)
+        for rho in (np.nan, np.inf):
+            with pytest.raises(BadParams, match="rho"):
+                gen_tight_instance_restricted(simplex(2), rho, 0.5)
+            with pytest.raises(BadParams, match="rho"):
+                tight_restricted_values(rho, 0.5)
 
 
 class TestElasticFamily:
@@ -166,10 +171,10 @@ class TestElasticFamily:
         assert rep.demand_mode == "elastic"
 
     def test_bad_alpha(self):
-        for alpha in (0.0, -1.0):
-            with pytest.raises(BadAlpha):
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(BadAlpha, match="alpha"):
                 gen_elastic_family(alpha)
-            with pytest.raises(BadAlpha):
+            with pytest.raises(BadAlpha, match="alpha"):
                 elastic_family_values(alpha)
         with pytest.raises(ValueError):
             gen_elastic_family(1.0, epsilon=0.0)

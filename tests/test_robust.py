@@ -1,14 +1,20 @@
 """Tests for robust linear programs and the robust market / planner solves."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
+import robust_peakload
 from oracles import merit_order_dispatch
+from robust_peakload import market
 from robust_peakload.geometry import (
     Polytope,
     box,
+    enumerate_vertices,
     hull_to_inequalities,
     simplex,
     tau,
@@ -45,7 +51,8 @@ from robust_peakload.robust import (
     worst_case_scenario,
 )
 from robust_peakload.solver import LpSpec, QpSpec, solve_lp, solve_qp
-from robust_peakload.subsidy import solve_fixed_capacity_welfare
+from robust_peakload.subsidy import (compute_subsidies, kkt_residuals,
+                                     solve_fixed_capacity_welfare)
 
 VALUE_TOL = 1e-7
 SADDLE_TOL = 1e-6
@@ -643,3 +650,86 @@ class TestPerPeriodScalings:
             _, C, _ = solve_robust_cp_elastic(inst)
             assert_allclose(C, elastic_epigraph_value(inst), atol=EPIGRAPH_TOL,
                             rtol=0, err_msg=f"trial {trial}")
+
+
+# ---------------------------------------------------------------------------
+# lifted-vertex outputs composed from one pinned solve per per-period vertex
+
+COMPOSITION_TOL = 1e-9
+COMPOSITION_KKT_TOL = 1e-7
+
+# T in {2, 3}, box and simplex; per_period_instance varies a and demand by period.
+COMPOSITION_SHAPES = [(N, T, U) for N, T in ((2, 2), (2, 3), (3, 2))
+                      for U in ("box", "simplex")]
+
+
+def _count_dispatches(monkeypatch):
+    """Wrap market._dispatch at every module binding in the package; returns
+    the list that each pinned solve appends to."""
+    calls = []
+    original = market._dispatch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = 0
+    for info in pkgutil.iter_modules(robust_peakload.__path__):
+        module = importlib.import_module(f"robust_peakload.{info.name}")
+        if vars(module).get("_dispatch") is original:
+            monkeypatch.setattr(module, "_dispatch", counted)
+            bound += 1
+    assert bound >= 3  # market, robust and subsidy
+    return calls
+
+
+class TestPeriodComposition:
+    """The certificate and the subsidies solve the pinned second stage once
+    per per-period vertex and compose the lifted-vertex outputs from those
+    solves; every composed output must equal the direct solve at its lifted
+    vertex, in lifted_vertices order."""
+
+    @pytest.mark.parametrize("elastic", [False, True], ids=["fixed", "elastic"])
+    @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
+    def test_vertex_values_match_direct_dispatch(self, N, T, U, elastic):
+        rng = np.random.default_rng([79, N, T, U == "box", elastic])
+        inst = per_period_instance(rng, N, T, U, elastic=elastic)
+        cert = verify_adjustable_equivalence(inst, samples=1)
+        vertices = lifted_vertices(inst)
+        assert len(cert["vertices"]) == len(cert["vertex_values"]) == len(vertices)
+        for k, u in enumerate(vertices):
+            assert_array_equal(cert["vertices"][k], u)
+            value, _ = dispatch_at_capacity(inst, cert["capacities"], u)
+            assert_allclose(cert["vertex_values"][k], value,
+                            atol=COMPOSITION_TOL, rtol=0, err_msg=f"vertex {k}")
+
+    @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
+    def test_subsidy_results_match_direct_solves(self, N, T, U):
+        rng = np.random.default_rng([83, N, T, U == "box"])
+        inst = per_period_instance(rng, N, T, U, elastic=True)
+        bundle = compute_subsidies(inst, audit_samples=0)
+        assert np.any(bundle.y_star > 0.0)
+        vertices = lifted_vertices(inst)
+        assert len(bundle.scenario_results) == len(vertices)
+        for k, (res, u) in enumerate(zip(bundle.scenario_results, vertices)):
+            direct = solve_fixed_capacity_welfare(inst, bundle.y_star, u)
+            for name in ("u", "x", "pi", "mu", "phi", "chi", "value"):
+                assert_allclose(getattr(res, name), getattr(direct, name),
+                                atol=COMPOSITION_TOL, rtol=0,
+                                err_msg=f"{name} at vertex {k}")
+            residuals = kkt_residuals(inst, bundle.y_star, res)
+            assert max(residuals.values()) <= COMPOSITION_KKT_TOL, (k, residuals)
+
+    def test_pinned_solve_counts(self, monkeypatch):
+        # 2 x 4 box: 4 per-period vertices against 256 lifted ones.
+        rng = np.random.default_rng(89)
+        inst = per_period_instance(rng, 2, 4, "box", elastic=True)
+        V = len(enumerate_vertices(inst.uncertainty))
+        calls = _count_dispatches(monkeypatch)
+        samples, audit_samples = 3, 5
+        verify_adjustable_equivalence(inst, samples=samples)
+        assert len(calls) == V + samples + 1
+        calls.clear()
+        bundle = compute_subsidies(inst, audit_samples=audit_samples)
+        assert len(calls) == V + audit_samples
+        assert len(bundle.scenario_results) == V ** inst.T

@@ -279,6 +279,14 @@ class TestVerification:
         assert info.value.scenario == int(idle)
         assert info.value.deviation is None
 
+    @pytest.mark.parametrize("eta", [[np.nan, np.nan], [np.inf, 0.0],
+                                     [0.2, -np.inf]])
+    def test_non_finite_eta_rejected(self, eta):
+        inst = hull_example()
+        bundle = compute_subsidies(inst, audit_samples=0)
+        with pytest.raises(ValueError, match="eta"):
+            verify_subsidized_equilibrium(inst, dataclasses.replace(bundle, eta=eta))
+
     def test_grid_recorded(self):
         inst = hull_example()
         bundle = compute_subsidies(inst, audit_samples=0, grid=11)
