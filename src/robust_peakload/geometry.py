@@ -48,8 +48,10 @@ class Polytope:
             raise ValueError("polytope data must be finite")
 
     def contains(self, u, tol=1e-9):
+        """Whether the point u, or every row of a stack of points u, lies in
+        the set up to tol."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= -tol) and np.all(self.P @ u <= self.r + tol))
+        return bool(np.all(u >= -tol) and np.all((self.P @ u.T).T <= self.r + tol))
 
 
 @dataclass

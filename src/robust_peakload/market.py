@@ -14,21 +14,25 @@ programs that need more variables append them after y.  The private block
 builders here (_capacity_rows, _clearing_rows, _welfare_hessian,
 _welfare_gradient) are the only code that lays rows out over x and y.
 _solve is the only code that turns the demand mode into a solver call (a
-cost-minimal LP or a welfare-maximal QP), and _dispatch is the one
-second-stage program: production's best response at pinned capacities.
+cost-minimal LP or a welfare-maximal QP).  _dispatch is the one second
+stage, production's best response at pinned capacities: at pinned
+capacities each period is a dispatch at one node, so it is solved in closed
+form over a whole stack of scenarios, with no solver call per scenario.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from robust_peakload.geometry import Polytope, ValidationReport, validate
-from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
+from robust_peakload.solver import (FEAS_TOL, Infeasible, LpSpec, QpSpec, _checked,
+                                    solve_lp, solve_qp)
 
 CLEARING_TOL = 1e-9
 CAPACITY_TOL = 1e-9
 EVAL_TOL = 1e-7
+SUPPORT_TOL = 1e-9
 
 
 class BadMean(Exception):
@@ -132,12 +136,13 @@ def scaling_matrix(inst: MarketInstance) -> np.ndarray:
 
 
 def cost_matrix(inst: MarketInstance, u=None) -> np.ndarray:
-    """Per-unit production costs c_var + a * u as an N x T matrix."""
+    """Per-unit production costs c_var + a * u as an N x T matrix, or as an
+    S x N x T stack for an S x N x T stack of scenarios u."""
     base = np.array([p.c_var for p in inst.producers])[:, None]
     costs = np.tile(base, (1, inst.T)).astype(float)
     if u is not None:
         u = np.asarray(u, dtype=float)
-        if u.shape != (inst.N, inst.T):
+        if u.ndim not in (2, 3) or u.shape[-2:] != (inst.N, inst.T):
             raise ValueError("scenario must be an N x T matrix")
         costs = costs + scaling_matrix(inst) * u
     return costs
@@ -232,17 +237,94 @@ def _solve(inst: MarketInstance, A, rhs, kinds, cost, what):
                     what)
 
 
-def _dispatch(inst: MarketInstance, y, costs):
-    """Best response of production at capacities pinned to y: the nominal
-    program of inst's demand mode with the y columns moved to the right-hand
-    side and the cost of y kept as a constant.  Returns the outcome over x
-    (rows as in the nominal program) and its value including the cost of y."""
-    program = _fixed_program if isinstance(inst.demand, Fixed) else _welfare_program
-    A, rhs, kinds, cost = program(inst, costs)
-    n_x = inst.N * inst.T
-    out = _solve(inst, A[:, :n_x], rhs - A[:, n_x:] @ y, kinds, cost[:n_x],
-                 "dispatch at fixed capacities")
-    return out, float(out.objective + cost[n_x:] @ y)
+class Dispatch(NamedTuple):
+    """Outcome of _dispatch over S scenarios: production x (S x N x T), the
+    value of each scenario including the cost of y (S), and its per-period
+    part without it (S x T): production cost for fixed demand, gross surplus
+    minus production cost for elastic demand.  For elastic demand also the
+    demand-curve prices pi (S x T) and the multipliers of the pinned welfare
+    problem, mu on capacity and phi on x >= 0 (S x N x T); None for fixed
+    demand."""
+
+    x: np.ndarray
+    value: np.ndarray
+    period_values: np.ndarray
+    pi: Optional[np.ndarray]
+    mu: Optional[np.ndarray]
+    phi: Optional[np.ndarray]
+
+
+def _dispatch(inst: MarketInstance, y, costs) -> Dispatch:
+    """Best response of production at capacities pinned to y, in closed form
+    for every (scenario, period) of an S x N x T stack of unit costs.
+
+    Each period is a dispatch at one node.  Producers are sorted by cost and
+    `before` is the capacity ahead of each in that order.  Fixed demand fills
+    the capacities in merit order until d_t is met; elastic demand fills
+    producer i up to the quantity max(alpha_t - c_i, 0) / beta_t at which the
+    demand curve falls to its cost, so the price pi = alpha - beta * sum_i x
+    is where the demand curve meets the stepped supply, and mu = max(pi - c,
+    0), phi = max(c - pi, 0).
+
+    Ties: at equal cost the lower producer index fills first (a stable
+    sort).  Only x depends on this rule; values, prices and multipliers do
+    not, since tied producers share one margin, and it is zero wherever the
+    split between them can move.
+
+    Raises Infeasible when some fixed demand d_t exceeds the total capacity by
+    more than the LP solver's feasibility tolerance, FEAS_TOL scaled by
+    1 + the largest demand or capacity (demand equal to it is met)."""
+    costs = np.asarray(costs, dtype=float)
+    y = np.asarray(y, dtype=float)
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    order = np.argsort(costs, axis=1, kind="stable")
+    y_sorted = y[order]
+    before = np.cumsum(y_sorted, axis=1) - y_sorted
+    fixed = isinstance(inst.demand, Fixed)
+    if fixed:
+        reach = inst.demand.d
+        scale = 1.0 + max(np.max(np.abs(y), initial=0.0), np.max(reach, initial=0.0))
+        if np.any(reach - y.sum() > FEAS_TOL * scale):
+            raise Infeasible("dispatch at fixed capacities is infeasible: "
+                             "demand exceeds the total capacity")
+    else:
+        alpha, beta = inst.demand.alpha, inst.demand.beta
+        reach = np.maximum(alpha - np.take_along_axis(costs, order, axis=1), 0.0) / beta
+    x = np.empty_like(costs)
+    np.put_along_axis(x, order, np.clip(reach - before, 0.0, y_sorted), axis=1)
+    spend = (costs * x).sum(axis=1)
+    if fixed:
+        return Dispatch(x, spend.sum(axis=1) + c_inv @ y, spend, None, None, None)
+    xbar = x.sum(axis=1)
+    periods = alpha * xbar - 0.5 * beta * xbar ** 2 - spend
+    pi = alpha - beta * xbar
+    margin = pi[:, None, :] - costs
+    return Dispatch(x, periods.sum(axis=1) - c_inv @ y, periods, pi,
+                    np.maximum(margin, 0.0), np.maximum(-margin, 0.0))
+
+
+def _pinned_inputs(inst: MarketInstance, y_star, u):
+    """The input check shared by the single-scenario pinned dispatch
+    wrappers: y_star must hold one finite entry per producer, none below
+    -SUPPORT_TOL, and u must be a finite N x T scenario (None: nominal
+    costs).  Raises ValueError naming the argument; returns y_star clipped at
+    zero and u as a stack of one scenario."""
+    N, T = inst.N, inst.T
+    y_star = np.asarray(y_star, dtype=float)
+    if y_star.shape != (N,):
+        raise ValueError(f"y_star must have one entry per producer ({N}), "
+                         f"got shape {y_star.shape}")
+    if not np.all(np.isfinite(y_star)):
+        raise ValueError("y_star must be finite")
+    if np.any(y_star < -SUPPORT_TOL):
+        raise ValueError("y_star must be nonnegative")
+    u = np.zeros((N, T)) if u is None else np.asarray(u, dtype=float)
+    if u.shape != (N, T):
+        raise ValueError(f"scenario u must be an N x T matrix ({N} x {T}), "
+                         f"got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("scenario u must be finite")
+    return np.maximum(y_star, 0.0), u[None]
 
 
 def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray):

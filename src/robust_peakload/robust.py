@@ -41,6 +41,7 @@ from robust_peakload.market import (
     _clearing_rows,
     _dispatch,
     _fixed_program,
+    _pinned_inputs,
     _solve,
     _welfare_hessian,
     _welfare_program,
@@ -259,29 +260,16 @@ def _lifted_indices(V, T):
     return np.array(list(itertools.product(range(V), repeat=T)), dtype=int)
 
 
-def _period_solves(inst: MarketInstance, solve):
-    """Second stage at pinned capacities, solved once per vertex v of the
-    per-period set: solve(u) returns (outcome, x) at the N x T scenario u,
-    here with every period at v.  Pinned programs separate by period, so
-    column t of each outcome is the period-t optimum at v, and the value at
-    lifted vertex (j_1, ..., j_T) is the capacity term plus
-    sum_t table[j_t, t].  Returns the per-period vertices, the |V| outcomes
-    and that |V| x T table of period values: production cost for fixed
-    demand, gross surplus minus production cost for elastic demand."""
+def _vertex_dispatch(inst: MarketInstance, y):
+    """Second stage at capacities pinned to y, in one closed-form dispatch
+    over the scenarios with every period at one vertex v of the per-period
+    set.  The dispatch separates by period, so period t of the outcome at v
+    is the period-t optimum at v, and the value at lifted vertex
+    (j_1, ..., j_T) is the capacity term plus sum_t period_values[j_t, t].
+    Returns the |V| per-period vertices and the Dispatch over them."""
     vertices = enumerate_vertices(inst.uncertainty)
-    outcomes, table = [], []
-    for v in vertices:
-        u = np.tile(v[:, None], (1, inst.T))
-        outcome, x = solve(u)
-        outcomes.append(outcome)
-        spend = (cost_matrix(inst, u) * x).sum(axis=0)
-        if isinstance(inst.demand, Fixed):
-            table.append(spend)
-        else:
-            xbar = x.sum(axis=0)
-            demand = inst.demand
-            table.append(demand.alpha * xbar - 0.5 * demand.beta * xbar ** 2 - spend)
-    return vertices, outcomes, np.array(table)
+    scenarios = np.stack([np.tile(v[:, None], (1, inst.T)) for v in vertices])
+    return vertices, _dispatch(inst, y, cost_matrix(inst, scenarios))
 
 
 def _adversary_gain(inst: MarketInstance):
@@ -305,12 +293,13 @@ def _readout(U: Polytope, u, value_at, target, fallback):
 
 
 def _mixtures(inst: MarketInstance, scenarios, samples, seed):
-    """`samples` random convex combinations of the N x T scenarios, with
-    uniform Dirichlet weights drawn from a generator seeded by seed."""
+    """`samples` random convex combinations of the N x T scenarios, as a
+    samples x N x T stack, with uniform Dirichlet weights drawn from a
+    generator seeded by seed."""
     rng = np.random.default_rng(seed)
     stacked = np.stack([scenario_to_vector(u) for u in scenarios])
-    return [vector_to_scenario(w @ stacked, inst.N, inst.T)
-            for w in rng.dirichlet(np.ones(len(scenarios)), size=samples)]
+    return np.stack([vector_to_scenario(w @ stacked, inst.N, inst.T)
+                     for w in rng.dirichlet(np.ones(len(scenarios)), size=samples)])
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +422,17 @@ def solve_robust_cp_elastic(inst: MarketInstance):
 
 
 def dispatch_at_capacity(inst: MarketInstance, y_star, u) -> tuple:
-    """Scenario-wise best response at fixed capacities.
+    """Scenario-wise best response at fixed capacities, in closed form (see
+    market._dispatch; no solver call).
 
     Fixed demand: cost-minimal dispatch, returns (total cost, x).
     Elastic demand: welfare-maximal dispatch, returns (welfare, x).
+    y_star needs one finite, nonnegative entry per producer and u must be a
+    finite N x T scenario (None: nominal costs); otherwise ValueError.
     """
-    out, value = _dispatch(inst, np.asarray(y_star, dtype=float), cost_matrix(inst, u))
-    return value, out.primal.reshape(inst.N, inst.T)
+    y_star, scenarios = _pinned_inputs(inst, y_star, u)
+    out = _dispatch(inst, y_star, cost_matrix(inst, scenarios))
+    return float(out.value[0]), out.x[0]
 
 
 def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_SAMPLES,
@@ -453,10 +446,11 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     planner value C (cost <= C for fixed demand, welfare >= C for elastic),
     and the extracted worst-case scenario must achieve C within 1e-6.
 
-    At pinned capacities the dispatch separates by period, so the |V|^T
-    lifted-vertex values are composed from |V| dispatches, one per vertex of
-    the per-period set; with the samples and the worst-case scenario that is
-    |V| + samples + 1 pinned solves.
+    The dispatch at pinned capacities is a closed form with no solver call
+    per scenario (see market._dispatch).  It separates by period, so the
+    |V|^T lifted-vertex values are composed from one dispatch over the |V|
+    vertices of the per-period set; a second dispatch covers the samples
+    and the worst-case scenario.  The only solves are the planner's.
 
     Raises SaddleViolated when a check fails beyond tolerance; that signals
     a solver defect, not a property of the model.
@@ -475,15 +469,15 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     y_star = cp_solution.capacities
     c_inv = np.array([p.c_inv for p in inst.producers])
 
-    per_period, _, table = _period_solves(
-        inst, lambda u: dispatch_at_capacity(inst, y_star, u))
+    per_period, at_vertices = _vertex_dispatch(inst, y_star)
     vertices = _lift(per_period, inst.T)
-    period_sums = table[_lifted_indices(len(per_period), inst.T),
-                        np.arange(inst.T)].sum(axis=1)
+    period_sums = at_vertices.period_values[_lifted_indices(len(per_period), inst.T),
+                                            np.arange(inst.T)].sum(axis=1)
     vertex_values = (capacity_sign * (c_inv @ y_star) + period_sums).tolist()
-    sample_values = [dispatch_at_capacity(inst, y_star, u)[0]
-                     for u in _mixtures(inst, vertices, samples, seed)]
-    worst_value = dispatch_at_capacity(inst, y_star, worst_u)[0]
+    scenarios = np.concatenate([_mixtures(inst, vertices, samples, seed), worst_u[None]])
+    values = _dispatch(inst, y_star, cost_matrix(inst, scenarios)).value
+    sample_values = values[:-1].tolist()
+    worst_value = float(values[-1])
 
     all_values = vertex_values + sample_values
     failures = [v for v in all_values if not dominated(v)]

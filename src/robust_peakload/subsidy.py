@@ -11,12 +11,14 @@ beta_t * xbar_t(u).  The subsidy per capacity unit is
 for producers with y*_i > 0 (zero otherwise), which lifts every producer's
 worst-case best-response profit to exactly zero, so holding y*_i is optimal.
 
-At pinned capacities the welfare problem separates by period, so the
-|V|^T lifted-vertex results are composed from |V| pinned solves, one per
-vertex of the per-period set.  The maximization over u is evaluated on the
-lifted vertices only; a sampling audit over random convex combinations (one
-more pinned solve per sample) flags any interior scenario whose value
-exceeds the vertex maximum instead of silently correcting it.
+The pinned welfare problem is solved in closed form, with no solver call
+per scenario (see market._dispatch); the only solve is the planner's.  At
+pinned capacities it separates by period, so the |V|^T lifted-vertex results
+are composed from one dispatch over the |V| vertices of the per-period set.
+The maximization over u is evaluated on the lifted vertices only; a sampling
+audit over random convex combinations (one more dispatch over all samples)
+flags any interior scenario whose value exceeds the vertex maximum instead
+of silently correcting it.
 """
 
 import warnings
@@ -24,19 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robust_peakload.market import AffineElastic, MarketInstance, _dispatch, cost_matrix
+from robust_peakload.market import (
+    SUPPORT_TOL,
+    AffineElastic,
+    MarketInstance,
+    _dispatch,
+    _pinned_inputs,
+    cost_matrix,
+)
 from robust_peakload.robust import (
     _lift,
     _lifted_indices,
     _mixtures,
-    _period_solves,
+    _vertex_dispatch,
     scenario_to_vector,
     solve_robust_cp_elastic,
 )
 
 KKT_TOL = 1e-7
 PROFIT_TOL = 1e-6
-SUPPORT_TOL = 1e-9
 DEFAULT_GRID = 101
 DEFAULT_AUDIT_SAMPLES = 256
 DEFAULT_SEED = 2024
@@ -87,33 +95,29 @@ class SubsidyBundle:
 def solve_fixed_capacity_welfare(inst: MarketInstance, y_star,
                                  u) -> FixedCapacityWelfareResult:
     """Welfare-maximal production at scenario u with capacities pinned at
-    y_star; multipliers come from the solver and prices off the demand
-    curve.  The reported value includes the investment cost of y_star."""
+    y_star, in closed form (see market._dispatch; no solver call), with
+    prices off the demand curve and the multipliers that go with them.  The
+    reported value includes the investment cost of y_star.  y_star needs one
+    finite, nonnegative entry per producer and u must be a finite N x T
+    scenario inside the lifted uncertainty set; otherwise ValueError."""
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("fixed-capacity welfare requires elastic demand")
-    N, T = inst.N, inst.T
-    y_star = np.asarray(y_star, dtype=float)
-    if y_star.shape != (N,):
-        raise ValueError("y_star must have one entry per producer")
-    if np.any(y_star < -SUPPORT_TOL):
-        raise ValueError("y_star must be nonnegative")
-    y_star = np.maximum(y_star, 0.0)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (N, T):
-        raise ValueError("scenario must be an N x T matrix")
-    if not all(inst.uncertainty.contains(u[:, t], tol=1e-7) for t in range(T)):
-        raise ValueError("scenario lies outside the lifted uncertainty set")
-
-    demand = inst.demand
-    out, value = _dispatch(inst, y_star, cost_matrix(inst, u))
-    x = out.primal.reshape(N, T)
-    mu = out.duals.reshape(N, T)
-    phi = -out.reduced_costs.reshape(N, T)
-    pi = demand.alpha - demand.beta * x.sum(axis=0)
+    y_star, scenarios = _pinned_inputs(inst, y_star, u)
+    out = _pinned_welfare(inst, y_star, scenarios)
     c_inv = np.array([p.c_inv for p in inst.producers])
-    chi = mu.sum(axis=1) - c_inv
-    return FixedCapacityWelfareResult(u=u.copy(), x=x, pi=pi, mu=mu, phi=phi,
-                                      chi=chi, value=value)
+    return FixedCapacityWelfareResult(u=scenarios[0].copy(), x=out.x[0], pi=out.pi[0],
+                                      mu=out.mu[0], phi=out.phi[0],
+                                      chi=out.mu[0].sum(axis=1) - c_inv,
+                                      value=float(out.value[0]))
+
+
+def _pinned_welfare(inst: MarketInstance, y_star, scenarios):
+    """Dispatch at y_star over an S x N x T stack of scenarios, each of
+    whose periods must lie in the per-period uncertainty set."""
+    periods = scenarios.transpose(0, 2, 1).reshape(-1, inst.N)
+    if not inst.uncertainty.contains(periods, tol=1e-7):
+        raise ValueError("scenario lies outside the lifted uncertainty set")
+    return _dispatch(inst, y_star, cost_matrix(inst, scenarios))
 
 
 def kkt_residuals(inst: MarketInstance, y_star, result: FixedCapacityWelfareResult) -> dict:
@@ -138,13 +142,12 @@ def kkt_residuals(inst: MarketInstance, y_star, result: FixedCapacityWelfareResu
     }
 
 
-def _margin_deficits(inst: MarketInstance, result: FixedCapacityWelfareResult) -> np.ndarray:
-    """Per-producer inner expression of the subsidy formula at one scenario:
-    the margin deficit summed over the periods where the producer runs."""
-    costs = cost_matrix(inst, result.u)
-    running = result.x > SUPPORT_TOL
-    deficit = np.where(running, costs - result.pi[None, :], 0.0)
-    return deficit.sum(axis=1)
+def _margin_deficits(inst: MarketInstance, scenarios, x, pi) -> np.ndarray:
+    """Per-producer inner expression of the subsidy formula over a stack of
+    S scenarios with their production and prices: the margin deficit summed
+    over the periods where the producer runs (S x N)."""
+    deficit = np.where(x > SUPPORT_TOL, cost_matrix(inst, scenarios) - pi[:, None, :], 0.0)
+    return deficit.sum(axis=2)
 
 
 def _require_grid(grid):
@@ -241,12 +244,10 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
     y_star[y_star <= SUPPORT_TOL] = 0.0
     c_inv = np.array([p.c_inv for p in inst.producers])
 
-    def pinned(u):
-        res = solve_fixed_capacity_welfare(inst, y_star, u)
-        return res, res.x
-
-    results = _lifted_results(inst, y_star, *_period_solves(inst, pinned))
-    deficits = np.stack([_margin_deficits(inst, res) for res in results])
+    results = _lifted_results(inst, y_star, *_vertex_dispatch(inst, y_star))
+    deficits = _margin_deficits(inst, np.stack([res.u for res in results]),
+                                np.stack([res.x for res in results]),
+                                np.stack([res.pi for res in results]))
 
     active = y_star > SUPPORT_TOL
     eta = np.zeros(inst.N)
@@ -260,20 +261,19 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
                          verification=verification, audit=audit)
 
 
-def _lifted_results(inst, y_star, per_period, outcomes, table):
+def _lifted_results(inst, y_star, per_period, out):
     """The pinned welfare result at every lifted vertex, in lifted_vertices
-    order, composed from the per-period solves: lifted vertex
-    (j_1, ..., j_T) takes column t of x, mu, phi and pi from the solve at
-    per-period vertex j_t, and its value is sum_t table[j_t, t] minus the
-    investment cost of y_star."""
+    order, composed from the dispatch `out` over the per-period vertices:
+    lifted vertex (j_1, ..., j_T) takes period t of x, mu, phi and pi from
+    the dispatch at per-period vertex j_t, and its value is
+    sum_t out.period_values[j_t, t] minus the investment cost of y_star."""
     c_inv = np.array([p.c_inv for p in inst.producers])
     combos = _lifted_indices(len(per_period), inst.T)
     periods = np.arange(inst.T)
-    x, mu, phi = (np.ascontiguousarray(
-        np.stack([getattr(res, name) for res in outcomes])[combos, :, periods]
-        .transpose(0, 2, 1)) for name in ("x", "mu", "phi"))
-    pi = np.stack([res.pi for res in outcomes])[combos, periods]
-    values = table[combos, periods].sum(axis=1) - c_inv @ y_star
+    x, mu, phi = (np.ascontiguousarray(block[combos, :, periods].transpose(0, 2, 1))
+                  for block in (out.x, out.mu, out.phi))
+    pi = out.pi[combos, periods]
+    values = out.period_values[combos, periods].sum(axis=1) - c_inv @ y_star
     return [FixedCapacityWelfareResult(u=u, x=x[k], pi=pi[k], mu=mu[k],
                                        phi=phi[k], chi=mu[k].sum(axis=1) - c_inv,
                                        value=float(values[k]))
@@ -288,10 +288,10 @@ def _interior_audit(inst, y_star, vertex_max, samples, seed, vertices):
              "max_excess": 0.0, "flagged": False}
     if samples <= 0 or len(vertices) <= 1:
         return audit
-    excess = 0.0
-    for u in _mixtures(inst, vertices, samples, seed):
-        res = solve_fixed_capacity_welfare(inst, y_star, u)
-        excess = max(excess, float(np.max(_margin_deficits(inst, res) - vertex_max)))
+    scenarios = _mixtures(inst, vertices, samples, seed)
+    out = _pinned_welfare(inst, y_star, scenarios)
+    deficits = _margin_deficits(inst, scenarios, out.x, out.pi)
+    excess = max(0.0, float(np.max(deficits - vertex_max)))
     audit["max_excess"] = excess
     if excess > PROFIT_TOL:
         audit["flagged"] = True

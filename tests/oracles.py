@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from robust_peakload.market import Fixed, _fixed_program, _solve, _welfare_program
+
 FEAS_TOL = 1e-7
 
 
@@ -128,3 +130,21 @@ def merit_order_dispatch(costs, capacities, demand):
         if left > FEAS_TOL:
             return None
     return float(np.sum(costs * x)), x
+
+
+def pinned_program_dispatch(inst, y, costs):
+    """Best response of production at capacities pinned to y, by the dense
+    solvers: the nominal program of inst's demand mode (the cost-minimal LP
+    for fixed demand, the welfare-maximal QP for elastic demand) with the y
+    columns moved to the right-hand side and the cost of y kept as a
+    constant.  Raises Infeasible when the program is infeasible.  Returns
+    (value including the cost of y, N x T production, solver outcome); the
+    outcome's rows are the N*T capacity rows, then for fixed demand the T
+    clearing rows."""
+    program = _fixed_program if isinstance(inst.demand, Fixed) else _welfare_program
+    A, rhs, kinds, cost = program(inst, np.asarray(costs, dtype=float))
+    n_x = inst.N * inst.T
+    out = _solve(inst, A[:, :n_x], rhs - A[:, n_x:] @ y, kinds, cost[:n_x],
+                 "pinned dispatch program")
+    return (float(out.objective + cost[n_x:] @ y),
+            out.primal.reshape(inst.N, inst.T), out)

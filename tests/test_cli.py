@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import robust_peakload
 from robust_peakload import cli, market, robust, subsidy
@@ -664,30 +664,37 @@ def _nominal_elastic():
     return lambda: market.solve_nominal_elastic(inst)
 
 
-def _elastic_dispatch():
-    inst = _instance("subsidy_example.json")
-    return lambda: robust.dispatch_at_capacity(inst, np.ones(inst.N), None)
-
-
-def _pinned_welfare():
-    inst = _instance("subsidy_example.json")
-    return lambda: subsidy.solve_fixed_capacity_welfare(
-        inst, np.ones(inst.N), np.zeros((inst.N, inst.T)))
-
-
 class TestNonOptimalSolves:
     """A solve that does not come back optimal raises the typed error of its
     status, under -O as well, and the CLI maps it to exit code 2."""
 
     @pytest.mark.parametrize("status, error", [("infeasible", Infeasible),
                                                ("unbounded", Unbounded)])
-    @pytest.mark.parametrize("call", [_nominal_fixed, _nominal_elastic,
-                                      _elastic_dispatch, _pinned_welfare])
+    @pytest.mark.parametrize("call", [_nominal_fixed, _nominal_elastic])
     def test_typed_error(self, monkeypatch, call, status, error):
         run = call()
         _fail_solvers(monkeypatch, status)
         with pytest.raises(error, match=status):
             run()
+
+    def test_pinned_dispatch_calls_no_solver(self, monkeypatch):
+        # The pinned wrappers are closed forms: with every solver failing
+        # they still return, and return what they did before.
+        inst = _instance("subsidy_example.json")
+        y, u = np.ones(inst.N), np.zeros((inst.N, inst.T))
+        dispatch = lambda: robust.dispatch_at_capacity(inst, y, None)
+        welfare = lambda: subsidy.solve_fixed_capacity_welfare(inst, y, u)
+        value, x = dispatch()
+        result = welfare()
+        for status in ("infeasible", "unbounded"):
+            _fail_solvers(monkeypatch, status)
+            failed_value, failed_x = dispatch()
+            failed_result = welfare()
+            assert failed_value == value
+            assert_array_equal(failed_x, x)
+            for name in ("x", "pi", "mu", "phi", "chi", "value"):
+                assert_array_equal(getattr(failed_result, name),
+                                   getattr(result, name), err_msg=status)
 
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
     @pytest.mark.parametrize("solver, instance", [

@@ -199,6 +199,17 @@ class TestHullConversion:
         assert U.contains([0.5, 0.5])
         assert not U.contains([0.6, 0.4], tol=1e-7)
 
+    def test_contains_a_stack_of_points(self):
+        # A stack holds when every row does.
+        U = simplex(2)
+        inside = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+        assert U.contains(inside)
+        for row in range(3):
+            stack = inside.copy()
+            stack[row] = [0.6, 0.6]
+            assert not U.contains(stack, tol=1e-7)
+        assert not U.contains(np.array([[0.5, 0.5], [-0.1, 0.0]]), tol=1e-7)
+
     def test_single_point(self):
         U = hull_to_inequalities(np.array([[0.25, 0.75]]))
         assert U.contains([0.25, 0.75])

@@ -10,11 +10,10 @@ from scipy.optimize import linprog
 
 import robust_peakload
 from oracles import merit_order_dispatch
-from robust_peakload import market
+from robust_peakload import solver
 from robust_peakload.geometry import (
     Polytope,
     box,
-    enumerate_vertices,
     hull_to_inequalities,
     simplex,
     tau,
@@ -663,23 +662,24 @@ COMPOSITION_SHAPES = [(N, T, U) for N, T in ((2, 2), (2, 3), (3, 2))
                       for U in ("box", "simplex")]
 
 
-def _count_dispatches(monkeypatch):
-    """Wrap market._dispatch at every module binding in the package; returns
-    the list that each pinned solve appends to."""
+def _count_solves(monkeypatch):
+    """Wrap solve_lp and solve_qp at every module binding in the package;
+    returns the list that each solver call appends to."""
     calls = []
-    original = market._dispatch
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
     bound = 0
-    for info in pkgutil.iter_modules(robust_peakload.__path__):
-        module = importlib.import_module(f"robust_peakload.{info.name}")
-        if vars(module).get("_dispatch") is original:
-            monkeypatch.setattr(module, "_dispatch", counted)
-            bound += 1
-    assert bound >= 3  # market, robust and subsidy
+    for name in ("solve_lp", "solve_qp"):
+        original = getattr(solver, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(robust_peakload.__path__):
+            module = importlib.import_module(f"robust_peakload.{info.name}")
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+                bound += 1
+    assert bound >= 4  # solver, market, robust and geometry at least
     return calls
 
 
@@ -721,15 +721,22 @@ class TestPeriodComposition:
             assert max(residuals.values()) <= COMPOSITION_KKT_TOL, (k, residuals)
 
     def test_pinned_solve_counts(self, monkeypatch):
-        # 2 x 4 box: 4 per-period vertices against 256 lifted ones.
+        # 2 x 4 box: 4 per-period vertices against 256 lifted ones.  The
+        # pinned second stage is a closed form, so the certificate and the
+        # subsidies make the planner's solver calls and no more, whatever
+        # the number of samples.
         rng = np.random.default_rng(89)
         inst = per_period_instance(rng, 2, 4, "box", elastic=True)
-        V = len(enumerate_vertices(inst.uncertainty))
-        calls = _count_dispatches(monkeypatch)
-        samples, audit_samples = 3, 5
-        verify_adjustable_equivalence(inst, samples=samples)
-        assert len(calls) == V + samples + 1
-        calls.clear()
-        bundle = compute_subsidies(inst, audit_samples=audit_samples)
-        assert len(calls) == V + audit_samples
-        assert len(bundle.scenario_results) == V ** inst.T
+        calls = _count_solves(monkeypatch)
+        solve_robust_cp_elastic(inst)
+        planner = len(calls)
+        assert planner >= 1
+        for samples in (3, 30):
+            calls.clear()
+            verify_adjustable_equivalence(inst, samples=samples)
+            assert len(calls) == planner, samples
+        for audit_samples in (5, 50):
+            calls.clear()
+            bundle = compute_subsidies(inst, audit_samples=audit_samples)
+            assert len(calls) == planner, audit_samples
+        assert len(bundle.scenario_results) == 4 ** inst.T
