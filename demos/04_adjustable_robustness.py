@@ -6,14 +6,15 @@ after seeing the costs.  For these markets the two have equal value: the
 inner dispatch value is concave in the scenario, so the adversary sits at a
 saddle point that the strict plan already guards.  The certificate below
 verifies this numerically, and the scenario (vertex) reformulation exhibits
-the same value as a finite program with per-scenario dispatch copies.
+the same value as a finite program with one dispatch copy per (vertex of
+the per-period set, period).
 """
 
 import numpy as np
 
 from robust_peakload import (Fixed, MarketInstance, Producer,
                              adjustable_scenario_form_fixed,
-                             dispatch_at_capacity, simplex,
+                             dispatch_at_capacity, enumerate_vertices, simplex,
                              solve_robust_cp_fixed,
                              verify_adjustable_equivalence)
 
@@ -50,6 +51,9 @@ print("== scenario (vertex) reformulation ==")
 form = adjustable_scenario_form_fixed(inst)
 print(f"value: {form['value']:.4f} (strict planner: {C:.4f})")
 print(f"shared capacities: {form['capacities']}")
-print(f"scenario clearing duals: {form['clearing_duals'].ravel()}")
-print("The duals split the market price across the scenarios that bind at "
-      "the optimum; slack scenarios carry no price mass.")
+print("clearing duals per (per-period vertex, period):")
+for vertex, duals in zip(enumerate_vertices(inst.uncertainty), form["clearing_duals"]):
+    print(f"  u = {vertex}: {duals}")
+print(f"sum of dual * demand: {np.sum(form['clearing_duals'] * inst.demand.d):.4f}")
+print("The duals split each period's market price across the vertices that "
+      "bind at the optimum; slack vertices carry no price mass.")

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from robust_peakload.geometry import (
     Polytope,
@@ -248,8 +247,8 @@ def lifted_vertices(inst: MarketInstance):
 def _lift(per_period, T):
     """Lifted vertices as N x T matrices from the per-period vertex list, in
     _lifted_indices order."""
-    return [np.column_stack([per_period[j] for j in combo])
-            for combo in _lifted_indices(len(per_period), T)]
+    lifted = np.stack(per_period)[_lifted_indices(len(per_period), T)]
+    return list(np.ascontiguousarray(lifted.transpose(0, 2, 1)))
 
 
 def _lifted_indices(V, T):
@@ -268,8 +267,13 @@ def _vertex_dispatch(inst: MarketInstance, y):
     (j_1, ..., j_T) is the capacity term plus sum_t period_values[j_t, t].
     Returns the |V| per-period vertices and the Dispatch over them."""
     vertices = enumerate_vertices(inst.uncertainty)
-    scenarios = np.stack([np.tile(v[:, None], (1, inst.T)) for v in vertices])
-    return vertices, _dispatch(inst, y, cost_matrix(inst, scenarios))
+    costs = cost_matrix(inst, _constant_scenarios(vertices, inst.T))
+    return vertices, _dispatch(inst, y, costs)
+
+
+def _constant_scenarios(vertices, T):
+    """|V| x N x T stack of the scenarios with every period at one vertex."""
+    return np.stack([np.tile(v[:, None], (1, T)) for v in vertices])
 
 
 def _adversary_gain(inst: MarketInstance):
@@ -510,11 +514,20 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
 # scenario (vertex) reformulation of the adjustable planner, fixed demand
 
 
-def adjustable_scenario_form_fixed(inst: MarketInstance,
-                                   canonical_duals: bool = True) -> dict:
+def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     """Adjustable robust planner with the lifted uncertainty set replaced by
-    its vertices: shared capacities, one production copy per scenario, and an
-    epigraph variable bounding the worst production cost.
+    its vertices: shared capacities, a production that adapts to the
+    scenario, and an epigraph bounding the worst production cost.
+
+    Production cost separates by period and the lifted set is the T-fold
+    product of the per-period set, so the worst cost over the lifted
+    vertices is the sum over periods of the worst cost over the per-period
+    vertices V.  The program is therefore solved by period: minimize
+    c_inv'y + sum_t theta_t over one production copy x_{v,t} per
+    (per-period vertex, period), with theta_t >= c_t(v)'x_{v,t},
+    x_{v,t} <= y and sum_i x_{v,t,i} = d_t.  That is |V| T (N + 2) rows in
+    place of one N x T copy per lifted vertex; value and capacities are
+    those of the lifted program.
 
     The vertex restriction is a relaxation: the scenario-wise dispatch value
     is concave in the scenario, so its maximum over the full set can sit at a
@@ -522,63 +535,73 @@ def adjustable_scenario_form_fixed(inst: MarketInstance,
     the adjustable optimum.  It is exact whenever the worst case is attained
     at a vertex, in particular when dispatch is capacity-forced.
 
-    With canonical_duals, clearing duals are reported as the minimum-norm
-    optimal multipliers supported on the adversarially active scenarios
-    (scenarios whose epigraph row binds); this canonical choice is symmetric
-    across interchangeable producers and puts zero price mass on scenarios
-    the worst case never activates.  When that support admits no multiplier
-    vector the support restriction is dropped.  Without canonical_duals the
-    solver's basic multipliers are reported, which is cheaper but
-    basis-dependent on degenerate instances.
+    Returns a dict with
+      value, capacities: the optimum c_inv'y + sum_t theta_t and its y;
+      epigraph: sum_t theta_t, the worst production cost over the vertices;
+      clearing_duals: |V| x T, the multiplier of the clearing row of copy
+        (v, t), rows in enumerate_vertices(inst.uncertainty) order, so that
+        value = sum_{v,t} clearing_duals[v, t] d_t;
+      scenarios, productions: the lifted vertices in lifted_vertices order
+        and, for each, the N x T production whose period t is x_{j_t,t} at
+        lifted vertex (j_1, ..., j_T).
+
+    The clearing duals are the minimum-norm optimal multipliers supported
+    on the active copies (those whose epigraph row binds): symmetric across
+    interchangeable producers, with zero price mass on vertices the worst
+    case of their period never activates.  When that support admits no
+    multiplier vector the support restriction is dropped, and when that
+    fails too the solver's basic multipliers are reported.  A lifted layout
+    would add nothing: in the lifted program any coupling of these
+    per-period weights across periods is an optimal dual, because the
+    capacity stationarity rows see only the per-period marginals.  At T = 1
+    both layouts coincide.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("scenario reformulation requires fixed demand")
     N, T = inst.N, inst.T
-    scenarios = lifted_vertices(inst)
-    V = len(scenarios)
-    n_x = N * T
+    per_period = enumerate_vertices(inst.uncertainty)
+    V = len(per_period)
+    K = V * T
 
-    # Variables: the epigraph theta, V production copies, shared capacities.
-    # Rows: V epigraph rows theta >= cost of copy j at scenario j, then the
-    # capacity rows and the clearing rows of every copy.
-    cap = _capacity_rows(N, T)
-    epigraph = block_diag(*[-cost_matrix(inst, s).reshape(1, -1) for s in scenarios])
-    x_part = np.vstack([epigraph, np.kron(np.eye(V), cap[:, :n_x]),
-                        np.kron(np.eye(V), _clearing_rows(N, T))])
-    y_part = np.vstack([np.zeros((V, N)), np.tile(cap[:, n_x:], (V, 1)),
-                        np.zeros((V * T, N))])
-    theta = np.concatenate([np.ones(V), np.zeros(V * n_x + V * T)])
-    clearing_start = V + V * n_x
+    # Variables: theta (T), one production copy per (vertex, period) with
+    # copy k = v*T + t, shared capacities.  Rows: K epigraph rows
+    # theta_t >= c_t(v)'x_{v,t}, then the capacity rows and the clearing
+    # row of every copy.
+    copy_costs = cost_matrix(inst, _constant_scenarios(per_period, T))
+    copy_costs = copy_costs.transpose(0, 2, 1).reshape(-1)
+    clearing = np.kron(np.eye(K), _clearing_rows(N, 1))
+    epigraph = np.where(clearing == 1.0, -copy_costs, 0.0)
+    cap = _capacity_rows(N, 1)
+    x_part = np.vstack([epigraph, np.kron(np.eye(K), cap[:, :N]), clearing])
+    y_part = np.vstack([np.zeros((K, N)), np.tile(cap[:, N:], (K, 1)),
+                        np.zeros((K, N))])
+    theta = np.vstack([np.tile(np.eye(T), (V, 1)), np.zeros((K * N + K, T))])
+    clearing_start = K + K * N
     rhs = np.concatenate([np.zeros(clearing_start), np.tile(inst.demand.d, V)])
-    kinds = [">="] * V + ["<="] * (V * n_x) + ["="] * (V * T)
+    kinds = [">="] * K + ["<="] * (K * N) + ["="] * K
     c_inv = np.array([p.c_inv for p in inst.producers])
-    cost = np.concatenate([[1.0], np.zeros(V * n_x), c_inv])
-    spec = LpSpec("min", cost, np.column_stack([theta, x_part, y_part]), rhs, kinds)
+    cost = np.concatenate([np.ones(T), np.zeros(K * N), c_inv])
+    spec = LpSpec("min", cost, np.hstack([theta, x_part, y_part]), rhs, kinds)
     out = _checked(solve_lp(spec), "scenario reformulation")
 
-    duals = out.duals
-    if canonical_duals:
-        # Scenarios whose epigraph row is slack get zero clearing-dual mass.
-        epi_slack = spec.constraint_matrix[:V] @ out.primal - rhs[:V]
-        inactive = np.flatnonzero(epi_slack > 1e-8 * (1.0 + abs(out.objective)))
-        force_zero = [clearing_start + int(j) * T + t
-                      for j in inactive for t in range(T)]
-        canonical = _min_norm_duals(spec, out, force_zero)
-        if canonical is None:
-            canonical = _min_norm_duals(spec, out, [])
-        if canonical is not None:
-            duals = canonical
-    clearing_duals = duals[clearing_start:].reshape(V, T)
+    # Copies whose epigraph row is slack get zero clearing-dual mass.
+    epi_slack = spec.constraint_matrix[:K] @ out.primal - rhs[:K]
+    inactive = np.flatnonzero(epi_slack > 1e-8 * (1.0 + abs(out.objective)))
+    duals = _min_norm_duals(spec, out, clearing_start + inactive)
+    if duals is None:
+        duals = _min_norm_duals(spec, out, [])
+    if duals is None:
+        duals = out.duals
 
-    value = float(out.objective)
-    productions = list(out.primal[1 : 1 + V * n_x].reshape(V, N, T))
+    copies = out.primal[T : T + K * N].reshape(V, T, N)
+    lifted = copies[_lifted_indices(V, T), np.arange(T)].transpose(0, 2, 1)
     return {
-        "value": value,
-        "capacities": out.primal[1 + V * n_x:].copy(),
-        "scenarios": scenarios,
-        "productions": productions,
-        "clearing_duals": clearing_duals,
-        "epigraph": float(out.primal[0]),
+        "value": float(out.objective),
+        "capacities": out.primal[T + K * N:].copy(),
+        "scenarios": _lift(per_period, T),
+        "productions": list(np.ascontiguousarray(lifted)),
+        "clearing_duals": duals[clearing_start:].reshape(V, T),
+        "epigraph": float(out.primal[:T].sum()),
     }
 
 

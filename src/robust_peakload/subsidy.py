@@ -168,22 +168,23 @@ def _verification(inst: MarketInstance, eta, y_star, results, grid):
     V = len(results)
     violation = None
 
-    margins = np.empty((V, N, T))
-    for k, res in enumerate(results):
-        margins[k] = res.pi[None, :] - cost_matrix(inst, res.u)
+    u = np.array([res.u for res in results]).reshape(V, N, T)
+    x = np.array([res.x for res in results]).reshape(V, N, T)
+    pi = np.array([res.pi for res in results]).reshape(V, 1, T)
+    margins = pi - cost_matrix(inst, u)
 
     # (a) recorded production is a best response to the scenario prices:
     # produce at capacity on strictly profitable periods, nothing on
-    # strictly unprofitable ones.
-    for k, res in enumerate(results):
-        over = (margins[k] > PROFIT_TOL) & (res.x < y_star[:, None] - PROFIT_TOL)
-        under = (margins[k] < -PROFIT_TOL) & (res.x > PROFIT_TOL)
-        bad = over | under
-        if violation is None and np.any(bad):
-            i = int(np.argwhere(bad)[0][0])
-            violation = (i, k, None,
-                         f"producer {i} production is not a best response "
-                         f"in scenario {k}")
+    # strictly unprofitable ones.  The first violation is the one at the
+    # smallest scenario, then the smallest producer.
+    over = (margins > PROFIT_TOL) & (x < y_star[None, :, None] - PROFIT_TOL)
+    under = (margins < -PROFIT_TOL) & (x > PROFIT_TOL)
+    bad = np.argwhere(over | under)
+    if bad.size:
+        k, i = int(bad[0][0]), int(bad[0][1])
+        violation = (i, k, None,
+                     f"producer {i} production is not a best response "
+                     f"in scenario {k}")
 
     # (b) worst-case best-response profit at y* is zero for active producers.
     unit_gain = np.maximum(margins, 0.0).sum(axis=2)

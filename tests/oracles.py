@@ -8,8 +8,13 @@ them on small instances.
 import itertools
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from robust_peakload.market import Fixed, _fixed_program, _solve, _welfare_program
+from robust_peakload.market import (Fixed, _capacity_rows, _clearing_rows,
+                                    _fixed_program, _solve, _welfare_program,
+                                    cost_matrix)
+from robust_peakload.robust import lifted_vertices
+from robust_peakload.solver import LpSpec, _checked, solve_lp
 
 FEAS_TOL = 1e-7
 
@@ -148,3 +153,28 @@ def pinned_program_dispatch(inst, y, costs):
                  "pinned dispatch program")
     return (float(out.objective + cost[n_x:] @ y),
             out.primal.reshape(inst.N, inst.T), out)
+
+
+def lifted_scenario_form(inst):
+    """The vertex reformulation of the adjustable fixed-demand planner over
+    the lifted set, one N x T production copy per lifted vertex: minimize
+    c_inv'y + theta subject to theta >= the production cost of copy j at
+    lifted vertex j, x_j <= y and sum_i x_{j,i,t} = d_t, by the dense LP
+    solver.  Returns the optimal value."""
+    N, T = inst.N, inst.T
+    scenarios = lifted_vertices(inst)
+    V = len(scenarios)
+    n_x = N * T
+    cap = _capacity_rows(N, T)
+    epigraph = block_diag(*[-cost_matrix(inst, s).reshape(1, -1) for s in scenarios])
+    x_part = np.vstack([epigraph, np.kron(np.eye(V), cap[:, :n_x]),
+                        np.kron(np.eye(V), _clearing_rows(N, T))])
+    y_part = np.vstack([np.zeros((V, N)), np.tile(cap[:, n_x:], (V, 1)),
+                        np.zeros((V * T, N))])
+    theta = np.concatenate([np.ones(V), np.zeros(V * n_x + V * T)])
+    rhs = np.concatenate([np.zeros(V + V * n_x), np.tile(inst.demand.d, V)])
+    kinds = [">="] * V + ["<="] * (V * n_x) + ["="] * (V * T)
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    cost = np.concatenate([[1.0], np.zeros(V * n_x), c_inv])
+    spec = LpSpec("min", cost, np.column_stack([theta, x_part, y_part]), rhs, kinds)
+    return float(_checked(solve_lp(spec), "lifted scenario form").objective)

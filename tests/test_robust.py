@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
 import robust_peakload
-from oracles import merit_order_dispatch
+from oracles import lifted_scenario_form, merit_order_dispatch
 from robust_peakload import solver
 from robust_peakload.geometry import (
     Polytope,
     box,
+    enumerate_vertices,
     hull_to_inequalities,
     simplex,
     tau,
@@ -433,7 +434,7 @@ class TestScenarioForm:
         rng = np.random.default_rng(71)
         for trial in range(15):
             inst = random_fixed_instance(rng)
-            form = adjustable_scenario_form_fixed(inst, canonical_duals=False)
+            form = adjustable_scenario_form_fixed(inst)
             _, C, _ = solve_robust_cp_fixed(inst)
             assert form["value"] <= C + SADDLE_TOL, f"trial {trial}"
 
@@ -459,7 +460,7 @@ class TestScenarioForm:
     def test_scenario_dispatches_feasible(self):
         rng = np.random.default_rng(73)
         inst = random_fixed_instance(rng)
-        form = adjustable_scenario_form_fixed(inst, canonical_duals=False)
+        form = adjustable_scenario_form_fixed(inst)
         for scenario, x in zip(form["scenarios"], form["productions"]):
             assert np.all(x <= form["capacities"][:, None] + 1e-9)
             assert_allclose(x.sum(axis=0), inst.demand.d, atol=1e-9)
@@ -664,14 +665,14 @@ COMPOSITION_SHAPES = [(N, T, U) for N, T in ((2, 2), (2, 3), (3, 2))
 
 def _count_solves(monkeypatch):
     """Wrap solve_lp and solve_qp at every module binding in the package;
-    returns the list that each solver call appends to."""
+    returns the list that each solver call appends (name, spec) to."""
     calls = []
     bound = 0
     for name in ("solve_lp", "solve_qp"):
         original = getattr(solver, name)
 
         def counted(*args, _original=original, **kwargs):
-            calls.append(_original.__name__)
+            calls.append((_original.__name__, args[0]))
             return _original(*args, **kwargs)
 
         for info in pkgutil.iter_modules(robust_peakload.__path__):
@@ -740,3 +741,63 @@ class TestPeriodComposition:
             bundle = compute_subsidies(inst, audit_samples=audit_samples)
             assert len(calls) == planner, audit_samples
         assert len(bundle.scenario_results) == 4 ** inst.T
+
+
+class TestScenarioFormByPeriod:
+    """The scenario form is solved per (per-period vertex, period) copy; its
+    value must equal the lifted-vertex program's, its |V| x T clearing
+    duals must price the demand at that value, and the productions composed
+    in lifted_vertices order must be feasible and within the epigraph."""
+
+    @staticmethod
+    def form_and_instance(N, T, U):
+        rng = np.random.default_rng([97, N, T, U == "box"])
+        inst = per_period_instance(rng, N, T, U, elastic=False)
+        return inst, adjustable_scenario_form_fixed(inst)
+
+    @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
+    def test_value_matches_lifted_program(self, N, T, U):
+        inst, form = self.form_and_instance(N, T, U)
+        assert_allclose(form["value"], lifted_scenario_form(inst),
+                        atol=COMPOSITION_TOL, rtol=0)
+
+    @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
+    def test_clearing_duals_price_the_demand(self, N, T, U):
+        inst, form = self.form_and_instance(N, T, U)
+        duals = form["clearing_duals"]
+        assert duals.shape == (len(enumerate_vertices(inst.uncertainty)), T)
+        assert_allclose(np.sum(duals * inst.demand.d[None, :]), form["value"],
+                        atol=COMPOSITION_TOL, rtol=0)
+
+    @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
+    def test_composed_productions_feasible(self, N, T, U):
+        inst, form = self.form_and_instance(N, T, U)
+        vertices = lifted_vertices(inst)
+        assert len(form["scenarios"]) == len(form["productions"]) == len(vertices)
+        zero = np.zeros(N)
+        for k, (u, scenario, x) in enumerate(zip(vertices, form["scenarios"],
+                                                 form["productions"])):
+            assert_array_equal(scenario, u)
+            assert x.shape == (N, T)
+            assert np.all(x >= -1e-9), k
+            assert np.all(x <= form["capacities"][:, None] + 1e-9), k
+            assert_allclose(x.sum(axis=0), inst.demand.d, atol=1e-9,
+                            err_msg=f"vertex {k}")
+            assert total_cost(inst, x, zero, u) <= form["epigraph"] + 1e-7, k
+
+    def test_one_small_lp(self, monkeypatch):
+        # 2 x 4 box: 4 per-period vertices, so 16 copies of 2 productions
+        # (16 * 4 = 64 rows) against 256 lifted copies of 8.
+        rng = np.random.default_rng(101)
+        inst = per_period_instance(rng, 2, 4, "box", elastic=False)
+        calls = _count_solves(monkeypatch)
+        form = adjustable_scenario_form_fixed(inst)
+        lps = [spec for name, spec in calls if name == "solve_lp" and np.any(spec.cost)]
+        assert len(lps) == 1
+        assert lps[0].n_rows == 4 * inst.T * (inst.N + 2)
+        # The rest are the minimum-norm dual QPs (one, or two when the
+        # support restriction is dropped), each with its zero-cost phase-1 LP.
+        names = [name for name, _ in calls]
+        assert names.count("solve_qp") in (1, 2)
+        assert names.count("solve_lp") == 1 + names.count("solve_qp")
+        assert len(form["productions"]) == 4 ** inst.T
