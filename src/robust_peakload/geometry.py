@@ -161,16 +161,21 @@ def validate(U: Polytope) -> ValidationReport:
 
 
 def lift_product(Uprime: Polytope, T: int) -> Polytope:
-    """T-fold Cartesian product of Uprime, block diagonal over the periods.
+    """T-fold Cartesian product of Uprime, one copy per period.
 
-    Coordinates use the period-major layout: coordinate t*n + i is the factor
-    for base coordinate i in period t.
+    This is the one place that fixes the library's coordinate order, the
+    producer-major order of every N x T matrix: coordinate i*T + t is the
+    factor for base coordinate i in period t.  An N x T scenario u flattens
+    to a point of the product by u.reshape(-1), exactly as a production plan
+    x flattens to the x variables of a program, so lifted coordinate k
+    prices variable k.  Row k*T + t of the product is row k of Uprime in
+    period t.
     """
     if T < 1:
         raise ValueError("T must be a positive count")
     n = Uprime.dimension
-    P = np.kron(np.eye(T), Uprime.P)
-    r = np.tile(Uprime.r, T)
+    P = np.kron(Uprime.P, np.eye(T))
+    r = np.repeat(Uprime.r, T)
     return Polytope(n * T, P, r)
 
 

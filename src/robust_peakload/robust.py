@@ -12,13 +12,19 @@ dualized rows recover the worst-case scenario.
 
 Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
-adversarial scenario as an N x T matrix.  The lifted coordinate order is
-known only to scenario_to_vector and its inverse vector_to_scenario; the
-planners build their adversary rows through them, and every program shares
-the (x, y) variable layout and block builders of robust_peakload.market.
+adversarial scenario as an N x T matrix.  Scenarios and productions share
+one coordinate order, fixed by geometry.lift_product: lifted coordinate
+i*T + t is entry (i, t), so a scenario flattens by u.reshape(-1) like the x
+variables of a program, and the adversary of coordinate k prices variable
+k.  Every program shares the (x, y) variable layout and block builders of
+robust_peakload.market.
+
+The lifted set is the T-fold product of the per-period set, and the
+second stage at pinned capacities separates by period, so the |V|^T lifted
+vertices and every output over them are composed (_compose) from data over
+the |V| vertices of the per-period set, in lifted_vertices order.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,18 +142,19 @@ def _worst_case_gain(U: Polytope, gains):
     return float(out.objective), out.primal.copy()
 
 
-def _with_adversary(A, rhs, kinds, cost, gain, U, sign):
+def _with_adversary(A, rhs, kinds, cost, lam, U, sign):
     """Dualize the adversary of a program over v, who picks u in
-    U = {u >= 0 : P u <= r} to add the surcharge sum_k u_k (-gain_k v) to
-    its cost: append multipliers z >= 0 priced sign * r (sign +1 for a min
-    program, -1 for a max) and one row gain_k v + (P' z)_k >= 0 per
-    coordinate of u.  The multipliers of the appended rows recover the
-    worst-case u.  Returns the extended (A, rhs, kinds, cost)."""
+    U = {u >= 0 : P u <= r} to add the surcharge sum_k lam_k u_k v_k over the
+    first lam.size variables to its cost: append multipliers z >= 0 priced
+    sign * r (sign +1 for a min program, -1 for a max) and one row
+    -lam_k v_k + (P' z)_k >= 0 per coordinate of u.  The multipliers of the
+    appended rows recover the worst-case u.  Returns the extended
+    (A, rhs, kinds, cost)."""
     m, n = A.shape
-    n_u, m_u = gain.shape[0], U.P.shape[0]
+    n_u, m_u = lam.size, U.P.shape[0]
     full = np.zeros((m + n_u, n + m_u))
     full[:m, :n] = A
-    full[m:, :n] = gain
+    full[m:, :n_u] = np.diag(-lam)
     full[m:, n:] = U.P.T
     return (full, np.concatenate([rhs, np.zeros(n_u)]),
             list(kinds) + [">="] * n_u, np.concatenate([cost, sign * U.r]))
@@ -181,9 +188,8 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
     nx, ny = p.c.size, p.d.size
     m_rows = p.b.size
     AB = np.hstack([p.A, p.B])
-    gain = np.hstack([-np.diag(p.lam), np.zeros((nx, ny))])
     A, b, kinds, cost = _with_adversary(AB, p.b, [">="] * m_rows,
-                                        np.concatenate([p.c, p.d]), gain, p.U, 1.0)
+                                        np.concatenate([p.c, p.d]), p.lam, p.U, 1.0)
     out = _checked(solve_lp(LpSpec("min", cost, A, b, kinds)), "robust program")
     val_R = float(out.objective)
     x_star = out.primal[:nx]
@@ -210,21 +216,11 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
 
 
 # ---------------------------------------------------------------------------
-# lifted-scenario helpers (period-major coordinates t*N + i)
+# lifted-scenario helpers (coordinate i*T + t, see geometry.lift_product)
 
 
 def lifted_set(inst: MarketInstance) -> Polytope:
     return lift_product(inst.uncertainty, inst.T)
-
-
-def vector_to_scenario(u_vec, N, T) -> np.ndarray:
-    """Period-major lift vector -> N x T scenario matrix."""
-    return np.asarray(u_vec, dtype=float).reshape(T, N).T
-
-
-def scenario_to_vector(u_mat) -> np.ndarray:
-    """N x T scenario matrix -> period-major lift vector."""
-    return np.asarray(u_mat, dtype=float).T.reshape(-1)
 
 
 def worst_case_scenario(inst: MarketInstance, x) -> tuple:
@@ -233,77 +229,64 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
     Returns (surcharge value, N x T scenario).  The surcharge is
     max over u in the lifted set of sum_{i,t} a_{i,t} u_{i,t} x_{i,t}.
     """
-    gains = scenario_to_vector(scaling_matrix(inst) * np.asarray(x, dtype=float))
-    value, u_vec = _worst_case_gain(lifted_set(inst), gains)
-    return value, vector_to_scenario(u_vec, inst.N, inst.T)
+    gains = scaling_matrix(inst) * np.asarray(x, dtype=float)
+    value, u_vec = _worst_case_gain(lifted_set(inst), gains.reshape(-1))
+    return value, u_vec.reshape(inst.N, inst.T)
 
 
 def lifted_vertices(inst: MarketInstance):
     """Vertices of the lifted uncertainty set as N x T matrices, built as the
     T-fold Cartesian product of the per-period vertex list."""
-    return _lift(enumerate_vertices(inst.uncertainty), inst.T)
+    return list(_compose(_constant_scenarios(inst)))
 
 
-def _lift(per_period, T):
-    """Lifted vertices as N x T matrices from the per-period vertex list, in
-    _lifted_indices order."""
-    lifted = np.stack(per_period)[_lifted_indices(len(per_period), T)]
-    return list(np.ascontiguousarray(lifted.transpose(0, 2, 1)))
-
-
-def _lifted_indices(V, T):
-    """(V^T) x T array whose row k holds, per period, the index into the
-    per-period vertex list of lifted vertex k: the itertools.product order,
-    first period slowest, shared by lifted_vertices and every output composed
-    from per-period solves."""
-    return np.array(list(itertools.product(range(V), repeat=T)), dtype=int)
+def _compose(block):
+    """Lifted stack of per-period data: block[v, ..., t] is period t of some
+    output at vertex v of the per-period set (|V| x ... x T); entry k of the
+    result (|V|^T x ... x T) takes period t from vertex j_t of lifted vertex
+    k = (j_1, ..., j_T).  Lifted vertices run in itertools.product order,
+    first period slowest; this is the order of lifted_vertices and of every
+    output composed from per-period solves."""
+    V, T = block.shape[0], block.shape[-1]
+    combos = np.indices((V,) * T).reshape(T, -1).T
+    return np.ascontiguousarray(np.moveaxis(block[combos, ..., np.arange(T)], 1, -1))
 
 
 def _vertex_dispatch(inst: MarketInstance, y):
     """Second stage at capacities pinned to y, in one closed-form dispatch
     over the scenarios with every period at one vertex v of the per-period
     set.  The dispatch separates by period, so period t of the outcome at v
-    is the period-t optimum at v, and the value at lifted vertex
-    (j_1, ..., j_T) is the capacity term plus sum_t period_values[j_t, t].
-    Returns the |V| per-period vertices and the Dispatch over them."""
-    vertices = enumerate_vertices(inst.uncertainty)
-    costs = cost_matrix(inst, _constant_scenarios(vertices, inst.T))
-    return vertices, _dispatch(inst, y, costs)
+    is the period-t optimum at v, and _compose of any of its outputs gives
+    that output at every lifted vertex.  Returns the |V| x N x T stack of
+    those constant scenarios and the Dispatch over them."""
+    constant = _constant_scenarios(inst)
+    return constant, _dispatch(inst, y, cost_matrix(inst, constant))
 
 
-def _constant_scenarios(vertices, T):
-    """|V| x N x T stack of the scenarios with every period at one vertex."""
-    return np.stack([np.tile(v[:, None], (1, T)) for v in vertices])
-
-
-def _adversary_gain(inst: MarketInstance):
-    """Rows -a_{i,t} x_{i,t} over (x, y), one per lifted coordinate, in the
-    order scenario_to_vector gives them."""
-    N, T = inst.N, inst.T
-    columns = scenario_to_vector(np.arange(N * T).reshape(N, T)).astype(int)
-    gain = np.zeros((N * T, N * T + N))
-    gain[np.arange(N * T), columns] = scenario_to_vector(-scaling_matrix(inst))
-    return gain
+def _constant_scenarios(inst: MarketInstance):
+    """|V| x N x T stack of the scenarios with every period at one vertex of
+    the per-period set, in enumerate_vertices order."""
+    vertices = np.stack(enumerate_vertices(inst.uncertainty))
+    return np.repeat(vertices[:, :, None], inst.T, axis=2)
 
 
 def _readout(U: Polytope, u, value_at, target, fallback):
     """Worst-case scenario of a robust solve, read off the multipliers u of
-    its dualized adversary rows (a vector over U's coordinates).  When the
-    basis blurs them (u leaves U, or value_at(u) misses the program value
-    target), returns fallback() instead."""
-    if not U.contains(u, tol=1e-7) or abs(value_at(u) - target) > SADDLE_TOL:
+    its dualized adversary rows (over U's coordinates, in any shape that
+    flattens to them).  When the basis blurs them (u leaves U, or
+    value_at(u) misses the program value target), returns fallback()
+    instead."""
+    if not U.contains(u.reshape(-1), tol=1e-7) or abs(value_at(u) - target) > SADDLE_TOL:
         return fallback()
     return u
 
 
-def _mixtures(inst: MarketInstance, scenarios, samples, seed):
-    """`samples` random convex combinations of the N x T scenarios, as a
-    samples x N x T stack, with uniform Dirichlet weights drawn from a
-    generator seeded by seed."""
-    rng = np.random.default_rng(seed)
-    stacked = np.stack([scenario_to_vector(u) for u in scenarios])
-    return np.stack([vector_to_scenario(w @ stacked, inst.N, inst.T)
-                     for w in rng.dirichlet(np.ones(len(scenarios)), size=samples)])
+def _mixtures(scenarios, samples, seed):
+    """`samples` random convex combinations of a stack of scenarios, as a
+    stack, with uniform Dirichlet weights drawn from a generator seeded by
+    seed."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(scenarios)), size=samples)
+    return np.tensordot(weights, scenarios, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +331,16 @@ def solve_robust_cp_fixed(inst: MarketInstance):
     N, T = inst.N, inst.T
     lifted = lifted_set(inst)
     out = _solve(inst, *_with_adversary(*_fixed_program(inst, cost_matrix(inst)),
-                                        _adversary_gain(inst), lifted, 1.0),
+                                        scaling_matrix(inst).reshape(-1), lifted, 1.0),
                  "robust planner program")
 
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T : N * T + N]
     prices = out.duals[N * T : N * T + T].copy()
     C = float(out.objective)
-    as_matrix = lambda u: vector_to_scenario(u, N, T)
-    worst_u = as_matrix(_readout(
-        lifted, out.duals[N * T + T:].copy(),
-        lambda u: total_cost(inst, x, y, as_matrix(u)), C,
-        lambda: scenario_to_vector(worst_case_scenario(inst, x)[1])))
+    worst_u = _readout(lifted, out.duals[N * T + T:].reshape(N, T),
+                       lambda u: total_cost(inst, x, y, u), C,
+                       lambda: worst_case_scenario(inst, x)[1])
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -398,7 +379,7 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     demand = inst.demand
     lifted = lifted_set(inst)
     A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
-                                        _adversary_gain(inst), lifted, -1.0)
+                                        scaling_matrix(inst).reshape(-1), lifted, -1.0)
     out = _solve(inst, A, b, kinds, cost, "robust welfare program")
 
     # Welfare optima can be degenerate across capacity splits; canonicalize
@@ -413,10 +394,8 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     _, worst_exact = worst_case_scenario(inst, x)
     C = float(welfare(inst, x, y, worst_exact))
     # Max-sense >= rows carry nonpositive multipliers; negate to read u.
-    as_matrix = lambda u: vector_to_scenario(u, N, T)
-    worst_u = as_matrix(_readout(lifted, -out.duals[N * T:],
-                                 lambda u: welfare(inst, x, y, as_matrix(u)), C,
-                                 lambda: scenario_to_vector(worst_exact)))
+    worst_u = _readout(lifted, -out.duals[N * T:].reshape(N, T),
+                       lambda u: welfare(inst, x, y, u), C, lambda: worst_exact)
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -473,12 +452,11 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     y_star = cp_solution.capacities
     c_inv = np.array([p.c_inv for p in inst.producers])
 
-    per_period, at_vertices = _vertex_dispatch(inst, y_star)
-    vertices = _lift(per_period, inst.T)
-    period_sums = at_vertices.period_values[_lifted_indices(len(per_period), inst.T),
-                                            np.arange(inst.T)].sum(axis=1)
+    constant, at_vertices = _vertex_dispatch(inst, y_star)
+    vertices = _compose(constant)
+    period_sums = _compose(at_vertices.period_values).sum(axis=1)
     vertex_values = (capacity_sign * (c_inv @ y_star) + period_sums).tolist()
-    scenarios = np.concatenate([_mixtures(inst, vertices, samples, seed), worst_u[None]])
+    scenarios = np.concatenate([_mixtures(vertices, samples, seed), worst_u[None]])
     values = _dispatch(inst, y_star, cost_matrix(inst, scenarios)).value
     sample_values = values[:-1].tolist()
     worst_value = float(values[-1])
@@ -490,7 +468,7 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
         "demand_mode": mode,
         "value": C,
         "capacities": y_star.copy(),
-        "vertices": vertices,
+        "vertices": list(vertices),
         "vertex_values": vertex_values,
         "sample_values": sample_values,
         "worst_u": worst_u,
@@ -559,16 +537,15 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     if not isinstance(inst.demand, Fixed):
         raise ValueError("scenario reformulation requires fixed demand")
     N, T = inst.N, inst.T
-    per_period = enumerate_vertices(inst.uncertainty)
-    V = len(per_period)
+    constant = _constant_scenarios(inst)
+    V = len(constant)
     K = V * T
 
     # Variables: theta (T), one production copy per (vertex, period) with
     # copy k = v*T + t, shared capacities.  Rows: K epigraph rows
     # theta_t >= c_t(v)'x_{v,t}, then the capacity rows and the clearing
     # row of every copy.
-    copy_costs = cost_matrix(inst, _constant_scenarios(per_period, T))
-    copy_costs = copy_costs.transpose(0, 2, 1).reshape(-1)
+    copy_costs = cost_matrix(inst, constant).transpose(0, 2, 1).reshape(-1)
     clearing = np.kron(np.eye(K), _clearing_rows(N, 1))
     epigraph = np.where(clearing == 1.0, -copy_costs, 0.0)
     cap = _capacity_rows(N, 1)
@@ -593,13 +570,12 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     if duals is None:
         duals = out.duals
 
-    copies = out.primal[T : T + K * N].reshape(V, T, N)
-    lifted = copies[_lifted_indices(V, T), np.arange(T)].transpose(0, 2, 1)
+    copies = out.primal[T : T + K * N].reshape(V, T, N).transpose(0, 2, 1)
     return {
         "value": float(out.objective),
         "capacities": out.primal[T + K * N:].copy(),
-        "scenarios": _lift(per_period, T),
-        "productions": list(np.ascontiguousarray(lifted)),
+        "scenarios": list(_compose(constant)),
+        "productions": list(_compose(copies)),
         "clearing_duals": duals[clearing_start:].reshape(V, T),
         "epigraph": float(out.primal[:T].sum()),
     }
@@ -619,52 +595,35 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     if not np.all(np.isinf(spec.variable_upper_bounds)):
         raise ValueError("helper assumes no finite upper bounds")
     x = outcome.primal
-    resid = spec.constraint_matrix @ x - spec.constraint_rhs
+    A = spec.constraint_matrix
+    resid = A @ x - spec.constraint_rhs
     scale = 1.0 + np.max(np.abs(spec.constraint_rhs), initial=0.0)
-    forced = set(int(j) for j in force_zero_rows)
-    # Multiplier variables: one per participating row; "=" rows are split
-    # into positive and negative parts so the QP stays over y >= 0.
-    var_of_row = {}
-    cols = []
-    for j, kind in enumerate(spec.constraint_kinds):
-        if j in forced or abs(resid[j]) > 1e-8 * scale:
-            continue
-        if kind == "=":
-            var_of_row[j] = (len(cols), len(cols) + 1)
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-        else:
-            sign = 1.0 if kind == ">=" else -1.0
-            var_of_row[j] = (len(cols),)
-            cols.append((j, sign))
-    n_mult = len(cols)
-    if n_mult == 0:
+    participates = ~(np.abs(resid) > 1e-8 * scale)
+    participates[np.asarray(force_zero_rows, dtype=int)] = False
+    # Multiplier variables: one per participating row, in row order; "="
+    # rows are split into adjacent positive and negative parts so the QP
+    # stays over y >= 0.  sign maps each variable to its row's multiplier.
+    rows = np.flatnonzero(participates)
+    kinds = np.array(spec.constraint_kinds)[rows]
+    eq = kinds == "="
+    width = np.where(eq, 2, 1)
+    starts = np.cumsum(width) - width
+    col_row = np.repeat(rows, width)
+    sign = np.repeat(np.where(kinds == "<=", -1.0, 1.0), width)
+    sign[starts[eq] + 1] = -1.0
+    if col_row.size == 0:
         return np.zeros(spec.n_rows) if np.max(np.abs(spec.cost)) == 0 else None
 
     # Stationarity rows: sum_j A[j,k] lambda_j (+ red_k) = c_k.
-    G = np.zeros((spec.n_vars, n_mult))
-    for col, (j, sign) in enumerate(cols):
-        G[:, col] = sign * spec.constraint_matrix[j]
-    kinds = ["=" if positive else "<=" for positive in x > 1e-9]
-    Q = np.zeros((n_mult, n_mult))
-    for j, idxs in var_of_row.items():
-        if len(idxs) == 1:
-            Q[idxs[0], idxs[0]] = 1.0
-        else:
-            p_i, m_i = idxs
-            Q[p_i, p_i] = Q[m_i, m_i] = 1.0
-            Q[p_i, m_i] = Q[m_i, p_i] = -1.0
-    qp = QpSpec("min", np.zeros(n_mult), G, spec.cost, kinds, quadratic_matrix=Q)
-    sol = solve_qp(qp)
+    G = (sign[:, None] * A[col_row]).T
+    Q = np.where(col_row[:, None] == col_row[None, :], np.outer(sign, sign), 0.0)
+    qp_kinds = ["=" if positive else "<=" for positive in x > 1e-9]
+    sol = solve_qp(QpSpec("min", np.zeros(col_row.size), G, spec.cost, qp_kinds,
+                          quadratic_matrix=Q))
     if sol.status != "optimal":
         return None
     duals = np.zeros(spec.n_rows)
-    for j, idxs in var_of_row.items():
-        if len(idxs) == 1:
-            sign = 1.0 if spec.constraint_kinds[j] == ">=" else -1.0
-            duals[j] = sign * sol.primal[idxs[0]]
-        else:
-            duals[j] = sol.primal[idxs[0]] - sol.primal[idxs[1]]
+    duals[rows] = np.add.reduceat(sign * sol.primal, starts)
     return duals
 
 

@@ -35,11 +35,9 @@ from robust_peakload.market import (
     cost_matrix,
 )
 from robust_peakload.robust import (
-    _lift,
-    _lifted_indices,
+    _compose,
     _mixtures,
     _vertex_dispatch,
-    scenario_to_vector,
     solve_robust_cp_elastic,
 )
 
@@ -142,12 +140,13 @@ def kkt_residuals(inst: MarketInstance, y_star, result: FixedCapacityWelfareResu
     }
 
 
-def _margin_deficits(inst: MarketInstance, scenarios, x, pi) -> np.ndarray:
-    """Per-producer inner expression of the subsidy formula over a stack of
-    S scenarios with their production and prices: the margin deficit summed
-    over the periods where the producer runs (S x N)."""
-    deficit = np.where(x > SUPPORT_TOL, cost_matrix(inst, scenarios) - pi[:, None, :], 0.0)
-    return deficit.sum(axis=2)
+def _period_deficits(inst: MarketInstance, scenarios, out) -> np.ndarray:
+    """Per-period terms of the subsidy formula's inner expression over a
+    stack of S scenarios and their dispatch `out`: the margin deficit
+    c_{i,t}(u) - pi_t(u) where producer i runs, zero elsewhere (S x N x T).
+    Summed over the periods, it is the inner expression per producer."""
+    return np.where(out.x > SUPPORT_TOL,
+                    cost_matrix(inst, scenarios) - out.pi[:, None, :], 0.0)
 
 
 def _require_grid(grid):
@@ -245,10 +244,10 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
     y_star[y_star <= SUPPORT_TOL] = 0.0
     c_inv = np.array([p.c_inv for p in inst.producers])
 
-    results = _lifted_results(inst, y_star, *_vertex_dispatch(inst, y_star))
-    deficits = _margin_deficits(inst, np.stack([res.u for res in results]),
-                                np.stack([res.x for res in results]),
-                                np.stack([res.pi for res in results]))
+    constant, out = _vertex_dispatch(inst, y_star)
+    scenarios = _compose(constant)
+    results = _lifted_results(inst, y_star, scenarios, out)
+    deficits = _compose(_period_deficits(inst, constant, out)).sum(axis=-1)
 
     active = y_star > SUPPORT_TOL
     eta = np.zeros(inst.N)
@@ -256,42 +255,40 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
         eta[active] = c_inv[active] + deficits.max(axis=0)[active]
 
     audit = _interior_audit(inst, y_star, deficits.max(axis=0), audit_samples,
-                            seed, [res.u for res in results])
+                            seed, scenarios)
     verification, _ = _verification(inst, eta, y_star, results, grid)
     return SubsidyBundle(eta=eta, scenario_results=results, y_star=y_star,
                          verification=verification, audit=audit)
 
 
-def _lifted_results(inst, y_star, per_period, out):
-    """The pinned welfare result at every lifted vertex, in lifted_vertices
-    order, composed from the dispatch `out` over the per-period vertices:
-    lifted vertex (j_1, ..., j_T) takes period t of x, mu, phi and pi from
-    the dispatch at per-period vertex j_t, and its value is
-    sum_t out.period_values[j_t, t] minus the investment cost of y_star."""
+def _lifted_results(inst, y_star, scenarios, out):
+    """The pinned welfare result at every lifted vertex (the stack
+    `scenarios`, in lifted_vertices order), composed from the dispatch `out`
+    over the per-period vertices: lifted vertex (j_1, ..., j_T) takes period
+    t of x, mu, phi and pi from the dispatch at per-period vertex j_t, and
+    its value is sum_t out.period_values[j_t, t] minus the investment cost
+    of y_star."""
     c_inv = np.array([p.c_inv for p in inst.producers])
-    combos = _lifted_indices(len(per_period), inst.T)
-    periods = np.arange(inst.T)
-    x, mu, phi = (np.ascontiguousarray(block[combos, :, periods].transpose(0, 2, 1))
-                  for block in (out.x, out.mu, out.phi))
-    pi = out.pi[combos, periods]
-    values = out.period_values[combos, periods].sum(axis=1) - c_inv @ y_star
-    return [FixedCapacityWelfareResult(u=u, x=x[k], pi=pi[k], mu=mu[k],
-                                       phi=phi[k], chi=mu[k].sum(axis=1) - c_inv,
-                                       value=float(values[k]))
-            for k, u in enumerate(_lift(per_period, inst.T))]
+    x, mu, phi, pi = (_compose(block) for block in (out.x, out.mu, out.phi, out.pi))
+    chi = mu.sum(axis=2) - c_inv
+    values = _compose(out.period_values).sum(axis=1) - c_inv @ y_star
+    return [FixedCapacityWelfareResult(u=scenarios[k], x=x[k], pi=pi[k], mu=mu[k],
+                                       phi=phi[k], chi=chi[k], value=float(values[k]))
+            for k in range(len(scenarios))]
 
 
 def _interior_audit(inst, y_star, vertex_max, samples, seed, vertices):
     """Evaluate the subsidy formula's inner expression at random convex
-    combinations of the vertices and report any excess over the vertex
-    maximum (> 1e-6 raises a warning, never a silent correction)."""
+    combinations of the stack of lifted vertices and report any excess over
+    the vertex maximum (> 1e-6 raises a warning, never a silent
+    correction)."""
     audit = {"samples": int(samples), "seed": int(seed),
              "max_excess": 0.0, "flagged": False}
     if samples <= 0 or len(vertices) <= 1:
         return audit
-    scenarios = _mixtures(inst, vertices, samples, seed)
+    scenarios = _mixtures(vertices, samples, seed)
     out = _pinned_welfare(inst, y_star, scenarios)
-    deficits = _margin_deficits(inst, scenarios, out.x, out.pi)
+    deficits = _period_deficits(inst, scenarios, out).sum(axis=2)
     excess = max(0.0, float(np.max(deficits - vertex_max)))
     audit["max_excess"] = excess
     if excess > PROFIT_TOL:
@@ -316,11 +313,12 @@ def verify_subsidized_equilibrium(inst: MarketInstance, bundle: SubsidyBundle,
 
 
 def build_price_functions(bundle: SubsidyBundle) -> dict:
-    """Scenario-indexed price table: lifted vertex (as a tuple) -> prices.
+    """Scenario-indexed price table: lifted vertex u, as the tuple of
+    u.reshape(-1) (the order of --mean-u), -> prices.
     Prices at a non-vertex scenario come from re-running
     solve_fixed_capacity_welfare at that scenario."""
     table = {}
     for res in bundle.scenario_results:
-        key = tuple(float(v) for v in scenario_to_vector(res.u))
+        key = tuple(res.u.reshape(-1).tolist())
         table[key] = res.pi.copy()
     return table

@@ -14,7 +14,7 @@ from robust_peakload.market import (Fixed, _capacity_rows, _clearing_rows,
                                     _fixed_program, _solve, _welfare_program,
                                     cost_matrix)
 from robust_peakload.robust import lifted_vertices
-from robust_peakload.solver import LpSpec, _checked, solve_lp
+from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
 FEAS_TOL = 1e-7
 
@@ -178,3 +178,56 @@ def lifted_scenario_form(inst):
     cost = np.concatenate([[1.0], np.zeros(V * n_x), c_inv])
     spec = LpSpec("min", cost, np.column_stack([theta, x_part, y_part]), rhs, kinds)
     return float(_checked(solve_lp(spec), "lifted scenario form").objective)
+
+
+def min_norm_duals_loop(spec, outcome, force_zero_rows):
+    """robust._min_norm_duals written row by row: one multiplier variable per
+    binding row outside force_zero_rows ("=" rows split into a positive and
+    a negative part), the stationarity rows G, the norm Q and the dual
+    readout each built in a Python loop.  The reference for the array code
+    of the library."""
+    x = outcome.primal
+    resid = spec.constraint_matrix @ x - spec.constraint_rhs
+    scale = 1.0 + np.max(np.abs(spec.constraint_rhs), initial=0.0)
+    forced = set(int(j) for j in force_zero_rows)
+    var_of_row = {}
+    cols = []
+    for j, kind in enumerate(spec.constraint_kinds):
+        if j in forced or abs(resid[j]) > 1e-8 * scale:
+            continue
+        if kind == "=":
+            var_of_row[j] = (len(cols), len(cols) + 1)
+            cols.append((j, 1.0))
+            cols.append((j, -1.0))
+        else:
+            sign = 1.0 if kind == ">=" else -1.0
+            var_of_row[j] = (len(cols),)
+            cols.append((j, sign))
+    n_mult = len(cols)
+    if n_mult == 0:
+        return np.zeros(spec.n_rows) if np.max(np.abs(spec.cost)) == 0 else None
+
+    G = np.zeros((spec.n_vars, n_mult))
+    for col, (j, sign) in enumerate(cols):
+        G[:, col] = sign * spec.constraint_matrix[j]
+    kinds = ["=" if positive else "<=" for positive in x > 1e-9]
+    Q = np.zeros((n_mult, n_mult))
+    for j, idxs in var_of_row.items():
+        if len(idxs) == 1:
+            Q[idxs[0], idxs[0]] = 1.0
+        else:
+            p_i, m_i = idxs
+            Q[p_i, p_i] = Q[m_i, m_i] = 1.0
+            Q[p_i, m_i] = Q[m_i, p_i] = -1.0
+    sol = solve_qp(QpSpec("min", np.zeros(n_mult), G, spec.cost, kinds,
+                          quadratic_matrix=Q))
+    if sol.status != "optimal":
+        return None
+    duals = np.zeros(spec.n_rows)
+    for j, idxs in var_of_row.items():
+        if len(idxs) == 1:
+            sign = 1.0 if spec.constraint_kinds[j] == ">=" else -1.0
+            duals[j] = sign * sol.primal[idxs[0]]
+        else:
+            duals[j] = sol.primal[idxs[0]] - sol.primal[idxs[1]]
+    return duals

@@ -517,6 +517,40 @@ class TestSubsidyCommand:
         assert code == 1 and fragment in err and not out
 
 
+    def test_price_table_scenarios_flatten_like_mean_u(self, capsys, tmp_path):
+        # T = 2, N = 3: the price table lists each lifted vertex u as
+        # u.reshape(-1), and --mean-u reads an N*T list back the same way.
+        data = minimal_data(
+            periods=2,
+            producers=[{"c_inv": 0.2, "c_var": 0.1, "a": 3.0},
+                       {"c_inv": 0.3, "c_var": 0.0, "a": 4.0},
+                       {"c_inv": 0.25, "c_var": 0.2, "a": 2.0}],
+            demand={"mode": "elastic", "alpha": [5.0, 4.0], "beta": [1.0, 0.5]})
+        path = tmp_path / "elastic_3x2.json"
+        path.write_text(json.dumps(data))
+        code, report = run_json(capsys, "subsidy", "--instance", str(path),
+                                "--samples", "8")
+        assert code == 0
+        inst = load_instance(str(path))[0]
+        bundle = subsidy.compute_subsidies(inst, audit_samples=0)
+        flattened = [res.u.reshape(-1).tolist() for res in bundle.scenario_results]
+        table = report["results"]["price_table"]
+        assert len(table) == len(flattened) == 4 ** 2
+        for row in table:
+            assert row["scenario"] in flattened
+        # A scenario whose periods differ, so that the two flattenings of
+        # an N x T matrix disagree.
+        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        listed = [row["scenario"] for row in table]
+        assert u.reshape(-1).tolist() in listed
+        scenario = listed[listed.index(u.reshape(-1).tolist())]
+        code, report = run_json(capsys, "solve", "--instance", str(path),
+                                "--mode", "expected", "--mean-u",
+                                ",".join(repr(v) for v in scenario))
+        assert code == 0
+        assert report["results"]["mean_scenario"] == u.tolist()
+
+
 class TestSetCommands:
     def test_box_tau(self, capsys):
         code, report = run_json(capsys, "tau", "--instance",

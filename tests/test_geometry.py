@@ -159,9 +159,11 @@ class TestLiftProduct:
         assert_allclose(lifted.r, U.r)
 
     def test_two_period_simplex_block_structure(self):
+        # Coordinate i*T + t is base coordinate i in period t: P is
+        # kron(P', I_T), row k*T + t is row k of P' in period t.
         lifted = lift_product(simplex(2), 2)
         assert lifted.dimension == 4
-        expected_P = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        expected_P = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
         assert_allclose(lifted.P, expected_P)
         assert_allclose(lifted.r, [1.0, 1.0])
 

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
 import robust_peakload
+import oracles
 from oracles import lifted_scenario_form, merit_order_dispatch
-from robust_peakload import solver
+from robust_peakload import robust, solver
 from robust_peakload.geometry import (
     Polytope,
     box,
@@ -40,13 +41,11 @@ from robust_peakload.robust import (
     lifted_set,
     lifted_vertices,
     market_robust_report,
-    scenario_to_vector,
     solve_robust_cp_elastic,
     solve_robust_cp_fixed,
     solve_robust_lp,
     solve_robust_market_elastic,
     solve_robust_market_fixed,
-    vector_to_scenario,
     verify_adjustable_equivalence,
     worst_case_scenario,
 )
@@ -240,19 +239,32 @@ class TestRobustLp:
 
 
 class TestScenarioHelpers:
-    def test_vector_scenario_round_trip(self):
-        rng = np.random.default_rng(3)
-        for trial in range(10):
-            N, T = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            u = rng.uniform(0.0, 1.0, size=(N, T))
-            vec = scenario_to_vector(u)
-            assert vec.shape == (N * T,)
-            # Period-major order: coordinate t*N + i holds u[i, t].
-            for t in range(T):
-                for i in range(N):
-                    assert vec[t * N + i] == u[i, t]
-            assert_allclose(vector_to_scenario(vec, N, T), u,
-                            err_msg=f"trial {trial}")
+    @pytest.mark.parametrize("N, T, U", [
+        (3, 2, Polytope(3, np.vstack([np.eye(3), np.ones((1, 3))]), [1, 1, 1, 2])),
+        (2, 3, simplex(2)),
+        (3, 4, simplex(3)),
+    ], ids=["budget-3x2", "simplex-2x3", "simplex-3x4"])
+    def test_flattened_scenario_membership(self, N, T, U):
+        # An N x T scenario flattens by u.reshape(-1), the order of the x
+        # variables: it lies in the lifted set exactly when every period's
+        # column lies in the per-period set.
+        inst = MarketInstance(
+            producers=[Producer(c_inv=1.0, c_var=1.0, a=1.0) for _ in range(N)],
+            demand=Fixed(np.ones(T)), T=T, uncertainty=U)
+        lifted = lifted_set(inst)
+        rng = np.random.default_rng(29)
+        vertices = np.array(enumerate_vertices(U))
+        seen = set()
+        for trial in range(200):
+            # Columns near the boundary of U, a few pushed past it.
+            weights = rng.dirichlet(np.full(len(vertices), 0.3), size=T)
+            u = (weights @ vertices).T * np.where(rng.random(T) < 0.15, 1.2, 1.0)
+            per_period = all(U.contains(u[:, t]) for t in range(T))
+            assert lifted.contains(u.reshape(-1)) == per_period, f"trial {trial}"
+            seen.add(per_period)
+        assert seen == {True, False}
+        for v in lifted_vertices(inst):
+            assert lifted.contains(v.reshape(-1))
 
     def test_worst_case_scenario_matches_vertex_search(self):
         rng = np.random.default_rng(17)
@@ -260,7 +272,7 @@ class TestScenarioHelpers:
             inst = random_fixed_instance(rng)
             x = rng.uniform(0.0, 2.0, size=(inst.N, inst.T))
             value, u = worst_case_scenario(inst, x)
-            assert lifted_set(inst).contains(scenario_to_vector(u), tol=1e-7)
+            assert lifted_set(inst).contains(u.reshape(-1), tol=1e-7)
             best = max(
                 float(np.sum((total_cost(inst, x, np.zeros(inst.N), v)
                               - total_cost(inst, x, np.zeros(inst.N)))))
@@ -321,7 +333,7 @@ class TestRobustCpFixed:
         for trial in range(N_RANDOM_TRIALS):
             inst = random_fixed_instance(rng)
             solution, C, worst_u = solve_robust_cp_fixed(inst)
-            assert lifted_set(inst).contains(scenario_to_vector(worst_u),
+            assert lifted_set(inst).contains(worst_u.reshape(-1),
                                              tol=1e-7), f"trial {trial}"
             cost_at_worst = total_cost(inst, solution.production,
                                        solution.capacities, worst_u)
@@ -371,7 +383,7 @@ class TestRobustElastic:
         for trial in range(20):
             inst = random_elastic_instance(rng)
             solution, C, worst_u = solve_robust_cp_elastic(inst)
-            assert lifted_set(inst).contains(scenario_to_vector(worst_u),
+            assert lifted_set(inst).contains(worst_u.reshape(-1),
                                              tol=1e-7), f"trial {trial}"
             welfare_at_worst = welfare(inst, solution.production,
                                        solution.capacities, worst_u)
@@ -801,3 +813,53 @@ class TestScenarioFormByPeriod:
         assert names.count("solve_qp") in (1, 2)
         assert names.count("solve_lp") == 1 + names.count("solve_qp")
         assert len(form["productions"]) == 4 ** inst.T
+
+
+def _qp_bytes(spec):
+    """The bytes of every field of a QpSpec."""
+    return [np.asarray(value).tobytes() for value in vars(spec).values()]
+
+
+class TestMinNormDuals:
+    """_min_norm_duals builds its QP from kind masks; it must pose the QP of
+    the row-by-row oracle byte for byte and return the same duals, on the
+    scenario-form LPs it canonicalizes, with and without the support
+    restriction."""
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_matches_loop_oracle(self, monkeypatch, trial):
+        rng = np.random.default_rng([103, trial])
+        if trial < 12:
+            N, T, U = COMPOSITION_SHAPES[trial % len(COMPOSITION_SHAPES)]
+            inst = per_period_instance(rng, N, T, U, elastic=False)
+        else:
+            inst = random_fixed_instance(rng)
+        forms = []
+        original = robust._min_norm_duals
+
+        def record(spec, outcome, rows):
+            forms.append((spec, outcome, rows))
+            return original(spec, outcome, rows)
+
+        monkeypatch.setattr(robust, "_min_norm_duals", record)
+        adjustable_scenario_form_fixed(inst)
+        monkeypatch.undo()
+        assert forms
+        spec, outcome, rows = forms[0]
+        for force_zero in (rows, []):
+            posed = []
+
+            def capture(qp):
+                posed.append(qp)
+                return solve_qp(qp)
+
+            monkeypatch.setattr(robust, "solve_qp", capture)
+            monkeypatch.setattr(oracles, "solve_qp", capture)
+            duals = robust._min_norm_duals(spec, outcome, force_zero)
+            expected = oracles.min_norm_duals_loop(spec, outcome, force_zero)
+            monkeypatch.undo()
+            assert len(posed) == 2
+            assert _qp_bytes(posed[0]) == _qp_bytes(posed[1])
+            assert (duals is None) == (expected is None)
+            if duals is not None:
+                assert duals.tobytes() == expected.tobytes()

@@ -6,6 +6,10 @@ hold at every optimal answer.  The programs mix all three row kinds in both
 senses, with negative right-hand sides, shifted lower bounds and finite upper
 bounds; three further families force degenerate, infeasible and unbounded
 programs.  Hypothesis runs derandomized, so every run sees the same examples.
+
+HiGHS's own optimal pair is a second check on the certificate itself: its
+primal point and marginals, mapped to solve_lp's sign convention, must pass
+solver._certificate at CERT_TOL.
 """
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from robust_peakload.solver import CERT_TOL, LpSpec, solve_lp
+from robust_peakload.solver import CERT_TOL, LpSpec, _certificate, solve_lp
 
 OBJ_TOL = 1e-7
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -68,7 +72,8 @@ def lps(draw, family="random"):
 
 
 def _highs(spec):
-    """(status, objective) from HiGHS, with ">=" rows negated into A_ub."""
+    """(status, objective, result) from HiGHS, with ">=" rows negated into
+    A_ub; result is None unless the status is optimal."""
     kinds = np.array(spec.constraint_kinds)
     A, b = spec.constraint_matrix, spec.constraint_rhs
     eq = kinds == "="
@@ -86,21 +91,47 @@ def _highs(spec):
     if res.status == 4 and "unbounded or infeasible" in res.message:
         # Settle the ambiguity with a feasibility solve.
         res_feas = run(np.zeros(spec.n_vars))
-        return ("unbounded" if res_feas.status == 0 else "infeasible"), None
+        return ("unbounded" if res_feas.status == 0 else "infeasible"), None, None
     assert res.status in HIGHS_STATUS, res.message
     status = HIGHS_STATUS[res.status]
-    return status, (sign * res.fun if status == "optimal" else None)
+    if status != "optimal":
+        return status, None, None
+    return status, sign * res.fun, res
+
+
+def _highs_certificate(spec, res):
+    """Largest KKT residual of solver._certificate at HiGHS's optimal pair.
+
+    HiGHS reports marginals of the min-sense program it solved (rows of
+    A_ub <= b_ub, A_eq = b_eq, then the bounds).  solve_lp's convention is
+    grad = A' duals + reduced for the stated sense: undo the ">=" negation
+    row by row, then negate everything for a max program."""
+    kinds = np.array(spec.constraint_kinds)
+    eq = kinds == "="
+    flip = np.where(kinds == ">=", -1.0, 1.0)[~eq]
+    sign = 1.0 if spec.objective_sense == "min" else -1.0
+    duals = np.zeros(spec.n_rows)
+    duals[~eq] = sign * flip * res.ineqlin.marginals
+    duals[eq] = sign * res.eqlin.marginals
+    reduced = sign * (res.lower.marginals + res.upper.marginals)
+    primal, dual, comp, gap_terms, _ = _certificate(
+        spec.objective_sense, res.x, spec.constraint_matrix, spec.constraint_rhs,
+        spec.constraint_kinds, spec.variable_lower_bounds,
+        spec.variable_upper_bounds, duals, reduced)
+    gap = abs(float(spec.cost @ res.x) - float(spec.constraint_rhs @ duals + gap_terms))
+    return max(primal, dual, comp, gap)
 
 
 def _check_against_highs(spec):
     out = solve_lp(spec)
-    status, objective = _highs(spec)
+    status, objective, res = _highs(spec)
     assert out.status == status
     if status == "optimal":
         assert abs(out.objective - objective) <= OBJ_TOL
         cert = out.certificate
         assert max(cert["primal_residual"], cert["dual_residual"],
                    cert["complementarity"], cert["duality_gap"]) <= CERT_TOL
+        assert _highs_certificate(spec, res) <= CERT_TOL
     return out.status
 
 
