@@ -51,7 +51,7 @@ print()
 print("== equilibrium verification ==")
 record = verify_subsidized_equilibrium(inst, bundle)
 print(f"worst-case profits: {record['worst_case_profits']}")
-print(f"max deviation gain on the capacity grid: "
+print(f"max deviation gain: "
       f"{np.max(record['max_deviation_gain']):.2e}")
 print(f"is_equilibrium: {record['is_equilibrium']}")
 print(f"interior sampling audit: max excess "

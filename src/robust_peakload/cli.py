@@ -42,10 +42,9 @@ from robust_peakload.robust import (Infeasible, Unbounded,
                                     solve_robust_market_elastic,
                                     solve_robust_market_fixed,
                                     worst_case_scenario)
-from robust_peakload.subsidy import (DEFAULT_AUDIT_SAMPLES, DEFAULT_GRID,
-                                     DEFAULT_SEED, NotEquilibrium,
-                                     build_price_functions, compute_subsidies,
-                                     kkt_residuals,
+from robust_peakload.subsidy import (DEFAULT_AUDIT_SAMPLES, DEFAULT_SEED,
+                                     NotEquilibrium, build_price_functions,
+                                     compute_subsidies, kkt_residuals,
                                      verify_subsidized_equilibrium)
 
 EXIT_OK = 0
@@ -95,18 +94,19 @@ def _parse_mean(text, N, T):
 
 
 def _resolve_seed(flag_seed, file_seed):
+    """The audit seed: the environment, else --seed, else the file's
+    options.seed, else the default.  A negative seed is an input error."""
     env = os.environ.get(SEED_ENV)
+    source = "--seed"
     if env is not None:
         try:
-            return int(env)
+            flag_seed, source = int(env), SEED_ENV
         except ValueError:
             raise CliError(f"{SEED_ENV} must be an integer, got {env!r}") \
                 from None
-    if flag_seed is not None:
-        return flag_seed
-    if file_seed is not None:
-        return file_seed
-    return DEFAULT_SEED
+    if flag_seed is not None and flag_seed < 0:
+        raise CliError(f"{source} must be nonnegative, got {flag_seed}")
+    return _first(flag_seed, file_seed, DEFAULT_SEED)
 
 
 def _first(*values):
@@ -302,29 +302,29 @@ def _cmd_poa(args):
 
 def _cmd_subsidy(args):
     inst, _, digest, options, _ = load_instance(args.instance)
-    grid = _first(args.grid, options["grid"], DEFAULT_GRID)
     samples = _first(args.samples, options["sample_count"],
                      DEFAULT_AUDIT_SAMPLES)
     seed = _resolve_seed(args.seed, options["seed"])
-    flags = {"instance": args.instance, "grid": grid, "samples": samples,
+    flags = {"instance": args.instance, "samples": samples,
              "seed": seed, "eta": args.eta, "format": args.format}
-
-    bundle = compute_subsidies(inst, grid=grid, audit_samples=samples,
-                               seed=seed)
+    override = None
     if args.eta is not None:
-        override = _parse_floats("eta", args.eta)
+        override = np.array(_parse_floats("eta", args.eta))
         if len(override) != inst.N:
             raise CliError(f"--eta must list {inst.N} values, "
                            f"got {len(override)}")
-        bundle = dataclasses.replace(bundle, eta=np.array(override))
+
+    bundle = compute_subsidies(inst, audit_samples=samples, seed=seed)
+    if override is not None:
+        bundle = dataclasses.replace(bundle, eta=override)
 
     code = EXIT_OK
     try:
-        record = verify_subsidized_equilibrium(inst, bundle, grid=grid)
+        record = verify_subsidized_equilibrium(inst, bundle)
         violation = None
     except NotEquilibrium as exc:
         code = EXIT_NOT_EQUILIBRIUM
-        record = {"is_equilibrium": False, "grid": int(grid)}
+        record = {"is_equilibrium": False}
         violation = {"producer": int(exc.producer),
                      "scenario": int(exc.scenario),
                      "deviation": (None if exc.deviation is None
@@ -339,7 +339,6 @@ def _cmd_subsidy(args):
         "y_star": bundle.y_star.tolist(),
         "price_table": price_table,
         "is_equilibrium": bool(record["is_equilibrium"]),
-        "grid": int(record["grid"]),
         "audit": bundle.audit,
     }
     if violation is None:
@@ -417,7 +416,6 @@ def _build_parser():
                              help="welfare-restoring subsidies with "
                                   "equilibrium verification")
     subsidy.add_argument("--instance", required=True)
-    subsidy.add_argument("--grid", type=int)
     subsidy.add_argument("--samples", type=int)
     subsidy.add_argument("--seed", type=int)
     subsidy.add_argument("--eta",

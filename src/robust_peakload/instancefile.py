@@ -29,7 +29,7 @@ _RISK_KEYS = {"var", "coherent"}
 _VAR_KEYS = {"alpha", "marginal_var"}
 _COHERENT_KEYS = {"scenarios", "Q"}
 _Q_KEYS = {"P", "r"}
-_OPTION_KEYS = {"sample_count", "grid", "seed"}
+_OPTION_KEYS = {"sample_count", "seed"}
 
 
 class SchemaError(ValueError):
@@ -245,15 +245,13 @@ def parse_instance_data(data: dict):
             except ValueError as exc:
                 raise SchemaError(f"risk.coherent: {exc}") from exc
 
-    options = {"sample_count": None, "grid": None, "seed": None}
+    options = {"sample_count": None, "seed": None}
     if "options" in data:
         opt = data["options"]
         _require_keys("options", opt, _OPTION_KEYS, [])
         if "sample_count" in opt:
             options["sample_count"] = _count("options.sample_count",
                                              opt["sample_count"])
-        if "grid" in opt:
-            options["grid"] = _count("options.grid", opt["grid"], minimum=2)
         if "seed" in opt:
             options["seed"] = _count("options.seed", opt["seed"])
 

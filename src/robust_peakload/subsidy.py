@@ -43,7 +43,6 @@ from robust_peakload.robust import (
 
 KKT_TOL = 1e-7
 PROFIT_TOL = 1e-6
-DEFAULT_GRID = 101
 DEFAULT_AUDIT_SAMPLES = 256
 DEFAULT_SEED = 2024
 
@@ -52,8 +51,9 @@ class NotEquilibrium(Exception):
     """A producer can improve on the subsidized plan.
 
     Carries the violating (producer, scenario, deviation) triple; scenario
-    indexes the bundle's vertex list and deviation is the capacity tried
-    (None for a structure or zero-profit violation at y*)."""
+    indexes the bundle's vertex list and deviation is the profitable
+    capacity 2 max(y*) (None for a structure or zero-profit violation at
+    y*)."""
 
     def __init__(self, producer, scenario, deviation, message):
         self.producer = producer
@@ -149,18 +149,15 @@ def _period_deficits(inst: MarketInstance, scenarios, out) -> np.ndarray:
                     cost_matrix(inst, scenarios) - out.pi[:, None, :], 0.0)
 
 
-def _require_grid(grid):
-    """The deviation check tries `grid` capacities from 0 to 2 max(y*)."""
-    if grid < 2:
-        raise ValueError(f"grid must be at least 2, got {grid}")
-
-
-def _verification(inst: MarketInstance, eta, y_star, results, grid):
-    """Best-response structure, zero worst-case profit, and grid deviation
-    checks; returns the record and the first violation triple (or None)."""
+def _verification(inst: MarketInstance, eta, y_star, results):
+    """Best-response structure, zero worst-case profit, and capacity
+    deviation checks; returns the record and the first violation triple (or
+    None).  eta needs one finite entry per producer; otherwise ValueError."""
     N, T = inst.N, inst.T
     c_inv = np.array([p.c_inv for p in inst.producers])
     eta = np.asarray(eta, dtype=float)
+    if eta.shape != (N,):
+        raise ValueError(f"eta must list {N} values, got shape {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError(f"eta must be finite, got {eta.tolist()}")
     y_star = np.asarray(y_star, dtype=float)
@@ -186,8 +183,8 @@ def _verification(inst: MarketInstance, eta, y_star, results, grid):
                      f"in scenario {k}")
 
     # (b) worst-case best-response profit at y* is zero for active producers.
-    unit_gain = np.maximum(margins, 0.0).sum(axis=2)
-    profits = (unit_gain - (c_inv - eta)[None, :]) * y_star[None, :]
+    unit_profit = np.maximum(margins, 0.0).sum(axis=2) - (c_inv - eta)[None, :]
+    profits = unit_profit * y_star[None, :]
     worst_profits = profits.min(axis=0) if V else np.zeros(N)
     active = y_star > SUPPORT_TOL
     zero_profit_ok = bool(np.all(np.abs(worst_profits[active]) <= PROFIT_TOL))
@@ -198,45 +195,42 @@ def _verification(inst: MarketInstance, eta, y_star, results, grid):
                      f"producer {i} worst-case profit {worst_profits[i]:.6g} "
                      f"is not zero (scenario {k})")
 
-    # (c) no capacity deviation on the grid beats the zero profit; the
-    # best-response profit is linear in own capacity at fixed prices.
-    unit_profit = unit_gain - (c_inv - eta)[None, :]
+    # (c) no capacity in [0, 2 max(y*)] beats the zero profit.  At fixed
+    # prices the worst-case best-response profit is linear in own capacity,
+    # so its maximum over the interval is at an end point.
     worst_unit = unit_profit.min(axis=0) if V else np.zeros(N)
     top = 2.0 * float(y_star.max(initial=0.0))
-    points = np.linspace(0.0, top, grid)
-    max_gain = np.zeros(N)
-    for i in range(N):
-        tried = np.append(points, y_star[i])
-        dev_profit = tried * worst_unit[i]
-        max_gain[i] = float(dev_profit.max(initial=0.0))
-        if violation is None and max_gain[i] > PROFIT_TOL:
-            j = int(np.argmax(dev_profit))
-            k = int(np.argmin(unit_profit[:, i]))
-            violation = (i, k, float(tried[j]),
-                         f"producer {i} gains {max_gain[i]:.6g} deviating to "
-                         f"capacity {tried[j]:.6g}")
+    max_gain = top * np.maximum(worst_unit, 0.0)
     deviation_ok = bool(np.all(max_gain <= PROFIT_TOL))
+    gainers = np.flatnonzero(max_gain > PROFIT_TOL)
+    if violation is None and gainers.size:
+        i = int(gainers[0])
+        k = int(np.argmin(unit_profit[:, i]))
+        violation = (i, k, top,
+                     f"producer {i} gains {max_gain[i]:.6g} deviating to "
+                     f"capacity {top:.6g}")
 
     record = {
         "worst_case_profits": worst_profits,
         "max_deviation_gain": max_gain,
         "is_equilibrium": bool(violation is None and zero_profit_ok
                                and deviation_ok),
-        "grid": int(grid),
     }
     return record, violation
 
 
-def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
+def compute_subsidies(inst: MarketInstance, *,
                       audit_samples: int = DEFAULT_AUDIT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> SubsidyBundle:
     """Solve the robust planner problem, price every lifted vertex scenario,
     and compute the subsidies that zero out worst-case profits.  When y* is
     zero everywhere there is nothing to subsidize and the trivial bundle
-    (eta = 0) is returned."""
+    (eta = 0) is returned.  The bundle's verification record checks, besides
+    zero worst-case profit at y*, that no own capacity in [0, 2 max(y*)]
+    earns more; the interior audit draws `audit_samples` mixtures of the
+    lifted vertices from `seed`."""
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("subsidies are defined for elastic demand")
-    _require_grid(grid)
     if audit_samples < 0:
         raise ValueError(f"audit_samples must be nonnegative, got {audit_samples}")
     solution, _, _ = solve_robust_cp_elastic(inst)
@@ -256,7 +250,7 @@ def compute_subsidies(inst: MarketInstance, grid: int = DEFAULT_GRID,
 
     audit = _interior_audit(inst, y_star, deficits.max(axis=0), audit_samples,
                             seed, scenarios)
-    verification, _ = _verification(inst, eta, y_star, results, grid)
+    verification, _ = _verification(inst, eta, y_star, results)
     return SubsidyBundle(eta=eta, scenario_results=results, y_star=y_star,
                          verification=verification, audit=audit)
 
@@ -299,13 +293,12 @@ def _interior_audit(inst, y_star, vertex_max, samples, seed, vertices):
     return audit
 
 
-def verify_subsidized_equilibrium(inst: MarketInstance, bundle: SubsidyBundle,
-                                  grid: int = DEFAULT_GRID) -> dict:
+def verify_subsidized_equilibrium(inst: MarketInstance,
+                                  bundle: SubsidyBundle) -> dict:
     """Re-run the three equilibrium checks for a bundle; raises
     NotEquilibrium with the violating (producer, scenario, deviation)."""
-    _require_grid(grid)
     record, violation = _verification(inst, bundle.eta, bundle.y_star,
-                                      bundle.scenario_results, grid)
+                                      bundle.scenario_results)
     if violation is not None:
         producer, scenario, deviation, message = violation
         raise NotEquilibrium(producer, scenario, deviation, message)

@@ -17,6 +17,7 @@ from robust_peakload.robust import lifted_vertices
 from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
 FEAS_TOL = 1e-7
+PROFIT_TOL = 1e-6
 
 
 def _hyperplanes(spec):
@@ -117,6 +118,30 @@ def maximin_coordinate_grid(P, r, resolution=401):
             if np.all(P @ u <= r + 1e-12):
                 best = max(best, min(u1, u2))
     return best
+
+
+def deviation_gain_grid(unit_profit, y_star, grid):
+    """Best own-capacity deviation of each producer by trying `grid` evenly
+    spaced capacities on [0, 2 max(y*)] plus y*_i itself, against the worst
+    of the V x N unit profits (scenario-price margin earned per unit of
+    capacity, net of c_inv - eta).  Returns (N gains, the first (producer,
+    scenario, capacity) whose gain exceeds PROFIT_TOL, or None)."""
+    unit_profit = np.asarray(unit_profit, dtype=float)
+    y_star = np.asarray(y_star, dtype=float)
+    V, N = unit_profit.shape
+    worst_unit = unit_profit.min(axis=0) if V else np.zeros(N)
+    top = 2.0 * float(y_star.max(initial=0.0))
+    points = np.linspace(0.0, top, grid)
+    max_gain = np.zeros(N)
+    first = None
+    for i in range(N):
+        tried = np.append(points, y_star[i])
+        dev_profit = tried * worst_unit[i]
+        max_gain[i] = float(dev_profit.max(initial=0.0))
+        if first is None and max_gain[i] > PROFIT_TOL:
+            first = (i, int(np.argmin(unit_profit[:, i])),
+                     float(tried[int(np.argmax(dev_profit))]))
+    return max_gain, first
 
 
 def merit_order_dispatch(costs, capacities, demand):

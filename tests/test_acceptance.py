@@ -358,9 +358,9 @@ def test_criterion_08_random_subsidized_equilibria(capsys):
         flagged = 0
         for trial in range(50):
             inst = random_subsidy_market(rng)
-            bundle = compute_subsidies(inst, grid=101, audit_samples=16,
+            bundle = compute_subsidies(inst, audit_samples=16,
                                        seed=800 + trial)
-            record = verify_subsidized_equilibrium(inst, bundle, grid=101)
+            record = verify_subsidized_equilibrium(inst, bundle)
             assert record["is_equilibrium"], f"trial {trial}"
             assert np.max(np.abs(record["worst_case_profits"])) <= PROFIT_TOL, \
                 f"trial {trial}"

@@ -98,7 +98,7 @@ class TestInstanceFile:
         assert inst.N == 2 and inst.T == 1
         assert isinstance(inst.demand, Fixed)
         assert risk is None
-        assert options["grid"] is None
+        assert set(options) == {"sample_count", "seed"}
 
     def test_parses_elastic_instance(self):
         data = minimal_data(
@@ -152,7 +152,7 @@ class TestInstanceFile:
         (lambda d: d.update(risk={"var": {"alpha": 2.0,
                                           "marginal_var": [1.0, 1.0]}}),
          "risk.var"),
-        (lambda d: d.update(options={"grid": 1}), "options.grid"),
+        (lambda d: d.update(options={"grid": 101}), "unknown key 'grid'"),
         (lambda d: d.update(options={"speed": 1}), "unknown key 'speed'"),
         (lambda d: d.update(options={"tolerances": {"value": 1e-7}}),
          "unknown key 'tolerances'"),
@@ -486,17 +486,12 @@ class TestSubsidyCommand:
         assert report["results"]["audit"]["seed"] == 7
 
     def test_bad_seed_env_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "soon")
-        code, _, err = run_cli(capsys, "subsidy", "--instance",
-                               str(INSTANCES / "subsidy_example.json"))
-        assert code == 1 and cli.SEED_ENV in err
-
-    def test_grid_flag_echoed(self, capsys):
-        _, report = run_json(capsys, "subsidy", "--instance",
-                             str(INSTANCES / "subsidy_example.json"),
-                             "--grid", "11")
-        assert report["results"]["grid"] == 11
-        assert report["flags"]["grid"] == 11
+        for value in ("soon", "-1"):
+            monkeypatch.setenv(cli.SEED_ENV, value)
+            code, _, err = run_cli(capsys, "subsidy", "--instance",
+                                   str(INSTANCES / "subsidy_example.json"),
+                                   "--seed", "5")
+            assert code == 1 and cli.SEED_ENV in err, value
 
     def test_fixed_demand_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "subsidy", "--instance",
@@ -508,6 +503,7 @@ class TestSubsidyCommand:
         ("--grid", "0", "grid"),
         ("--grid", "1", "grid"),
         ("--grid", "-5", "grid"),
+        ("--grid", "11", "--grid"),
     ])
     def test_bad_grid_or_samples_is_input_error(self, capsys, flag, value,
                                                 fragment):
@@ -515,6 +511,22 @@ class TestSubsidyCommand:
                                  str(INSTANCES / "subsidy_example.json"),
                                  flag, value)
         assert code == 1 and fragment in err and not out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"),
+        ("--eta", "0,0,0"),
+        ("--eta", "0,x"),
+    ])
+    def test_bad_flag_rejected_before_solving(self, capsys, monkeypatch, flag,
+                                              value):
+        def solved(inst):
+            raise AssertionError("the planner was solved")
+
+        monkeypatch.setattr(subsidy, "solve_robust_cp_elastic", solved)
+        code, out, err = run_cli(capsys, "subsidy", "--instance",
+                                 str(INSTANCES / "subsidy_example.json"),
+                                 flag, value)
+        assert code == 1 and flag in err and not out
 
 
     def test_price_table_scenarios_flatten_like_mean_u(self, capsys, tmp_path):

@@ -5,13 +5,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from oracles import deviation_gain_grid
 from robust_peakload.geometry import box, hull_to_inequalities, simplex
-from robust_peakload.market import AffineElastic, Fixed, MarketInstance, Producer
+from robust_peakload.market import (AffineElastic, Fixed, MarketInstance,
+                                    Producer, cost_matrix)
 from robust_peakload.robust import lifted_vertices, solve_robust_cp_elastic
 from robust_peakload.subsidy import (
     NotEquilibrium,
+    _verification,
     build_price_functions,
     compute_subsidies,
     kkt_residuals,
@@ -233,22 +236,59 @@ class TestComputeSubsidies:
             compute_subsidies(fixed)
 
 
-class TestGridAndSamples:
-    @pytest.mark.parametrize("grid", [1, 0, -5])
-    def test_compute_rejects_short_grid(self, grid):
-        with pytest.raises(ValueError, match="grid"):
-            compute_subsidies(hull_example(), grid=grid)
+def unit_profits(inst, eta, results):
+    """Margin earned per unit of own capacity at each vertex's prices, net of
+    c_inv - eta (V x N)."""
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    margins = np.array([res.pi[None, :] - cost_matrix(inst, res.u)
+                        for res in results])
+    return np.maximum(margins, 0.0).sum(axis=2) - (c_inv - eta)
 
+
+class TestGridAndSamples:
     def test_compute_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="audit_samples"):
             compute_subsidies(hull_example(), audit_samples=-3)
 
-    @pytest.mark.parametrize("grid", [1, 0, -5])
-    def test_verify_rejects_short_grid(self, grid):
-        inst = hull_example()
-        bundle = compute_subsidies(inst, audit_samples=0)
-        with pytest.raises(ValueError, match="grid"):
-            verify_subsidized_equilibrium(inst, bundle, grid=grid)
+    def test_exact_deviation_check_matches_grid_oracle(self):
+        # Bundles with eta computed, perturbed, and raised on producers the
+        # planner leaves idle (some instances get a producer too expensive to
+        # build), so that deviation violations occur.  The exact check must
+        # agree bit for bit with trying capacities on a grid, signed zeros
+        # aside.
+        rng = np.random.default_rng(905)
+        deviations = 0
+        for trial in range(60):
+            inst = random_elastic_instance(rng)
+            if rng.integers(0, 2):
+                inst.producers[-1] = dataclasses.replace(inst.producers[-1],
+                                                         c_inv=10.0)
+            bundle = compute_subsidies(inst, audit_samples=0)
+            c_inv = np.array([p.c_inv for p in inst.producers])
+            idle = bundle.y_star == 0.0
+            raised = np.where(idle, c_inv + rng.uniform(-0.5, 0.5, inst.N),
+                              bundle.eta)
+            perturbed = bundle.eta + rng.normal(0.0, 0.05, inst.N)
+            for eta in (bundle.eta, raised, perturbed):
+                record, _ = _verification(inst, eta, bundle.y_star,
+                                          bundle.scenario_results)
+                try:
+                    verify_subsidized_equilibrium(
+                        inst, dataclasses.replace(bundle, eta=eta))
+                    triple = None
+                except NotEquilibrium as exc:
+                    triple = (exc.producer, exc.scenario, exc.deviation)
+                assert record["is_equilibrium"] == (triple is None)
+                if triple is not None and triple[2] is not None:
+                    deviations += 1
+                profit = unit_profits(inst, eta, bundle.scenario_results)
+                for grid in (2, 11, 101):
+                    gain, first = deviation_gain_grid(profit, bundle.y_star, grid)
+                    assert_array_equal(record["max_deviation_gain"] + 0.0,
+                                       gain + 0.0, err_msg=f"trial {trial}")
+                    if triple is None or triple[2] is not None:
+                        assert triple == first, f"trial {trial}, grid {grid}"
+        assert deviations >= 10
 
 
 class TestVerification:
@@ -287,12 +327,12 @@ class TestVerification:
         with pytest.raises(ValueError, match="eta"):
             verify_subsidized_equilibrium(inst, dataclasses.replace(bundle, eta=eta))
 
-    def test_grid_recorded(self):
+    @pytest.mark.parametrize("eta", [[0.2], [0.2, 0.2, 0.2], [[0.2, 0.2]]])
+    def test_misshapen_eta_rejected(self, eta):
         inst = hull_example()
-        bundle = compute_subsidies(inst, audit_samples=0, grid=11)
-        assert bundle.verification["grid"] == 11
-        record = verify_subsidized_equilibrium(inst, bundle, grid=51)
-        assert record["grid"] == 51
+        bundle = compute_subsidies(inst, audit_samples=0)
+        with pytest.raises(ValueError, match="eta must list 2 values"):
+            verify_subsidized_equilibrium(inst, dataclasses.replace(bundle, eta=eta))
 
     def test_audit_disabled(self):
         bundle = compute_subsidies(hull_example(), audit_samples=0)
