@@ -11,7 +11,7 @@ import numpy as np
 
 from robust_peakload import (Fixed, MarketInstance, Producer, simplex,
                              solve_robust_cp_fixed, solve_robust_market_fixed,
-                             total_cost, worst_case_scenario)
+                             total_cost)
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -24,11 +24,11 @@ inst = MarketInstance(
 )
 
 print("== strict robust market ==")
-market, E = solve_robust_market_fixed(inst)
+market, E, worst = solve_robust_market_fixed(inst)
 print(f"capacities: {market.capacities}, production: {market.production.ravel()}")
 print(f"clearing prices: {market.prices}")
 print(f"worst-case total cost E_R = {E:.4f}")
-surcharge, worst = worst_case_scenario(inst, market.production)
+surcharge = E - total_cost(inst, market.production, market.capacities)
 print(f"adversary answers with u = {worst.ravel()} "
       f"(surcharge {surcharge:.4f})\n")
 

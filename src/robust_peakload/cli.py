@@ -40,8 +40,7 @@ from robust_peakload.robust import (Infeasible, Unbounded,
                                     solve_robust_cp_elastic,
                                     solve_robust_cp_fixed,
                                     solve_robust_market_elastic,
-                                    solve_robust_market_fixed,
-                                    worst_case_scenario)
+                                    solve_robust_market_fixed)
 from robust_peakload.subsidy import (DEFAULT_AUDIT_SAMPLES, DEFAULT_SEED,
                                      NotEquilibrium, build_price_functions,
                                      compute_subsidies, kkt_residuals,
@@ -131,28 +130,6 @@ def _report(command, flags, digest, results, certificates):
     }
 
 
-def _solution_fields(solution):
-    return {
-        "prices": solution.prices.tolist(),
-        "capacities": solution.capacities.tolist(),
-        "production": solution.production.tolist(),
-        "objective": float(solution.objective),
-    }
-
-
-def _poa_fields(report):
-    return {
-        "E": report.E,
-        "C": report.C,
-        "ratio": report.ratio,
-        "tau": report.tau,
-        "bound": report.bound,
-        "rho": report.rho,
-        "within_bound": report.within_bound,
-        "demand_mode": report.demand_mode,
-    }
-
-
 def _closed_form_gap(report, closed):
     gaps = []
     for key, expected in closed.items():
@@ -189,7 +166,7 @@ def _emit(report, fmt):
 
 
 def _cmd_solve(args):
-    inst, _, digest, _, _ = load_instance(args.instance)
+    inst, digest, _, _ = load_instance(args.instance)
     fixed = isinstance(inst.demand, Fixed)
     flags = {"instance": args.instance, "mode": args.mode,
              "mean_u": args.mean_u, "format": args.format}
@@ -200,37 +177,28 @@ def _cmd_solve(args):
     if args.mode == "nominal":
         solution = (solve_nominal_fixed(inst) if fixed
                     else solve_nominal_elastic(inst))
-        results.update(_solution_fields(solution))
+        results.update(dataclasses.asdict(solution))
     elif args.mode == "expected":
         mean = _parse_mean(args.mean_u, inst.N, inst.T)
-        solution = solve_expected(inst, mean)
-        results.update(_solution_fields(solution))
+        results.update(dataclasses.asdict(solve_expected(inst, mean)))
         results["mean_scenario"] = mean.tolist()
-    elif args.mode == "robust":
-        if fixed:
-            solution, value = solve_robust_market_fixed(inst)
-        else:
-            solution, value = solve_robust_market_elastic(inst)
-        results.update(_solution_fields(solution))
-        results["worst_case_value"] = float(value)
-        _, worst = worst_case_scenario(inst, solution.production)
-        evaluate = total_cost if fixed else welfare
-        at_worst = evaluate(inst, solution.production, solution.capacities,
-                            worst)
-        certificates["worst_scenario"] = worst.tolist()
-        certificates["worst_case_gap"] = abs(float(at_worst) - float(value))
     else:
-        if fixed:
-            solution, value, worst = solve_robust_cp_fixed(inst)
-        else:
-            solution, value, worst = solve_robust_cp_elastic(inst)
-        results.update(_solution_fields(solution))
+        # Each robust solve returns (solution, value, worst scenario): the
+        # market's worst case is the adversary's answer to the market plan,
+        # the planner's is read off its dualized adversary rows.
+        solve = {("robust", True): solve_robust_market_fixed,
+                 ("robust", False): solve_robust_market_elastic,
+                 ("robust-cp", True): solve_robust_cp_fixed,
+                 ("robust-cp", False): solve_robust_cp_elastic}[args.mode, fixed]
+        solution, value, worst = solve(inst)
+        results.update(dataclasses.asdict(solution))
         results["worst_case_value"] = float(value)
         evaluate = total_cost if fixed else welfare
         at_worst = evaluate(inst, solution.production, solution.capacities,
                             worst)
+        gap = "worst_case_gap" if args.mode == "robust" else "saddle_gap"
         certificates["worst_scenario"] = worst.tolist()
-        certificates["saddle_gap"] = abs(float(at_worst) - float(value))
+        certificates[gap] = abs(float(at_worst) - float(value))
 
     return _report("solve", flags, digest, results, certificates), EXIT_OK
 
@@ -274,14 +242,14 @@ def _cmd_poa(args):
     certificates = {}
 
     if args.instance is not None:
-        inst, _, digest, _, risk_spec = load_instance(args.instance)
+        inst, digest, _, risk_spec = load_instance(args.instance)
         if risk_spec is not None:
             report = poa_with_risk_set(inst, risk_spec)
         elif isinstance(inst.demand, Fixed):
             report = poa_fixed(inst)
         else:
             report = poa_elastic(inst)
-        results = _poa_fields(report)
+        results = dataclasses.asdict(report)
         results["risk_set_applied"] = risk_spec is not None
     else:
         inst, closed = _generate_instance(args)
@@ -290,7 +258,7 @@ def _cmd_poa(args):
             write_instance(args.emit_instance, instance_to_data(inst))
         report = (poa_fixed(inst) if isinstance(inst.demand, Fixed)
                   else poa_elastic(inst))
-        results = _poa_fields(report)
+        results = dataclasses.asdict(report)
         results["risk_set_applied"] = False
         if closed is not None:
             certificates["closed_form"] = closed
@@ -301,7 +269,7 @@ def _cmd_poa(args):
 
 
 def _cmd_subsidy(args):
-    inst, _, digest, options, _ = load_instance(args.instance)
+    inst, digest, options, _ = load_instance(args.instance)
     samples = _first(args.samples, options["sample_count"],
                      DEFAULT_AUDIT_SAMPLES)
     seed = _resolve_seed(args.seed, options["seed"])
@@ -360,8 +328,8 @@ def _cmd_subsidy(args):
     return _report("subsidy", flags, digest, results, certificates), code
 
 
-def _cmd_set_report(args, command):
-    inst, _, digest, _, _ = load_instance(args.instance)
+def _cmd_set_report(args):
+    inst, digest, _, _ = load_instance(args.instance)
     U = inst.uncertainty
     value, witness = tau(U)
     rep = inst.uncertainty_report
@@ -379,7 +347,11 @@ def _cmd_set_report(args, command):
         "witness_in_set": bool(U.contains(witness, tol=WITNESS_TOL)),
         "witness_min_gap": abs(float(np.min(witness)) - float(value)),
     }
-    return _report(command, flags, digest, results, certificates), EXIT_OK
+    return _report(args.command, flags, digest, results, certificates), EXIT_OK
+
+
+_COMMANDS = {"solve": _cmd_solve, "poa": _cmd_poa, "subsidy": _cmd_subsidy,
+             "tau": _cmd_set_report, "validate-set": _cmd_set_report}
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +412,7 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        if args.command == "solve":
-            report, code = _cmd_solve(args)
-        elif args.command == "poa":
-            report, code = _cmd_poa(args)
-        elif args.command == "subsidy":
-            report, code = _cmd_subsidy(args)
-        else:
-            report, code = _cmd_set_report(args, args.command)
+        report, code = _COMMANDS[args.command](args)
     except (ValueError, BadMean, ZeroCost, EmptySet, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -261,7 +261,7 @@ def parse_instance_data(data: dict):
 def load_instance(path: str):
     """Read and validate an instance file.
 
-    Returns (MarketInstance, raw data dict, digest, options, risk spec)."""
+    Returns (MarketInstance, digest, options, risk spec)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -276,7 +276,7 @@ def load_instance(path: str):
     if not isinstance(data, dict):
         raise SchemaError("instance file must hold a JSON object")
     instance, options, risk_spec = parse_instance_data(data)
-    return instance, data, instance_digest(data), options, risk_spec
+    return instance, instance_digest(data), options, risk_spec
 
 
 # ---------------------------------------------------------------------------

@@ -327,45 +327,41 @@ def _pinned_inputs(inst: MarketInstance, y_star, u):
     return np.maximum(y_star, 0.0), u[None]
 
 
-def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray):
-    """Cost-minimal plan meeting fixed demand exactly; returns the solution
-    and the raw solver outcome (rows: N*T capacity rows, then T clearing rows)."""
+def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray) -> EquilibriumSolution:
+    """Cost-minimal plan meeting fixed demand exactly at the given N x T
+    production costs; prices are the duals of the T clearing rows."""
     N, T = inst.N, inst.T
     out = _solve(inst, *_fixed_program(inst, costs), "fixed-demand planner program")
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T:]
     prices = out.duals[N * T:].copy()
-    solution = EquilibriumSolution(prices, y, x, float(out.objective))
-    return solution, out
+    return EquilibriumSolution(prices, y, x, float(out.objective))
 
 
 def solve_nominal_fixed(inst: MarketInstance) -> EquilibriumSolution:
     """Planner optimum at nominal costs; prices are the clearing duals."""
     if not isinstance(inst.demand, Fixed):
         raise ValueError("solve_nominal_fixed requires fixed demand")
-    solution, _ = solve_fixed_dispatch(inst, cost_matrix(inst))
-    return solution
+    return solve_fixed_dispatch(inst, cost_matrix(inst))
 
 
-def solve_elastic_welfare(inst: MarketInstance, costs: np.ndarray):
-    """Welfare-maximal plan under the affine demand curves; returns the
-    solution and the raw solver outcome (rows: N*T capacity rows)."""
+def solve_elastic_welfare(inst: MarketInstance, costs: np.ndarray) -> EquilibriumSolution:
+    """Welfare-maximal plan under the affine demand curves at the given
+    N x T production costs; prices are read off the demand curves."""
     demand = inst.demand
     N, T = inst.N, inst.T
     out = _solve(inst, *_welfare_program(inst, costs), "elastic welfare program")
     x = out.primal[: N * T].reshape(N, T)
     y = out.primal[N * T:]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
-    solution = EquilibriumSolution(prices, y, x, float(out.objective))
-    return solution, out
+    return EquilibriumSolution(prices, y, x, float(out.objective))
 
 
 def solve_nominal_elastic(inst: MarketInstance) -> EquilibriumSolution:
     """Welfare optimum at nominal costs; prices read off the demand curve."""
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("solve_nominal_elastic requires elastic demand")
-    solution, _ = solve_elastic_welfare(inst, cost_matrix(inst))
-    return solution
+    return solve_elastic_welfare(inst, cost_matrix(inst))
 
 
 def solve_expected(inst: MarketInstance, mean_u) -> EquilibriumSolution:
@@ -377,5 +373,4 @@ def solve_expected(inst: MarketInstance, mean_u) -> EquilibriumSolution:
     if not np.all((mean_u >= -1e-12) & (mean_u <= 1.0 + 1e-12)):
         raise BadMean("mean scenario must lie in the unit box")
     solve = solve_fixed_dispatch if isinstance(inst.demand, Fixed) else solve_elastic_welfare
-    solution, _ = solve(inst, cost_matrix(inst, mean_u))
-    return solution
+    return solve(inst, cost_matrix(inst, mean_u))

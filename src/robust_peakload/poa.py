@@ -87,7 +87,7 @@ def poa_fixed(inst: MarketInstance) -> PoAReport:
     against 1/tau or the restricted bound when one applies."""
     if not isinstance(inst.demand, Fixed):
         raise ValueError("poa_fixed requires fixed demand")
-    _, E = solve_robust_market_fixed(inst)
+    _, E, _ = solve_robust_market_fixed(inst)
     _, C, _ = solve_robust_cp_fixed(inst)
     t, _ = tau(inst.uncertainty)
     if C <= ZERO_TOL:
@@ -107,7 +107,7 @@ def poa_elastic(inst: MarketInstance) -> PoAReport:
     carries no a-priori bound."""
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("poa_elastic requires elastic demand")
-    _, E = solve_robust_market_elastic(inst)
+    _, E, _ = solve_robust_market_elastic(inst)
     _, C, _ = solve_robust_cp_elastic(inst)
     t, _ = tau(inst.uncertainty)
     if E > ZERO_TOL:

@@ -8,7 +8,9 @@ The generic analyzer handles programs of the form
 
 by dualizing the inner adversary into auxiliary variables z >= 0 with rows
 P' z >= diag(lam) x, where U = {u >= 0 : P u <= r}.  The multipliers of those
-dualized rows recover the worst-case scenario.
+dualized rows are the worst-case scenario: each robust program reads it off
+them (_readout) and raises SaddleViolated when the readout fails its check,
+never re-solving the adversary.
 
 Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
@@ -195,11 +197,10 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
     x_star = out.primal[:nx]
     y_star = out.primal[nx : nx + ny]
 
-    # Multipliers of the dualized adversary rows recover the worst-case u.
+    # Multipliers of the dualized adversary rows are the worst-case u.
     base_cost = float(p.c @ x_star + p.d @ y_star)
     worst_u = _readout(p.U, out.duals[m_rows:].copy(),
-                       lambda u: base_cost + float((p.lam * u) @ x_star), val_R,
-                       lambda: _worst_case_gain(p.U, p.lam * x_star)[1])
+                       lambda u: base_cost + float((p.lam * u) @ x_star), val_R)
 
     box_out = _checked(solve_lp(LpSpec("min", np.concatenate([p.c + p.lam, p.d]),
                                        AB, p.b, [">="] * m_rows)),
@@ -270,14 +271,28 @@ def _constant_scenarios(inst: MarketInstance):
     return np.repeat(vertices[:, :, None], inst.T, axis=2)
 
 
-def _readout(U: Polytope, u, value_at, target, fallback):
-    """Worst-case scenario of a robust solve, read off the multipliers u of
-    its dualized adversary rows (over U's coordinates, in any shape that
-    flattens to them).  When the basis blurs them (u leaves U, or
-    value_at(u) misses the program value target), returns fallback()
-    instead."""
-    if not U.contains(u.reshape(-1), tol=1e-7) or abs(value_at(u) - target) > SADDLE_TOL:
-        return fallback()
+def _readout(U: Polytope, u, value_at, target):
+    """Worst-case scenario of a robust solve: the multipliers u of its
+    dualized adversary rows (over U's coordinates, in any shape that
+    flattens to them), checked and returned.
+
+    The multipliers come from the dual solution that also gives the
+    program's prices.  By duality they lie in U (their z-stationarity rows
+    are P u <= r) and, by complementary slackness with every optimal plan,
+    value_at(u), the plan's value at u, equals the program value target:
+    they are a worst case for every optimal plan.  A u that leaves U (tol
+    1e-7) or misses target by more than SADDLE_TOL therefore means the
+    solver's duals are wrong, and SaddleViolated is raised with the gap; no
+    other scenario is substituted."""
+    flat = u.reshape(-1)
+    if not U.contains(flat, tol=1e-7):
+        excess = max(float(np.max(U.P @ flat - U.r, initial=0.0)), float(-np.min(flat)))
+        raise SaddleViolated(
+            f"dual worst-case scenario leaves the uncertainty set by {excess:.3e}")
+    gap = abs(value_at(u) - target)
+    if gap > SADDLE_TOL:
+        raise SaddleViolated(
+            f"dual worst-case scenario misses the program value by {gap:.3e}")
     return u
 
 
@@ -302,29 +317,34 @@ def _strict_scenario(inst: MarketInstance) -> np.ndarray:
 
 
 def solve_robust_market_fixed(inst: MarketInstance):
-    """Strict robust market equilibrium and its worst-case total cost E_R.
+    """Strict robust market equilibrium, its worst-case total cost E_R, and
+    the adversary's answer to the market plan.
 
     Producers hedge against their individual worst case, which shifts every
     production cost to c_var + a times the coordinate's maximum over the set
     (1 for a valid uncertainty set); prices are the clearing duals of that
     shifted program.  E_R evaluates the resulting plan against the actual
-    worst scenario in the lifted set.
+    worst scenario in the lifted set.  Returns (solution, E_R, worst), worst
+    being that N x T scenario from worst_case_scenario: the planners'
+    (solution, value, worst_u) shape.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("fixed-demand robust market requires Fixed demand")
     shifted = cost_matrix(inst, _strict_scenario(inst))
-    solution, _ = solve_fixed_dispatch(inst, shifted)
-    surcharge, _ = worst_case_scenario(inst, solution.production)
+    solution = solve_fixed_dispatch(inst, shifted)
+    surcharge, worst = worst_case_scenario(inst, solution.production)
     E = total_cost(inst, solution.production, solution.capacities) + surcharge
-    return solution, float(E)
+    return solution, float(E), worst
 
 
 def solve_robust_cp_fixed(inst: MarketInstance):
     """Robust central planner under fixed demand via adversary dualization.
 
     Returns (solution, C_R, worst_u).  The solution's prices are the duals of
-    the market-clearing rows of the dualized program; the saddle property
-    total_cost(x*, y*, worst_u) = C_R holds within tolerance.
+    the market-clearing rows of the dualized program, and worst_u is read
+    off the duals of its adversary rows (_readout), so the saddle property
+    total_cost(x*, y*, worst_u) = C_R holds within SADDLE_TOL or
+    SaddleViolated is raised.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("fixed-demand robust planner requires Fixed demand")
@@ -339,8 +359,7 @@ def solve_robust_cp_fixed(inst: MarketInstance):
     prices = out.duals[N * T : N * T + T].copy()
     C = float(out.objective)
     worst_u = _readout(lifted, out.duals[N * T + T:].reshape(N, T),
-                       lambda u: total_cost(inst, x, y, u), C,
-                       lambda: worst_case_scenario(inst, x)[1])
+                       lambda u: total_cost(inst, x, y, u), C)
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -350,28 +369,33 @@ def solve_robust_cp_fixed(inst: MarketInstance):
 
 
 def solve_robust_market_elastic(inst: MarketInstance):
-    """Strict robust market under elastic demand and its worst-case welfare.
+    """Strict robust market under elastic demand, its worst-case welfare,
+    and the adversary's answer to the market plan.
 
     The equilibrium coincides with the welfare program at worst-case costs
     c_var + a times the coordinate's maximum over the set (1 for a valid
     uncertainty set); E'_R evaluates that plan's welfare under the
-    adversarial scenario for the plan.
+    adversarial scenario for the plan.  Returns (solution, E'_R, worst),
+    worst being that N x T scenario from worst_case_scenario.
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust market requires AffineElastic demand")
     shifted = cost_matrix(inst, _strict_scenario(inst))
-    solution, _ = solve_elastic_welfare(inst, shifted)
-    surcharge, worst = worst_case_scenario(inst, solution.production)
+    solution = solve_elastic_welfare(inst, shifted)
+    _, worst = worst_case_scenario(inst, solution.production)
     E = welfare(inst, solution.production, solution.capacities, worst)
-    return solution, float(E)
+    return solution, float(E), worst
 
 
 def solve_robust_cp_elastic(inst: MarketInstance):
     """Robust welfare maximization as one concave QP with the adversary
     dualized into z variables.
 
-    Returns (solution, C'_R, worst_u); welfare(x*, y*, worst_u) = C'_R within
-    tolerance, with prices read off the demand curve at total production.
+    Returns (solution, C'_R, worst_u).  C'_R is the QP's optimal value and
+    worst_u is read off the duals of its adversary rows (_readout), so
+    welfare(x*, y*, worst_u) = C'_R holds within SADDLE_TOL or
+    SaddleViolated is raised.  Prices are read off the demand curve at total
+    production.
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust planner requires AffineElastic demand")
@@ -389,13 +413,10 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     x = primal[: N * T].reshape(N, T)
     y = primal[N * T : N * T + N]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
-    # The value is the worst-case welfare of the returned plan, free of the
-    # tie-break term in the QP objective.
-    _, worst_exact = worst_case_scenario(inst, x)
-    C = float(welfare(inst, x, y, worst_exact))
+    C = float(out.objective)
     # Max-sense >= rows carry nonpositive multipliers; negate to read u.
     worst_u = _readout(lifted, -out.duals[N * T:].reshape(N, T),
-                       lambda u: welfare(inst, x, y, u), C, lambda: worst_exact)
+                       lambda u: welfare(inst, x, y, u), C)
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -634,13 +655,12 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
 def market_robust_report(inst: MarketInstance) -> MarketRobustReport:
     """Strict robust market and robust planner side by side with their ratio."""
     if isinstance(inst.demand, Fixed):
-        market_solution, E = solve_robust_market_fixed(inst)
+        market_solution, E, worst_u_market = solve_robust_market_fixed(inst)
         cp_solution, C, worst_u_cp = solve_robust_cp_fixed(inst)
         poa = E / C if C > 0 else np.inf
     else:
-        market_solution, E = solve_robust_market_elastic(inst)
+        market_solution, E, worst_u_market = solve_robust_market_elastic(inst)
         cp_solution, C, worst_u_cp = solve_robust_cp_elastic(inst)
         poa = C / E if E > 0 else np.inf
-    _, worst_u_market = worst_case_scenario(inst, market_solution.production)
     return MarketRobustReport(market_solution, E, C, cp_solution,
                               worst_u_market, worst_u_cp, float(poa))

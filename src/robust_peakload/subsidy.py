@@ -149,10 +149,35 @@ def _period_deficits(inst: MarketInstance, scenarios, out) -> np.ndarray:
                     cost_matrix(inst, scenarios) - out.pi[:, None, :], 0.0)
 
 
+def _result_stacks(results, N, T):
+    """The u, x and pi of a list of pinned results, stacked as V x N x T,
+    V x N x T and V x T arrays.  Raises ValueError naming
+    scenario_results[k] and the field when the list is empty or an entry is
+    misshapen or not finite."""
+    if len(results) == 0:
+        raise ValueError("scenario_results must hold at least one result")
+    stacks = []
+    for name, shape in (("u", (N, T)), ("x", (N, T)), ("pi", (T,))):
+        values = [np.asarray(getattr(res, name), dtype=float) for res in results]
+        for k, value in enumerate(values):
+            if value.shape != shape:
+                raise ValueError(f"scenario_results[{k}].{name} must have shape "
+                                 f"{shape}, got {value.shape}")
+        stack = np.array(values)
+        finite = np.isfinite(stack).reshape(len(values), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"scenario_results[{int(np.argmin(finite))}].{name} "
+                             "must be finite")
+        stacks.append(stack)
+    return stacks
+
+
 def _verification(inst: MarketInstance, eta, y_star, results):
     """Best-response structure, zero worst-case profit, and capacity
     deviation checks; returns the record and the first violation triple (or
-    None).  eta needs one finite entry per producer; otherwise ValueError."""
+    None).  eta needs one finite entry per producer, and results at least
+    one entry whose u and x are finite N x T matrices and whose pi lists T
+    finite prices; otherwise ValueError naming the argument."""
     N, T = inst.N, inst.T
     c_inv = np.array([p.c_inv for p in inst.producers])
     eta = np.asarray(eta, dtype=float)
@@ -160,14 +185,10 @@ def _verification(inst: MarketInstance, eta, y_star, results):
         raise ValueError(f"eta must list {N} values, got shape {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError(f"eta must be finite, got {eta.tolist()}")
+    u, x, pi = _result_stacks(results, N, T)
     y_star = np.asarray(y_star, dtype=float)
-    V = len(results)
     violation = None
-
-    u = np.array([res.u for res in results]).reshape(V, N, T)
-    x = np.array([res.x for res in results]).reshape(V, N, T)
-    pi = np.array([res.pi for res in results]).reshape(V, 1, T)
-    margins = pi - cost_matrix(inst, u)
+    margins = pi[:, None, :] - cost_matrix(inst, u)
 
     # (a) recorded production is a best response to the scenario prices:
     # produce at capacity on strictly profitable periods, nothing on
@@ -185,7 +206,7 @@ def _verification(inst: MarketInstance, eta, y_star, results):
     # (b) worst-case best-response profit at y* is zero for active producers.
     unit_profit = np.maximum(margins, 0.0).sum(axis=2) - (c_inv - eta)[None, :]
     profits = unit_profit * y_star[None, :]
-    worst_profits = profits.min(axis=0) if V else np.zeros(N)
+    worst_profits = profits.min(axis=0)
     active = y_star > SUPPORT_TOL
     zero_profit_ok = bool(np.all(np.abs(worst_profits[active]) <= PROFIT_TOL))
     if violation is None and not zero_profit_ok:
@@ -198,7 +219,7 @@ def _verification(inst: MarketInstance, eta, y_star, results):
     # (c) no capacity in [0, 2 max(y*)] beats the zero profit.  At fixed
     # prices the worst-case best-response profit is linear in own capacity,
     # so its maximum over the interval is at an end point.
-    worst_unit = unit_profit.min(axis=0) if V else np.zeros(N)
+    worst_unit = unit_profit.min(axis=0)
     top = 2.0 * float(y_star.max(initial=0.0))
     max_gain = top * np.maximum(worst_unit, 0.0)
     deviation_ok = bool(np.all(max_gain <= PROFIT_TOL))

@@ -100,7 +100,7 @@ class gate:
 
 
 def load_market(name):
-    inst, _, _, _, _ = load_instance(INSTANCES / name)
+    inst, _, _, _ = load_instance(INSTANCES / name)
     return inst
 
 
@@ -206,7 +206,7 @@ def random_subsidy_market(rng):
 def test_criterion_01_reform_clearing_prices(capsys):
     with gate(capsys, 1, "two-period reform instance clears at prices (2, 3)"):
         inst = load_market("prices_reform.json")
-        solution, _ = solve_robust_market_fixed(inst)
+        solution, _, _ = solve_robust_market_fixed(inst)
         assert_allclose(solution.prices, [2.0, 3.0], atol=PRICE_TOL)
 
 
@@ -440,8 +440,8 @@ def test_criterion_10_risk_set_constructions(capsys):
                            Producer(c_inv=0.7, c_var=0.3, a=1.0)],
                 demand=Fixed(np.array([1.5])), T=1,
                 uncertainty=hull_to_inequalities(scen))
-        _, E_scaled = solve_robust_market_fixed(scaled)
-        _, E_raw = solve_robust_market_fixed(raw)
+        _, E_scaled, _ = solve_robust_market_fixed(scaled)
+        _, E_raw, _ = solve_robust_market_fixed(raw)
         _, C_scaled, _ = solve_robust_cp_fixed(scaled)
         _, C_raw, _ = solve_robust_cp_fixed(raw)
         assert_allclose(E_scaled, E_raw, atol=CHAIN_TOL)

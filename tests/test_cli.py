@@ -121,8 +121,8 @@ class TestInstanceFile:
         spaced = tmp_path / "spaced.json"
         compact.write_text(json.dumps(data, separators=(",", ":")))
         spaced.write_text(json.dumps(data, indent=4))
-        _, _, digest_a, _, _ = load_instance(str(compact))
-        _, _, digest_b, _, _ = load_instance(str(spaced))
+        _, digest_a, _, _ = load_instance(str(compact))
+        _, digest_b, _, _ = load_instance(str(spaced))
         assert digest_a == digest_b
         assert digest_a.startswith("sha256:")
 
@@ -187,7 +187,7 @@ class TestInstanceFile:
         inst, _, _ = parse_instance_data(minimal_data())
         path = tmp_path / "emitted.json"
         write_instance(str(path), instance_to_data(inst))
-        reloaded, _, _, _, _ = load_instance(str(path))
+        reloaded, _, _, _ = load_instance(str(path))
         assert reloaded.N == inst.N and reloaded.T == inst.T
         t_a, _ = tau(inst.uncertainty)
         t_b, _ = tau(reloaded.uncertainty)
@@ -310,6 +310,29 @@ class TestSolveCommand:
             assert report["certificates"]["worst_case_gap"] <= CERT_TOL, \
                 f"trial {trial}"
 
+    @pytest.mark.parametrize("instance", ["prices_reform.json",
+                                          "subsidy_example.json"])
+    def test_robust_mode_solves_the_worst_case_once(self, capsys, monkeypatch,
+                                                    instance):
+        # The strict market returns the worst case it already solved; the
+        # CLI reports it and solves no second adversary LP.  A binding of
+        # worst_case_scenario in the CLI would be counted too.
+        calls = []
+        original = robust.worst_case_scenario
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (robust, cli):
+            if vars(module).get("worst_case_scenario") is original:
+                monkeypatch.setattr(module, "worst_case_scenario", counted)
+        code, report = run_json(capsys, "solve", "--instance",
+                                str(INSTANCES / instance), "--mode", "robust")
+        assert code == 0
+        assert len(calls) == 1
+        assert report["certificates"]["worst_case_gap"] <= CERT_TOL
+
 
 class TestPoaCommand:
     def test_elastic_family_ratio(self, capsys):
@@ -371,7 +394,7 @@ class TestPoaCommand:
                                 "--delta", "0.25", "--emit-instance",
                                 str(path))
         assert code == 0
-        _, _, digest, _, _ = load_instance(str(path))
+        _, digest, _, _ = load_instance(str(path))
         assert digest == report["instance_digest"]
         code, resolved = run_json(capsys, "poa", "--instance", str(path))
         assert_allclose(resolved["results"]["E"], report["results"]["E"],

@@ -175,8 +175,8 @@ class TestCoherentSet:
             raw = MarketInstance(producers=producers_raw,
                                  demand=Fixed(np.array([1.5])), T=1,
                                  uncertainty=hull_to_inequalities(scen))
-        _, E_scaled = solve_robust_market_fixed(scaled)
-        _, E_raw = solve_robust_market_fixed(raw)
+        _, E_scaled, _ = solve_robust_market_fixed(scaled)
+        _, E_raw, _ = solve_robust_market_fixed(raw)
         _, C_scaled, _ = solve_robust_cp_fixed(scaled)
         _, C_raw, _ = solve_robust_cp_fixed(raw)
         assert_allclose(E_scaled, E_raw, atol=VALUE_TOL)

@@ -1,5 +1,6 @@
 """Tests for robust linear programs and the robust market / planner solves."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -160,6 +161,15 @@ def random_robust_lp(rng):
     )
 
 
+def assert_strict_worst_case(inst, solution, E, worst):
+    """A strict market's worst case is the adversary's answer to its plan,
+    bit for bit, and attains its worst-case value E."""
+    assert_array_equal(worst, worst_case_scenario(inst, solution.production)[1])
+    evaluate = total_cost if isinstance(inst.demand, Fixed) else welfare
+    assert_allclose(evaluate(inst, solution.production, solution.capacities, worst),
+                    E, atol=SADDLE_TOL, rtol=0)
+
+
 class TestRobustLp:
     def test_tight_two_producer_program(self):
         # min over x >= 0 with x1 + x2 >= 1 of max over the 2-simplex of
@@ -284,7 +294,8 @@ class TestScenarioHelpers:
 class TestRobustMarketFixed:
     def test_two_period_reform_prices(self):
         inst = two_period_reform_instance()
-        solution, E = solve_robust_market_fixed(inst)
+        solution, E, worst = solve_robust_market_fixed(inst)
+        assert_strict_worst_case(inst, solution, E, worst)
         assert_allclose(solution.prices, [2.0, 3.0], atol=VALUE_TOL)
         assert_allclose(solution.capacities.sum(), 2.0, atol=VALUE_TOL)
         # Worst case adds the largest per-period production on top of the
@@ -296,7 +307,8 @@ class TestRobustMarketFixed:
         rng = np.random.default_rng(41)
         for trial in range(N_RANDOM_TRIALS):
             inst = random_fixed_instance(rng)
-            _, E = solve_robust_market_fixed(inst)
+            solution, E, worst = solve_robust_market_fixed(inst)
+            assert_strict_worst_case(inst, solution, E, worst)
             _, C, _ = solve_robust_cp_fixed(inst)
             assert C <= E + CHAIN_TOL, f"trial {trial}"
 
@@ -355,7 +367,8 @@ class TestRobustElastic:
 
     def test_hull_instance_market(self):
         inst = elastic_hull_instance()
-        solution, E = solve_robust_market_elastic(inst)
+        solution, E, worst = solve_robust_market_elastic(inst)
+        assert_strict_worst_case(inst, solution, E, worst)
         assert_allclose(E, 0.32, atol=VALUE_TOL)
         assert_allclose(solution.production.sum(), 0.8, atol=VALUE_TOL)
 
@@ -374,7 +387,8 @@ class TestRobustElastic:
         rng = np.random.default_rng(59)
         for trial in range(N_RANDOM_TRIALS):
             inst = random_elastic_instance(rng)
-            _, E = solve_robust_market_elastic(inst)
+            solution, E, worst = solve_robust_market_elastic(inst)
+            assert_strict_worst_case(inst, solution, E, worst)
             _, C, _ = solve_robust_cp_elastic(inst)
             assert E <= C + SADDLE_TOL, f"trial {trial}"
 
@@ -389,6 +403,66 @@ class TestRobustElastic:
                                        solution.capacities, worst_u)
             assert_allclose(welfare_at_worst, C, atol=SADDLE_TOL,
                             err_msg=f"trial {trial}")
+
+
+def tight_robust_lp():
+    """min over x >= 0 with x1 + x2 >= 1 of max over the 2-simplex of
+    0.99 u1 x1 + u2 x2 (value 0.99/1.99, no certain cost)."""
+    return RobustLp(A=np.array([[1.0, 1.0]]), B=np.zeros((1, 0)),
+                    b=np.array([1.0]), c=np.zeros(2), d=np.zeros(0),
+                    lam=np.array([0.99, 1.0]), U=simplex(2))
+
+
+def _corrupt_adversary_duals(monkeypatch, name, rows, change):
+    """Wrap robust.<name> so that its outcomes carry change(duals) on their
+    last `rows` dual entries, the multipliers of the dualized adversary
+    rows.  The robust program is the first solve through that binding, and
+    its readout raises before any other."""
+    original = getattr(robust, name)
+
+    def corrupted(*args):
+        out = original(*args)
+        duals = out.duals.copy()
+        duals[-rows:] = change(duals[-rows:])
+        return dataclasses.replace(out, duals=duals)
+
+    monkeypatch.setattr(robust, name, corrupted)
+
+
+class TestSingleWorstCasePath:
+    """Every robust solve has one worst-case path: the planners read it off
+    the duals of their dualized adversary, and a readout that fails its
+    check raises SaddleViolated instead of being replaced."""
+
+    # Shifted by 5 the multipliers leave every set in the unit box (the
+    # elastic planner negates them); zeroed they stay in U but price none
+    # of the surcharge the program value carries.
+    @pytest.mark.parametrize("change, message", [
+        (lambda duals: duals + 5.0, "leaves the uncertainty set"),
+        (lambda duals: 0.0 * duals, "misses the program value"),
+    ], ids=["shifted", "zeroed"])
+    @pytest.mark.parametrize("solve, name, rows", [
+        (lambda: solve_robust_cp_fixed(two_producer_peak_instance()), "_solve", 2),
+        (lambda: solve_robust_cp_elastic(elastic_hull_instance()), "_solve", 2),
+        (lambda: solve_robust_lp(tight_robust_lp()), "solve_lp", 2),
+    ], ids=["cp_fixed", "cp_elastic", "robust_lp"])
+    def test_bad_dual_readout_raises(self, monkeypatch, solve, name, rows,
+                                     change, message):
+        _corrupt_adversary_duals(monkeypatch, name, rows, change)
+        with pytest.raises(SaddleViolated, match=message):
+            solve()
+
+    def test_elastic_planner_solves_no_adversary_lp(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("adversary LP solved")
+
+        monkeypatch.setattr(robust, "_worst_case_gain", forbidden)
+        inst = elastic_hull_instance()
+        solution, C, worst_u = solve_robust_cp_elastic(inst)
+        assert_allclose(C, 1.62, atol=VALUE_TOL)
+        assert_allclose(
+            welfare(inst, solution.production, solution.capacities, worst_u),
+            C, atol=SADDLE_TOL)
 
 
 class TestAdjustableEquivalence:

@@ -334,6 +334,27 @@ class TestVerification:
         with pytest.raises(ValueError, match="eta must list 2 values"):
             verify_subsidized_equilibrium(inst, dataclasses.replace(bundle, eta=eta))
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda res: [], r"scenario_results must hold at least one result"),
+        (lambda res: [dataclasses.replace(res[0], x=np.full_like(res[0].x, np.nan))]
+         + res[1:], r"scenario_results\[0\]\.x must be finite"),
+        (lambda res: [dataclasses.replace(res[0], pi=np.array([np.nan]))] + res[1:],
+         r"scenario_results\[0\]\.pi must be finite"),
+        (lambda res: [dataclasses.replace(res[0], u=np.full_like(res[0].u, np.nan))]
+         + res[1:], r"scenario_results\[0\]\.u must be finite"),
+        (lambda res: [dataclasses.replace(res[0], pi=np.array([3.2, 3.2]))] + res[1:],
+         r"scenario_results\[0\]\.pi must have shape \(1,\)"),
+        (lambda res: res[:1] + [dataclasses.replace(res[1], x=res[1].x.reshape(-1))]
+         + res[2:], r"scenario_results\[1\]\.x must have shape \(2, 1\)"),
+    ], ids=["empty", "nan-x", "nan-pi", "nan-u", "long-pi", "flat-x"])
+    def test_corrupt_scenario_results_rejected(self, corrupt, message):
+        inst = hull_example()
+        bundle = compute_subsidies(inst, audit_samples=0)
+        broken = dataclasses.replace(bundle,
+                                     scenario_results=corrupt(bundle.scenario_results))
+        with pytest.raises(ValueError, match=message):
+            verify_subsidized_equilibrium(inst, broken)
+
     def test_audit_disabled(self):
         bundle = compute_subsidies(hull_example(), audit_samples=0)
         assert bundle.audit["samples"] == 0
