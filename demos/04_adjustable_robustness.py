@@ -42,8 +42,10 @@ print("No scenario costs more than C_R, and the saddle scenario "
 
 print("== certificate over vertices and random mixtures ==")
 certificate = verify_adjustable_equivalence(inst, samples=200, seed=7)
-print(f"scenarios checked: {len(certificate['vertex_values'])} vertices + "
-      f"{certificate['samples']} samples")
+V, T = certificate["vertex_values"].shape
+print(f"scenarios checked: |V| = {V} per-period vertices x T = {T} periods "
+      f"({V ** T} lifted vertices) + {certificate['samples']} samples")
+print(f"worst vertex value: {certificate['worst_vertex_value']:.4f}")
 print(f"all dominated by C_R: {certificate['dominated']}")
 print(f"saddle gap: {certificate['saddle_gap']:.2e}\n")
 

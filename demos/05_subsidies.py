@@ -34,10 +34,10 @@ bundle = compute_subsidies(inst)
 print(f"planner capacities y* = {bundle.y_star}")
 print(f"subsidies eta* = {bundle.eta}\n")
 
-print("== scenario price table ==")
+print("== price table: per-period vertex -> price in each period ==")
 table = build_price_functions(bundle)
-for scenario in sorted(table):
-    print(f"u = {np.array(scenario)}: price {table[scenario]}")
+for vertex in sorted(table):
+    print(f"vertex {np.array(vertex)}: prices {table[vertex]}")
 print("Prices move with the scenario; producers recover their scenario "
       "costs only in expectation against the worst case.\n")
 

@@ -7,10 +7,12 @@ family), `subsidy` (welfare-restoring subsidies with equilibrium checks),
 
 Exit codes: 0 success, 1 input error (bad flags, schema violations, parameter
 validation), 2 infeasible or unbounded program, 3 subsidy verification
-failure.  JSON reports are canonical: re-parsing and re-emitting reproduces
-the bytes, and identical inputs produce identical reports apart from the
-timing field.  The environment variable ROBUST_PEAKLOAD_SEED overrides any
---seed flag or instance-file seed.
+failure, 4 solver defect (SaddleViolated or a SolverError: a failed check of
+the solver's own output, which no input should cause).  JSON reports are
+canonical: re-parsing and re-emitting reproduces the bytes, and identical
+inputs produce identical reports apart from the timing field.  The
+environment variable ROBUST_PEAKLOAD_SEED overrides any --seed flag or
+instance-file seed.
 """
 
 import argparse
@@ -36,20 +38,22 @@ from robust_peakload.poa import (ZeroCost, elastic_family_values,
                                  poa_fixed, tight_fixed_values,
                                  tight_restricted_values)
 from robust_peakload.risk import poa_with_risk_set
-from robust_peakload.robust import (Infeasible, Unbounded,
-                                    solve_robust_cp_elastic,
+from robust_peakload.robust import (DEFAULT_SEED, Infeasible, SaddleViolated,
+                                    Unbounded, solve_robust_cp_elastic,
                                     solve_robust_cp_fixed,
                                     solve_robust_market_elastic,
                                     solve_robust_market_fixed)
-from robust_peakload.subsidy import (DEFAULT_AUDIT_SAMPLES, DEFAULT_SEED,
-                                     NotEquilibrium, build_price_functions,
-                                     compute_subsidies, kkt_residuals,
+from robust_peakload.solver import SolverError
+from robust_peakload.subsidy import (DEFAULT_AUDIT_SAMPLES, NotEquilibrium,
+                                     build_price_functions, compute_subsidies,
+                                     kkt_residuals,
                                      verify_subsidized_equilibrium)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_EQUILIBRIUM = 3
+EXIT_SOLVER = 4
 
 SEED_ENV = "ROBUST_PEAKLOAD_SEED"
 WITNESS_TOL = 1e-9
@@ -294,13 +298,13 @@ def _cmd_subsidy(args):
         code = EXIT_NOT_EQUILIBRIUM
         record = {"is_equilibrium": False}
         violation = {"producer": int(exc.producer),
-                     "scenario": int(exc.scenario),
+                     "scenario": [int(k) for k in exc.scenario],
                      "deviation": (None if exc.deviation is None
                                    else float(exc.deviation)),
                      "message": str(exc)}
 
     table = build_price_functions(bundle)
-    price_table = [{"scenario": list(key), "prices": table[key].tolist()}
+    price_table = [{"vertex": list(key), "prices": table[key].tolist()}
                    for key in sorted(table)]
     results = {
         "eta": bundle.eta.tolist(),
@@ -419,6 +423,9 @@ def main(argv=None) -> int:
     except (Infeasible, Unbounded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (SaddleViolated, SolverError) as exc:
+        print(f"error: solver defect: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
     report["timing"] = {"seconds": time.perf_counter() - start}
     _emit(report, args.format)

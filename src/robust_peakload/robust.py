@@ -22,9 +22,13 @@ k.  Every program shares the (x, y) variable layout and block builders of
 robust_peakload.market.
 
 The lifted set is the T-fold product of the per-period set, and the
-second stage at pinned capacities separates by period, so the |V|^T lifted
-vertices and every output over them are composed (_compose) from data over
-the |V| vertices of the per-period set, in lifted_vertices order.
+second stage at pinned capacities separates by period.  So the workflows at
+pinned capacities (the adjustable certificate, the scenario form, the
+subsidies) return data over the |V| vertices of the per-period set, one
+constant scenario per vertex (_constant_scenarios), and reduce it by period:
+a max or min over the |V|^T lifted vertices of a sum over periods is the
+sum over periods of the per-period max or min.  No lifted vertex list is
+built.
 """
 
 from dataclasses import dataclass, field
@@ -235,31 +239,13 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
     return value, u_vec.reshape(inst.N, inst.T)
 
 
-def lifted_vertices(inst: MarketInstance):
-    """Vertices of the lifted uncertainty set as N x T matrices, built as the
-    T-fold Cartesian product of the per-period vertex list."""
-    return list(_compose(_constant_scenarios(inst)))
-
-
-def _compose(block):
-    """Lifted stack of per-period data: block[v, ..., t] is period t of some
-    output at vertex v of the per-period set (|V| x ... x T); entry k of the
-    result (|V|^T x ... x T) takes period t from vertex j_t of lifted vertex
-    k = (j_1, ..., j_T).  Lifted vertices run in itertools.product order,
-    first period slowest; this is the order of lifted_vertices and of every
-    output composed from per-period solves."""
-    V, T = block.shape[0], block.shape[-1]
-    combos = np.indices((V,) * T).reshape(T, -1).T
-    return np.ascontiguousarray(np.moveaxis(block[combos, ..., np.arange(T)], 1, -1))
-
-
 def _vertex_dispatch(inst: MarketInstance, y):
     """Second stage at capacities pinned to y, in one closed-form dispatch
     over the scenarios with every period at one vertex v of the per-period
     set.  The dispatch separates by period, so period t of the outcome at v
-    is the period-t optimum at v, and _compose of any of its outputs gives
-    that output at every lifted vertex.  Returns the |V| x N x T stack of
-    those constant scenarios and the Dispatch over them."""
+    is the period-t optimum at v, whatever the other periods of a lifted
+    vertex are.  Returns the |V| x N x T stack of those constant scenarios
+    and the Dispatch over them."""
     constant = _constant_scenarios(inst)
     return constant, _dispatch(inst, y, cost_matrix(inst, constant))
 
@@ -296,12 +282,16 @@ def _readout(U: Polytope, u, value_at, target):
     return u
 
 
-def _mixtures(scenarios, samples, seed):
-    """`samples` random convex combinations of a stack of scenarios, as a
-    stack, with uniform Dirichlet weights drawn from a generator seeded by
-    seed."""
-    weights = np.random.default_rng(seed).dirichlet(np.ones(len(scenarios)), size=samples)
-    return np.tensordot(weights, scenarios, axes=1)
+def _mixtures(constant, samples, seed):
+    """`samples` random scenarios (S x N x T) whose period t mixes the
+    per-period vertices, period t of the |V| x N x T stack `constant` of
+    _constant_scenarios, with its own uniform Dirichlet weights; the weights
+    of all periods come from one generator seeded by seed."""
+    T = constant.shape[-1]
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(constant)),
+                                                    size=(samples, T))
+    return np.stack([np.tensordot(weights[:, t], constant[..., t], axes=1)
+                     for t in range(T)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +435,33 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     production adjust to the scenario cannot beat the strict robust planner.
 
     Evaluates the scenario-wise best response at the strict robust
-    capacities on every vertex of the lifted uncertainty set plus `samples`
-    random convex combinations: each value must be weakly dominated by the
-    planner value C (cost <= C for fixed demand, welfare >= C for elastic),
-    and the extracted worst-case scenario must achieve C within 1e-6.
+    capacities y* on every vertex of the lifted uncertainty set plus
+    `samples` random scenarios mixing the per-period vertices period by
+    period (_mixtures): each value must be weakly dominated by the planner
+    value C (cost <= C for fixed demand, welfare >= C for elastic), and the
+    extracted worst-case scenario must achieve C within 1e-6.
 
     The dispatch at pinned capacities is a closed form with no solver call
-    per scenario (see market._dispatch).  It separates by period, so the
-    |V|^T lifted-vertex values are composed from one dispatch over the |V|
-    vertices of the per-period set; a second dispatch covers the samples
-    and the worst-case scenario.  The only solves are the planner's.
+    per scenario (see market._dispatch).  It separates by period, so one
+    dispatch over the |V| constant scenarios gives every period value, and
+    the worst value over the |V|^T lifted vertices is the investment term
+    plus the sum over periods of the worst period value; a second dispatch
+    covers the samples and the worst-case scenario.  The only solves are the
+    planner's.
+
+    Returns a dict with
+      demand_mode, value (C), capacities (y*), worst_u, worst_value (the
+        dispatch value at worst_u), saddle_gap (|worst_value - C|),
+        saddle_ok, samples, seed;
+      vertices: |V| x N, the per-period vertices in enumerate_vertices order;
+      vertex_values: |V| x T, the period values at y* with every period at
+        one vertex, the investment cost excluded;
+      worst_vertex_value: +-c_inv'y* (+ for fixed demand) plus the sum over
+        periods of the max (fixed demand) or min (elastic) of vertex_values,
+        the worst value over the lifted vertices;
+      sample_values: the values at the samples;
+      dominated: whether worst_vertex_value and every sample value are
+        dominated by C.
 
     Raises SaddleViolated when a check fails beyond tolerance; that signals
     a solver defect, not a property of the model.
@@ -465,32 +472,32 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     if mode == "fixed":
         cp_solution, C, worst_u = solve_robust_cp_fixed(inst)
         dominated = lambda value: value <= C + SADDLE_TOL
-        capacity_sign = 1.0
+        capacity_sign, worst_of = 1.0, np.max
     else:
         cp_solution, C, worst_u = solve_robust_cp_elastic(inst)
         dominated = lambda value: value >= C - SADDLE_TOL
-        capacity_sign = -1.0
+        capacity_sign, worst_of = -1.0, np.min
     y_star = cp_solution.capacities
     c_inv = np.array([p.c_inv for p in inst.producers])
 
     constant, at_vertices = _vertex_dispatch(inst, y_star)
-    vertices = _compose(constant)
-    period_sums = _compose(at_vertices.period_values).sum(axis=1)
-    vertex_values = (capacity_sign * (c_inv @ y_star) + period_sums).tolist()
-    scenarios = np.concatenate([_mixtures(vertices, samples, seed), worst_u[None]])
+    vertex_values = at_vertices.period_values
+    worst_vertex_value = float(capacity_sign * (c_inv @ y_star)
+                               + worst_of(vertex_values, axis=0).sum())
+    scenarios = np.concatenate([_mixtures(constant, samples, seed), worst_u[None]])
     values = _dispatch(inst, y_star, cost_matrix(inst, scenarios)).value
     sample_values = values[:-1].tolist()
     worst_value = float(values[-1])
 
-    all_values = vertex_values + sample_values
-    failures = [v for v in all_values if not dominated(v)]
+    failures = [v for v in [worst_vertex_value] + sample_values if not dominated(v)]
     saddle_gap = abs(worst_value - C)
     certificate = {
         "demand_mode": mode,
         "value": C,
         "capacities": y_star.copy(),
-        "vertices": list(vertices),
+        "vertices": constant[:, :, 0].copy(),
         "vertex_values": vertex_values,
+        "worst_vertex_value": worst_vertex_value,
         "sample_values": sample_values,
         "worst_u": worst_u,
         "worst_value": worst_value,
@@ -540,9 +547,10 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
       clearing_duals: |V| x T, the multiplier of the clearing row of copy
         (v, t), rows in enumerate_vertices(inst.uncertainty) order, so that
         value = sum_{v,t} clearing_duals[v, t] d_t;
-      scenarios, productions: the lifted vertices in lifted_vertices order
-        and, for each, the N x T production whose period t is x_{j_t,t} at
-        lifted vertex (j_1, ..., j_T).
+      scenarios, productions: |V| x N x T, row v aligned with
+        clearing_duals[v]: the constant scenario at per-period vertex v and
+        the copies at it, productions[v][:, t] = x_{v,t}.  The lifted vertex
+        (j_1, ..., j_T) takes period t of both from row j_t.
 
     The clearing duals are the minimum-norm optimal multipliers supported
     on the active copies (those whose epigraph row binds): symmetric across
@@ -552,8 +560,7 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     fails too the solver's basic multipliers are reported.  A lifted layout
     would add nothing: in the lifted program any coupling of these
     per-period weights across periods is an optimal dual, because the
-    capacity stationarity rows see only the per-period marginals.  At T = 1
-    both layouts coincide.
+    capacity stationarity rows see only the per-period marginals.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("scenario reformulation requires fixed demand")
@@ -591,12 +598,12 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     if duals is None:
         duals = out.duals
 
-    copies = out.primal[T : T + K * N].reshape(V, T, N).transpose(0, 2, 1)
+    copies = out.primal[T : T + K * N].reshape(V, T, N).transpose(0, 2, 1).copy()
     return {
         "value": float(out.objective),
         "capacities": out.primal[T + K * N:].copy(),
-        "scenarios": list(_compose(constant)),
-        "productions": list(_compose(copies)),
+        "scenarios": constant,
+        "productions": copies,
         "clearing_duals": duals[clearing_start:].reshape(V, T),
         "epigraph": float(out.primal[:T].sum()),
     }

@@ -13,12 +13,19 @@ worst-case best-response profit to exactly zero, so holding y*_i is optimal.
 
 The pinned welfare problem is solved in closed form, with no solver call
 per scenario (see market._dispatch); the only solve is the planner's.  At
-pinned capacities it separates by period, so the |V|^T lifted-vertex results
-are composed from one dispatch over the |V| vertices of the per-period set.
-The maximization over u is evaluated on the lifted vertices only; a sampling
-audit over random convex combinations (one more dispatch over all samples)
-flags any interior scenario whose value exceeds the vertex maximum instead
-of silently correcting it.
+pinned capacities it separates by period, and the lifted set is the T-fold
+product of the per-period set, so the outcome at a lifted vertex
+(j_1, ..., j_T) takes period t from the outcome at the constant scenario
+with every period at per-period vertex j_t.  The bundle therefore holds one
+result per per-period vertex, and every max or min over the lifted
+vertices is a sum over periods of a per-period max or min:
+
+    eta_i = c_inv_i + sum_t max_v deficit_{v,i,t}.
+
+The maximization over u is evaluated on the vertices only; a sampling
+audit over scenarios mixing the per-period vertices period by period (one
+more dispatch over all samples) flags any interior scenario whose value
+exceeds the vertex maximum instead of silently correcting it.
 """
 
 import warnings
@@ -35,7 +42,7 @@ from robust_peakload.market import (
     cost_matrix,
 )
 from robust_peakload.robust import (
-    _compose,
+    DEFAULT_SEED,
     _mixtures,
     _vertex_dispatch,
     solve_robust_cp_elastic,
@@ -44,16 +51,16 @@ from robust_peakload.robust import (
 KKT_TOL = 1e-7
 PROFIT_TOL = 1e-6
 DEFAULT_AUDIT_SAMPLES = 256
-DEFAULT_SEED = 2024
 
 
 class NotEquilibrium(Exception):
     """A producer can improve on the subsidized plan.
 
-    Carries the violating (producer, scenario, deviation) triple; scenario
-    indexes the bundle's vertex list and deviation is the profitable
-    capacity 2 max(y*) (None for a structure or zero-profit violation at
-    y*)."""
+    Carries the violating (producer, scenario, deviation) triple.  scenario
+    names a lifted vertex by its per-period vertices: a length-T tuple whose
+    entry t indexes the bundle's scenario_results, the result that period t
+    is taken from.  deviation is the profitable capacity 2 max(y*) (None for
+    a structure or zero-profit violation at y*)."""
 
     def __init__(self, producer, scenario, deviation, message):
         self.producer = producer
@@ -79,9 +86,10 @@ class FixedCapacityWelfareResult:
 
 @dataclass
 class SubsidyBundle:
-    """Subsidies eta, one fixed-capacity result per lifted vertex, the pinned
-    capacities, the equilibrium verification record, and the interior
-    sampling audit."""
+    """Subsidies eta, the fixed-capacity results (one N x T result per
+    vertex of the per-period set, at the scenario with every period at that
+    vertex, in enumerate_vertices order), the pinned capacities, the
+    equilibrium verification record, and the interior sampling audit."""
 
     eta: np.ndarray
     scenario_results: list
@@ -101,12 +109,16 @@ def solve_fixed_capacity_welfare(inst: MarketInstance, y_star,
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("fixed-capacity welfare requires elastic demand")
     y_star, scenarios = _pinned_inputs(inst, y_star, u)
-    out = _pinned_welfare(inst, y_star, scenarios)
+    return _result(inst, scenarios, _pinned_welfare(inst, y_star, scenarios), 0)
+
+
+def _result(inst: MarketInstance, scenarios, out, k) -> FixedCapacityWelfareResult:
+    """The result at scenario k of a stack `scenarios` and its dispatch out."""
     c_inv = np.array([p.c_inv for p in inst.producers])
-    return FixedCapacityWelfareResult(u=scenarios[0].copy(), x=out.x[0], pi=out.pi[0],
-                                      mu=out.mu[0], phi=out.phi[0],
-                                      chi=out.mu[0].sum(axis=1) - c_inv,
-                                      value=float(out.value[0]))
+    return FixedCapacityWelfareResult(u=scenarios[k].copy(), x=out.x[k], pi=out.pi[k],
+                                      mu=out.mu[k], phi=out.phi[k],
+                                      chi=out.mu[k].sum(axis=1) - c_inv,
+                                      value=float(out.value[k]))
 
 
 def _pinned_welfare(inst: MarketInstance, y_star, scenarios):
@@ -175,9 +187,13 @@ def _result_stacks(results, N, T):
 def _verification(inst: MarketInstance, eta, y_star, results):
     """Best-response structure, zero worst-case profit, and capacity
     deviation checks; returns the record and the first violation triple (or
-    None).  eta needs one finite entry per producer, and results at least
-    one entry whose u and x are finite N x T matrices and whose pi lists T
-    finite prices; otherwise ValueError naming the argument."""
+    None).  The results are read as the product of their periods: the
+    lifted vertex (k_1, ..., k_T) takes period t from results[k_t], so every
+    worst case over the lifted vertices is a sum over periods of a worst
+    case over the results.  eta needs one finite entry per producer, and
+    results at least one entry whose u and x are finite N x T matrices and
+    whose pi lists T finite prices; otherwise ValueError naming the
+    argument."""
     N, T = inst.N, inst.T
     c_inv = np.array([p.c_inv for p in inst.producers])
     eta = np.asarray(eta, dtype=float)
@@ -192,42 +208,45 @@ def _verification(inst: MarketInstance, eta, y_star, results):
 
     # (a) recorded production is a best response to the scenario prices:
     # produce at capacity on strictly profitable periods, nothing on
-    # strictly unprofitable ones.  The first violation is the one at the
-    # smallest scenario, then the smallest producer.
+    # strictly unprofitable ones.  Each (result, period) cell is checked;
+    # the first violation is the one at the smallest result, then the
+    # smallest producer, reported at the lifted vertex with every period
+    # at that result.
     over = (margins > PROFIT_TOL) & (x < y_star[None, :, None] - PROFIT_TOL)
     under = (margins < -PROFIT_TOL) & (x > PROFIT_TOL)
     bad = np.argwhere(over | under)
     if bad.size:
         k, i = int(bad[0][0]), int(bad[0][1])
-        violation = (i, k, None,
+        violation = (i, (k,) * T, None,
                      f"producer {i} production is not a best response "
-                     f"in scenario {k}")
+                     f"in scenario result {k}")
 
-    # (b) worst-case best-response profit at y* is zero for active producers.
-    unit_profit = np.maximum(margins, 0.0).sum(axis=2) - (c_inv - eta)[None, :]
-    profits = unit_profit * y_star[None, :]
-    worst_profits = profits.min(axis=0)
+    # (b) worst-case best-response profit at y* is zero for active
+    # producers.  A producer earns max(margin, 0) per unit of capacity in
+    # each period, so its worst lifted vertex takes the per-period minimum.
+    earned = np.maximum(margins, 0.0)
+    worst_at = earned.argmin(axis=0)
+    unit_profit = earned.min(axis=0).sum(axis=1) - (c_inv - eta)
+    worst_profits = unit_profit * y_star
     active = y_star > SUPPORT_TOL
     zero_profit_ok = bool(np.all(np.abs(worst_profits[active]) <= PROFIT_TOL))
     if violation is None and not zero_profit_ok:
         i = int(np.flatnonzero(active & (np.abs(worst_profits) > PROFIT_TOL))[0])
-        k = int(np.argmin(profits[:, i]))
-        violation = (i, k, None,
+        scenario = tuple(worst_at[i].tolist())
+        violation = (i, scenario, None,
                      f"producer {i} worst-case profit {worst_profits[i]:.6g} "
-                     f"is not zero (scenario {k})")
+                     f"is not zero (scenario {scenario})")
 
     # (c) no capacity in [0, 2 max(y*)] beats the zero profit.  At fixed
     # prices the worst-case best-response profit is linear in own capacity,
     # so its maximum over the interval is at an end point.
-    worst_unit = unit_profit.min(axis=0)
     top = 2.0 * float(y_star.max(initial=0.0))
-    max_gain = top * np.maximum(worst_unit, 0.0)
+    max_gain = top * np.maximum(unit_profit, 0.0)
     deviation_ok = bool(np.all(max_gain <= PROFIT_TOL))
     gainers = np.flatnonzero(max_gain > PROFIT_TOL)
     if violation is None and gainers.size:
         i = int(gainers[0])
-        k = int(np.argmin(unit_profit[:, i]))
-        violation = (i, k, top,
+        violation = (i, tuple(worst_at[i].tolist()), top,
                      f"producer {i} gains {max_gain[i]:.6g} deviating to "
                      f"capacity {top:.6g}")
 
@@ -243,13 +262,15 @@ def _verification(inst: MarketInstance, eta, y_star, results):
 def compute_subsidies(inst: MarketInstance, *,
                       audit_samples: int = DEFAULT_AUDIT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> SubsidyBundle:
-    """Solve the robust planner problem, price every lifted vertex scenario,
-    and compute the subsidies that zero out worst-case profits.  When y* is
-    zero everywhere there is nothing to subsidize and the trivial bundle
-    (eta = 0) is returned.  The bundle's verification record checks, besides
-    zero worst-case profit at y*, that no own capacity in [0, 2 max(y*)]
-    earns more; the interior audit draws `audit_samples` mixtures of the
-    lifted vertices from `seed`."""
+    """Solve the robust planner problem, price the scenario with every
+    period at one per-period vertex, for each vertex, and compute the
+    subsidies that zero out worst-case profits over the lifted vertices.
+    When y* is zero everywhere there is nothing to subsidize and the trivial
+    bundle (eta = 0) is returned.  The bundle's verification record checks,
+    besides zero worst-case profit at y*, that no own capacity in
+    [0, 2 max(y*)] earns more; the interior audit draws `audit_samples`
+    scenarios mixing the per-period vertices, period by period, from
+    `seed`."""
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("subsidies are defined for elastic demand")
     if audit_samples < 0:
@@ -260,48 +281,29 @@ def compute_subsidies(inst: MarketInstance, *,
     c_inv = np.array([p.c_inv for p in inst.producers])
 
     constant, out = _vertex_dispatch(inst, y_star)
-    scenarios = _compose(constant)
-    results = _lifted_results(inst, y_star, scenarios, out)
-    deficits = _compose(_period_deficits(inst, constant, out)).sum(axis=-1)
+    results = [_result(inst, constant, out, v) for v in range(len(constant))]
+    vertex_max = _period_deficits(inst, constant, out).max(axis=0).sum(axis=-1)
 
     active = y_star > SUPPORT_TOL
     eta = np.zeros(inst.N)
-    if np.any(active):
-        eta[active] = c_inv[active] + deficits.max(axis=0)[active]
+    eta[active] = c_inv[active] + vertex_max[active]
 
-    audit = _interior_audit(inst, y_star, deficits.max(axis=0), audit_samples,
-                            seed, scenarios)
+    audit = _interior_audit(inst, y_star, vertex_max, audit_samples, seed, constant)
     verification, _ = _verification(inst, eta, y_star, results)
     return SubsidyBundle(eta=eta, scenario_results=results, y_star=y_star,
                          verification=verification, audit=audit)
 
 
-def _lifted_results(inst, y_star, scenarios, out):
-    """The pinned welfare result at every lifted vertex (the stack
-    `scenarios`, in lifted_vertices order), composed from the dispatch `out`
-    over the per-period vertices: lifted vertex (j_1, ..., j_T) takes period
-    t of x, mu, phi and pi from the dispatch at per-period vertex j_t, and
-    its value is sum_t out.period_values[j_t, t] minus the investment cost
-    of y_star."""
-    c_inv = np.array([p.c_inv for p in inst.producers])
-    x, mu, phi, pi = (_compose(block) for block in (out.x, out.mu, out.phi, out.pi))
-    chi = mu.sum(axis=2) - c_inv
-    values = _compose(out.period_values).sum(axis=1) - c_inv @ y_star
-    return [FixedCapacityWelfareResult(u=scenarios[k], x=x[k], pi=pi[k], mu=mu[k],
-                                       phi=phi[k], chi=chi[k], value=float(values[k]))
-            for k in range(len(scenarios))]
-
-
-def _interior_audit(inst, y_star, vertex_max, samples, seed, vertices):
-    """Evaluate the subsidy formula's inner expression at random convex
-    combinations of the stack of lifted vertices and report any excess over
-    the vertex maximum (> 1e-6 raises a warning, never a silent
-    correction)."""
+def _interior_audit(inst, y_star, vertex_max, samples, seed, constant):
+    """Evaluate the subsidy formula's inner expression at random scenarios
+    mixing the per-period vertices (_mixtures of the |V| x N x T stack
+    `constant`) and report any excess over the vertex maximum (> 1e-6
+    raises a warning, never a silent correction)."""
     audit = {"samples": int(samples), "seed": int(seed),
              "max_excess": 0.0, "flagged": False}
-    if samples <= 0 or len(vertices) <= 1:
+    if samples <= 0 or len(constant) <= 1:
         return audit
-    scenarios = _mixtures(vertices, samples, seed)
+    scenarios = _mixtures(constant, samples, seed)
     out = _pinned_welfare(inst, y_star, scenarios)
     deficits = _period_deficits(inst, scenarios, out).sum(axis=2)
     excess = max(0.0, float(np.max(deficits - vertex_max)))
@@ -327,12 +329,15 @@ def verify_subsidized_equilibrium(inst: MarketInstance,
 
 
 def build_price_functions(bundle: SubsidyBundle) -> dict:
-    """Scenario-indexed price table: lifted vertex u, as the tuple of
-    u.reshape(-1) (the order of --mean-u), -> prices.
-    Prices at a non-vertex scenario come from re-running
-    solve_fixed_capacity_welfare at that scenario."""
+    """Price table of the scenario-indexed prices: each per-period vertex,
+    as a tuple of N floats, -> its T prices.  pi_t depends on the period-t
+    scenario only, so entry t is pi_t at every scenario whose period t sits
+    at that vertex; a lifted vertex (v_1, ..., v_T) has prices
+    (table[v_1][0], ..., table[v_T][T-1]).  Prices at a non-vertex scenario
+    come from re-running solve_fixed_capacity_welfare at that scenario."""
     table = {}
     for res in bundle.scenario_results:
-        key = tuple(res.u.reshape(-1).tolist())
-        table[key] = res.pi.copy()
+        for t, vertex in enumerate(res.u.T):
+            key = tuple(vertex.tolist())
+            table.setdefault(key, np.full(res.pi.size, np.nan))[t] = res.pi[t]
     return table

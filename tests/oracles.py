@@ -10,14 +10,70 @@ import itertools
 import numpy as np
 from scipy.linalg import block_diag
 
-from robust_peakload.market import (Fixed, _capacity_rows, _clearing_rows,
-                                    _fixed_program, _solve, _welfare_program,
-                                    cost_matrix)
-from robust_peakload.robust import lifted_vertices
+from robust_peakload.geometry import enumerate_vertices
+from robust_peakload.market import (SUPPORT_TOL, Fixed, _capacity_rows,
+                                    _clearing_rows, _fixed_program, _solve,
+                                    _welfare_program, cost_matrix)
 from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
 FEAS_TOL = 1e-7
 PROFIT_TOL = 1e-6
+
+
+def lifted_vertices(inst):
+    """Vertices of the lifted uncertainty set as N x T matrices: one per
+    choice of a per-period vertex for every period, in itertools.product
+    order over enumerate_vertices (first period slowest).  There are |V|^T
+    of them."""
+    per_period = enumerate_vertices(inst.uncertainty)
+    return [np.column_stack(choice)
+            for choice in itertools.product(per_period, repeat=inst.T)]
+
+
+def compose_lifted(block):
+    """Per-period data in the lifted layout: block[v, ..., t] is period t of
+    some output at per-period vertex v (|V| x ... x T); entry k of the result
+    (|V|^T x ... x T) takes period t from vertex j_t of lifted vertex
+    k = (j_1, ..., j_T), in lifted_vertices order."""
+    block = np.asarray(block)
+    V, T = block.shape[0], block.shape[-1]
+    return np.array([np.stack([block[j][..., t] for t, j in enumerate(choice)], axis=-1)
+                     for choice in itertools.product(range(V), repeat=T)])
+
+
+def per_period_index(k, V, T):
+    """The per-period vertex indices (j_1, ..., j_T) of lifted vertex k."""
+    return tuple(int(j) for j in np.unravel_index(k, (V,) * T))
+
+
+def lifted_subsidy_checks(inst, eta, y_star, lifted):
+    """The subsidy formula and the three equilibrium checks written over a
+    list of pinned welfare results, one per lifted vertex, with every max
+    and min taken over the whole list.  Returns a dict: the formula's
+    subsidies `eta` (for y_star; the `eta` argument is what the checks
+    test), `worst_case_profits`, `max_deviation_gain` and
+    `is_equilibrium`."""
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    y_star = np.asarray(y_star, dtype=float)
+    u, x, pi = (np.array([getattr(res, name) for res in lifted])
+                for name in ("u", "x", "pi"))
+    costs = cost_matrix(inst, u)
+    margins = pi[:, None, :] - costs
+    deficits = np.where(x > SUPPORT_TOL, costs - pi[:, None, :], 0.0).sum(axis=2)
+    active = y_star > SUPPORT_TOL
+    formula = np.zeros(inst.N)
+    formula[active] = c_inv[active] + deficits.max(axis=0)[active]
+    best_response = not np.any(
+        ((margins > PROFIT_TOL) & (x < y_star[None, :, None] - PROFIT_TOL))
+        | ((margins < -PROFIT_TOL) & (x > PROFIT_TOL)))
+    unit = np.maximum(margins, 0.0).sum(axis=2) - (c_inv - eta)
+    worst_profits = (unit * y_star[None, :]).min(axis=0)
+    gains = 2.0 * float(y_star.max(initial=0.0)) * np.maximum(unit.min(axis=0), 0.0)
+    return {"eta": formula, "worst_case_profits": worst_profits,
+            "max_deviation_gain": gains,
+            "is_equilibrium": bool(best_response
+                                   and np.all(np.abs(worst_profits[active]) <= PROFIT_TOL)
+                                   and np.all(gains <= PROFIT_TOL))}
 
 
 def _hyperplanes(spec):

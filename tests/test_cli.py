@@ -1,7 +1,7 @@
 """Command-line surface: instance files, reports, exit codes.
 
 Exit-code contract: 0 success, 1 input error, 2 infeasible or unbounded
-program, 3 failed subsidy verification.  JSON reports must round-trip
+program, 3 failed subsidy verification, 4 solver defect.  JSON reports must round-trip
 byte-identically and be deterministic apart from the timing field.
 """
 
@@ -23,8 +23,10 @@ from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           load_instance, parse_instance_data,
                                           write_instance)
 from robust_peakload.market import AffineElastic, Fixed, MarketInstance, Producer
-from robust_peakload.robust import Infeasible, Unbounded
-from robust_peakload.solver import LpSpec, SolveOutcome
+from oracles import compose_lifted, per_period_index
+from robust_peakload.geometry import enumerate_vertices
+from robust_peakload.robust import Infeasible, SaddleViolated, Unbounded
+from robust_peakload.solver import LpSpec, NumericBreakdown, SolveOutcome
 
 VALUE_TOL = 1e-7
 CERT_TOL = 1e-6
@@ -462,12 +464,12 @@ class TestSubsidyCommand:
         assert report["certificates"]["kkt_residual_max"] <= 1e-7
         table = results["price_table"]
         assert len(table) == 4
-        assert table[0]["scenario"] == [0, 0]
+        assert table[0]["vertex"] == [0, 0]
         assert_allclose(table[0]["prices"], [3.2], atol=VALUE_TOL)
         assert_allclose(sorted(row["prices"][0] for row in table),
                         [3.2, 3.2, 4.0, 4.0], atol=VALUE_TOL)
 
-    def test_eta_override_fails_verification(self, capsys):
+    def test_eta_override_fails_verification(self, capsys, tmp_path):
         code, report = run_json(capsys, "subsidy", "--instance",
                                 str(INSTANCES / "subsidy_example.json"),
                                 "--eta", "0,0")
@@ -478,6 +480,30 @@ class TestSubsidyCommand:
         assert violation["deviation"] is None
         assert violation["producer"] in (0, 1)
         assert "profit" in violation["message"]
+        assert len(violation["scenario"]) == 1
+
+        # T = 2: the zero-profit violation names a lifted vertex by its
+        # per-period vertices, the worst lifted vertex of the producer.
+        data = json.loads((INSTANCES / "subsidy_example.json").read_text())
+        data.update(periods=2, demand={"mode": "elastic", "alpha": [5.0, 4.0],
+                                       "beta": [1.0, 0.5]})
+        path = tmp_path / "subsidy_two_periods.json"
+        path.write_text(json.dumps(data))
+        code, report = run_json(capsys, "subsidy", "--instance", str(path),
+                                "--eta", "0,0", "--samples", "0")
+        assert code == 3
+        violation = report["results"]["violation"]
+        assert violation["deviation"] is None and "profit" in violation["message"]
+        inst = load_instance(str(path))[0]
+        bundle = subsidy.compute_subsidies(inst, audit_samples=0)
+        c_inv = np.array([p.c_inv for p in inst.producers])
+        u = compose_lifted(np.array([res.u for res in bundle.scenario_results]))
+        pi = compose_lifted(np.array([res.pi for res in bundle.scenario_results]))
+        earned = np.maximum(pi[:, None, :] - market.cost_matrix(inst, u), 0.0)
+        profits = (earned.sum(axis=2) - c_inv) * bundle.y_star
+        k = int(np.argmin(profits[:, violation["producer"]]))
+        V = len(bundle.scenario_results)
+        assert violation["scenario"] == list(per_period_index(k, V, 2))
 
     def test_eta_override_length_checked(self, capsys):
         code, _, err = run_cli(capsys, "subsidy", "--instance",
@@ -552,9 +578,11 @@ class TestSubsidyCommand:
         assert code == 1 and flag in err and not out
 
 
-    def test_price_table_scenarios_flatten_like_mean_u(self, capsys, tmp_path):
-        # T = 2, N = 3: the price table lists each lifted vertex u as
-        # u.reshape(-1), and --mean-u reads an N*T list back the same way.
+    def test_price_table_lists_each_vertex_once(self, capsys, tmp_path):
+        # T = 2, N = 3: the price table lists each vertex of the per-period
+        # set once, with the T prices of the result at the scenario that
+        # sits at it in every period; --mean-u reads the vertex back, as a
+        # per-producer list, as that scenario.
         data = minimal_data(
             periods=2,
             producers=[{"c_inv": 0.2, "c_var": 0.1, "a": 3.0},
@@ -567,23 +595,21 @@ class TestSubsidyCommand:
                                 "--samples", "8")
         assert code == 0
         inst = load_instance(str(path))[0]
+        vertices = [v.tolist() for v in enumerate_vertices(inst.uncertainty)]
         bundle = subsidy.compute_subsidies(inst, audit_samples=0)
-        flattened = [res.u.reshape(-1).tolist() for res in bundle.scenario_results]
         table = report["results"]["price_table"]
-        assert len(table) == len(flattened) == 4 ** 2
+        listed = [row["vertex"] for row in table]
+        assert sorted(listed) == sorted(vertices)
         for row in table:
-            assert row["scenario"] in flattened
-        # A scenario whose periods differ, so that the two flattenings of
-        # an N x T matrix disagree.
-        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        listed = [row["scenario"] for row in table]
-        assert u.reshape(-1).tolist() in listed
-        scenario = listed[listed.index(u.reshape(-1).tolist())]
+            res = bundle.scenario_results[vertices.index(row["vertex"])]
+            assert_array_equal(res.u, np.repeat(np.array(row["vertex"])[:, None], 2, axis=1))
+            assert row["prices"] == res.pi.tolist()
+        vertex = table[-1]["vertex"]
         code, report = run_json(capsys, "solve", "--instance", str(path),
                                 "--mode", "expected", "--mean-u",
-                                ",".join(repr(v) for v in scenario))
+                                ",".join(repr(v) for v in vertex))
         assert code == 0
-        assert report["results"]["mean_scenario"] == u.tolist()
+        assert report["results"]["mean_scenario"] == [[v, v] for v in vertex]
 
 
 class TestSetCommands:
@@ -698,6 +724,36 @@ class TestReportContract:
         assert code == 2 and "forced" in err
 
 
+    def test_saddle_violation_maps_to_exit_four(self, capsys, monkeypatch):
+        def readout(*args):
+            raise SaddleViolated("forced for the exit-code contract")
+        monkeypatch.setattr(robust, "_readout", readout)
+        code, out, err = run_cli(capsys, "solve", "--instance",
+                                 str(INSTANCES / "prices_reform.json"),
+                                 "--mode", "robust-cp")
+        assert code == cli.EXIT_SOLVER == 4 and not out
+        assert err.startswith("error:") and "forced" in err
+        assert err.count("\n") == 1
+
+    def test_numeric_breakdown_maps_to_exit_four(self, capsys, monkeypatch):
+        load = cli.load_instance
+
+        def breakdown(spec):
+            raise NumericBreakdown("forced for the exit-code contract")
+
+        def load_then_break(path):
+            loaded = load(path)
+            _replace_solvers(monkeypatch, breakdown, ("solve_lp",))
+            return loaded
+
+        monkeypatch.setattr(cli, "load_instance", load_then_break)
+        code, out, err = run_cli(capsys, "tau", "--instance",
+                                 str(INSTANCES / "prices_reform.json"))
+        assert code == cli.EXIT_SOLVER and not out
+        assert err.startswith("error:") and "forced" in err
+        assert err.count("\n") == 1
+
+
 def _solver_returning(status):
     """Stand-in for solve_lp/solve_qp that reports `status` for every spec."""
     def solve(spec):
@@ -705,16 +761,22 @@ def _solver_returning(status):
     return solve
 
 
-def _fail_solvers(monkeypatch, status, names=("solve_lp", "solve_qp")):
-    """Install _solver_returning(status) at every binding of the named
-    solvers in the package, wherever a module imported them."""
+def _replace_solvers(monkeypatch, replacement, names):
+    """Install `replacement` at every binding of the named solvers in the
+    package, wherever a module imported them."""
     modules = [robust_peakload] + [
         importlib.import_module(f"robust_peakload.{info.name}")
         for info in pkgutil.iter_modules(robust_peakload.__path__)]
     for module in modules:
         for name in names:
             if vars(module).get(name) is getattr(robust_peakload.solver, name):
-                monkeypatch.setattr(module, name, _solver_returning(status))
+                monkeypatch.setattr(module, name, replacement)
+
+
+def _fail_solvers(monkeypatch, status, names=("solve_lp", "solve_qp")):
+    """Install _solver_returning(status) at every binding of the named
+    solvers in the package."""
+    _replace_solvers(monkeypatch, _solver_returning(status), names)
 
 
 def _instance(name):

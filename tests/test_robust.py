@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from scipy.optimize import linprog
 
 import robust_peakload
 import oracles
-from oracles import lifted_scenario_form, merit_order_dispatch
+from oracles import (compose_lifted, lifted_scenario_form, lifted_vertices,
+                     merit_order_dispatch, per_period_index)
 from robust_peakload import robust, solver
 from robust_peakload.geometry import (
     Polytope,
@@ -40,7 +43,6 @@ from robust_peakload.robust import (
     adjustable_scenario_form_fixed,
     dispatch_at_capacity,
     lifted_set,
-    lifted_vertices,
     market_robust_report,
     solve_robust_cp_elastic,
     solve_robust_cp_fixed,
@@ -51,7 +53,8 @@ from robust_peakload.robust import (
     worst_case_scenario,
 )
 from robust_peakload.solver import LpSpec, QpSpec, solve_lp, solve_qp
-from robust_peakload.subsidy import (compute_subsidies, kkt_residuals,
+from robust_peakload.subsidy import (_verification, build_price_functions,
+                                     compute_subsidies, kkt_residuals,
                                      solve_fixed_capacity_welfare)
 
 VALUE_TOL = 1e-7
@@ -471,9 +474,12 @@ class TestAdjustableEquivalence:
         cert = verify_adjustable_equivalence(inst, samples=16)
         assert cert["demand_mode"] == "fixed"
         assert_allclose(cert["value"], 3.0, atol=VALUE_TOL)
-        # Vertices come sorted: (0,0), (0,1), (1,0); the nominal scenario
-        # dispatches for 2, either concentrated scenario forces cost 3.
-        assert_allclose(cert["vertex_values"], [2.0, 3.0, 3.0], atol=VALUE_TOL)
+        # Vertices come sorted: (0,0), (0,1), (1,0); past the investment
+        # cost 2, the nominal scenario dispatches for 0, either concentrated
+        # scenario forces production cost 1.
+        assert_array_equal(cert["vertices"], [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        assert_allclose(cert["vertex_values"], [[0.0], [1.0], [1.0]], atol=VALUE_TOL)
+        assert_allclose(cert["worst_vertex_value"], 3.0, atol=VALUE_TOL)
         assert cert["dominated"] and cert["saddle_ok"]
 
     def test_hull_instance_certificate(self):
@@ -481,9 +487,10 @@ class TestAdjustableEquivalence:
         cert = verify_adjustable_equivalence(inst, samples=16)
         assert cert["demand_mode"] == "elastic"
         assert_allclose(cert["value"], 1.62, atol=VALUE_TOL)
-        assert_allclose(sorted(cert["vertex_values"]),
-                        [1.62, 3.74, 3.74, 7.02], atol=1e-6)
-        assert_allclose(min(cert["vertex_values"]), cert["value"], atol=1e-6)
+        # Period welfare before the investment cost 0.2 * (0.9 + 0.9).
+        assert_allclose(sorted(cert["vertex_values"][:, 0]),
+                        [1.98, 4.10, 4.10, 7.38], atol=1e-6)
+        assert_allclose(cert["worst_vertex_value"], cert["value"], atol=1e-6)
 
     def test_random_instances_verify(self):
         rng = np.random.default_rng(67)
@@ -772,8 +779,8 @@ def _count_solves(monkeypatch):
 
 class TestPeriodComposition:
     """The certificate and the subsidies solve the pinned second stage once
-    per per-period vertex and compose the lifted-vertex outputs from those
-    solves; every composed output must equal the direct solve at its lifted
+    per per-period vertex and return data over those |V| vertices; composed
+    into the lifted layout, it must equal the direct solve at every lifted
     vertex, in lifted_vertices order."""
 
     @pytest.mark.parametrize("elastic", [False, True], ids=["fixed", "elastic"])
@@ -782,13 +789,19 @@ class TestPeriodComposition:
         rng = np.random.default_rng([79, N, T, U == "box", elastic])
         inst = per_period_instance(rng, N, T, U, elastic=elastic)
         cert = verify_adjustable_equivalence(inst, samples=1)
+        V = len(enumerate_vertices(inst.uncertainty))
+        assert cert["vertices"].shape == (V, N)
+        assert cert["vertex_values"].shape == (V, T)
         vertices = lifted_vertices(inst)
-        assert len(cert["vertices"]) == len(cert["vertex_values"]) == len(vertices)
-        for k, u in enumerate(vertices):
-            assert_array_equal(cert["vertices"][k], u)
-            value, _ = dispatch_at_capacity(inst, cert["capacities"], u)
-            assert_allclose(cert["vertex_values"][k], value,
-                            atol=COMPOSITION_TOL, rtol=0, err_msg=f"vertex {k}")
+        assert_array_equal(compose_lifted(np.repeat(cert["vertices"][:, :, None], T, axis=2)),
+                           vertices)
+        c_inv = np.array([p.c_inv for p in inst.producers])
+        investment = (-1.0 if elastic else 1.0) * (c_inv @ cert["capacities"])
+        composed = investment + compose_lifted(cert["vertex_values"]).sum(axis=1)
+        direct = [dispatch_at_capacity(inst, cert["capacities"], u)[0] for u in vertices]
+        assert_allclose(composed, direct, atol=COMPOSITION_TOL, rtol=0)
+        worst = min(direct) if elastic else max(direct)
+        assert_allclose(cert["worst_vertex_value"], worst, atol=COMPOSITION_TOL, rtol=0)
 
     @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
     def test_subsidy_results_match_direct_solves(self, N, T, U):
@@ -796,9 +809,10 @@ class TestPeriodComposition:
         inst = per_period_instance(rng, N, T, U, elastic=True)
         bundle = compute_subsidies(inst, audit_samples=0)
         assert np.any(bundle.y_star > 0.0)
-        vertices = lifted_vertices(inst)
+        vertices = enumerate_vertices(inst.uncertainty)
         assert len(bundle.scenario_results) == len(vertices)
-        for k, (res, u) in enumerate(zip(bundle.scenario_results, vertices)):
+        for k, (res, v) in enumerate(zip(bundle.scenario_results, vertices)):
+            u = np.repeat(v[:, None], T, axis=1)
             direct = solve_fixed_capacity_welfare(inst, bundle.y_star, u)
             for name in ("u", "x", "pi", "mu", "phi", "chi", "value"):
                 assert_allclose(getattr(res, name), getattr(direct, name),
@@ -826,14 +840,122 @@ class TestPeriodComposition:
             calls.clear()
             bundle = compute_subsidies(inst, audit_samples=audit_samples)
             assert len(calls) == planner, audit_samples
-        assert len(bundle.scenario_results) == 4 ** inst.T
+        assert len(bundle.scenario_results) == 4
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded from the checkout as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_instances():
+    """(id, instance) pairs: the instances of perfbench's adjustable_vertices
+    workload for run seeds 1, 5 and 9173 (T <= 4; the rungs drawn from the
+    fixed suite appear once), then the fixed and elastic instances of the
+    COMPOSITION_SHAPES."""
+    workloads = _load_workloads()
+    cases = []
+    for seed in (1, 5, 9173):
+        for index, (N, T, kind, source, flows) in enumerate(workloads.ADJUSTABLE):
+            if source == "suite" and seed != 1:
+                continue
+            rng = workloads._rng(source, seed, 3, index)
+            for flow in flows:
+                make = workloads.elastic_market if flow == "elastic" else workloads.fixed_market
+                name = "elastic" if flow == "elastic" else "fixed"
+                label = f"{source}{seed if source == 'seed' else ''}-{N}x{T}-{kind}-{name}"
+                cases.append((label, make(rng, N, T, kind)))
+    for N, T, U in COMPOSITION_SHAPES:
+        for elastic in (False, True):
+            rng = np.random.default_rng([107, N, T, U == "box", elastic])
+            cases.append((f"shape-{N}x{T}-{U}-{'elastic' if elastic else 'fixed'}",
+                          per_period_instance(rng, N, T, U, elastic=elastic)))
+    return cases
+
+
+ORACLE_CASES = _oracle_instances()
+
+
+def _bits(value):
+    """Bytes of a float array with signed zeros folded."""
+    return (np.asarray(value, dtype=float) + 0.0).tobytes()
+
+
+class TestComposedOracle:
+    """Every output over the |V| per-period vertices, composed into the
+    lifted layout by the oracle, equals bit for bit what the lifted |V|^T
+    computation gives: the subsidies, the verification record, the result
+    fields, the prices, the certificate's worst vertex value, and the
+    scenario form's layout."""
+
+    @pytest.mark.parametrize("inst", [inst for _, inst in ORACLE_CASES],
+                             ids=[label for label, _ in ORACLE_CASES])
+    def test_matches_composed_oracle(self, inst):
+        T = inst.T
+        V = len(enumerate_vertices(inst.uncertainty))
+        vertices = lifted_vertices(inst)
+        assert len(vertices) == V ** T
+
+        # The certificate: the value at every lifted vertex, composed from
+        # the period values, then its worst.
+        cert = verify_adjustable_equivalence(inst, samples=8)
+        fixed = isinstance(inst.demand, Fixed)
+        c_inv = np.array([p.c_inv for p in inst.producers])
+        values = ((1.0 if fixed else -1.0) * (c_inv @ cert["capacities"])
+                  + compose_lifted(cert["vertex_values"]).sum(axis=1))
+        worst = values.max() if fixed else values.min()
+        assert _bits(cert["worst_vertex_value"]) == _bits(worst)
+        gap = (1.0 if fixed else -1.0) * (np.append(cert["sample_values"], worst)
+                                          - cert["value"])
+        assert cert["dominated"] == bool(np.all(gap <= SADDLE_TOL))
+
+        if fixed:
+            # The scenario form's rows compose to the lifted vertices; its
+            # composed productions are checked in TestScenarioFormByPeriod.
+            form = adjustable_scenario_form_fixed(inst)
+            assert form["scenarios"].shape == form["productions"].shape == (V, inst.N, T)
+            assert _bits(compose_lifted(form["scenarios"])) == _bits(vertices)
+            return
+
+        bundle = compute_subsidies(inst, audit_samples=0)
+        results = bundle.scenario_results
+        assert len(results) == V
+        lifted = [solve_fixed_capacity_welfare(inst, bundle.y_star, u) for u in vertices]
+        for name in ("u", "x", "pi", "mu", "phi"):
+            composed = compose_lifted(np.array([getattr(res, name) for res in results]))
+            assert _bits(composed) == _bits([getattr(res, name) for res in lifted]), name
+        mu = compose_lifted(np.array([res.mu for res in results]))
+        assert _bits(mu.sum(axis=2) - c_inv) == _bits([res.chi for res in lifted])
+
+        expected = oracles.lifted_subsidy_checks(inst, bundle.eta, bundle.y_star, lifted)
+        assert _bits(bundle.eta) == _bits(expected["eta"])
+        rng = np.random.default_rng(V ** T)
+        for eta in (bundle.eta, np.zeros(inst.N), bundle.eta + rng.normal(0.0, 0.05, inst.N),
+                    bundle.eta + 0.3):
+            record, _ = _verification(inst, eta, bundle.y_star, results)
+            expected = oracles.lifted_subsidy_checks(inst, eta, bundle.y_star, lifted)
+            for key in ("worst_case_profits", "max_deviation_gain"):
+                assert _bits(record[key]) == _bits(expected[key]), key
+            assert record["is_equilibrium"] == expected["is_equilibrium"]
+
+        table = build_price_functions(bundle)
+        keys = [tuple(v.tolist()) for v in enumerate_vertices(inst.uncertainty)]
+        assert sorted(table) == sorted(keys)
+        for k, res in enumerate(lifted):
+            for t, j in enumerate(per_period_index(k, V, T)):
+                assert _bits(table[keys[j]][t]) == _bits(res.pi[t]), (k, t)
 
 
 class TestScenarioFormByPeriod:
     """The scenario form is solved per (per-period vertex, period) copy; its
     value must equal the lifted-vertex program's, its |V| x T clearing
-    duals must price the demand at that value, and the productions composed
-    in lifted_vertices order must be feasible and within the epigraph."""
+    duals must price the demand at that value, and its |V| x N x T
+    productions, composed in lifted_vertices order, must be feasible and
+    within the epigraph."""
 
     @staticmethod
     def form_and_instance(N, T, U):
@@ -858,13 +980,14 @@ class TestScenarioFormByPeriod:
     @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
     def test_composed_productions_feasible(self, N, T, U):
         inst, form = self.form_and_instance(N, T, U)
+        V = len(enumerate_vertices(inst.uncertainty))
+        assert form["scenarios"].shape == form["productions"].shape == (V, N, T)
         vertices = lifted_vertices(inst)
-        assert len(form["scenarios"]) == len(form["productions"]) == len(vertices)
         zero = np.zeros(N)
-        for k, (u, scenario, x) in enumerate(zip(vertices, form["scenarios"],
-                                                 form["productions"])):
+        for k, (u, scenario, x) in enumerate(zip(vertices,
+                                                 compose_lifted(form["scenarios"]),
+                                                 compose_lifted(form["productions"]))):
             assert_array_equal(scenario, u)
-            assert x.shape == (N, T)
             assert np.all(x >= -1e-9), k
             assert np.all(x <= form["capacities"][:, None] + 1e-9), k
             assert_allclose(x.sum(axis=0), inst.demand.d, atol=1e-9,
@@ -886,7 +1009,7 @@ class TestScenarioFormByPeriod:
         names = [name for name, _ in calls]
         assert names.count("solve_qp") in (1, 2)
         assert names.count("solve_lp") == 1 + names.count("solve_qp")
-        assert len(form["productions"]) == 4 ** inst.T
+        assert form["productions"].shape == (4, inst.N, inst.T)
 
 
 def _qp_bytes(spec):

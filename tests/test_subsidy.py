@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import deviation_gain_grid
-from robust_peakload.geometry import box, hull_to_inequalities, simplex
+from oracles import (compose_lifted, deviation_gain_grid, lifted_vertices,
+                     per_period_index)
+from robust_peakload.geometry import (box, enumerate_vertices,
+                                      hull_to_inequalities, simplex)
 from robust_peakload.market import (AffineElastic, Fixed, MarketInstance,
                                     Producer, cost_matrix)
-from robust_peakload.robust import lifted_vertices, solve_robust_cp_elastic
+from robust_peakload.robust import solve_robust_cp_elastic
 from robust_peakload.subsidy import (
     NotEquilibrium,
     _verification,
@@ -46,6 +48,13 @@ def hull_example():
                    Producer(c_inv=0.2, c_var=0.0, a=4.0)],
         demand=AffineElastic(np.array([5.0]), np.array([1.0])),
         T=1, uncertainty=U)
+
+
+def two_period_hull_example():
+    """hull_example over two periods with different demand curves."""
+    return dataclasses.replace(
+        hull_example(), T=2,
+        demand=AffineElastic(np.array([5.0, 4.0]), np.array([1.0, 1.5])))
 
 
 def random_elastic_instance(rng):
@@ -119,9 +128,7 @@ class TestFixedCapacityWelfare:
     @pytest.mark.parametrize("period", [0, 1])
     def test_scenario_outside_set_in_one_period_rejected(self, period):
         # Over two periods, a scenario that leaves U' in one period only.
-        inst = dataclasses.replace(
-            hull_example(), T=2,
-            demand=AffineElastic(np.array([5.0, 4.0]), np.array([1.0, 1.5])))
+        inst = two_period_hull_example()
         u = np.full((2, 2), 0.5)
         u[:, period] = 1.0
         with pytest.raises(ValueError, match="outside"):
@@ -191,7 +198,37 @@ class TestComputeSubsidies:
         assert_allclose(bundle.y_star, [0.0, 0.0], atol=1e-9)
         assert_allclose(bundle.eta, [0.0, 0.0], atol=1e-12)
         assert bundle.verification["is_equilibrium"]
-        assert len(bundle.scenario_results) == len(lifted_vertices(inst))
+        assert len(bundle.scenario_results) == len(enumerate_vertices(inst.uncertainty))
+
+    def test_one_result_per_vertex(self):
+        # 3 x 3 simplex: 4 per-period vertices, 4^3 lifted ones.
+        rng = np.random.default_rng(13)
+        inst = MarketInstance(
+            producers=[Producer(c_inv=float(rng.uniform(0.05, 0.4)),
+                                c_var=float(rng.uniform(0.0, 0.8)),
+                                a=float(rng.uniform(0.2, 1.2))) for _ in range(3)],
+            demand=AffineElastic(rng.uniform(1.5, 4.0, 3), rng.uniform(0.5, 2.0, 3)),
+            T=3, uncertainty=simplex(3))
+        bundle = compute_subsidies(inst, audit_samples=8)
+        assert len(bundle.scenario_results) == len(enumerate_vertices(inst.uncertainty)) == 4
+        for res in bundle.scenario_results:
+            assert res.u.shape == res.x.shape == res.mu.shape == (3, 3)
+            assert_array_equal(res.u, np.repeat(res.u[:, :1], 3, axis=1))
+        assert bundle.verification["is_equilibrium"]
+
+    def test_twelve_periods_stay_per_vertex(self):
+        # 2 x 12 box: 4^12 (about 16.7 million) lifted vertices, 4 results.
+        rng = np.random.default_rng(14)
+        inst = MarketInstance(
+            producers=[Producer(c_inv=0.2, c_var=0.3, a=1.0),
+                       Producer(c_inv=0.3, c_var=0.1, a=1.5)],
+            demand=AffineElastic(rng.uniform(2.0, 5.0, 12), rng.uniform(0.5, 2.0, 12)),
+            T=12, uncertainty=box(2))
+        bundle = compute_subsidies(inst, audit_samples=16)
+        assert len(bundle.scenario_results) == 4
+        record = verify_subsidized_equilibrium(inst, bundle)
+        assert record["is_equilibrium"]
+        assert not bundle.audit["flagged"]
 
     def test_tie_periods_contribute_nothing(self):
         # At the (1, 0) vertex producer 1 runs at a price exactly equal to
@@ -237,11 +274,13 @@ class TestComputeSubsidies:
 
 
 def unit_profits(inst, eta, results):
-    """Margin earned per unit of own capacity at each vertex's prices, net of
-    c_inv - eta (V x N)."""
+    """Margin earned per unit of own capacity at each lifted vertex's prices,
+    net of c_inv - eta (|V|^T x N), with the per-period results composed
+    into the lifted layout."""
     c_inv = np.array([p.c_inv for p in inst.producers])
-    margins = np.array([res.pi[None, :] - cost_matrix(inst, res.u)
-                        for res in results])
+    u = compose_lifted(np.array([res.u for res in results]))
+    pi = compose_lifted(np.array([res.pi for res in results]))
+    margins = pi[:, None, :] - cost_matrix(inst, u)
     return np.maximum(margins, 0.0).sum(axis=2) - (c_inv - eta)
 
 
@@ -254,8 +293,9 @@ class TestGridAndSamples:
         # Bundles with eta computed, perturbed, and raised on producers the
         # planner leaves idle (some instances get a producer too expensive to
         # build), so that deviation violations occur.  The exact check must
-        # agree bit for bit with trying capacities on a grid, signed zeros
-        # aside.
+        # agree bit for bit with trying capacities on a grid over the
+        # composed lifted vertices, signed zeros aside, and name the same
+        # lifted vertex, by its per-period vertices.
         rng = np.random.default_rng(905)
         deviations = 0
         for trial in range(60):
@@ -282,10 +322,14 @@ class TestGridAndSamples:
                 if triple is not None and triple[2] is not None:
                     deviations += 1
                 profit = unit_profits(inst, eta, bundle.scenario_results)
+                V = len(bundle.scenario_results)
                 for grid in (2, 11, 101):
                     gain, first = deviation_gain_grid(profit, bundle.y_star, grid)
                     assert_array_equal(record["max_deviation_gain"] + 0.0,
                                        gain + 0.0, err_msg=f"trial {trial}")
+                    if first is not None:
+                        first = (first[0], per_period_index(first[1], V, inst.T),
+                                 first[2])
                     if triple is None or triple[2] is not None:
                         assert triple == first, f"trial {trial}, grid {grid}"
         assert deviations >= 10
@@ -307,17 +351,19 @@ class TestVerification:
                         atol=PROFIT_TOL)
 
     def test_tampered_production_fails_structure_check(self):
-        inst = hull_example()
-        bundle = compute_subsidies(inst, audit_samples=0)
-        tampered = [dataclasses.replace(res) for res in bundle.scenario_results]
-        idle = np.argmin([res.u.sum() for res in tampered])
-        tampered[idle] = dataclasses.replace(tampered[idle],
-                                             x=np.zeros_like(tampered[idle].x))
-        broken = dataclasses.replace(bundle, scenario_results=tampered)
-        with pytest.raises(NotEquilibrium) as info:
-            verify_subsidized_equilibrium(inst, broken)
-        assert info.value.scenario == int(idle)
-        assert info.value.deviation is None
+        # At T = 1 and T = 2 the structure check reports the lifted vertex
+        # with every period at the tampered result.
+        for inst in (hull_example(), two_period_hull_example()):
+            bundle = compute_subsidies(inst, audit_samples=0)
+            tampered = [dataclasses.replace(res) for res in bundle.scenario_results]
+            idle = int(np.argmin([res.u.sum() for res in tampered]))
+            tampered[idle] = dataclasses.replace(tampered[idle],
+                                                 x=np.zeros_like(tampered[idle].x))
+            broken = dataclasses.replace(bundle, scenario_results=tampered)
+            with pytest.raises(NotEquilibrium) as info:
+                verify_subsidized_equilibrium(inst, broken)
+            assert info.value.scenario == (idle,) * inst.T
+            assert info.value.deviation is None
 
     @pytest.mark.parametrize("eta", [[np.nan, np.nan], [np.inf, 0.0],
                                      [0.2, -np.inf]])
@@ -362,6 +408,16 @@ class TestVerification:
 
 
 class TestPriceFunctions:
+    def test_table_gives_period_prices_per_vertex(self):
+        # T = 2: each per-period vertex maps to the two prices of the
+        # result at the scenario with both periods at it.
+        inst = two_period_hull_example()
+        bundle = compute_subsidies(inst, audit_samples=0)
+        table = build_price_functions(bundle)
+        assert len(table) == 4
+        for res in bundle.scenario_results:
+            assert_array_equal(table[tuple(res.u[:, 0].tolist())], res.pi)
+
     def test_table_covers_all_vertices(self):
         inst = hull_example()
         bundle = compute_subsidies(inst, audit_samples=0)
