@@ -450,9 +450,9 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     planner's.
 
     Returns a dict with
-      demand_mode, value (C), capacities (y*), worst_u, worst_value (the
-        dispatch value at worst_u), saddle_gap (|worst_value - C|),
-        saddle_ok, samples, seed;
+      demand_mode, value (C), capacities (y* clipped at zero), worst_u,
+        worst_value (the dispatch value at worst_u), saddle_gap
+        (|worst_value - C|), saddle_ok, samples, seed;
       vertices: |V| x N, the per-period vertices in enumerate_vertices order;
       vertex_values: |V| x T, the period values at y* with every period at
         one vertex, the investment cost excluded;
@@ -477,7 +477,9 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
         cp_solution, C, worst_u = solve_robust_cp_elastic(inst)
         dominated = lambda value: value >= C - SADDLE_TOL
         capacity_sign, worst_of = -1.0, np.min
-    y_star = cp_solution.capacities
+    # Clipped at zero like every other pinned dispatch (_pinned_inputs,
+    # compute_subsidies): the planner's capacities can carry -1e-15 entries.
+    y_star = np.maximum(cp_solution.capacities, 0.0)
     c_inv = np.array([p.c_inv for p in inst.producers])
 
     constant, at_vertices = _vertex_dispatch(inst, y_star)
@@ -494,7 +496,7 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     certificate = {
         "demand_mode": mode,
         "value": C,
-        "capacities": y_star.copy(),
+        "capacities": y_star,
         "vertices": constant[:, :, 0].copy(),
         "vertex_values": vertex_values,
         "worst_vertex_value": worst_vertex_value,

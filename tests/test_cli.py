@@ -7,7 +7,10 @@ byte-identically and be deterministic apart from the timing field.
 
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -850,3 +853,33 @@ class TestNonOptimalSolves:
         spec = LpSpec("max", [1.0], [[1.0]], [1.0], ["<="])
         with pytest.raises(ValueError, match="min-sense"):
             robust._min_norm_duals(spec, None, [])
+
+
+# Runs in a fresh interpreter: the package import and four commands through
+# the LP, elastic QP, subsidy and set-geometry paths, then lists every scipy
+# module that got loaded.
+_NUMPY_ONLY_RUN = """
+import contextlib, io, json, sys
+from robust_peakload import cli
+runs = [["solve", "--instance", "instances/subsidy_example.json", "--mode", "robust-cp"],
+        ["poa", "--instance", "instances/subsidy_example.json"],
+        ["subsidy", "--instance", "instances/subsidy_example.json"],
+        ["tau", "--instance", "instances/box_fixed.json"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv + ["--format", "json"]) for argv in runs]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    """The package and its commands run on numpy alone: scipy is a test
+    dependency (the HiGHS oracle), not a runtime one."""
+    root = INSTANCES.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_RUN], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert found == {"codes": [0, 0, 0, 0], "scipy": []}

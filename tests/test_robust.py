@@ -507,6 +507,28 @@ class TestAdjustableEquivalence:
         with pytest.raises(ValueError):
             verify_adjustable_equivalence(two_producer_peak_instance(), samples=0)
 
+    def test_capacities_clipped_like_pinned_dispatch(self, monkeypatch):
+        """The planner's capacities can carry entries like -2.6e-15; the
+        certificate dispatches and reports them clipped at zero, exactly as
+        dispatch_at_capacity does."""
+        inst = per_period_instance(np.random.default_rng([107, 2, 2, True, True]),
+                                   2, 2, "box", elastic=True)
+        solution, C, worst_u = solve_robust_cp_elastic(inst)
+        y = solution.capacities.copy()
+        idle = int(np.argmin(np.abs(y)))
+        assert abs(y[idle]) < 1e-12
+        y[idle] = -2.6e-15
+        monkeypatch.setattr(robust, "solve_robust_cp_elastic", lambda _: (
+            dataclasses.replace(solution, capacities=y), C, worst_u))
+        cert = verify_adjustable_equivalence(inst, samples=4)
+        clipped = np.maximum(y, 0.0)
+        assert np.all(cert["capacities"] >= 0.0)
+        assert _bits(cert["capacities"]) == _bits(clipped)
+        c_inv = np.array([p.c_inv for p in inst.producers])
+        for v, periods in zip(enumerate_vertices(inst.uncertainty), cert["vertex_values"]):
+            value, _ = dispatch_at_capacity(inst, clipped, np.repeat(v[:, None], inst.T, axis=1))
+            assert _bits(value) == _bits(periods.sum() - c_inv @ clipped)
+
 
 class TestScenarioForm:
     def test_two_producer_peak_duals(self):

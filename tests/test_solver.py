@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import lp_bruteforce, qp_box_diagonal_oracle
@@ -286,3 +288,90 @@ class TestQpAgainstClosedForms:
         assert np.array_equal(first.primal, second.primal)
         assert np.array_equal(first.duals, second.duals)
         assert first.objective == second.objective
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+small_ints = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def repeated_row_qps(draw):
+    """(spec, repeated): a convex QP with Q = M'M, rank(M) <= n, so reduced
+    Hessians can be singular, rows of all three kinds plus a bounding sum
+    row, and the same program with each row repeated one to three times.
+    Depending on a drawn flag, the rows hold at an integer point x0 inside
+    the sum row, or the right-hand sides are arbitrary."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    M = np.array(draw(st.lists(small_ints, min_size=k * n, max_size=k * n))).reshape(k, n)
+    sense = draw(st.sampled_from(["min", "max"]))
+    Q = (1.0 if sense == "min" else -1.0) * (M.T @ M)
+    cost = np.array(draw(st.lists(small_ints, min_size=n, max_size=n)))
+    A = np.array(draw(st.lists(small_ints, min_size=m * n, max_size=m * n))).reshape(m, n)
+    kinds = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x0 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+        margin = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+        rhs = A @ x0 + np.select([np.array(kinds) == "<=", np.array(kinds) == ">="],
+                                 [margin, -margin], 0.0)
+        total = float(x0.sum() + draw(st.integers(0, 2)))
+    else:
+        rhs = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), dtype=float)
+        total = float(draw(st.integers(0, 4)))
+    A, rhs, kinds = np.vstack([A, np.ones(n)]), np.append(rhs, total), kinds + ["<="]
+    reps = draw(st.lists(st.integers(1, 3), min_size=m + 1, max_size=m + 1))
+    spec = QpSpec(sense, cost, A, rhs, kinds, quadratic_matrix=Q)
+    repeated = QpSpec(sense, cost, np.repeat(A, reps, axis=0), np.repeat(rhs, reps),
+                      list(np.repeat(kinds, reps)), quadratic_matrix=Q)
+    return spec, repeated
+
+
+def kkt_residuals(spec, out):
+    """Largest stationarity, sign, complementarity and feasibility
+    residuals of (primal, duals, reduced_costs), recomputed from the spec
+    in the module's sign convention: grad = A' duals + reduced_costs."""
+    x, duals, reduced = out.primal, out.duals, out.reduced_costs
+    A, b = spec.constraint_matrix, spec.constraint_rhs
+    kinds = np.array(spec.constraint_kinds)
+    lb, ub = spec.variable_lower_bounds, spec.variable_upper_bounds
+    sign = 1.0 if spec.objective_sense == "min" else -1.0
+    grad = spec.quadratic_matrix @ x + spec.cost
+    resid = A @ x - b
+    up = np.where(kinds == ">=", -1.0, 1.0)
+    # In minimization terms, up * sign * duals <= 0 off the "=" rows, and a
+    # reduced cost is >= 0 at a lower bound and <= 0 at an upper bound.
+    d_min, r_min = sign * duals, sign * reduced
+    stationarity = np.max(np.abs(grad - A.T @ duals - reduced), initial=0.0)
+    wrong_sign = max(np.max((up * d_min)[kinds != "="], initial=0.0),
+                     np.max(np.where(np.isfinite(ub), 0.0, -r_min), initial=0.0))
+    complementarity = max(
+        np.max(np.abs(duals * resid), initial=0.0),
+        np.max(np.where(r_min > 0.0, r_min * (x - lb), 0.0), initial=0.0),
+        np.max(np.where(r_min < 0.0, -r_min * np.where(np.isfinite(ub), ub - x, 0.0), 0.0),
+               initial=0.0))
+    infeasibility = max(np.max(np.where(kinds == "=", np.abs(resid), up * resid), initial=0.0),
+                        np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0))
+    return stationarity, wrong_sign, complementarity, infeasibility
+
+
+class TestQpRepeatedRows:
+    """Repeated rows make the working set rank deficient; the rank cutoff
+    and the minimum-norm multipliers must leave the answer unchanged.
+    Duals are compared only through the KKT residuals: on repeated rows
+    they are not unique, so their sums may differ between the two forms."""
+
+    @PROPERTY
+    @given(repeated_row_qps())
+    def test_repeated_rows_keep_status_objective_and_kkt(self, pair):
+        spec, repeated = pair
+        out, out_repeated = solve_qp(spec), solve_qp(repeated)
+        assert out.status == out_repeated.status
+        if out.status != "optimal":
+            return
+        assert abs(out.objective - out_repeated.objective) <= 1e-9 * (1.0 + abs(out.objective))
+        for program, outcome in ((spec, out), (repeated, out_repeated)):
+            assert max(kkt_residuals(program, outcome)) <= CERT_TOL
