@@ -65,8 +65,8 @@ from robust_peakload.market import (
 )
 # Infeasible and Unbounded live in solver (market raises them too) and are
 # re-exported here under their public names.
-from robust_peakload.solver import (Infeasible, LpSpec, QpSpec, Unbounded,
-                                    _checked, solve_lp, solve_qp)
+from robust_peakload.solver import (Infeasible, LpSpec, NumericBreakdown, QpSpec,
+                                    Unbounded, _checked, solve_lp, solve_qp)
 
 CHAIN_TOL = 1e-7
 SADDLE_TOL = 1e-6
@@ -166,25 +166,28 @@ def _with_adversary(A, rhs, kinds, cost, lam, U, sign):
             list(kinds) + [">="] * n_u, np.concatenate([cost, sign * U.r]))
 
 
-def _min_norm_optimum(cost, Q, A, rhs, kinds, v_star):
-    """Minimum-norm point of a quadratic program's optimal set.
+def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
+    """Minimum-norm point of the optimal set of the robust welfare QP over
+    (x, y, z) with linear part (A, rhs, kinds, cost), given one optimum v_star.
 
-    Optima of a convex (here concave) QP all share the same Hessian image
-    Q v and the same objective, so the optimal set is the feasible region
-    intersected with those linear conditions; projecting the solver's optimum
-    onto it is a strictly convex QP.  Falls back to v_star when the
-    projection solve does not come back optimal.
+    Optima of a concave QP all share the same Hessian image Q v and the same
+    objective.  The welfare Hessian has rank T: (Q v)_{i,t} = -beta_t s_t
+    with s_t = sum_i x_{i,t}, and beta_t > 0, so Q v = Q v_star is the T
+    aggregate rows s_t = s*_t (market._clearing_rows), on which the objective
+    is the linear w'v with w = cost + Q v_star / 2.  The optimal set is the
+    feasible region cut by those rows and w'v = w'v_star; projecting onto it
+    is a strictly convex QP.  v_star is feasible for it, so a projection
+    that does not come back optimal is a solver defect: NumericBreakdown.
     """
-    g = Q @ v_star
-    keep = [k for k in range(Q.shape[0]) if np.any(Q[k] != 0.0)]
-    w = cost + 0.5 * g
-    A2 = np.vstack([A, Q[keep], w[None, :]])
-    rhs2 = np.concatenate([np.asarray(rhs, dtype=float), g[keep], [w @ v_star]])
-    kinds2 = list(kinds) + ["="] * (len(keep) + 1)
-    out = solve_qp(QpSpec("min", np.zeros(v_star.size), A2, rhs2, kinds2,
-                          quadratic_matrix=np.eye(v_star.size)))
+    n, N, T = v_star.size, inst.N, inst.T
+    aggregate = np.zeros((T, n))
+    aggregate[:, : N * T] = _clearing_rows(N, T)
+    w = cost + 0.5 * _welfare_hessian(inst, n) @ v_star
+    out = solve_qp(QpSpec("min", np.zeros(n), np.vstack([A, aggregate, w]),
+                          np.concatenate([rhs, aggregate @ v_star, [w @ v_star]]),
+                          list(kinds) + ["="] * (T + 1), quadratic_matrix=np.eye(n)))
     if out.status != "optimal":
-        return v_star
+        raise NumericBreakdown(f"minimum-norm projection of the welfare optimum is {out.status}")
     return out.primal
 
 
@@ -384,8 +387,9 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     Returns (solution, C'_R, worst_u).  C'_R is the QP's optimal value and
     worst_u is read off the duals of its adversary rows (_readout), so
     welfare(x*, y*, worst_u) = C'_R holds within SADDLE_TOL or
-    SaddleViolated is raised.  Prices are read off the demand curve at total
-    production.
+    SaddleViolated is raised.  The plan is the minimum-norm optimum
+    (_min_norm_optimum), and a tie-break that fails raises NumericBreakdown.
+    Prices are read off the demand curve at total production.
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust planner requires AffineElastic demand")
@@ -398,8 +402,7 @@ def solve_robust_cp_elastic(inst: MarketInstance):
 
     # Welfare optima can be degenerate across capacity splits; canonicalize
     # to the minimum-norm optimum so interchangeable producers split evenly.
-    primal = _min_norm_optimum(cost, _welfare_hessian(inst, cost.size), A, b,
-                               kinds, out.primal)
+    primal = _min_norm_optimum(inst, cost, A, b, kinds, out.primal)
     x = primal[: N * T].reshape(N, T)
     y = primal[N * T : N * T + N]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
@@ -557,12 +560,15 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     The clearing duals are the minimum-norm optimal multipliers supported
     on the active copies (those whose epigraph row binds): symmetric across
     interchangeable producers, with zero price mass on vertices the worst
-    case of their period never activates.  When that support admits no
-    multiplier vector the support restriction is dropped, and when that
-    fails too the solver's basic multipliers are reported.  A lifted layout
-    would add nothing: in the lifted program any coupling of these
-    per-period weights across periods is an optimal dual, because the
-    capacity stationarity rows see only the per-period marginals.
+    case of their period never activates.  Such multipliers always exist:
+    dropping a copy whose epigraph row is slack leaves the LP's optimum
+    unchanged, because the copy's only condition on y, sum_i y_i >= d_t, is
+    the same for every copy of its period and the period's active copy
+    already imposes it.  A support-restricted QP that finds none therefore
+    raises NumericBreakdown.  A lifted layout would add nothing: in the
+    lifted program any coupling of these per-period weights across periods
+    is an optimal dual, because the capacity stationarity rows see only the
+    per-period marginals.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("scenario reformulation requires fixed demand")
@@ -596,9 +602,8 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     inactive = np.flatnonzero(epi_slack > 1e-8 * (1.0 + abs(out.objective)))
     duals = _min_norm_duals(spec, out, clearing_start + inactive)
     if duals is None:
-        duals = _min_norm_duals(spec, out, [])
-    if duals is None:
-        duals = out.duals
+        raise NumericBreakdown("scenario reformulation: no optimal multipliers "
+                               "vanish on the slack copies")
 
     copies = out.primal[T : T + K * N].reshape(V, T, N).transpose(0, 2, 1).copy()
     return {

@@ -24,10 +24,13 @@ These hand-written kernels stay rather than delegating to scipy's bundled
 HiGHS: on top of `import robust_peakload` (about 33 MB peak resident memory
 and 0.11 s), importing scipy.optimize adds about 44 MB and 0.44 s (Python
 3.11, numpy 2.4, scipy 1.17, 2-CPU Linux container), against a 5% bound on
-the benchmark's peak_rss_mb (perfbench/), and the library's programs are
-small enough that the dense kernels are not the bottleneck.  HiGHS remains
-the differential oracle of the tests, both for statuses and values and,
-through _certificate, for its own primal/dual pair.
+the benchmark's peak_rss_mb (perfbench/).  The dense QP kernel is the
+bottleneck of the largest elastic programs (the robust planner at 8
+producers by 24 periods spends nearly all of its time in solve_qp; ROADMAP
+item 3), and the remedy planned there keeps numpy: an updated factorization
+of the working set and the rank-T welfare Hessian.  HiGHS remains the
+differential oracle of the tests, both for statuses and values and, through
+_certificate, for its own primal/dual pair.
 """
 
 from dataclasses import dataclass, field
@@ -407,11 +410,13 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
 
     scale = 1.0 + np.max(np.abs(h), initial=0.0)
     working = []
-    stacked = E.copy()
-    rank = np.linalg.matrix_rank(stacked) if stacked.size else 0
-    slack0 = h - G @ x if G.size else np.zeros(0)
-    for k in np.flatnonzero(np.abs(slack0) <= 1e-8 * scale):
-        cand = np.vstack([stacked, G[k]]) if stacked.size else G[k : k + 1]
+    stacked = E
+    rank = np.linalg.matrix_rank(E) if E.size else 0
+    # Binding rows join while they raise the rank; at rank n none can.
+    for k in np.flatnonzero(np.abs(h - G @ x) <= 1e-8 * scale):
+        if rank == n:
+            break
+        cand = np.vstack([stacked, G[k]])
         r = np.linalg.matrix_rank(cand)
         if r > rank:
             stacked, rank, working = cand, r, working + [int(k)]
@@ -429,9 +434,9 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
         # One SVD of the working set per step serves both of its uses: the
         # trailing right singular vectors span its null space, and the leading
         # triplets give the minimum-norm least-squares multipliers, which a
-        # plain solve would not (the tie-break of _min_norm_optimum repeats
-        # rows, so A_w is often rank deficient).  The rank cutoff is
-        # matrix_rank's, as in the start-up loop above.
+        # plain solve would not when A_w is rank deficient, as it is for a
+        # program that repeats a row (TestQpRepeatedRows in the tests).  The
+        # rank cutoff is matrix_rank's, as in the start-up loop above.
         A_w = np.vstack([E, G[working]])
         U, sv, Vt = np.linalg.svd(A_w, full_matrices=True)
         rank = int(np.sum(sv > np.max(sv, initial=0.0) * np.finfo(float).eps * max(A_w.shape)))
@@ -456,22 +461,8 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
                 w[pos] = -slopes[pos] / lam[pos]
                 p = Z @ (V @ w)
 
-        if ray is not None:
-            s = G @ ray if G.size else np.zeros(0)
-            cands = np.flatnonzero(s > 1e-11)
-            cands = np.array([k for k in cands if k not in working], dtype=int)
-            if cands.size == 0:
-                return SolveOutcome("unbounded", None, None, None, None, [], iterations, {})
-            slack = np.clip(h[cands] - G[cands] @ x, 0.0, None)
-            ratios = slack / s[cands]
-            alpha = np.min(ratios)
-            hit = cands[ratios <= alpha + 1e-9 * (1.0 + alpha)]
-            x = x + alpha * ray
-            working.append(int(hit.min()))
-            stall = stall + 1 if alpha <= 1e-13 else 0
-            continue
-
-        if np.max(np.abs(p), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0)):
+        if ray is None and (np.max(np.abs(p), initial=0.0)
+                            <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0))):
             mults = U[:, :rank] @ ((Vt[:rank] @ -grad) / sv[:rank])
             nu = mults[: E.shape[0]]
             mu_w = mults[E.shape[0]:]
@@ -488,21 +479,22 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
                 bland_mode = True
             continue
 
-        s = G @ p if G.size else np.zeros(0)
-        mask = np.array([k for k in np.flatnonzero(s > 1e-11) if k not in working], dtype=int)
-        alpha = 1.0
-        hit_row = -1
-        if mask.size:
-            slack = np.clip(h[mask] - G[mask] @ x, 0.0, None)
-            ratios = slack / s[mask]
-            kmin = np.min(ratios)
-            if kmin < 1.0:
-                alpha = kmin
-                hits = mask[ratios <= kmin + 1e-9 * (1.0 + kmin)]
-                hit_row = int(hits.min())
-        x = x + alpha * p
-        if hit_row >= 0:
-            working.append(hit_row)
+        # One blocking-row search for both directions: the step p is taken
+        # in full (alpha = 1) unless a row blocks it, the ray has no full
+        # step, and a ray that no row blocks is a direction of unbounded
+        # descent.
+        d, full = (p, 1.0) if ray is None else (ray, np.inf)
+        s = G @ d
+        free = np.ones(s.size, dtype=bool)
+        free[working] = False
+        cands = np.flatnonzero((s > 1e-11) & free)
+        if cands.size == 0 and ray is not None:
+            return SolveOutcome("unbounded", None, None, None, None, [], iterations, {})
+        ratios = np.clip(h[cands] - G[cands] @ x, 0.0, None) / s[cands]
+        alpha = np.min(ratios, initial=full)
+        x = x + alpha * d
+        if alpha < full:
+            working.append(int(cands[ratios <= alpha + 1e-9 * (1.0 + alpha)].min()))
         stall = stall + 1 if alpha <= 1e-13 else 0
 
     # Map working-set multipliers back to stated rows.

@@ -738,6 +738,17 @@ class TestReportContract:
         assert err.startswith("error:") and "forced" in err
         assert err.count("\n") == 1
 
+    def test_failed_tie_break_maps_to_exit_four(self, capsys, monkeypatch):
+        # The elastic planner's minimum-norm tie-break is the only QP that
+        # robust.solve_qp runs here; a non-optimal projection has no fallback.
+        monkeypatch.setattr(robust, "solve_qp", _solver_returning("infeasible"))
+        code, out, err = run_cli(capsys, "solve", "--instance",
+                                 str(INSTANCES / "subsidy_example.json"),
+                                 "--mode", "robust-cp")
+        assert code == cli.EXIT_SOLVER and not out
+        assert err.startswith("error:") and "projection" in err
+        assert err.count("\n") == 1
+
     def test_numeric_breakdown_maps_to_exit_four(self, capsys, monkeypatch):
         load = cli.load_instance
 

@@ -15,7 +15,7 @@ import robust_peakload
 import oracles
 from oracles import (compose_lifted, lifted_scenario_form, lifted_vertices,
                      merit_order_dispatch, per_period_index)
-from robust_peakload import robust, solver
+from robust_peakload import market, robust, solver
 from robust_peakload.geometry import (
     Polytope,
     box,
@@ -52,7 +52,8 @@ from robust_peakload.robust import (
     verify_adjustable_equivalence,
     worst_case_scenario,
 )
-from robust_peakload.solver import LpSpec, QpSpec, solve_lp, solve_qp
+from robust_peakload.solver import (LpSpec, NumericBreakdown, QpSpec, SolveOutcome,
+                                    solve_lp, solve_qp)
 from robust_peakload.subsidy import (_verification, build_price_functions,
                                      compute_subsidies, kkt_residuals,
                                      solve_fixed_capacity_welfare)
@@ -466,6 +467,49 @@ class TestSingleWorstCasePath:
         assert_allclose(
             welfare(inst, solution.production, solution.capacities, worst_u),
             C, atol=SADDLE_TOL)
+
+
+class TestCanonicalizingSolves:
+    """The two canonicalizing solves, the elastic planner's minimum-norm
+    tie-break and the scenario form's minimum-norm duals, have no fallback:
+    a failed solve raises NumericBreakdown.  The tie-break poses the optimal
+    face with the T aggregate rows, not one Hessian row per production."""
+
+    def test_tie_break_poses_t_aggregate_rows(self, monkeypatch):
+        posed = {"planner": [], "tie-break": []}
+
+        def recorder(key, solve):
+            def record(spec):
+                posed[key].append(spec)
+                return solve(spec)
+            return record
+
+        monkeypatch.setattr(market, "solve_qp", recorder("planner", market.solve_qp))
+        monkeypatch.setattr(robust, "solve_qp", recorder("tie-break", robust.solve_qp))
+        inst = per_period_instance(np.random.default_rng(109), 3, 2, "simplex",
+                                   elastic=True)
+        solve_robust_cp_elastic(inst)
+        (planner,), (tie_break,) = posed["planner"], posed["tie-break"]
+        m, N, T = planner.n_rows, inst.N, inst.T
+        assert tie_break.n_rows == m + T + 1
+        assert tie_break.constraint_kinds[m:] == ("=",) * (T + 1)
+        assert_array_equal(tie_break.constraint_matrix[:m], planner.constraint_matrix)
+        aggregate = tie_break.constraint_matrix[m : m + T]
+        assert_array_equal(aggregate[:, : N * T], np.tile(np.eye(T), N))
+        assert not np.any(aggregate[:, N * T:])
+
+    def test_failed_tie_break_raises(self, monkeypatch):
+        def not_optimal(spec):
+            return SolveOutcome("infeasible", None, None, None, None, [], 0, {})
+
+        monkeypatch.setattr(robust, "solve_qp", not_optimal)
+        with pytest.raises(NumericBreakdown, match="projection"):
+            solve_robust_cp_elastic(elastic_hull_instance())
+
+    def test_missing_support_duals_raise(self, monkeypatch):
+        monkeypatch.setattr(robust, "_min_norm_duals", lambda spec, outcome, rows: None)
+        with pytest.raises(NumericBreakdown, match="slack copies"):
+            adjustable_scenario_form_fixed(two_producer_peak_instance())
 
 
 class TestAdjustableEquivalence:
@@ -991,13 +1035,34 @@ class TestScenarioFormByPeriod:
         assert_allclose(form["value"], lifted_scenario_form(inst),
                         atol=COMPOSITION_TOL, rtol=0)
 
-    @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
-    def test_clearing_duals_price_the_demand(self, N, T, U):
-        inst, form = self.form_and_instance(N, T, U)
+    @staticmethod
+    def tied_form(seed):
+        """A random_fixed_instance draw with N >= 2 whose last producer is a
+        copy of its first, and its scenario form."""
+        rng = np.random.default_rng([113, seed])
+        inst = random_fixed_instance(rng)
+        while inst.N < 2:
+            inst = random_fixed_instance(rng)
+        inst = dataclasses.replace(inst, producers=inst.producers[:-1] + inst.producers[:1])
+        return inst, adjustable_scenario_form_fixed(inst)
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(shape, id="-".join(map(str, shape))) for shape in COMPOSITION_SHAPES),
+        *(pytest.param(seed, id=f"tied-{seed}") for seed in range(8)),
+    ])
+    def test_clearing_duals_price_the_demand(self, case):
+        inst, form = (self.tied_form(case) if isinstance(case, int)
+                      else self.form_and_instance(*case))
         duals = form["clearing_duals"]
-        assert duals.shape == (len(enumerate_vertices(inst.uncertainty)), T)
+        assert duals.shape == (len(enumerate_vertices(inst.uncertainty)), inst.T)
         assert_allclose(np.sum(duals * inst.demand.d[None, :]), form["value"],
                         atol=COMPOSITION_TOL, rtol=0)
+        # theta_t is the largest copy cost of period t; a copy below it has
+        # a slack epigraph row and carries no clearing-dual mass.
+        copy_costs = np.sum(cost_matrix(inst, form["scenarios"]) * form["productions"],
+                            axis=1)
+        slack = copy_costs.max(axis=0) - copy_costs
+        assert np.all(duals[slack > 1e-6 * (1.0 + abs(form["value"]))] == 0.0)
 
     @pytest.mark.parametrize("N, T, U", COMPOSITION_SHAPES)
     def test_composed_productions_feasible(self, N, T, U):
@@ -1026,11 +1091,10 @@ class TestScenarioFormByPeriod:
         lps = [spec for name, spec in calls if name == "solve_lp" and np.any(spec.cost)]
         assert len(lps) == 1
         assert lps[0].n_rows == 4 * inst.T * (inst.N + 2)
-        # The rest are the minimum-norm dual QPs (one, or two when the
-        # support restriction is dropped), each with its zero-cost phase-1 LP.
+        # The rest is the one minimum-norm dual QP and its zero-cost phase-1 LP.
         names = [name for name, _ in calls]
-        assert names.count("solve_qp") in (1, 2)
-        assert names.count("solve_lp") == 1 + names.count("solve_qp")
+        assert names.count("solve_qp") == 1
+        assert names.count("solve_lp") == 2
         assert form["productions"].shape == (4, inst.N, inst.T)
 
 
