@@ -19,18 +19,29 @@ QP path is a primal active-set method.  Final primal and dual values are
 recomputed from the optimal basis / working set with dense linear solves, so
 certificate residuals sit near machine precision at desk scale.
 
+The active-set working set is kept linearly independent: the "=" rows enter
+as an independent subset, the start-up scan adds only the binding rows that
+are independent of those before it, and a blocking row is independent too
+(it has G_k d > 0 along a direction d in the working set's null space; a
+dependent row that rounding makes look blocking is set aside instead).  So
+a complete QR factorization A_w' = Q R is updated in place rather than
+recomputed: a row that joins is one Householder reflection of the trailing
+columns of Q, a row that leaves is one QR of the Hessenberg block it leaves
+in R, the null space is Q[:, m:], and the multipliers are one triangular
+system in R.  Only the equality duals, which are not unique when "=" rows
+are dependent, take one minimum-norm least-squares solve over all "=" rows
+at the end.
+
 The package imports numpy only; no scipy module is loaded at run time.
 These hand-written kernels stay rather than delegating to scipy's bundled
 HiGHS: on top of `import robust_peakload` (about 33 MB peak resident memory
 and 0.11 s), importing scipy.optimize adds about 44 MB and 0.44 s (Python
 3.11, numpy 2.4, scipy 1.17, 2-CPU Linux container), against a 5% bound on
-the benchmark's peak_rss_mb (perfbench/).  The dense QP kernel is the
-bottleneck of the largest elastic programs (the robust planner at 8
-producers by 24 periods spends nearly all of its time in solve_qp; ROADMAP
-item 3), and the remedy planned there keeps numpy: an updated factorization
-of the working set and the rank-T welfare Hessian.  HiGHS remains the
-differential oracle of the tests, both for statuses and values and, through
-_certificate, for its own primal/dual pair.
+the benchmark's peak_rss_mb (perfbench/).  For the same reason the
+factorization updates are written in numpy rather than with
+scipy.linalg.qr_insert / qr_delete.  HiGHS remains the differential oracle
+of the tests, both for statuses and values and, through _certificate, for
+its own primal/dual pair.
 """
 
 from dataclasses import dataclass, field
@@ -373,6 +384,60 @@ def _binding_rows(spec, x):
 # ---------------------------------------------------------------------------
 # active-set QP
 
+# A row joins the working set only when the part of it outside the span of
+# the working set's rows has more than this share of its norm.
+_INDEPENDENT = 1e-12
+
+
+class _WorkingQR:
+    """Complete QR factorization A_w' = Q R of a working set of linearly
+    independent rows, updated in place as rows join and leave (Nocedal &
+    Wright, Numerical Optimization, section 16.5).  Q is n x n orthogonal
+    and the leading m x m block of R is upper triangular, so Q[:, :m] spans
+    the rows of A_w and Q[:, m:] its null space."""
+
+    def __init__(self, n):
+        self.Q = np.eye(n)
+        self.R = np.zeros((n, n))
+        self.m = 0
+
+    def add(self, a):
+        """Append row a as column m if it is independent of the working set,
+        and return whether it was: one Householder reflection of the
+        trailing columns of Q maps the part of Q'a outside the working set
+        onto its first coordinate."""
+        m = self.m
+        v = self.Q.T @ a
+        u = v[m:].copy()
+        norm = np.linalg.norm(u)
+        if norm <= _INDEPENDENT * np.linalg.norm(a):
+            return False
+        diag = -np.copysign(norm, u[0])
+        u[0] -= diag
+        trailing = self.Q[:, m:]
+        trailing -= np.outer(trailing @ u, u * (2.0 / (u @ u)))
+        self.R[:m, m] = v[:m]
+        self.R[m, m] = diag
+        self.m = m + 1
+        return True
+
+    def drop(self, j):
+        """Remove column j; the columns after it leave an upper Hessenberg
+        block, which one QR of that block makes triangular again."""
+        m = self.m
+        self.R[:, j:m - 1] = self.R[:, j + 1:m]
+        self.R[:, m - 1] = 0.0
+        if j < m - 1:
+            q, r = np.linalg.qr(self.R[j:m, j:m - 1], mode="complete")
+            self.R[j:m, j:m - 1] = r
+            self.Q[:, j:m] = self.Q[:, j:m] @ q
+        self.m = m - 1
+
+    def multipliers(self, g):
+        """The least-squares lam of A_w' lam = g: one triangular system in R."""
+        m = self.m
+        return np.linalg.solve(self.R[:m, :m], self.Q[:, :m].T @ g)
+
 
 def solve_qp(spec: QpSpec) -> SolveOutcome:
     """Solve a QpSpec by a primal active-set method with dual extraction."""
@@ -408,39 +473,30 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
                             feas.certificate)
     x = feas.primal.copy()
 
+    # The working set is an independent subset of the "=" rows followed by
+    # the inequality rows `working`, factored as A_w' = Q R (_WorkingQR).
+    # Both start-up scans offer their rows in order, and `add` keeps those
+    # independent of the rows before them (none once the rank is n): first
+    # the "=" rows, then the inequality rows binding at the feasible point.
+    fac = _WorkingQR(n)
+    n_eq = sum(fac.add(a) for a in E)
     scale = 1.0 + np.max(np.abs(h), initial=0.0)
-    working = []
-    stacked = E
-    rank = np.linalg.matrix_rank(E) if E.size else 0
-    # Binding rows join while they raise the rank; at rank n none can.
-    for k in np.flatnonzero(np.abs(h - G @ x) <= 1e-8 * scale):
-        if rank == n:
-            break
-        cand = np.vstack([stacked, G[k]])
-        r = np.linalg.matrix_rank(cand)
-        if r > rank:
-            stacked, rank, working = cand, r, working + [int(k)]
+    working = [int(k) for k in np.flatnonzero(np.abs(h - G @ x) <= 1e-8 * scale)
+               if fac.add(G[k])]
+    # Inequality rows dependent on the working set: set aside by the
+    # blocking-row search until a row leaves (see below).
+    aside = []
 
     max_iter = 200 + 30 * (n + G.shape[0])
     iterations = 0
     stall = 0
     bland_mode = False
-    mu_w = np.zeros(len(working))
     while True:
         if iterations > max_iter:
             raise NumericBreakdown("active-set iteration limit exceeded")
         iterations += 1
         grad = Q @ x + c
-        # One SVD of the working set per step serves both of its uses: the
-        # trailing right singular vectors span its null space, and the leading
-        # triplets give the minimum-norm least-squares multipliers, which a
-        # plain solve would not when A_w is rank deficient, as it is for a
-        # program that repeats a row (TestQpRepeatedRows in the tests).  The
-        # rank cutoff is matrix_rank's, as in the start-up loop above.
-        A_w = np.vstack([E, G[working]])
-        U, sv, Vt = np.linalg.svd(A_w, full_matrices=True)
-        rank = int(np.sum(sv > np.max(sv, initial=0.0) * np.finfo(float).eps * max(A_w.shape)))
-        Z = Vt[rank:].T
+        Z = fac.Q[:, fac.m:]
         ray = None
         p = np.zeros(n)
         if Z.size:
@@ -463,9 +519,7 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
 
         if ray is None and (np.max(np.abs(p), initial=0.0)
                             <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0))):
-            mults = U[:, :rank] @ ((Vt[:rank] @ -grad) / sv[:rank])
-            nu = mults[: E.shape[0]]
-            mu_w = mults[E.shape[0]:]
+            mu_w = fac.multipliers(-grad)[n_eq:]
             neg = np.flatnonzero(mu_w < -1e-9 * (1.0 + np.linalg.norm(grad)))
             if neg.size == 0:
                 break
@@ -474,6 +528,8 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
             else:
                 drop = neg[np.argmin(mu_w[neg])]
             working.pop(int(drop))
+            fac.drop(n_eq + int(drop))
+            aside = []
             stall += 1
             if stall > 60:
                 bland_mode = True
@@ -486,7 +542,7 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
         d, full = (p, 1.0) if ray is None else (ray, np.inf)
         s = G @ d
         free = np.ones(s.size, dtype=bool)
-        free[working] = False
+        free[working + aside] = False
         cands = np.flatnonzero((s > 1e-11) & free)
         if cands.size == 0 and ray is not None:
             return SolveOutcome("unbounded", None, None, None, None, [], iterations, {})
@@ -494,12 +550,22 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
         alpha = np.min(ratios, initial=full)
         x = x + alpha * d
         if alpha < full:
-            working.append(int(cands[ratios <= alpha + 1e-9 * (1.0 + alpha)].min()))
+            # G_k d > 0 along d in the null space of A_w makes row k
+            # independent of the working set, so it joins.  Rounding along a
+            # long d can make a dependent row (say a copy of a working row)
+            # look blocking; such a row is constant along that null space,
+            # so it is set aside until a drop widens it.
+            k = int(cands[ratios <= alpha + 1e-9 * (1.0 + alpha)].min())
+            (working if fac.add(G[k]) else aside).append(k)
         stall = stall + 1 if alpha <= 1e-13 else 0
 
-    # Map working-set multipliers back to stated rows.
+    # Map working-set multipliers back to stated rows.  The inequality
+    # multipliers are unique; the "=" rows' are not when those rows are
+    # dependent, and they are reported as the minimum-norm solution over all
+    # of them (copies of a repeated row split its multiplier evenly).
     duals = np.zeros(spec.n_rows)
-    duals[eq] = -sign * nu
+    if E.size:
+        duals[eq] = -sign * np.linalg.lstsq(E.T, -grad - G[working].T @ mu_w, rcond=None)[0]
     k = np.array(working, dtype=int)
     on_row = k < G_row.size
     duals[G_row[k[on_row]]] = -sign * G_flip[k[on_row]] * mu_w[on_row]

@@ -142,6 +142,40 @@ def lp_bruteforce(spec):
     return best_obj, best_x
 
 
+def qp_bruteforce(spec, tol=1e-9):
+    """Enumerate active sets of a strictly convex (for "max", strictly
+    concave) QpSpec; return (objective, x), or None when no point is feasible.
+
+    The optimum is unique and minimizes the objective on the affine set of
+    the rows it makes active, so it is the solution of the KKT system of the
+    "=" rows plus some set of at most n other hyperplanes (rows or bounds).
+    Every feasible candidate is a feasible point, so the best one is the
+    optimum.
+    """
+    sign = 1.0 if spec.objective_sense == "min" else -1.0
+    Q, c = sign * spec.quadratic_matrix, sign * spec.cost
+    n = spec.n_vars
+    planes = _hyperplanes(spec)
+    eq = [j for j, kind in enumerate(spec.constraint_kinds) if kind == "="]
+    others = [k for k in range(len(planes)) if k not in eq]
+    best = None
+    for size in range(n + 1):
+        for combo in itertools.combinations(others, size):
+            rows = eq + list(combo)
+            A = np.array([planes[k][0] for k in rows]).reshape(len(rows), n)
+            b = np.array([planes[k][1] for k in rows])
+            kkt = np.block([[Q, A.T], [A, np.zeros((len(rows), len(rows)))]])
+            x = np.linalg.lstsq(kkt, np.concatenate([-c, b]), rcond=None)[0][:n]
+            if not _feasible(spec, x, tol):
+                continue
+            value = float(c @ x + 0.5 * x @ Q @ x)
+            if best is None or value < best[0]:
+                best = (value, x)
+    if best is None:
+        return None
+    return sign * best[0], best[1]
+
+
 def qp_box_diagonal_oracle(Q_diag, c, lb, ub, sense):
     """Closed-form minimizer of sum_i (c_i x_i + q_i x_i^2 / 2) over a box."""
     q = np.asarray(Q_diag, dtype=float)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1146,3 +1147,39 @@ class TestMinNormDuals:
             assert (duals is None) == (expected is None)
             if duals is not None:
                 assert duals.tobytes() == expected.tobytes()
+
+
+class TestQpFactorUpdates:
+    """solve_qp updates a QR factorization of its working set instead of
+    factoring it at each step: on the robust planner and its tie-break, the
+    SVD-based calls of solver.py number at most one per QP (the
+    minimum-norm equality duals), and only for a QP with "=" rows, while
+    the step counts stay those of the per-step SVD kernel."""
+
+    def test_no_svd_per_step(self, monkeypatch):
+        inst = _load_workloads().elastic_market(np.random.default_rng(3), 4, 8, "simplex")
+        svd_calls = []
+        for name in ("svd", "matrix_rank", "lstsq", "pinv"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                if Path(sys._getframe(1).f_code.co_filename).name == "solver.py":
+                    svd_calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        solves = []
+
+        def recorded(spec):
+            before = len(svd_calls)
+            out = solver.solve_qp(spec)
+            solves.append((out.iterations, "=" in spec.constraint_kinds,
+                           len(svd_calls) - before))
+            return out
+
+        monkeypatch.setattr(market, "solve_qp", recorded)
+        monkeypatch.setattr(robust, "solve_qp", recorded)
+        solve_robust_cp_elastic(inst)
+        assert [iterations for iterations, _, _ in solves] == [61, 3]
+        for _, has_eq, calls in solves:
+            assert calls <= (1 if has_eq else 0)

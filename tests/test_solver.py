@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import lp_bruteforce, qp_box_diagonal_oracle
+from oracles import lp_bruteforce, qp_box_diagonal_oracle, qp_bruteforce
 from robust_peakload.solver import (
     LpSpec,
     NotConvex,
@@ -299,10 +299,10 @@ small_ints = st.integers(-2, 2).map(float)
 
 @st.composite
 def repeated_row_qps(draw):
-    """(spec, repeated): a convex QP with Q = M'M, rank(M) <= n, so reduced
-    Hessians can be singular, rows of all three kinds plus a bounding sum
-    row, and the same program with each row repeated one to three times.
-    Depending on a drawn flag, the rows hold at an integer point x0 inside
+    """(spec, repeated, reps): a convex QP with Q = M'M, rank(M) <= n, so
+    reduced Hessians can be singular, rows of all three kinds plus a bounding
+    sum row, and the same program with row j repeated reps[j] times (one to
+    three), the copies next to each other.  Depending on a drawn flag, the rows hold at an integer point x0 inside
     the sum row, or the right-hand sides are arbitrary."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
@@ -327,7 +327,7 @@ def repeated_row_qps(draw):
     spec = QpSpec(sense, cost, A, rhs, kinds, quadratic_matrix=Q)
     repeated = QpSpec(sense, cost, np.repeat(A, reps, axis=0), np.repeat(rhs, reps),
                       list(np.repeat(kinds, reps)), quadratic_matrix=Q)
-    return spec, repeated
+    return spec, repeated, reps
 
 
 def kkt_residuals(spec, out):
@@ -359,15 +359,20 @@ def kkt_residuals(spec, out):
 
 
 class TestQpRepeatedRows:
-    """Repeated rows make the working set rank deficient; the rank cutoff
-    and the minimum-norm multipliers must leave the answer unchanged.
-    Duals are compared only through the KKT residuals: on repeated rows
-    they are not unique, so their sums may differ between the two forms."""
+    """A repeated row is linearly dependent on its first copy.  The working
+    set keeps only rows independent of those already in it, so a repeated
+    row must leave the status, the objective and the KKT residuals
+    unchanged.  The multipliers of dependent "=" rows are not unique; the
+    reported ones are the minimum-norm solution, which gives the copies of
+    a repeated "=" row equal duals.  Across the two forms duals are compared
+    only through the KKT residuals, since the minimum-norm split of a
+    program with dependent rows need not sum to the multiplier of the
+    program without copies."""
 
     @PROPERTY
     @given(repeated_row_qps())
-    def test_repeated_rows_keep_status_objective_and_kkt(self, pair):
-        spec, repeated = pair
+    def test_repeated_rows_keep_status_objective_and_kkt(self, case):
+        spec, repeated, reps = case
         out, out_repeated = solve_qp(spec), solve_qp(repeated)
         assert out.status == out_repeated.status
         if out.status != "optimal":
@@ -375,3 +380,79 @@ class TestQpRepeatedRows:
         assert abs(out.objective - out_repeated.objective) <= 1e-9 * (1.0 + abs(out.objective))
         for program, outcome in ((spec, out), (repeated, out_repeated)):
             assert max(kkt_residuals(program, outcome)) <= CERT_TOL
+        first = np.cumsum(reps) - reps
+        for j in np.flatnonzero(np.array(spec.constraint_kinds) == "="):
+            copies = out_repeated.duals[first[j]:first[j] + reps[j]]
+            assert np.all(np.abs(copies - copies[0]) <= 1e-9 * (1.0 + abs(copies[0])))
+
+    @pytest.mark.parametrize("row, other, kind, curvature, cost", [
+        ([2.0, -2.0, -1.0, 2.0], [0.0, -1.0, 2.0, 1.0], "<=", 1e-5 * np.array([0.6, 1.3, 0.8, 1.6]),
+         [-3.0, 1.0, -2.0, -2.0]),
+        ([2.0, 2.0, -1.0, -2.0], [0.0, 2.0, 2.0, 0.0], "<=", 1e-6 * np.array([0.9, 0.8, 1.8, 1.4]),
+         [-2.0, -3.0, -3.0, -1.0]),
+        ([0.0, 1.0, -2.0, -2.0], [-2.0, 2.0, 2.0, 0.0], ">=", 1e-6 * np.array([1.4, 0.7, 2.0, 1.7]),
+         [2.0, 1.0, 0.0, -2.0]),
+    ])
+    def test_copy_of_working_row_on_long_steps(self, row, other, kind, curvature, cost):
+        """A nearly flat objective takes steps of length 1e5 to 1e6, along
+        which rounding makes the second copy of a working row look like a
+        blocking row; the copy must not change the answer."""
+        Q = np.diag(curvature)
+        spec = QpSpec("min", cost, [row, other], [1.0, 3.0], ["<=", kind], quadratic_matrix=Q)
+        repeated = QpSpec("min", cost, [row, row, other], [1.0, 1.0, 3.0], ["<=", "<=", kind],
+                          quadratic_matrix=Q)
+        objective, _ = qp_bruteforce(spec)
+        for program in (spec, repeated):
+            out = solve_qp(program)
+            assert out.status == "optimal"
+            assert abs(out.objective - objective) <= 1e-9 * (1.0 + abs(objective))
+            assert max(kkt_residuals(program, out)) <= CERT_TOL
+
+
+@st.composite
+def strictly_convex_qps(draw):
+    """A QpSpec with n <= 4 and a strictly convex objective (strictly
+    concave for "max"): Q = M'M + diag(d) with d >= 1.  Up to four rows of
+    all three kinds; lower bounds from -2 to 1 and upper bounds 1 to 3
+    above them or infinite.  Depending on a drawn flag, the rows hold at an
+    integer point inside the bounds, or the right-hand sides are arbitrary
+    (so some programs are infeasible)."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+    M = np.array(draw(st.lists(small_ints, min_size=k * n, max_size=k * n))).reshape(k, n)
+    d = np.array(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)), dtype=float)
+    sense = draw(st.sampled_from(["min", "max"]))
+    Q = (1.0 if sense == "min" else -1.0) * (M.T @ M + np.diag(d))
+    cost = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    A = np.array(draw(st.lists(small_ints, min_size=m * n, max_size=m * n))).reshape(m, n)
+    kinds = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))
+    lb = np.array(draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n)), dtype=float)
+    ub = lb + np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, np.inf]),
+                                     min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x0 = lb + np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        margin = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+        rhs = A @ x0 + np.select([np.array(kinds) == "<=", np.array(kinds) == ">="],
+                                 [margin, -margin], 0.0)
+    else:
+        rhs = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), dtype=float)
+    return QpSpec(sense, cost, A, rhs, kinds, lb, ub, quadratic_matrix=Q)
+
+
+class TestQpAgainstBruteForce:
+    """solve_qp against active-set enumeration (oracles.qp_bruteforce) on
+    small strictly convex programs, whose optimum is unique: the same
+    status, and the same objective and optimal point."""
+
+    @PROPERTY
+    @given(strictly_convex_qps())
+    def test_matches_enumeration(self, spec):
+        out, oracle = solve_qp(spec), qp_bruteforce(spec)
+        assert out.status == ("infeasible" if oracle is None else "optimal")
+        if oracle is None:
+            return
+        objective, x = oracle
+        assert abs(out.objective - objective) <= 1e-9 * (1.0 + abs(objective))
+        assert np.all(np.abs(out.primal - x) <= 1e-9 * (1.0 + np.abs(x)))
+        assert max(kkt_residuals(spec, out)) <= CERT_TOL
