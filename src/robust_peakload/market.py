@@ -29,9 +29,6 @@ from robust_peakload.geometry import Polytope, ValidationReport, validate
 from robust_peakload.solver import (FEAS_TOL, Infeasible, LpSpec, QpSpec, _checked,
                                     solve_lp, solve_qp)
 
-CLEARING_TOL = 1e-9
-CAPACITY_TOL = 1e-9
-EVAL_TOL = 1e-7
 SUPPORT_TOL = 1e-9
 
 

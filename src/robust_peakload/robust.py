@@ -121,21 +121,6 @@ class RobustReport:
     bound_ok: bool
 
 
-@dataclass
-class MarketRobustReport:
-    """Strict robust market next to the robust central planner: E is the
-    market's worst-case value, C the planner optimum, poa their ratio
-    (E/C for fixed demand, C/E for elastic welfare)."""
-
-    market_solution: EquilibriumSolution
-    E: float
-    C: float
-    cp_solution: EquilibriumSolution
-    worst_u_market: np.ndarray
-    worst_u_cp: np.ndarray
-    poa: float
-
-
 def _worst_case_gain(U: Polytope, gains):
     """max over u in U of gains' u; returns (value, argmax u).
 
@@ -660,21 +645,3 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     duals = np.zeros(spec.n_rows)
     duals[rows] = np.add.reduceat(sign * sol.primal, starts)
     return duals
-
-
-# ---------------------------------------------------------------------------
-# combined report
-
-
-def market_robust_report(inst: MarketInstance) -> MarketRobustReport:
-    """Strict robust market and robust planner side by side with their ratio."""
-    if isinstance(inst.demand, Fixed):
-        market_solution, E, worst_u_market = solve_robust_market_fixed(inst)
-        cp_solution, C, worst_u_cp = solve_robust_cp_fixed(inst)
-        poa = E / C if C > 0 else np.inf
-    else:
-        market_solution, E, worst_u_market = solve_robust_market_elastic(inst)
-        cp_solution, C, worst_u_cp = solve_robust_cp_elastic(inst)
-        poa = C / E if E > 0 else np.inf
-    return MarketRobustReport(market_solution, E, C, cp_solution,
-                              worst_u_market, worst_u_cp, float(poa))

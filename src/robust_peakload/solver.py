@@ -32,6 +32,18 @@ system in R.  Only the equality duals, which are not unique when "=" rows
 are dependent, take one minimum-norm least-squares solve over all "=" rows
 at the end.
 
+Two rules steer the active-set iteration.  The drop rule: a working row
+with a negative multiplier leaves, the most negative one, except while the
+iteration is stalled (more than 60 drops or zero-length steps since the last
+positive step), when it is the row with the smallest index (Bland, 1977).
+Together with the smallest-index blocking row, that bounds every stalled run,
+and a positive step strictly lowers the objective, so no cycle passes
+through one; the iteration limit stays as a guard against rounding.
+The curvature scale: Q's largest |eigenvalue|, from the eigenvalues the
+convexity check computes.  Q is rejected as not convex below -1e-9 times
+that scale, and a reduced-Hessian eigenvalue at or below 1e-10 times it
+counts as flat, so both tests are invariant to the units of Q.
+
 The package imports numpy only; no scipy module is loaded at run time.
 These hand-written kernels stay rather than delegating to scipy's bundled
 HiGHS: on top of `import robust_peakload` (about 33 MB peak resident memory
@@ -447,9 +459,13 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
     sign = 1.0 if spec.objective_sense == "min" else -1.0
     Q = sign * Q_stated
     c = sign * c_stated
+    # One curvature scale, Q's largest |eigenvalue|, for both the convexity
+    # floor and the flat reduced directions, so neither depends on Q's units.
     eigs = np.linalg.eigvalsh(Q)
-    if eigs.size and eigs[0] < -1e-9:
-        raise NotConvex(f"minimum eigenvalue {eigs[0]:.3e} below the -1e-9 floor")
+    curvature = np.max(np.abs(eigs), initial=0.0)
+    if eigs.size and eigs[0] < -1e-9 * curvature:
+        raise NotConvex(f"minimum eigenvalue {eigs[0]:.3e} below -1e-9 times the "
+                        f"largest |eigenvalue| {curvature:.3e}")
 
     lb = spec.variable_lower_bounds
     ub = spec.variable_upper_bounds
@@ -489,8 +505,8 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
 
     max_iter = 200 + 30 * (n + G.shape[0])
     iterations = 0
+    # Drops and zero-length steps since the last positive step.
     stall = 0
-    bland_mode = False
     while True:
         if iterations > max_iter:
             raise NumericBreakdown("active-set iteration limit exceeded")
@@ -503,8 +519,7 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
             H = Z.T @ Q @ Z
             gz = Z.T @ grad
             lam, V = np.linalg.eigh(H)
-            lam_scale = max(1.0, lam[-1] if lam.size else 0.0)
-            pos = lam > 1e-10 * lam_scale
+            pos = lam > 1e-10 * curvature
             slopes = V.T @ gz
             flat = ~pos
             if np.any(flat):
@@ -523,7 +538,9 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
             neg = np.flatnonzero(mu_w < -1e-9 * (1.0 + np.linalg.norm(grad)))
             if neg.size == 0:
                 break
-            if bland_mode:
+            # Drop the most negative multiplier; while stalled, the row with
+            # the smallest index (Bland's rule), so no stalled run cycles.
+            if stall > 60:
                 drop = neg[np.argmin([working[i] for i in neg])]
             else:
                 drop = neg[np.argmin(mu_w[neg])]
@@ -531,8 +548,6 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
             fac.drop(n_eq + int(drop))
             aside = []
             stall += 1
-            if stall > 60:
-                bland_mode = True
             continue
 
         # One blocking-row search for both directions: the step p is taken

@@ -151,6 +151,15 @@ def qp_bruteforce(spec, tol=1e-9):
     "=" rows plus some set of at most n other hyperplanes (rows or bounds).
     Every feasible candidate is a feasible point, so the best one is the
     optimum.
+
+    Feasibility is judged by `_feasible` with the absolute tolerance `tol`
+    (scaled by 1 + |rhs|, not by |x|), so the oracle holds only while |x|
+    stays near unit scale.  At |x| near 1e10 the least-squares KKT solution
+    of the true active set misses its hyperplanes by more than that and is
+    rejected: with Q = 1e-10 diag(0.5, 1.3, 1.2, 0.9), cost (0, 2, 0, -2)
+    and the rows of test_solver.py::test_small_curvature_solved_to_optimum,
+    the optimum's candidate has x_2 = -1.0e-6 against the bound x_2 >= 0,
+    and the oracle returns -1.478e10 where the optimum is -2.2222e10.
     """
     sign = 1.0 if spec.objective_sense == "min" else -1.0
     Q, c = sign * spec.quadratic_matrix, sign * spec.cost

@@ -219,3 +219,17 @@ class TestHullConversion:
         verts = enumerate_vertices(U)
         assert len(verts) == 1
         assert_allclose(verts[0], [0.25, 0.75], atol=1e-9)
+
+
+class TestPolytopeData:
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="P must be m x dimension with matching r"):
+            Polytope(2, np.ones((1, 2)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="P must be m x dimension with matching r"):
+            Polytope(3, np.ones((1, 2)), [1.0])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="polytope data must be finite"):
+            Polytope(2, [[1.0, np.nan]], [1.0])
+        with pytest.raises(ValueError, match="polytope data must be finite"):
+            Polytope(2, [[1.0, 1.0]], [np.inf])

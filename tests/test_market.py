@@ -185,3 +185,21 @@ class TestInstanceValidation:
             MarketInstance([Producer(1.0, 1.0)], Fixed([1.0, 1.0]), 1, box(1))
         with pytest.raises(ValueError):
             AffineElastic([1.0], [0.0])
+        with pytest.raises(ValueError, match="at least one producer"):
+            MarketInstance([], Fixed([1.0]), 1, box(1))
+        with pytest.raises(ValueError, match="at least one period"):
+            MarketInstance([Producer(1.0, 1.0)], Fixed([]), 0, box(1))
+        with pytest.raises(ValueError, match="one \\(alpha, beta\\) per period"):
+            MarketInstance([Producer(1.0, 1.0)], AffineElastic([2.0], [1.0]), 2, box(1))
+        with pytest.raises(ValueError, match="one scaling per period"):
+            MarketInstance([Producer(1.0, 1.0, 0.5, a_by_period=[0.5])], Fixed([1.0, 1.0]),
+                           2, box(1))
+        with pytest.raises(ValueError, match="a_by_period must be finite and nonnegative"):
+            Producer(1.0, 1.0, 0.5, a_by_period=[0.5, -1.0])
+        for d in ([1.0, -1.0], [np.nan]):
+            with pytest.raises(ValueError, match="fixed demand must be finite and nonnegative"):
+                Fixed(d)
+        with pytest.raises(ValueError, match="matching lengths"):
+            AffineElastic([2.0, 3.0], [1.0])
+        with pytest.raises(ValueError, match="demand curve parameters must be finite"):
+            AffineElastic([np.inf], [1.0])

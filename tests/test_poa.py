@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from robust_peakload.geometry import box, simplex, tau
+from robust_peakload.geometry import box, hull_to_inequalities, simplex, tau
 from robust_peakload.market import AffineElastic, Fixed, MarketInstance, Producer
 from robust_peakload.poa import (
     BadAlpha,
@@ -21,6 +21,7 @@ from robust_peakload.poa import (
     tight_fixed_values,
     tight_restricted_values,
 )
+from robust_peakload.robust import lifted_set
 
 VALUE_TOL = 1e-7
 CLOSED_FORM_TOL = 1e-6
@@ -208,6 +209,33 @@ class TestReportInvariants:
         with pytest.raises(ZeroCost) as info:
             poa_fixed(inst)
         assert info.value.E == pytest.approx(0.0, abs=VALUE_TOL)
+
+    def test_two_period_fixed_ratio(self):
+        # T = 2: the bound holds with tau of the lifted set U x U.
+        inst = MarketInstance(
+            producers=[Producer(c_inv=1.0, c_var=1.0, a=1.0),
+                       Producer(c_inv=1.0, c_var=1.0, a=1.0)],
+            demand=Fixed(np.array([1.0, 2.0])), T=2, uncertainty=simplex(2))
+        rep = poa_fixed(inst)
+        assert rep.C <= rep.E + BOUND_TOL
+        assert_allclose(rep.ratio, rep.E / rep.C, atol=1e-12)
+        t, _ = tau(lifted_set(inst))
+        assert rep.E <= rep.C / t + BOUND_TOL
+
+    def test_elastic_hull_ratio(self):
+        # Hull-generated set with vertices (0,0), (1,0), (0,1), (3/4,3/4):
+        # the planner's welfare 1.62 is at least the market's 0.32.
+        hull = hull_to_inequalities(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.75, 0.75]]))
+        inst = MarketInstance(
+            producers=[Producer(c_inv=0.2, c_var=0.0, a=4.0),
+                       Producer(c_inv=0.2, c_var=0.0, a=4.0)],
+            demand=AffineElastic(np.array([5.0]), np.array([1.0])), T=1,
+            uncertainty=hull)
+        rep = poa_elastic(inst)
+        assert_allclose([rep.E, rep.C], [0.32, 1.62], atol=VALUE_TOL)
+        assert rep.E <= rep.C + BOUND_TOL
+        assert_allclose(rep.ratio, rep.C / rep.E, atol=1e-12)
 
     def test_demand_mode_mismatch(self):
         fixed_inst = gen_tight_instance_fixed(simplex(2), 0.5)

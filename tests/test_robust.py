@@ -23,7 +23,6 @@ from robust_peakload.geometry import (
     enumerate_vertices,
     hull_to_inequalities,
     simplex,
-    tau,
 )
 from robust_peakload.market import (
     AffineElastic,
@@ -38,13 +37,11 @@ from robust_peakload.market import (
 )
 from robust_peakload.robust import (
     Infeasible,
-    MarketRobustReport,
     RobustLp,
     SaddleViolated,
     adjustable_scenario_form_fixed,
     dispatch_at_capacity,
     lifted_set,
-    market_robust_report,
     solve_robust_cp_elastic,
     solve_robust_cp_fixed,
     solve_robust_lp,
@@ -552,6 +549,24 @@ class TestAdjustableEquivalence:
         with pytest.raises(ValueError):
             verify_adjustable_equivalence(two_producer_peak_instance(), samples=0)
 
+    def test_escaping_vertex_value_raises(self, monkeypatch):
+        # A planner value below the worst vertex cost 3 is escaped by it.
+        inst = two_producer_peak_instance()
+        solution, C, worst_u = solve_robust_cp_fixed(inst)
+        monkeypatch.setattr(robust, "solve_robust_cp_fixed",
+                            lambda _: (solution, C - 1.0, worst_u))
+        with pytest.raises(SaddleViolated, match="escape the planner value 2.0"):
+            verify_adjustable_equivalence(inst, samples=4)
+
+    def test_worst_u_missing_value_raises(self, monkeypatch):
+        # The nominal scenario costs 2 at the planner's capacities, not C = 3.
+        inst = two_producer_peak_instance()
+        solution, C, worst_u = solve_robust_cp_fixed(inst)
+        monkeypatch.setattr(robust, "solve_robust_cp_fixed",
+                            lambda _: (solution, C, np.zeros_like(worst_u)))
+        with pytest.raises(SaddleViolated, match="misses the planner value by 1.000e"):
+            verify_adjustable_equivalence(inst, samples=4)
+
     def test_capacities_clipped_like_pinned_dispatch(self, monkeypatch):
         """The planner's capacities can carry entries like -2.6e-15; the
         certificate dispatches and reports them clipped at zero, exactly as
@@ -630,23 +645,6 @@ class TestScenarioForm:
     def test_elastic_demand_rejected(self):
         with pytest.raises(ValueError):
             adjustable_scenario_form_fixed(elastic_hull_instance())
-
-
-class TestMarketRobustReport:
-    def test_fixed_report(self):
-        inst = two_period_reform_instance()
-        report = market_robust_report(inst)
-        assert isinstance(report, MarketRobustReport)
-        assert report.C <= report.E + CHAIN_TOL
-        assert_allclose(report.poa, report.E / report.C, atol=1e-12)
-        t, _ = tau(lifted_set(inst))
-        assert report.E <= report.C / t + CHAIN_TOL
-
-    def test_elastic_report(self):
-        inst = elastic_hull_instance()
-        report = market_robust_report(inst)
-        assert report.E <= report.C + SADDLE_TOL
-        assert_allclose(report.poa, report.C / report.E, atol=1e-12)
 
 
 DISPATCH_TOL = 1e-9

@@ -226,6 +226,30 @@ class TestQpStatuses:
             solve_qp(QpSpec("min", [0.0], np.zeros((0, 1)), [], [],
                             quadratic_matrix=[[-1.0]]))
 
+    def test_small_curvature_solved_to_optimum(self):
+        # Strictly convex, but every eigenvalue of Q is near 1e-10: flat
+        # directions are judged against Q's own scale, not against 1.  The
+        # optimum keeps row 2 and x_2, x_3 >= 0 binding, so x = (1.5, 0, 0,
+        # 2 / q_4).  At |x| ~ 2e10 the absolute primal residual is about
+        # 6e-6, so only relative accuracy is asserted.
+        q = 1e-10 * np.array([0.5, 1.3, 1.2, 0.9])
+        A = np.array([[2.0, -1.0, 1.0, -2.0], [2.0, 0.0, -1.0, 0.0]])
+        out = solve_qp(QpSpec("min", [0.0, 2.0, 0.0, -2.0], A, [1.0, 3.0], ["<=", ">="],
+                              quadratic_matrix=np.diag(q)))
+        assert out.status == "optimal"
+        x = np.array([1.5, 0.0, 0.0, 2.0 / q[3]])
+        expected = 0.5 * q[0] * 1.5 ** 2 - 2.0 * x[3] + 0.5 * q[3] * x[3] ** 2
+        assert abs(out.objective - expected) <= 1e-9 * abs(expected)
+        assert np.max(np.abs(out.primal - x)) <= 1e-9 * np.max(np.abs(x))
+
+    def test_small_negative_curvature_not_convex(self):
+        # Q = 1e-10 diag(1, -0.5) is indefinite at any scale; on the unit box
+        # its minimum is -2.5e-11 at (0, 1), not 0 at the origin.
+        with pytest.raises(NotConvex):
+            solve_qp(QpSpec("min", [0.0, 0.0], np.zeros((0, 2)), [], [],
+                            variable_upper_bounds=[1.0, 1.0],
+                            quadratic_matrix=1e-10 * np.diag([1.0, -0.5])))
+
     def test_asymmetric_quadratic_rejected(self):
         with pytest.raises(ValueError):
             QpSpec("min", [0.0, 0.0], np.zeros((0, 2)), [], [],

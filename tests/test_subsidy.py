@@ -13,7 +13,8 @@ from robust_peakload.geometry import (box, enumerate_vertices,
                                       hull_to_inequalities, simplex)
 from robust_peakload.market import (AffineElastic, Fixed, MarketInstance,
                                     Producer, cost_matrix)
-from robust_peakload.robust import solve_robust_cp_elastic
+from robust_peakload import subsidy
+from robust_peakload.robust import _vertex_dispatch, solve_robust_cp_elastic
 from robust_peakload.subsidy import (
     NotEquilibrium,
     _verification,
@@ -333,6 +334,26 @@ class TestGridAndSamples:
                     if triple is None or triple[2] is not None:
                         assert triple == first, f"trial {trial}, grid {grid}"
         assert deviations >= 10
+
+
+class TestInteriorAudit:
+    def test_lowered_vertex_maximum_is_flagged(self):
+        # On this instance no mixture beats the vertex maximum; against one
+        # lowered by `drop`, the excess grows by `drop` with the same samples.
+        inst = two_period_hull_example()
+        y = compute_subsidies(inst, audit_samples=0).y_star
+        constant, out = _vertex_dispatch(inst, y)
+        vertex_max = subsidy._period_deficits(inst, constant, out).max(axis=0).sum(axis=-1)
+        audit = subsidy._interior_audit(inst, y, vertex_max, 32, 0, constant)
+        assert not audit["flagged"] and audit["max_excess"] <= PROFIT_TOL
+        excess = {}
+        for drop in (0.5, 1.0):
+            with pytest.warns(UserWarning, match="exceeds the vertex maximum"):
+                audit = subsidy._interior_audit(inst, y, vertex_max - drop, 32, 0, constant)
+            assert audit["flagged"]
+            assert PROFIT_TOL < audit["max_excess"] <= drop + PROFIT_TOL
+            excess[drop] = audit["max_excess"]
+        assert_allclose(excess[1.0] - excess[0.5], 0.5, atol=1e-12)
 
 
 class TestVerification:
