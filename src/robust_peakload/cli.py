@@ -247,27 +247,24 @@ def _cmd_poa(args):
 
     if args.instance is not None:
         inst, digest, _, risk_spec = load_instance(args.instance)
-        if risk_spec is not None:
-            report = poa_with_risk_set(inst, risk_spec)
-        elif isinstance(inst.demand, Fixed):
-            report = poa_fixed(inst)
-        else:
-            report = poa_elastic(inst)
-        results = dataclasses.asdict(report)
-        results["risk_set_applied"] = risk_spec is not None
+        closed = None
     else:
         inst, closed = _generate_instance(args)
+        risk_spec = None
         digest = instance_digest(instance_to_data(inst))
         if args.emit_instance is not None:
             write_instance(args.emit_instance, instance_to_data(inst))
-        report = (poa_fixed(inst) if isinstance(inst.demand, Fixed)
-                  else poa_elastic(inst))
-        results = dataclasses.asdict(report)
-        results["risk_set_applied"] = False
-        if closed is not None:
-            certificates["closed_form"] = closed
-            certificates["max_closed_form_gap"] = _closed_form_gap(report,
-                                                                   closed)
+    if risk_spec is not None:
+        report = poa_with_risk_set(inst, risk_spec)
+    elif isinstance(inst.demand, Fixed):
+        report = poa_fixed(inst)
+    else:
+        report = poa_elastic(inst)
+    results = dataclasses.asdict(report)
+    results["risk_set_applied"] = risk_spec is not None
+    if closed is not None:
+        certificates["closed_form"] = closed
+        certificates["max_closed_form_gap"] = _closed_form_gap(report, closed)
 
     return _report("poa", flags, digest, results, certificates), EXIT_OK
 

@@ -1,6 +1,10 @@
 """Polyhedral uncertainty sets: representation, validation, the max-min
 coordinate program tau, vertex enumeration, and the per-period product lift.
 
+Every linear program over a set, tau's and validate's included, is one call
+of Polytope.maximize, which raises EmptySet for an empty set and ValueError
+for a set unbounded along the objective.
+
 A set is stored as {u >= 0 : P u <= r}; nonnegativity is implicit and never
 appears among the rows of P.  Uncertainty sets used by the market modules are
 expected to live inside the unit box with every axis projection equal to
@@ -53,6 +57,18 @@ class Polytope:
         u = np.asarray(u, dtype=float)
         return bool(np.all(u >= -tol) and np.all((self.P @ u.T).T <= self.r + tol))
 
+    def maximize(self, c):
+        """max over u in the set of c'u; returns (value, argmax u).
+
+        Raises EmptySet when the set has no point and ValueError when c'u
+        is unbounded over it."""
+        out = solve_lp(LpSpec("max", c, self.P, self.r, ["<="] * self.r.size))
+        if out.status == "infeasible":
+            raise EmptySet("polytope has no feasible point")
+        if out.status != "optimal":
+            raise ValueError("linear objective is unbounded; the set is not bounded")
+        return float(out.objective), out.primal
+
 
 @dataclass
 class ValidationReport:
@@ -75,27 +91,16 @@ def simplex(n):
 def tau(U: Polytope):
     """Largest t such that some u in U has every coordinate >= t.
 
-    Returns (tau, witness).  Solved as one LP over (t, u): maximize t subject
-    to t <= u_i for each coordinate and u in U.
+    Returns (tau, witness).  Solved as one LP over (t, u) >= 0: maximize t
+    subject to t - u_i <= 0 for each coordinate and P u <= r, the rows
+    [[1, -I], [0, P]].
     """
-    n = U.dimension
-    m = U.P.shape[0]
-    A = np.zeros((n + m, 1 + n))
-    b = np.zeros(n + m)
-    kinds = []
-    for i in range(n):
-        A[i, 0] = 1.0
-        A[i, 1 + i] = -1.0
-        kinds.append("<=")
-    A[n:, 1:] = U.P
-    b[n:] = U.r
-    kinds.extend(["<="] * m)
-    out = solve_lp(LpSpec("max", np.concatenate([[1.0], np.zeros(n)]), A, b, kinds))
-    if out.status == "infeasible":
-        raise EmptySet("polytope has no feasible point")
-    if out.status != "optimal":
-        raise ValueError("tau program is unbounded; the set is not bounded")
-    return float(out.objective), out.primal[1:].copy()
+    n, m = U.dimension, U.P.shape[0]
+    rows = np.block([[np.ones((n, 1)), np.diag(np.full(n, -1.0))],
+                     [np.zeros((m, 1)), U.P]])
+    lifted = Polytope(1 + n, rows, np.concatenate([np.zeros(n), U.r]))
+    value, argmax = lifted.maximize(np.concatenate([[1.0], np.zeros(n)]))
+    return value, argmax[1:]
 
 
 def enumerate_vertices(U: Polytope):
@@ -140,16 +145,7 @@ def validate(U: Polytope) -> ValidationReport:
     warning, never an exception; callers read the report.
     """
     contains_zero = bool(np.all(U.r >= -AXIS_TOL))
-    maxima = np.empty(U.dimension)
-    for i in range(U.dimension):
-        c = np.zeros(U.dimension)
-        c[i] = 1.0
-        out = solve_lp(LpSpec("max", c, U.P, U.r, ["<="] * U.r.size))
-        if out.status == "infeasible":
-            raise EmptySet("polytope has no feasible point")
-        if out.status != "optimal":
-            raise ValueError("axis projection is unbounded; the set is not bounded")
-        maxima[i] = out.objective
+    maxima = np.array([U.maximize(e)[0] for e in np.eye(U.dimension)])
     inside_unit_box = bool(np.all(maxima <= 1.0 + AXIS_TOL))
     full_projections = bool(np.all(np.abs(maxima - 1.0) <= AXIS_TOL))
     is_valid = contains_zero and inside_unit_box and full_projections

@@ -24,6 +24,7 @@ import numpy as np
 
 from robust_peakload.geometry import (
     DimensionTooLarge,
+    EmptySet,
     Polytope,
     _convert_hull,
     box,
@@ -33,7 +34,6 @@ from robust_peakload.geometry import (
 )
 from robust_peakload.market import Fixed, MarketInstance
 from robust_peakload.poa import PoAReport, poa_fixed
-from robust_peakload.solver import LpSpec, solve_lp
 
 MAX_HULL_POINTS = 12
 DEGENERATE_TOL = 1e-12
@@ -109,16 +109,12 @@ def _simplex_restricted(Q: Polytope) -> Polytope:
 def build_coherent_set(spec: CoherentSpec):
     """Rescaled hull of the expectation image of Q, plus the scale vector
     m_i = max_{q in Q} E_q[u_hat_i]."""
-    K, N = spec.scenarios.shape
+    N = spec.scenarios.shape[1]
     Qs = _simplex_restricted(spec.Q)
-    kinds = ["<="] * Qs.r.size
-
-    m = np.empty(N)
-    for i in range(N):
-        out = solve_lp(LpSpec("max", spec.scenarios[:, i], Qs.P, Qs.r, kinds))
-        if out.status != "optimal":
-            raise ValueError("Q does not intersect the probability simplex")
-        m[i] = max(float(out.objective), 0.0)
+    try:
+        m = np.array([max(Qs.maximize(u_hat)[0], 0.0) for u_hat in spec.scenarios.T])
+    except EmptySet as exc:
+        raise ValueError("Q does not intersect the probability simplex") from exc
 
     degenerate = m <= DEGENERATE_TOL
     if np.any(degenerate):

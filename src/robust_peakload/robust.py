@@ -121,18 +121,6 @@ class RobustReport:
     bound_ok: bool
 
 
-def _worst_case_gain(U: Polytope, gains):
-    """max over u in U of gains' u; returns (value, argmax u).
-
-    No box is imposed on u: the set's own rows bound the adversary, so
-    scaled (non-unit-projection) sets are handled exactly.
-    """
-    gains = np.asarray(gains, dtype=float)
-    out = _checked(solve_lp(LpSpec("max", gains, U.P, U.r, ["<="] * U.r.size)),
-                   "adversary program over the uncertainty set")
-    return float(out.objective), out.primal.copy()
-
-
 def _with_adversary(A, rhs, kinds, cost, lam, U, sign):
     """Dualize the adversary of a program over v, who picks u in
     U = {u >= 0 : P u <= r} to add the surcharge sum_k lam_k u_k v_k over the
@@ -168,11 +156,20 @@ def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
     aggregate = np.zeros((T, n))
     aggregate[:, : N * T] = _clearing_rows(N, T)
     w = cost + 0.5 * _welfare_hessian(inst, n) @ v_star
-    out = solve_qp(QpSpec("min", np.zeros(n), np.vstack([A, aggregate, w]),
-                          np.concatenate([rhs, aggregate @ v_star, [w @ v_star]]),
-                          list(kinds) + ["="] * (T + 1), quadratic_matrix=np.eye(n)))
+    return _min_norm_point(np.vstack([A, aggregate, w]),
+                           np.concatenate([rhs, aggregate @ v_star, [w @ v_star]]),
+                           list(kinds) + ["="] * (T + 1), np.eye(n),
+                           "minimum-norm projection of the welfare optimum")
+
+
+def _min_norm_point(A, rhs, kinds, Q, what):
+    """argmin of v'Q v / 2 over the face {v >= 0 : A v (kinds) rhs}: the
+    canonicalizing solve of _min_norm_optimum and _min_norm_duals.  Each
+    caller knows its face holds a point, so a solve that does not come back
+    optimal is a solver defect and raises NumericBreakdown naming `what`."""
+    out = solve_qp(QpSpec("min", np.zeros(Q.shape[0]), A, rhs, kinds, quadratic_matrix=Q))
     if out.status != "optimal":
-        raise NumericBreakdown(f"minimum-norm projection of the welfare optimum is {out.status}")
+        raise NumericBreakdown(f"{what} is {out.status}")
     return out.primal
 
 
@@ -200,7 +197,7 @@ def solve_robust_lp(p: RobustLp) -> RobustReport:
     val_Btilde = float(box_out.objective)
     x_box = box_out.primal[:nx]
     y_box = box_out.primal[nx:]
-    gain, _ = _worst_case_gain(p.U, p.lam * x_box)
+    gain, _ = p.U.maximize(p.lam * x_box)
     val_B = float(p.c @ x_box + p.d @ y_box + gain)
 
     t, _ = tau(p.U)
@@ -223,7 +220,7 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
     max over u in the lifted set of sum_{i,t} a_{i,t} u_{i,t} x_{i,t}.
     """
     gains = scaling_matrix(inst) * np.asarray(x, dtype=float)
-    value, u_vec = _worst_case_gain(lifted_set(inst), gains.reshape(-1))
+    value, u_vec = lifted_set(inst).maximize(gains.reshape(-1))
     return value, u_vec.reshape(inst.N, inst.T)
 
 
@@ -451,8 +448,10 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
       dominated: whether worst_vertex_value and every sample value are
         dominated by C.
 
-    Raises SaddleViolated when a check fails beyond tolerance; that signals
-    a solver defect, not a property of the model.
+    dominated and saddle_ok (saddle_gap <= SADDLE_TOL) are True in every
+    returned certificate: when either check fails beyond tolerance,
+    SaddleViolated is raised instead, which signals a solver defect, not a
+    property of the model.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -586,9 +585,6 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     epi_slack = spec.constraint_matrix[:K] @ out.primal - rhs[:K]
     inactive = np.flatnonzero(epi_slack > 1e-8 * (1.0 + abs(out.objective)))
     duals = _min_norm_duals(spec, out, clearing_start + inactive)
-    if duals is None:
-        raise NumericBreakdown("scenario reformulation: no optimal multipliers "
-                               "vanish on the slack copies")
 
     copies = out.primal[T : T + K * N].reshape(V, T, N).transpose(0, 2, 1).copy()
     return {
@@ -608,7 +604,8 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     Solves a convex QP over the optimal-dual set: stationarity must hold
     exactly on strictly positive variables, reduced costs stay nonnegative on
     variables at zero, binding-row multipliers keep their sense sign, and
-    slack rows carry zero.  Returns None when the restricted set is empty.
+    slack rows carry zero.  Raises NumericBreakdown when the restricted set
+    is empty (in the scenario form the forced rows are the slack copies).
     """
     if spec.objective_sense != "min":
         raise ValueError("helper assumes a min-sense program")
@@ -631,17 +628,17 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     col_row = np.repeat(rows, width)
     sign = np.repeat(np.where(kinds == "<=", -1.0, 1.0), width)
     sign[starts[eq] + 1] = -1.0
+    what = "solve for minimum-norm duals with no mass on the slack copies"
     if col_row.size == 0:
-        return np.zeros(spec.n_rows) if np.max(np.abs(spec.cost)) == 0 else None
+        if np.any(spec.cost):
+            raise NumericBreakdown(f"{what} has no dual variable to price the cost")
+        return np.zeros(spec.n_rows)
 
     # Stationarity rows: sum_j A[j,k] lambda_j (+ red_k) = c_k.
     G = (sign[:, None] * A[col_row]).T
     Q = np.where(col_row[:, None] == col_row[None, :], np.outer(sign, sign), 0.0)
     qp_kinds = ["=" if positive else "<=" for positive in x > 1e-9]
-    sol = solve_qp(QpSpec("min", np.zeros(col_row.size), G, spec.cost, qp_kinds,
-                          quadratic_matrix=Q))
-    if sol.status != "optimal":
-        return None
     duals = np.zeros(spec.n_rows)
-    duals[rows] = np.add.reduceat(sign * sol.primal, starts)
+    duals[rows] = np.add.reduceat(sign * _min_norm_point(G, spec.cost, qp_kinds, Q, what),
+                                  starts)
     return duals

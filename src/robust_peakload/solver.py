@@ -17,7 +17,8 @@ variable bounds.
 The LP path is a dense two-phase simplex with Bland's anti-cycling rule; the
 QP path is a primal active-set method.  Final primal and dual values are
 recomputed from the optimal basis / working set with dense linear solves, so
-certificate residuals sit near machine precision at desk scale.
+certificate residuals, which are relative to the size of the terms they sum
+(_certificate), sit near machine precision.
 
 The active-set working set is kept linearly independent: the "=" rows enter
 as an independent subset, the start-up scan adds only the binding rows that
@@ -308,44 +309,50 @@ def _lp_internal(c_int, A, kinds, b):
 
 
 def _certificate(sense, x, A, b, kinds, lb, ub, duals, reduced):
-    """KKT residuals for the stated-sense problem at (x, duals, reduced).
+    """KKT residuals for the stated-sense problem at (x, duals, reduced),
+    each relative to the size of the terms it sums: primal residuals are
+    divided by 1 + ||b||_inf + || |A| |x| ||_inf, the finite bounds counted
+    among the rows (A, b); dual residuals by 1 + ||g||_inf + || |A'| |duals|
+    ||_inf, g = A' duals + reduced being the objective gradient; and
+    complementarity by the product of the two.  So a solve at large |x| is
+    judged by its relative accuracy.
 
-    Returns (primal, dual, complementarity, gap_terms, mass): gap_terms is the
-    bound part of the dual objective and mass the total complementarity mass.
+    Returns (primal, dual, complementarity, gap_terms, mass, scale):
+    gap_terms is the bound part of the dual objective, mass the total
+    complementarity mass, unscaled, and scale the complementarity scale, by
+    which the callers divide their duality gap.
     """
     kinds = np.array(kinds, dtype="U2")
     eq = kinds == "="
     up = np.where(kinds == ">=", -1.0, 1.0)
     sign = 1.0 if sense == "min" else -1.0
     resid = A @ x - b
-    # max(0.0, ...) turns the -0.0 that np.max returns for all -0.0 entries
-    # into 0.0, so the certificate never reports a signed zero.
-    primal = max(0.0, np.max(np.where(eq, np.abs(resid), up * resid), initial=0.0))
-    dual_feas = max(0.0, np.max((sign * up * duals)[~eq], initial=0.0))
-    comp = np.max(np.abs(duals * resid), initial=0.0)
-    mass = abs(float(duals @ resid))
-    primal = max(primal, np.max(lb - x, initial=0.0))
     finite_ub = np.isfinite(ub)
-    if np.any(finite_ub):
-        primal = max(primal, np.max((x - ub)[finite_ub], initial=0.0))
-    gap_terms = 0.0
-    for i in range(x.size):
-        red = reduced[i]
-        if abs(red) <= 1e-12:
-            continue
-        lower_side = red > 0 if sense == "min" else red < 0
-        if lower_side:
-            slack = abs(red * (x[i] - lb[i]))
-            gap_terms += red * lb[i]
-        elif np.isfinite(ub[i]):
-            slack = abs(red * (ub[i] - x[i]))
-            gap_terms += red * ub[i]
-        else:
-            dual_feas = max(dual_feas, abs(red))
-            continue
-        comp = max(comp, slack)
-        mass += slack
-    return primal, float(dual_feas), comp, gap_terms, mass
+    # Bound sides of the reduced costs: a nonzero reduced cost on the side
+    # that blocks the improving direction prices the lower bound, otherwise
+    # the (finite) upper bound; with no upper bound it is dual infeasible.
+    priced = np.abs(reduced) > 1e-12
+    lower = priced & (sign * reduced > 0)
+    upper = priced & ~lower & finite_ub
+    bound = np.where(lower, lb, np.where(upper, ub, 0.0))
+    bound_slack = np.abs(reduced * (x - bound)) * (lower | upper)
+    gap_terms = float(reduced @ bound)
+    # max(0.0, ...) turns the -0.0 that max returns for all -0.0 entries
+    # into 0.0, so the certificate never reports a signed zero.
+    primal = max(0.0, np.concatenate([np.where(eq, np.abs(resid), up * resid), lb - x,
+                                      (x - ub)[finite_ub]]).max(initial=0.0))
+    dual = max(0.0, np.concatenate([(sign * up * duals)[~eq],
+                                    np.abs(reduced[priced & ~(lower | finite_ub)])]).max(initial=0.0))
+    comp = max(np.abs(duals * resid).max(initial=0.0), bound_slack.max(initial=0.0))
+    mass = abs(float(duals @ resid)) + float(bound_slack.sum())
+
+    abs_A, abs_x = np.abs(A), np.abs(x)
+    primal_scale = (1.0 + np.abs(np.concatenate([b, lb, ub[finite_ub]])).max(initial=0.0)
+                    + (abs_A @ abs_x).max(initial=abs_x.max(initial=0.0)))
+    dual_scale = (1.0 + np.abs(reduced + A.T @ duals).max(initial=0.0)
+                  + (np.abs(duals) @ abs_A).max(initial=0.0))
+    scale = primal_scale * dual_scale
+    return primal / primal_scale, dual / dual_scale, comp / scale, gap_terms, mass, scale
 
 
 def solve_lp(spec: LpSpec) -> SolveOutcome:
@@ -373,7 +380,7 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
     duals = duals_int if spec.objective_sense == "min" else -duals_int
     reduced = c_stated - spec.constraint_matrix.T @ duals
     objective = float(c_stated @ x)
-    primal, dual_feas, comp, gap_terms, _ = _certificate(
+    primal, dual_feas, comp, gap_terms, _, scale = _certificate(
         spec.objective_sense, x, spec.constraint_matrix, spec.constraint_rhs,
         spec.constraint_kinds, lb, ub, duals, reduced)
     dual_objective = float(spec.constraint_rhs @ duals + gap_terms)
@@ -381,7 +388,7 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
         "primal_residual": float(primal),
         "dual_residual": float(dual_feas),
         "complementarity": float(comp),
-        "duality_gap": float(abs(objective - dual_objective)),
+        "duality_gap": float(abs(objective - dual_objective) / scale),
         "dual_objective": dual_objective,
     }
     active = _binding_rows(spec, x)
@@ -590,13 +597,13 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
     objective = float(c_stated @ x + 0.5 * x @ Q_stated @ x)
     # For the quadratic path the certified gap is the total complementarity
     # mass of the KKT point (zero exactly at a primal-dual optimum).
-    primal, dual_feas, comp, _, comp_mass = _certificate(
+    primal, dual_feas, comp, _, comp_mass, scale = _certificate(
         spec.objective_sense, x, A, b, spec.constraint_kinds, lb, ub, duals, reduced)
     certificate = {
         "primal_residual": float(primal),
         "dual_residual": float(dual_feas),
         "complementarity": float(comp),
-        "duality_gap": float(comp_mass),
+        "duality_gap": float(comp_mass / scale),
     }
     active = _binding_rows(spec, x)
     return SolveOutcome("optimal", x, objective, duals, reduced, active, iterations, certificate)

@@ -709,6 +709,22 @@ class TestReportContract:
         code, _, err = run_cli(capsys, "solve", "--instance", str(path))
         assert code == 1 and "unknown key 'extra'" in err
 
+    # Validating a file's set maximizes each coordinate over it
+    # (Polytope.maximize): an empty set raises EmptySet and an unbounded one
+    # ValueError, both input errors.
+    @pytest.mark.parametrize("P, r, message", [
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, -2.0], "no feasible point"),
+        ([[1.0, 0.0]], [1.0], "unbounded"),
+    ], ids=["empty", "unbounded"])
+    @pytest.mark.parametrize("command", ["tau", "solve"])
+    def test_bad_set_is_input_error(self, capsys, tmp_path, P, r, message, command):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(minimal_data(
+            uncertainty={"form": "inequalities", "P": P, "r": r})))
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert code == cli.EXIT_INPUT == 1 and not out
+        assert err.startswith("error:") and message in err
+
     def test_infeasible_maps_to_exit_two(self, capsys, monkeypatch):
         def boom(inst):
             raise Infeasible("forced for the exit-code contract")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import maximin_coordinate_grid
+from robust_peakload import geometry
 from robust_peakload.geometry import (
     DimensionTooLarge,
     EmptySet,
@@ -18,6 +21,11 @@ from robust_peakload.geometry import (
 from robust_peakload.solver import LpSpec, solve_lp
 
 TAU_TOL = 1e-9
+MAXIMIZE_TOL = 1e-9
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 HULL_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.75, 0.75]])
 
@@ -233,3 +241,125 @@ class TestPolytopeData:
             Polytope(2, [[1.0, np.nan]], [1.0])
         with pytest.raises(ValueError, match="polytope data must be finite"):
             Polytope(2, [[1.0, 1.0]], [np.inf])
+
+
+# ---------------------------------------------------------------------------
+# Polytope.maximize, the one linear program over a set
+
+
+def _budget(n, gamma):
+    """The budget set {u in [0, 1]^n : sum u <= gamma}."""
+    return Polytope(n, np.vstack([np.eye(n), np.ones((1, n))]),
+                    np.concatenate([np.ones(n), [gamma]]))
+
+
+@st.composite
+def uncertainty_sets(draw):
+    """Box, simplex and budget sets, and hulls of grid points by
+    hull_to_inequalities: full-dimensional ones and degenerate ones (a
+    point, points on a segment, a flat polygon in three dimensions)."""
+    n = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["box", "simplex", "budget", "hull", "segment", "flat"]))
+    if form == "box":
+        return box(n)
+    if form == "simplex":
+        return simplex(n)
+    if form == "budget":
+        return _budget(n, draw(st.integers(1, 8)) * n / 8.0)
+    grid = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    if form == "hull":
+        points = draw(st.lists(grid, min_size=1, max_size=6))
+        return hull_to_inequalities(np.array(points, dtype=float) / 4.0)
+    base = np.array(draw(grid), dtype=float)
+    if form == "segment":
+        step = np.array(draw(grid), dtype=float)
+        scale = max(1.0, float(np.max(base + 2.0 * step)))
+        points = [base + k * step for k in draw(st.lists(st.integers(0, 2), min_size=1,
+                                                         max_size=3))]
+        return hull_to_inequalities(np.array(points) / scale)
+    # A flat polygon: grid points of the plane u_3 = base_3.
+    flat = draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2),
+                         min_size=1, max_size=5))
+    points = np.array([[a, b, base[-1]] for a, b in flat], dtype=float) / 4.0
+    return hull_to_inequalities(points)
+
+
+costs = st.lists(st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+                 min_size=3, max_size=3)
+
+
+class TestMaximize:
+    @PROPERTY
+    @given(uncertainty_sets(), costs)
+    def test_matches_vertex_maximum(self, U, c):
+        c = np.array(c[: U.dimension])
+        value, argmax = U.maximize(c)
+        assert abs(value - max(c @ v for v in enumerate_vertices(U))) <= MAXIMIZE_TOL
+        assert U.contains(argmax, tol=MAXIMIZE_TOL)
+        assert abs(c @ argmax - value) <= MAXIMIZE_TOL
+
+    @PROPERTY
+    @given(uncertainty_sets())
+    def test_tau_matches_lifted_vertices(self, U):
+        # tau is the largest t over the vertices of {(t, u) >= 0 : t <= u_i,
+        # u in U}; its witness lies in U and attains t on every coordinate.
+        n, m = U.dimension, U.P.shape[0]
+        lifted = Polytope(1 + n, np.vstack([np.hstack([np.ones((n, 1)), -np.eye(n)]),
+                                            np.hstack([np.zeros((m, 1)), U.P])]),
+                          np.concatenate([np.zeros(n), U.r]))
+        t, witness = tau(U)
+        assert abs(t - max(v[0] for v in enumerate_vertices(lifted))) <= MAXIMIZE_TOL
+        assert U.contains(witness, tol=MAXIMIZE_TOL)
+        assert np.min(witness) >= t - MAXIMIZE_TOL
+
+    @PROPERTY
+    @given(uncertainty_sets(), costs)
+    def test_empty_set_raises(self, U, c):
+        # Cut the set by u_1 >= 2 and u_1 <= 1.
+        n = U.dimension
+        e = np.eye(n)[:1]
+        empty = Polytope(n, np.vstack([U.P, -e, e]), np.concatenate([U.r, [-2.0, 1.0]]))
+        with pytest.raises(EmptySet):
+            empty.maximize(np.array(c[:n]))
+        with pytest.raises(EmptySet):
+            tau(empty)
+        with pytest.raises(EmptySet):
+            validate(empty)
+
+    @PROPERTY
+    @given(st.integers(1, 4), st.data())
+    def test_unbounded_set_raises(self, n, data):
+        # The box without its row for coordinate k is unbounded along u_k.
+        k = data.draw(st.integers(0, n - 1))
+        keep = np.arange(n) != k
+        U = Polytope(n, np.eye(n)[keep], np.ones(n - 1))
+        c = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        c[k] = data.draw(st.floats(0.125, 2.0))
+        with pytest.raises(ValueError, match="unbounded"):
+            U.maximize(c)
+        with pytest.raises(ValueError, match="unbounded"):
+            validate(U)
+
+    def test_tau_poses_the_documented_layout(self, monkeypatch):
+        # tau's LP over (t, u) has the rows [[1, -I], [0, P]] and the
+        # right-hand side [0, r], byte for byte.
+        posed = []
+
+        def capture(spec):
+            posed.append(spec)
+            return solve_lp(spec)
+
+        monkeypatch.setattr(geometry, "solve_lp", capture)
+        U = hull_to_inequalities(HULL_POINTS)
+        tau(U)
+        (spec,) = posed
+        n, m = U.dimension, U.P.shape[0]
+        A = np.zeros((n + m, 1 + n))
+        A[:n, 0] = 1.0
+        A[np.arange(n), 1 + np.arange(n)] = -1.0
+        A[n:, 1:] = U.P
+        assert spec.objective_sense == "max"
+        assert spec.cost.tobytes() == np.concatenate([[1.0], np.zeros(n)]).tobytes()
+        assert spec.constraint_matrix.tobytes() == A.tobytes()
+        assert spec.constraint_rhs.tobytes() == np.concatenate([np.zeros(n), U.r]).tobytes()
+        assert spec.constraint_kinds == ("<=",) * (n + m)

@@ -193,7 +193,7 @@ class TestCoherentSet:
     def test_empty_family_rejected(self):
         scen = np.array([[0.0, 0.0], [1.0, 1.0]])
         Q = Polytope(2, np.array([[-1.0, 0.0]]), np.array([-2.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not intersect the probability simplex"):
             build_coherent_set(CoherentSpec(scen, Q))
 
 

@@ -458,8 +458,9 @@ class TestSingleWorstCasePath:
         def forbidden(*args):
             raise AssertionError("adversary LP solved")
 
-        monkeypatch.setattr(robust, "_worst_case_gain", forbidden)
+        # Built first: validating the instance's set solves its axis LPs.
         inst = elastic_hull_instance()
+        monkeypatch.setattr(Polytope, "maximize", forbidden)
         solution, C, worst_u = solve_robust_cp_elastic(inst)
         assert_allclose(C, 1.62, atol=VALUE_TOL)
         assert_allclose(
@@ -505,7 +506,11 @@ class TestCanonicalizingSolves:
             solve_robust_cp_elastic(elastic_hull_instance())
 
     def test_missing_support_duals_raise(self, monkeypatch):
-        monkeypatch.setattr(robust, "_min_norm_duals", lambda spec, outcome, rows: None)
+        # The duals QP is the only QP of the fixed-demand scenario form.
+        def not_optimal(spec):
+            return SolveOutcome("infeasible", None, None, None, None, [], 0, {})
+
+        monkeypatch.setattr(robust, "solve_qp", not_optimal)
         with pytest.raises(NumericBreakdown, match="slack copies"):
             adjustable_scenario_form_fixed(two_producer_peak_instance())
 
@@ -1106,7 +1111,8 @@ class TestMinNormDuals:
     """_min_norm_duals builds its QP from kind masks; it must pose the QP of
     the row-by-row oracle byte for byte and return the same duals, on the
     scenario-form LPs it canonicalizes, with and without the support
-    restriction."""
+    restriction, and raise NumericBreakdown wherever the oracle finds no
+    duals (returns None)."""
 
     @pytest.mark.parametrize("trial", range(30))
     def test_matches_loop_oracle(self, monkeypatch, trial):
@@ -1137,14 +1143,27 @@ class TestMinNormDuals:
 
             monkeypatch.setattr(robust, "solve_qp", capture)
             monkeypatch.setattr(oracles, "solve_qp", capture)
-            duals = robust._min_norm_duals(spec, outcome, force_zero)
             expected = oracles.min_norm_duals_loop(spec, outcome, force_zero)
+            if expected is None:
+                with pytest.raises(NumericBreakdown, match="slack copies"):
+                    robust._min_norm_duals(spec, outcome, force_zero)
+            else:
+                duals = robust._min_norm_duals(spec, outcome, force_zero)
+                assert duals.tobytes() == expected.tobytes()
             monkeypatch.undo()
             assert len(posed) == 2
             assert _qp_bytes(posed[0]) == _qp_bytes(posed[1])
-            assert (duals is None) == (expected is None)
-            if duals is not None:
-                assert duals.tobytes() == expected.tobytes()
+
+    # min x1 + x2 s.t. x1 >= 1, x2 >= 1: both rows bind at (1, 1) and price
+    # one unit each.  With row 0's multiplier forced to zero the duals QP is
+    # infeasible; with both forced no multiplier is left to price the cost.
+    @pytest.mark.parametrize("force_zero", [[0], [0, 1]], ids=["infeasible_qp", "no_rows"])
+    def test_no_duals_raise_like_the_oracle(self, force_zero):
+        spec = LpSpec("min", [1.0, 1.0], np.eye(2), [1.0, 1.0], [">=", ">="])
+        outcome = solver.solve_lp(spec)
+        assert oracles.min_norm_duals_loop(spec, outcome, force_zero) is None
+        with pytest.raises(NumericBreakdown, match="slack copies"):
+            robust._min_norm_duals(spec, outcome, force_zero)
 
 
 class TestQpFactorUpdates:

@@ -9,6 +9,7 @@ from robust_peakload.solver import (
     LpSpec,
     NotConvex,
     QpSpec,
+    _certificate,
     solve_lp,
     solve_qp,
 )
@@ -231,7 +232,8 @@ class TestQpStatuses:
         # directions are judged against Q's own scale, not against 1.  The
         # optimum keeps row 2 and x_2, x_3 >= 0 binding, so x = (1.5, 0, 0,
         # 2 / q_4).  At |x| ~ 2e10 the absolute primal residual is about
-        # 6e-6, so only relative accuracy is asserted.
+        # 6e-6, so accuracy is asserted relative to |x|, and the certificate,
+        # whose residuals are relative to the terms they sum, passes.
         q = 1e-10 * np.array([0.5, 1.3, 1.2, 0.9])
         A = np.array([[2.0, -1.0, 1.0, -2.0], [2.0, 0.0, -1.0, 0.0]])
         out = solve_qp(QpSpec("min", [0.0, 2.0, 0.0, -2.0], A, [1.0, 3.0], ["<=", ">="],
@@ -241,6 +243,7 @@ class TestQpStatuses:
         expected = 0.5 * q[0] * 1.5 ** 2 - 2.0 * x[3] + 0.5 * q[3] * x[3] ** 2
         assert abs(out.objective - expected) <= 1e-9 * abs(expected)
         assert np.max(np.abs(out.primal - x)) <= 1e-9 * np.max(np.abs(x))
+        assert all(value <= CERT_TOL for value in out.certificate.values())
 
     def test_small_negative_curvature_not_convex(self):
         # Q = 1e-10 diag(1, -0.5) is indefinite at any scale; on the unit box
@@ -254,6 +257,36 @@ class TestQpStatuses:
         with pytest.raises(ValueError):
             QpSpec("min", [0.0, 0.0], np.zeros((0, 2)), [], [],
                    quadratic_matrix=[[1.0, 0.5], [0.0, 1.0]])
+
+
+class TestCertificate:
+    """_certificate's residuals are relative, yet a primal moved by 1e-3 in
+    any one entry of a desk-scale optimum fails them."""
+
+    @pytest.mark.parametrize("solve, spec", [
+        # min x1 + 2 x2 s.t. x1 + x2 >= 3, x1 - x2 = 1: x = (2, 1).
+        (solve_lp, LpSpec("min", [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [3.0, 1.0],
+                          [">=", "="])),
+        # min (x1^2 + x2^2) / 2 s.t. x1 + x2 = 2, x1 <= 3: x = (1, 1).
+        (solve_qp, QpSpec("min", [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 3.0],
+                          ["=", "<="], quadratic_matrix=np.eye(2))),
+    ], ids=["lp", "qp"])
+    @pytest.mark.parametrize("entry", [0, 1])
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3])
+    def test_perturbed_primal_fails(self, solve, spec, entry, shift):
+        out = solve(spec)
+        assert out.status == "optimal"
+
+        def residuals(x):
+            return _certificate(spec.objective_sense, x, spec.constraint_matrix,
+                                spec.constraint_rhs, spec.constraint_kinds,
+                                spec.variable_lower_bounds, spec.variable_upper_bounds,
+                                out.duals, out.reduced_costs)[:3]
+
+        assert max(residuals(out.primal)) <= CERT_TOL
+        x = out.primal.copy()
+        x[entry] += shift
+        assert max(residuals(x)) > CERT_TOL
 
 
 class TestQpAgainstClosedForms:

@@ -114,7 +114,7 @@ def _highs_certificate(spec, res):
     duals[~eq] = sign * flip * res.ineqlin.marginals
     duals[eq] = sign * res.eqlin.marginals
     reduced = sign * (res.lower.marginals + res.upper.marginals)
-    primal, dual, comp, gap_terms, _ = _certificate(
+    primal, dual, comp, gap_terms, _, _ = _certificate(
         spec.objective_sense, res.x, spec.constraint_matrix, spec.constraint_rhs,
         spec.constraint_kinds, spec.variable_lower_bounds,
         spec.variable_upper_bounds, duals, reduced)
