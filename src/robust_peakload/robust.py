@@ -629,10 +629,6 @@ def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):
     sign = np.repeat(np.where(kinds == "<=", -1.0, 1.0), width)
     sign[starts[eq] + 1] = -1.0
     what = "solve for minimum-norm duals with no mass on the slack copies"
-    if col_row.size == 0:
-        if np.any(spec.cost):
-            raise NumericBreakdown(f"{what} has no dual variable to price the cost")
-        return np.zeros(spec.n_rows)
 
     # Stationarity rows: sum_j A[j,k] lambda_j (+ red_k) = c_k.
     G = (sign[:, None] * A[col_row]).T

@@ -16,9 +16,13 @@ variable bounds.
 
 The LP path is a dense two-phase simplex with Bland's anti-cycling rule; the
 QP path is a primal active-set method.  Final primal and dual values are
-recomputed from the optimal basis / working set with dense linear solves, so
-certificate residuals, which are relative to the size of the terms they sum
-(_certificate), sit near machine precision.
+recomputed from the optimal basis / working set with dense linear solves.
+Both solvers then end in one builder, _optimal: it forms the reduced costs,
+the certificate (_certificate: four KKT residuals, each relative to the size
+of the terms it sums, the duality gap being the complementarity mass for
+both solvers) and the optimal SolveOutcome.  The residuals sit near machine
+precision, and an optimum whose largest residual exceeds CERT_TOL raises
+NumericBreakdown rather than reaching the caller.
 
 The active-set working set is kept linearly independent: the "=" rows enter
 as an independent subset, the start-up scan adds only the binding rows that
@@ -105,13 +109,6 @@ def _as_vector(v, n, name):
     return arr
 
 
-def _normalize_kind(kind):
-    token = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "=", "==": "="}.get(kind)
-    if token is None:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return token
-
-
 @dataclass
 class LpSpec:
     """Linear program in row form; see the module docstring for conventions."""
@@ -130,13 +127,19 @@ class LpSpec:
         self.cost = np.asarray(self.cost, dtype=float).reshape(-1)
         n = self.cost.size
         self.constraint_matrix = np.asarray(self.constraint_matrix, dtype=float)
-        if self.constraint_matrix.size == 0:
+        # Only a 1-d empty input means "no rows"; an m x 0 matrix keeps its m
+        # rows (a program over no variables, such as a dual QP with no
+        # multipliers).
+        if self.constraint_matrix.ndim == 1 and self.constraint_matrix.size == 0:
             self.constraint_matrix = np.zeros((0, n))
         if self.constraint_matrix.ndim != 2 or self.constraint_matrix.shape[1] != n:
             raise ValueError("constraint_matrix must be m x n")
         m = self.constraint_matrix.shape[0]
         self.constraint_rhs = _as_vector(self.constraint_rhs, m, "constraint_rhs")
-        self.constraint_kinds = tuple(_normalize_kind(k) for k in self.constraint_kinds)
+        self.constraint_kinds = tuple(str(k) for k in self.constraint_kinds)
+        unknown = set(self.constraint_kinds) - {"<=", ">=", "="}
+        if unknown:
+            raise ValueError(f"unknown constraint kinds {sorted(unknown)}")
         if len(self.constraint_kinds) != m:
             raise ValueError("constraint_kinds must have one entry per row")
         if self.variable_lower_bounds is None:
@@ -189,16 +192,19 @@ class QpSpec(LpSpec):
 
 @dataclass
 class SolveOutcome:
-    """Solution record; primal/dual fields are None unless status is optimal."""
+    """Solution record.  Only an optimal solve fills the primal, objective,
+    duals and reduced_costs fields (None otherwise), and its certificate
+    holds the four scaled residuals of _certificate, each at most CERT_TOL.
+    An infeasible LP's certificate holds its phase-1 objective; an unbounded
+    solve's is empty."""
 
     status: str
-    primal: Optional[np.ndarray]
-    objective: Optional[float]
-    duals: Optional[np.ndarray]
-    reduced_costs: Optional[np.ndarray]
-    active_set: list
     iterations: int
-    certificate: dict
+    certificate: dict = field(default_factory=dict)
+    primal: Optional[np.ndarray] = None
+    objective: Optional[float] = None
+    duals: Optional[np.ndarray] = None
+    reduced_costs: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +314,25 @@ def _lp_internal(c_int, A, kinds, b):
     return "optimal", iterations, (w[:n], flips * y)
 
 
-def _certificate(sense, x, A, b, kinds, lb, ub, duals, reduced):
-    """KKT residuals for the stated-sense problem at (x, duals, reduced),
-    each relative to the size of the terms it sums: primal residuals are
-    divided by 1 + ||b||_inf + || |A| |x| ||_inf, the finite bounds counted
-    among the rows (A, b); dual residuals by 1 + ||g||_inf + || |A'| |duals|
-    ||_inf, g = A' duals + reduced being the objective gradient; and
-    complementarity by the product of the two.  So a solve at large |x| is
-    judged by its relative accuracy.
+def _certificate(spec, x, duals, reduced):
+    """KKT residuals of `spec` at (x, duals, reduced), each relative to the
+    size of the terms it sums: primal residuals are divided by
+    1 + ||b||_inf + || |A| |x| ||_inf, the finite bounds counted among the
+    rows (A, b); dual residuals by 1 + ||g||_inf + || |A'| |duals| ||_inf,
+    g = A' duals + reduced being the objective gradient; complementarity,
+    the largest single product, and the duality gap, the total
+    complementarity mass, by the product of the two.  So a solve at large
+    |x| is judged by its relative accuracy.  For an LP the primal minus the
+    dual objective is the signed sum of the same complementarity terms.
 
-    Returns (primal, dual, complementarity, gap_terms, mass, scale):
-    gap_terms is the bound part of the dual objective, mass the total
-    complementarity mass, unscaled, and scale the complementarity scale, by
-    which the callers divide their duality gap.
+    Returns (primal, dual, complementarity, duality_gap).
     """
-    kinds = np.array(kinds, dtype="U2")
+    A, b, lb, ub = (spec.constraint_matrix, spec.constraint_rhs,
+                    spec.variable_lower_bounds, spec.variable_upper_bounds)
+    kinds = np.array(spec.constraint_kinds, dtype="U2")
     eq = kinds == "="
     up = np.where(kinds == ">=", -1.0, 1.0)
-    sign = 1.0 if sense == "min" else -1.0
+    sign = 1.0 if spec.objective_sense == "min" else -1.0
     resid = A @ x - b
     finite_ub = np.isfinite(ub)
     # Bound sides of the reduced costs: a nonzero reduced cost on the side
@@ -336,7 +343,6 @@ def _certificate(sense, x, A, b, kinds, lb, ub, duals, reduced):
     upper = priced & ~lower & finite_ub
     bound = np.where(lower, lb, np.where(upper, ub, 0.0))
     bound_slack = np.abs(reduced * (x - bound)) * (lower | upper)
-    gap_terms = float(reduced @ bound)
     # max(0.0, ...) turns the -0.0 that max returns for all -0.0 entries
     # into 0.0, so the certificate never reports a signed zero.
     primal = max(0.0, np.concatenate([np.where(eq, np.abs(resid), up * resid), lb - x,
@@ -352,7 +358,23 @@ def _certificate(sense, x, A, b, kinds, lb, ub, duals, reduced):
     dual_scale = (1.0 + np.abs(reduced + A.T @ duals).max(initial=0.0)
                   + (np.abs(duals) @ abs_A).max(initial=0.0))
     scale = primal_scale * dual_scale
-    return primal / primal_scale, dual / dual_scale, comp / scale, gap_terms, mass, scale
+    return primal / primal_scale, dual / dual_scale, comp / scale, mass / scale
+
+
+def _optimal(spec, x, duals, grad, objective, iterations):
+    """The optimal SolveOutcome at (x, duals), with grad the objective
+    gradient at x: the one place either solver builds it.  It forms the
+    reduced costs grad - A' duals and the certificate, and raises
+    NumericBreakdown when a scaled residual exceeds CERT_TOL, so a wrong
+    primal or dual never reaches the caller as "optimal"."""
+    reduced = grad - spec.constraint_matrix.T @ duals
+    residuals = [float(r) for r in _certificate(spec, x, duals, reduced)]
+    if not max(residuals) <= CERT_TOL:
+        raise NumericBreakdown(f"optimality certificate fails: largest scaled KKT "
+                               f"residual {max(residuals):.3e} exceeds CERT_TOL {CERT_TOL:g}")
+    certificate = dict(zip(("primal_residual", "dual_residual", "complementarity",
+                            "duality_gap"), residuals))
+    return SolveOutcome("optimal", iterations, certificate, x, objective, duals, reduced)
 
 
 def solve_lp(spec: LpSpec) -> SolveOutcome:
@@ -372,32 +394,13 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
 
     status, iterations, found = _lp_internal(c_int, A_all, kinds, b_all)
     if status != "optimal":
-        return SolveOutcome(status, None, None, None, None, [], iterations, found)
+        return SolveOutcome(status, iterations, found)
 
     v, duals_int = found
     x = v + lb
     duals_int = duals_int[: spec.n_rows]
     duals = duals_int if spec.objective_sense == "min" else -duals_int
-    reduced = c_stated - spec.constraint_matrix.T @ duals
-    objective = float(c_stated @ x)
-    primal, dual_feas, comp, gap_terms, _, scale = _certificate(
-        spec.objective_sense, x, spec.constraint_matrix, spec.constraint_rhs,
-        spec.constraint_kinds, lb, ub, duals, reduced)
-    dual_objective = float(spec.constraint_rhs @ duals + gap_terms)
-    certificate = {
-        "primal_residual": float(primal),
-        "dual_residual": float(dual_feas),
-        "complementarity": float(comp),
-        "duality_gap": float(abs(objective - dual_objective) / scale),
-        "dual_objective": dual_objective,
-    }
-    active = _binding_rows(spec, x)
-    return SolveOutcome("optimal", x, objective, duals, reduced, active, iterations, certificate)
-
-
-def _binding_rows(spec, x):
-    resid = spec.constraint_matrix @ x - spec.constraint_rhs
-    return np.flatnonzero(np.abs(resid) <= 1e-8 * (1.0 + np.abs(spec.constraint_rhs))).tolist()
+    return _optimal(spec, x, duals, c_stated, float(c_stated @ x), iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +495,7 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
 
     feas = solve_lp(LpSpec("min", np.zeros(n), A, b, spec.constraint_kinds, lb, ub))
     if feas.status != "optimal":
-        return SolveOutcome(feas.status, None, None, None, None, [], feas.iterations,
-                            feas.certificate)
+        return feas
     x = feas.primal.copy()
 
     # The working set is an independent subset of the "=" rows followed by
@@ -567,7 +569,7 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
         free[working + aside] = False
         cands = np.flatnonzero((s > 1e-11) & free)
         if cands.size == 0 and ray is not None:
-            return SolveOutcome("unbounded", None, None, None, None, [], iterations, {})
+            return SolveOutcome("unbounded", iterations)
         ratios = np.clip(h[cands] - G[cands] @ x, 0.0, None) / s[cands]
         alpha = np.min(ratios, initial=full)
         x = x + alpha * d
@@ -592,18 +594,5 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
     on_row = k < G_row.size
     duals[G_row[k[on_row]]] = -sign * G_flip[k[on_row]] * mu_w[on_row]
 
-    grad_stated = Q_stated @ x + c_stated
-    reduced = grad_stated - A.T @ duals
-    objective = float(c_stated @ x + 0.5 * x @ Q_stated @ x)
-    # For the quadratic path the certified gap is the total complementarity
-    # mass of the KKT point (zero exactly at a primal-dual optimum).
-    primal, dual_feas, comp, _, comp_mass, scale = _certificate(
-        spec.objective_sense, x, A, b, spec.constraint_kinds, lb, ub, duals, reduced)
-    certificate = {
-        "primal_residual": float(primal),
-        "dual_residual": float(dual_feas),
-        "complementarity": float(comp),
-        "duality_gap": float(comp_mass / scale),
-    }
-    active = _binding_rows(spec, x)
-    return SolveOutcome("optimal", x, objective, duals, reduced, active, iterations, certificate)
+    return _optimal(spec, x, duals, Q_stated @ x + c_stated,
+                    float(c_stated @ x + 0.5 * x @ Q_stated @ x), iterations)

@@ -207,16 +207,15 @@ def maximin_coordinate_grid(P, r, resolution=401):
     """Grid estimate of max over the polytope {u >= 0, Pu <= r} of min_i u_i.
 
     Only used for 2-d sets in tests; resolution keeps the grid error well
-    below the comparison tolerances chosen by the callers.
+    below the comparison tolerances chosen by the callers.  The grid is
+    tested one row of P at a time over all points at once.
     """
-    best = -np.inf
     grid = np.linspace(0.0, 1.0, resolution)
-    for u1 in grid:
-        for u2 in grid:
-            u = np.array([u1, u2])
-            if np.all(P @ u <= r + 1e-12):
-                best = max(best, min(u1, u2))
-    return best
+    u1, u2 = np.meshgrid(grid, grid, indexing="ij")
+    inside = np.ones(u1.shape, dtype=bool)
+    for (p1, p2), bound in zip(P, r):
+        inside &= p1 * u1 + p2 * u2 <= bound + 1e-12
+    return float(np.minimum(u1, u2)[inside].max(initial=-np.inf))
 
 
 def deviation_gain_grid(unit_profit, y_star, grid):
@@ -328,9 +327,6 @@ def min_norm_duals_loop(spec, outcome, force_zero_rows):
             var_of_row[j] = (len(cols),)
             cols.append((j, sign))
     n_mult = len(cols)
-    if n_mult == 0:
-        return np.zeros(spec.n_rows) if np.max(np.abs(spec.cost)) == 0 else None
-
     G = np.zeros((spec.n_vars, n_mult))
     for col, (j, sign) in enumerate(cols):
         G[:, col] = sign * spec.constraint_matrix[j]

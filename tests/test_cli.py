@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import robust_peakload
-from robust_peakload import cli, market, robust, subsidy
+from robust_peakload import cli, market, robust, solver, subsidy
 from robust_peakload.geometry import box, simplex, tau
 from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           canonical_dumps, format_number,
@@ -783,11 +783,37 @@ class TestReportContract:
         assert err.startswith("error:") and "forced" in err
         assert err.count("\n") == 1
 
+    def test_failed_certificate_maps_to_exit_four(self, capsys, monkeypatch):
+        # A simplex that reports "optimal" with a primal entry moved by 1e-3:
+        # the certificate gate of every optimal solve refuses it.
+        load = cli.load_instance
+        lp_internal = solver._lp_internal
+
+        def perturbed(*args):
+            status, iterations, found = lp_internal(*args)
+            if status == "optimal":
+                v, duals = found
+                found = (v + np.eye(v.size)[0] * 1e-3, duals)
+            return status, iterations, found
+
+        def load_then_perturb(path):
+            loaded = load(path)
+            monkeypatch.setattr(solver, "_lp_internal", perturbed)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_instance", load_then_perturb)
+        code, out, err = run_cli(capsys, "solve", "--instance",
+                                 str(INSTANCES / "subsidy_example.json"),
+                                 "--mode", "robust-cp")
+        assert code == cli.EXIT_SOLVER and not out
+        assert err.startswith("error:") and "certificate" in err
+        assert err.count("\n") == 1
+
 
 def _solver_returning(status):
     """Stand-in for solve_lp/solve_qp that reports `status` for every spec."""
     def solve(spec):
-        return SolveOutcome(status, None, None, None, None, [], 0, {})
+        return SolveOutcome(status, 0)
     return solve
 
 

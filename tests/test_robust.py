@@ -499,7 +499,7 @@ class TestCanonicalizingSolves:
 
     def test_failed_tie_break_raises(self, monkeypatch):
         def not_optimal(spec):
-            return SolveOutcome("infeasible", None, None, None, None, [], 0, {})
+            return SolveOutcome("infeasible", 0)
 
         monkeypatch.setattr(robust, "solve_qp", not_optimal)
         with pytest.raises(NumericBreakdown, match="projection"):
@@ -508,7 +508,7 @@ class TestCanonicalizingSolves:
     def test_missing_support_duals_raise(self, monkeypatch):
         # The duals QP is the only QP of the fixed-demand scenario form.
         def not_optimal(spec):
-            return SolveOutcome("infeasible", None, None, None, None, [], 0, {})
+            return SolveOutcome("infeasible", 0)
 
         monkeypatch.setattr(robust, "solve_qp", not_optimal)
         with pytest.raises(NumericBreakdown, match="slack copies"):
@@ -1164,6 +1164,23 @@ class TestMinNormDuals:
         assert oracles.min_norm_duals_loop(spec, outcome, force_zero) is None
         with pytest.raises(NumericBreakdown, match="slack copies"):
             robust._min_norm_duals(spec, outcome, force_zero)
+
+    def test_zero_duals_when_no_row_binds(self):
+        # min x s.t. x <= 5: x = 0 with the row slack, reduced cost 1.  No
+        # row participates, the duals QP has no variables, and zero duals
+        # are optimal.
+        spec = LpSpec("min", [1.0], [[1.0]], [5.0], ["<="])
+        outcome = solver.solve_lp(spec)
+        assert_array_equal(oracles.min_norm_duals_loop(spec, outcome, []), [0.0])
+        assert_array_equal(robust._min_norm_duals(spec, outcome, []), [0.0])
+
+    def test_forced_binding_row_raises(self):
+        # min x s.t. x >= 3: x = 3 > 0 needs the row's multiplier 1 to price
+        # the cost; with that multiplier forced to zero nothing prices it.
+        spec = LpSpec("min", [1.0], [[1.0]], [3.0], [">="])
+        outcome = solver.solve_lp(spec)
+        with pytest.raises(NumericBreakdown, match="slack copies"):
+            robust._min_norm_duals(spec, outcome, [0])
 
 
 class TestQpFactorUpdates:

@@ -8,8 +8,10 @@ from oracles import lp_bruteforce, qp_box_diagonal_oracle, qp_bruteforce
 from robust_peakload.solver import (
     LpSpec,
     NotConvex,
+    NumericBreakdown,
     QpSpec,
     _certificate,
+    _optimal,
     solve_lp,
     solve_qp,
 )
@@ -36,7 +38,6 @@ class TestLpExamples:
         assert_allclose(out.objective, 3.0, atol=OBJ_TOL)
         assert_allclose(out.primal, [3.0], atol=FEAS_TOL)
         assert_allclose(out.duals, [1.0], atol=CERT_TOL)
-        assert out.active_set == [0]
         check_certificate(out)
 
     def test_two_producer_worstcase_program(self):
@@ -259,18 +260,48 @@ class TestQpStatuses:
                    quadratic_matrix=[[1.0, 0.5], [0.0, 1.0]])
 
 
+class TestNoVariables:
+    """An m x 0 constraint matrix keeps its m rows: a program over no
+    variables is optimal at the empty point exactly when every row holds
+    at 0 (only a 1-d empty matrix means "no rows")."""
+
+    def test_shapes(self):
+        assert LpSpec("min", [], np.zeros((2, 0)), [1.0, 0.0], ["<=", "="]).n_rows == 2
+        assert LpSpec("min", [1.0, 2.0], [], [], []).constraint_matrix.shape == (0, 2)
+
+    @pytest.mark.parametrize("rhs, status", [([1.0, 0.0], "optimal"),
+                                             ([-1.0, 0.0], "infeasible"),
+                                             ([1.0, 2.0], "infeasible")])
+    def test_status(self, rhs, status):
+        out = solve_qp(QpSpec("min", [], np.zeros((2, 0)), rhs, ["<=", "="],
+                              quadratic_matrix=np.zeros((0, 0))))
+        assert out.status == status
+        if status == "optimal":
+            assert out.primal.shape == (0,) and out.duals.tolist() == [0.0, 0.0]
+
+
+CERTIFIED = pytest.mark.parametrize("solve, spec", [
+    # min x1 + 2 x2 s.t. x1 + x2 >= 3, x1 - x2 = 1: x = (2, 1).
+    (solve_lp, LpSpec("min", [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [3.0, 1.0],
+                      [">=", "="])),
+    # min (x1^2 + x2^2) / 2 s.t. x1 + x2 = 2, x1 <= 3: x = (1, 1).
+    (solve_qp, QpSpec("min", [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 3.0],
+                      ["=", "<="], quadratic_matrix=np.eye(2))),
+], ids=["lp", "qp"])
+
+
+def _gradient(spec, x):
+    """The stated objective's gradient at x."""
+    if isinstance(spec, QpSpec):
+        return spec.cost + spec.quadratic_matrix @ x
+    return spec.cost
+
+
 class TestCertificate:
     """_certificate's residuals are relative, yet a primal moved by 1e-3 in
     any one entry of a desk-scale optimum fails them."""
 
-    @pytest.mark.parametrize("solve, spec", [
-        # min x1 + 2 x2 s.t. x1 + x2 >= 3, x1 - x2 = 1: x = (2, 1).
-        (solve_lp, LpSpec("min", [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [3.0, 1.0],
-                          [">=", "="])),
-        # min (x1^2 + x2^2) / 2 s.t. x1 + x2 = 2, x1 <= 3: x = (1, 1).
-        (solve_qp, QpSpec("min", [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 3.0],
-                          ["=", "<="], quadratic_matrix=np.eye(2))),
-    ], ids=["lp", "qp"])
+    @CERTIFIED
     @pytest.mark.parametrize("entry", [0, 1])
     @pytest.mark.parametrize("shift", [1e-3, -1e-3])
     def test_perturbed_primal_fails(self, solve, spec, entry, shift):
@@ -278,15 +309,32 @@ class TestCertificate:
         assert out.status == "optimal"
 
         def residuals(x):
-            return _certificate(spec.objective_sense, x, spec.constraint_matrix,
-                                spec.constraint_rhs, spec.constraint_kinds,
-                                spec.variable_lower_bounds, spec.variable_upper_bounds,
-                                out.duals, out.reduced_costs)[:3]
+            return _certificate(spec, x, out.duals, out.reduced_costs)
 
         assert max(residuals(out.primal)) <= CERT_TOL
         x = out.primal.copy()
         x[entry] += shift
         assert max(residuals(x)) > CERT_TOL
+
+
+class TestOptimalGate:
+    """_optimal, the one builder of an optimal SolveOutcome, rebuilds the
+    solver's own answer, and refuses a primal or a dual moved by 1e-3 in any
+    one entry with NumericBreakdown."""
+
+    @CERTIFIED
+    @pytest.mark.parametrize("field", ["primal", "duals"])
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_perturbed_entry_raises(self, solve, spec, field, entry):
+        out = solve(spec)
+        rebuilt = _optimal(spec, out.primal, out.duals, _gradient(spec, out.primal),
+                           out.objective, out.iterations)
+        assert rebuilt.certificate == out.certificate
+        assert rebuilt.reduced_costs.tobytes() == out.reduced_costs.tobytes()
+        x, duals = out.primal.copy(), out.duals.copy()
+        (x if field == "primal" else duals)[entry] += 1e-3
+        with pytest.raises(NumericBreakdown, match="certificate"):
+            _optimal(spec, x, duals, _gradient(spec, x), out.objective, out.iterations)
 
 
 class TestQpAgainstClosedForms:

@@ -100,12 +100,15 @@ def _highs(spec):
 
 
 def _highs_certificate(spec, res):
-    """Largest KKT residual of solver._certificate at HiGHS's optimal pair.
+    """Largest KKT residual at HiGHS's optimal pair: the primal, dual and
+    complementarity residuals of solver._certificate, and HiGHS's absolute
+    duality gap from its own marginals.
 
     HiGHS reports marginals of the min-sense program it solved (rows of
     A_ub <= b_ub, A_eq = b_eq, then the bounds).  solve_lp's convention is
     grad = A' duals + reduced for the stated sense: undo the ">=" negation
-    row by row, then negate everything for a max program."""
+    row by row, then negate everything for a max program.  The dual
+    objective prices every row and every finite bound by its marginal."""
     kinds = np.array(spec.constraint_kinds)
     eq = kinds == "="
     flip = np.where(kinds == ">=", -1.0, 1.0)[~eq]
@@ -114,11 +117,12 @@ def _highs_certificate(spec, res):
     duals[~eq] = sign * flip * res.ineqlin.marginals
     duals[eq] = sign * res.eqlin.marginals
     reduced = sign * (res.lower.marginals + res.upper.marginals)
-    primal, dual, comp, gap_terms, _, _ = _certificate(
-        spec.objective_sense, res.x, spec.constraint_matrix, spec.constraint_rhs,
-        spec.constraint_kinds, spec.variable_lower_bounds,
-        spec.variable_upper_bounds, duals, reduced)
-    gap = abs(float(spec.cost @ res.x) - float(spec.constraint_rhs @ duals + gap_terms))
+    primal, dual, comp, _ = _certificate(spec, res.x, duals, reduced)
+    finite_ub = np.isfinite(spec.variable_upper_bounds)
+    bound_terms = (res.lower.marginals @ spec.variable_lower_bounds
+                   + res.upper.marginals[finite_ub] @ spec.variable_upper_bounds[finite_ub])
+    gap = abs(float(spec.cost @ res.x)
+              - float(spec.constraint_rhs @ duals + sign * bound_terms))
     return max(primal, dual, comp, gap)
 
 
