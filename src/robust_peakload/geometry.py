@@ -5,6 +5,12 @@ Every linear program over a set, tau's and validate's included, is one call
 of Polytope.maximize, which raises EmptySet for an empty set and ValueError
 for a set unbounded along the objective.
 
+Vertex enumeration solves no linear system: enumerate_vertices runs the
+double description method on the cone over the set, with one zero tolerance,
+VERTEX_ZERO_TOL, on the value of a row at a ray (both scaled to unit largest
+entry), and returns each vertex once, sorted lexicographically on its
+coordinates rounded to 1e-9.
+
 A set is stored as {u >= 0 : P u <= r}; nonnegativity is implicit and never
 appears among the rows of P.  Uncertainty sets used by the market modules are
 expected to live inside the unit box with every axis projection equal to
@@ -19,10 +25,10 @@ import numpy as np
 
 from robust_peakload.solver import LpSpec, solve_lp
 
-VERTEX_DEDUP_TOL = 1e-9
-VERTEX_FEAS_TOL = 1e-9
+VERTEX_ZERO_TOL = 1e-9
 AXIS_TOL = 1e-9
 MAX_ENUM_DIM = 12
+_PAIR_BLOCK = 1 << 16
 
 
 class EmptySet(Exception):
@@ -104,37 +110,76 @@ def tau(U: Polytope):
 
 
 def enumerate_vertices(U: Polytope):
-    """All vertices of {u >= 0 : P u <= r}, in lexicographic order.
+    """All vertices of {u >= 0 : P u <= r}, each once, in lexicographic order.
 
-    Exhaustive basis enumeration over the m + n constraint hyperplanes
-    (rows of P plus the coordinate planes), feasibility-checked and
-    deduplicated at 1e-9.
+    The double description method (Motzkin, Raiffa, Thompson & Thrall) on
+    the cone {(u, s) >= 0 : P u - r s <= 0}: start from the n + 1 unit rays
+    of the orthant and add the rows [P | -r] one at a time, each scaled to
+    unit largest coefficient.  A row keeps the rays on its feasible side and
+    joins every adjacent pair on opposite sides into a new ray on the row;
+    two rays are adjacent when they share at least n - 1 tight constraints
+    and no third ray is tight on all of them (Fukuda & Prodon's
+    combinatorial test).  A ray, scaled to unit largest entry, meets a row
+    when |row . ray| <= VERTEX_ZERO_TOL; a joined ray meets the constraints
+    both its parents meet.  The vertices are u / s over the rays with s > 0,
+    so an empty set gives [] and an unbounded one its vertices alone.  They
+    are sorted on their coordinates rounded to 1e-9, so that last-bit noise
+    does not decide the order, and returned unrounded.
     """
     n = U.dimension
     if n > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"vertex enumeration is guarded at n <= {MAX_ENUM_DIM}")
-    planes = [(U.P[j], U.r[j]) for j in range(U.P.shape[0])]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        planes.append((e, 0.0))
-    vertices = []
-    for combo in itertools.combinations(range(len(planes)), n):
-        A = np.array([planes[k][0] for k in combo])
-        b = np.array([planes[k][1] for k in combo])
-        try:
-            u = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(u)):
-            continue
-        if np.any(u < -1e-12) or np.any(U.P @ u > U.r + VERTEX_FEAS_TOL):
-            continue
-        u = np.where(np.abs(u) < 1e-12, 0.0, u)
-        if all(np.max(np.abs(u - v)) > VERTEX_DEDUP_TOL for v in vertices):
-            vertices.append(u)
-    vertices.sort(key=lambda v: tuple(v))
-    return vertices
+    rows = np.hstack([U.P, -U.r[:, None]])
+    scale = np.max(np.abs(rows), axis=1, initial=0.0)
+    rows = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
+    # tight[k, j]: ray k meets constraint j, the n + 1 coordinate planes
+    # first, then the rows in order.
+    rays = np.eye(n + 1)
+    tight = np.hstack([rays == 0.0, np.zeros((n + 1, rows.shape[0]), dtype=bool)])
+    for j, row in enumerate(rows, start=n + 1):
+        value = rays @ row
+        zero = np.abs(value) <= VERTEX_ZERO_TOL
+        plus = ~zero & (value > 0.0)
+        p, q = _adjacent_pairs(tight, np.flatnonzero(plus),
+                               np.flatnonzero(~zero & (value < 0.0)), n)
+        joined = value[p, None] * rays[q] - value[q, None] * rays[p]
+        joined /= np.max(joined, axis=1, keepdims=True)
+        met = tight[p] & tight[q]
+        met[:, j] = True
+        tight[zero, j] = True
+        rays = np.vstack([rays[~plus], joined])
+        tight = np.vstack([tight[~plus], met])
+    rays = rays[rays[:, n] > 0.0]
+    vertices = rays[:, :n] / rays[:, n:]
+    order = np.lexsort(np.round(vertices, 9).T[::-1])
+    return list(vertices[order])
+
+
+def _adjacent_pairs(tight, plus, minus, n):
+    """The adjacent pairs of rays, one from plus and one from minus (index
+    arrays into the rows of tight), as two index arrays.
+
+    A pair shares at least n - 1 tight constraints and no third ray is tight
+    on all of the shared ones.  Every count is one matrix product, taken in
+    blocks of at most _PAIR_BLOCK entries, which bounds the memory."""
+    if not (len(plus) and len(minus)):
+        return plus[:0], minus[:0]
+    incidence = tight.astype(float)
+    p, q = [], []
+    step = max(1, _PAIR_BLOCK // len(minus))
+    for lo in range(0, len(plus), step):
+        block = plus[lo:lo + step]
+        i, j = np.nonzero(incidence[block] @ incidence[minus].T >= n - 1)
+        p.append(block[i])
+        q.append(minus[j])
+    p, q = np.concatenate(p), np.concatenate(q)
+    adjacent = np.zeros(len(p), dtype=bool)
+    step = max(1, _PAIR_BLOCK // len(tight))
+    for lo in range(0, len(p), step):
+        common = incidence[p[lo:lo + step]] * incidence[q[lo:lo + step]]
+        covering = (common @ incidence.T) >= common.sum(axis=1, keepdims=True)
+        adjacent[lo:lo + step] = covering.sum(axis=1) == 2
+    return p[adjacent], q[adjacent]
 
 
 def validate(U: Polytope) -> ValidationReport:

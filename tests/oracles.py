@@ -20,6 +20,28 @@ FEAS_TOL = 1e-7
 PROFIT_TOL = 1e-6
 
 
+def vertices_by_bases(U):
+    """The vertices of {u >= 0 : P u <= r} by trying every basis: each
+    choice of n of the m + n hyperplanes (the rows of P and the coordinate
+    planes) whose matrix has rank n is solved, and the solutions inside the
+    set are kept, once each at 1e-9.  C(m + n, n) solves, so small sets
+    only; unordered."""
+    n = U.dimension
+    A_all = np.vstack([U.P, np.eye(n)])
+    b_all = np.concatenate([U.r, np.zeros(n)])
+    found = []
+    for combo in itertools.combinations(range(b_all.size), n):
+        A, b = A_all[list(combo)], b_all[list(combo)]
+        if np.linalg.matrix_rank(A) < n:
+            continue
+        u = np.linalg.solve(A, b)
+        if np.any(u < -1e-12) or np.any(U.P @ u > U.r + 1e-9):
+            continue
+        if all(np.max(np.abs(u - v)) > 1e-9 for v in found):
+            found.append(u)
+    return found
+
+
 def lifted_vertices(inst):
     """Vertices of the lifted uncertainty set as N x T matrices: one per
     choice of a per-period vertex for every period, in itertools.product

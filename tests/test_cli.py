@@ -646,6 +646,20 @@ class TestSetCommands:
         assert certificates["witness_in_set"] is True
         assert certificates["witness_min_gap"] <= 1e-9
 
+    def test_hull_counts_only_extreme_points(self, capsys, tmp_path):
+        # The five generators are the vertices.  Facets of the converted
+        # hull repeat coordinate planes up to 1e-17, and a basis of such
+        # nearly parallel planes must not add a point to the count.
+        generators = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.7, 0.7, 0.7]]
+        producer = {"c_inv": 1.0, "c_var": 1.0, "a": 1.0}
+        path = tmp_path / "hull.json"
+        path.write_text(json.dumps(minimal_data(
+            producers=[producer] * 3,
+            uncertainty={"form": "vertices", "list": generators})))
+        code, report = run_json(capsys, "tau", "--instance", str(path))
+        assert code == 0
+        assert report["results"]["vertex_count"] == 5
+
 
 class TestReportContract:
     COMMANDS = [

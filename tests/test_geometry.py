@@ -3,8 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import ConvexHull
 
-from oracles import maximin_coordinate_grid
+from oracles import maximin_coordinate_grid, vertices_by_bases
 from robust_peakload import geometry
 from robust_peakload.geometry import (
     DimensionTooLarge,
@@ -18,6 +19,7 @@ from robust_peakload.geometry import (
     tau,
     validate,
 )
+from robust_peakload.risk import _simplex_restricted
 from robust_peakload.solver import LpSpec, solve_lp
 
 TAU_TOL = 1e-9
@@ -91,6 +93,49 @@ class TestTau:
             assert_allclose(np.min(witness), t, atol=1e-8)
 
 
+@st.composite
+def enumeration_sets(draw):
+    """Sets small enough for the basis oracle: box, simplex and budget sets
+    and integer rows (degenerate vertices, unbounded sets too), each as it
+    is or with repeated rows, with the equality pair of the simplex
+    restriction, with a negative right-hand side, made empty, or with no
+    rows of P at all."""
+    n = draw(st.integers(1, 4))
+    base = draw(st.sampled_from(["box", "simplex", "budget", "integer", "free"]))
+    if base == "box":
+        U = box(n)
+    elif base == "simplex":
+        U = simplex(n)
+    elif base == "budget":
+        U = _budget(n, draw(st.integers(1, 2 * n)) / 2.0)
+    elif base == "integer":
+        m = draw(st.integers(1, 3))
+        P = np.array(draw(st.lists(st.lists(st.integers(-2, 3), min_size=n, max_size=n),
+                                   min_size=m, max_size=m)), dtype=float)
+        r = np.array(draw(st.lists(st.integers(-1, 4), min_size=m, max_size=m)), dtype=float)
+        if draw(st.booleans()):
+            P, r = np.vstack([np.eye(n), P]), np.concatenate([np.ones(n), r])
+        U = Polytope(n, P, r)
+    else:
+        U = Polytope(n, np.zeros((0, n)), np.zeros(0))
+    extra = draw(st.sampled_from(["none", "repeated", "restricted", "negative", "empty"]))
+    k = draw(st.integers(0, n - 1))
+    if extra == "repeated" and U.r.size:
+        rows = draw(st.lists(st.integers(0, U.r.size - 1), min_size=1, max_size=2))
+        return Polytope(n, np.vstack([U.P, U.P[rows]]), np.concatenate([U.r, U.r[rows]]))
+    if extra == "restricted":
+        return _simplex_restricted(U)
+    if extra == "negative":
+        # u_k >= level, a row with a negative right-hand side.
+        level = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        return Polytope(n, np.vstack([U.P, -np.eye(n)[k]]), np.concatenate([U.r, [-level]]))
+    if extra == "empty":
+        # u_k >= 2 and u_k <= 1.
+        return Polytope(n, np.vstack([U.P, -np.eye(n)[k], np.eye(n)[k]]),
+                        np.concatenate([U.r, [-2.0, 1.0]]))
+    return U
+
+
 class TestEnumerateVertices:
     def test_two_simplex(self):
         verts = enumerate_vertices(simplex(2))
@@ -109,6 +154,39 @@ class TestEnumerateVertices:
     def test_guard_on_dimension(self):
         with pytest.raises(DimensionTooLarge):
             enumerate_vertices(box(13))
+
+    def test_closed_form_counts_at_the_guard(self):
+        # box(12): 2^12 corners; budget(12) at 2: the origin, the 12 unit
+        # vectors and the 66 pairs; simplex(12): the origin and 12 corners.
+        assert len(enumerate_vertices(box(12))) == 4096
+        assert len(enumerate_vertices(_budget(12, 2.0))) == 79
+        assert len(enumerate_vertices(simplex(12))) == 13
+
+    def test_random_hull_vertices_are_extreme(self):
+        # Generators on the coordinate planes give hull facets that repeat a
+        # plane u_i >= 0 up to last-bit noise; no basis of such nearly
+        # parallel planes may add a point.
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n = int(rng.integers(2, 4))
+            pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(n + 1, 9)), n))
+            pts[rng.uniform(size=pts.shape) < 0.3] = 0.0
+            verts = np.array(enumerate_vertices(hull_to_inequalities(pts)))
+            for k, v in enumerate(verts):
+                assert not in_convex_hull(v, np.delete(verts, k, axis=0))
+            if np.linalg.matrix_rank(pts - pts[0]) == n:
+                assert len(verts) == len(ConvexHull(pts).vertices)
+
+    @PROPERTY
+    @given(enumeration_sets())
+    def test_matches_basis_oracle(self, U):
+        found = enumerate_vertices(U)
+        expected = vertices_by_bases(U)
+        assert len(found) == len(expected)
+        for v in found:
+            assert min(np.max(np.abs(v - w)) for w in expected) <= 1e-9
+        for w in expected:
+            assert min(np.max(np.abs(v - w)) for v in found) <= 1e-9
 
     def test_vertices_feasible_and_span_witness(self):
         rng = np.random.default_rng(14)
