@@ -3,7 +3,8 @@
 Subcommands: `solve` (nominal, robust market, robust planner, expected-cost
 solves), `poa` (price-of-anarchy reports for an instance or a generated tight
 family), `subsidy` (welfare-restoring subsidies with equilibrium checks),
-`tau` and `validate-set` (uncertainty-set diagnostics).
+`tau` and `validate-set` (uncertainty-set diagnostics; their vertex_count is
+null above 12 producers, where vertex enumeration is guarded).
 
 Exit codes: 0 success, 1 input error (bad flags, schema violations, parameter
 validation), 2 infeasible or unbounded program, 3 subsidy verification
@@ -23,8 +24,9 @@ import time
 
 import numpy as np
 
-from robust_peakload.geometry import (DimensionTooLarge, EmptySet,
-                                      enumerate_vertices, simplex, tau)
+from robust_peakload.geometry import (MAX_ENUM_DIM, DimensionTooLarge,
+                                      EmptySet, enumerate_vertices, simplex,
+                                      tau)
 from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           canonical_dumps, instance_digest,
                                           instance_to_data, load_instance,
@@ -338,7 +340,8 @@ def _cmd_set_report(args):
     results = {
         "tau": float(value),
         "witness": witness.tolist(),
-        "vertex_count": len(enumerate_vertices(U)),
+        "vertex_count": (len(enumerate_vertices(U))
+                         if U.dimension <= MAX_ENUM_DIM else None),
         "contains_zero": rep.contains_zero,
         "inside_unit_box": rep.inside_unit_box,
         "axis_projections": rep.axis_projections.tolist(),

@@ -1,15 +1,19 @@
 """Polyhedral uncertainty sets: representation, validation, the max-min
-coordinate program tau, vertex enumeration, and the per-period product lift.
+coordinate program tau, conversion between vertex and inequality form, and
+the per-period product lift.
 
 Every linear program over a set, tau's and validate's included, is one call
 of Polytope.maximize, which raises EmptySet for an empty set and ValueError
 for a set unbounded along the objective.
 
-Vertex enumeration solves no linear system: enumerate_vertices runs the
-double description method on the cone over the set, with one zero tolerance,
-VERTEX_ZERO_TOL, on the value of a row at a ray (both scaled to unit largest
-entry), and returns each vertex once, sorted lexicographically on its
-coordinates rounded to 1e-9.
+Both conversions run one double description routine, which itself solves
+no linear system and has one zero tolerance, VERTEX_ZERO_TOL, on the value of
+a row at a ray (both scaled to unit largest entry).  enumerate_vertices runs
+it on the cone over the set and returns each vertex once, sorted
+lexicographically on its coordinates rounded to 1e-9; hull_to_inequalities
+runs it on the cone of valid inequalities of the points within their affine
+hull.  Both are guarded at MAX_ENUM_DIM: the set's dimension for the first,
+the hull's affine dimension for the second.
 
 A set is stored as {u >= 0 : P u <= r}; nonnegativity is implicit and never
 appears among the rows of P.  Uncertainty sets used by the market modules are
@@ -17,7 +21,6 @@ expected to live inside the unit box with every axis projection equal to
 [0, 1]; `validate` reports against exactly those requirements.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -112,56 +115,67 @@ def tau(U: Polytope):
 def enumerate_vertices(U: Polytope):
     """All vertices of {u >= 0 : P u <= r}, each once, in lexicographic order.
 
-    The double description method (Motzkin, Raiffa, Thompson & Thrall) on
-    the cone {(u, s) >= 0 : P u - r s <= 0}: start from the n + 1 unit rays
-    of the orthant and add the rows [P | -r] one at a time, each scaled to
-    unit largest coefficient.  A row keeps the rays on its feasible side and
-    joins every adjacent pair on opposite sides into a new ray on the row;
-    two rays are adjacent when they share at least n - 1 tight constraints
-    and no third ray is tight on all of them (Fukuda & Prodon's
-    combinatorial test).  A ray, scaled to unit largest entry, meets a row
-    when |row . ray| <= VERTEX_ZERO_TOL; a joined ray meets the constraints
-    both its parents meet.  The vertices are u / s over the rays with s > 0,
-    so an empty set gives [] and an unbounded one its vertices alone.  They
-    are sorted on their coordinates rounded to 1e-9, so that last-bit noise
-    does not decide the order, and returned unrounded.
+    The double description method on the cone {(u, s) >= 0 : P u - r s <= 0},
+    started from the n + 1 unit rays of the orthant.  The vertices are u / s
+    over the extreme rays with s > 0, so an empty set gives [] and an
+    unbounded one its vertices alone.  They are sorted on their coordinates
+    rounded to 1e-9, so that last-bit noise does not decide the order, and
+    returned unrounded.
     """
     n = U.dimension
     if n > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"vertex enumeration is guarded at n <= {MAX_ENUM_DIM}")
-    rows = np.hstack([U.P, -U.r[:, None]])
-    scale = np.max(np.abs(rows), axis=1, initial=0.0)
-    rows = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
-    # tight[k, j]: ray k meets constraint j, the n + 1 coordinate planes
-    # first, then the rows in order.
-    rays = np.eye(n + 1)
-    tight = np.hstack([rays == 0.0, np.zeros((n + 1, rows.shape[0]), dtype=bool)])
-    for j, row in enumerate(rows, start=n + 1):
-        value = rays @ row
-        zero = np.abs(value) <= VERTEX_ZERO_TOL
-        plus = ~zero & (value > 0.0)
-        p, q = _adjacent_pairs(tight, np.flatnonzero(plus),
-                               np.flatnonzero(~zero & (value < 0.0)), n)
-        joined = value[p, None] * rays[q] - value[q, None] * rays[p]
-        joined /= np.max(joined, axis=1, keepdims=True)
-        met = tight[p] & tight[q]
-        met[:, j] = True
-        tight[zero, j] = True
-        rays = np.vstack([rays[~plus], joined])
-        tight = np.vstack([tight[~plus], met])
+    orthant = np.eye(n + 1)
+    rays = _double_description(orthant, orthant == 0.0, np.hstack([U.P, -U.r[:, None]]))
     rays = rays[rays[:, n] > 0.0]
     vertices = rays[:, :n] / rays[:, n:]
     order = np.lexsort(np.round(vertices, 9).T[::-1])
     return list(vertices[order])
 
 
-def _adjacent_pairs(tight, plus, minus, n):
-    """The adjacent pairs of rays, one from plus and one from minus (index
-    arrays into the rows of tight), as two index arrays.
+def _double_description(rays, tight, rows):
+    """Extreme rays of {x in C : rows x <= 0}, C a pointed cone given by its
+    extreme rays (rows of `rays`) and their incidence with the constraints
+    that define it (tight[k, j]: ray k meets constraint j).
 
-    A pair shares at least n - 1 tight constraints and no third ray is tight
-    on all of the shared ones.  Every count is one matrix product, taken in
-    blocks of at most _PAIR_BLOCK entries, which bounds the memory."""
+    The double description method (Motzkin, Raiffa, Thompson & Thrall): add
+    the rows one at a time, each scaled to unit largest coefficient.  A row
+    keeps the rays on its feasible side and joins every adjacent pair on
+    opposite sides into a new ray on the row; every ray is scaled to unit
+    largest |entry|.  Two rays are adjacent when no third ray meets every
+    constraint both meet (Fukuda & Prodon's combinatorial test).  A ray
+    meets a row when |row . ray| <= VERTEX_ZERO_TOL; a joined ray meets the
+    constraints both its parents meet.
+    """
+    scale = np.max(np.abs(rows), axis=1, initial=0.0)
+    rows = rows / np.where(scale > 0.0, scale, 1.0)[:, None]
+    rays = rays / np.max(np.abs(rays), axis=1, keepdims=True)
+    first = tight.shape[1]
+    tight = np.hstack([tight, np.zeros((len(rays), len(rows)), dtype=bool)])
+    for j, row in enumerate(rows, start=first):
+        value = rays @ row
+        zero = np.abs(value) <= VERTEX_ZERO_TOL
+        plus = ~zero & (value > 0.0)
+        p, q = _adjacent_pairs(tight, np.flatnonzero(plus),
+                               np.flatnonzero(~zero & (value < 0.0)), rays.shape[1])
+        joined = value[p, None] * rays[q] - value[q, None] * rays[p]
+        joined /= np.max(np.abs(joined), axis=1, keepdims=True)
+        met = tight[p] & tight[q]
+        met[:, j] = True
+        tight[zero, j] = True
+        rays = np.vstack([rays[~plus], joined])
+        tight = np.vstack([tight[~plus], met])
+    return rays
+
+
+def _adjacent_pairs(tight, plus, minus, dim):
+    """The adjacent pairs of rays of a cone in R^dim, one from plus and one
+    from minus (index arrays into the rows of tight), as two index arrays.
+
+    A pair shares at least dim - 2 tight constraints and no third ray is
+    tight on all of the shared ones.  Every count is one matrix product,
+    taken in blocks of at most _PAIR_BLOCK entries, which bounds the
+    memory."""
     if not (len(plus) and len(minus)):
         return plus[:0], minus[:0]
     incidence = tight.astype(float)
@@ -169,7 +183,7 @@ def _adjacent_pairs(tight, plus, minus, n):
     step = max(1, _PAIR_BLOCK // len(minus))
     for lo in range(0, len(plus), step):
         block = plus[lo:lo + step]
-        i, j = np.nonzero(incidence[block] @ incidence[minus].T >= n - 1)
+        i, j = np.nonzero(incidence[block] @ incidence[minus].T >= dim - 2)
         p.append(block[i])
         q.append(minus[j])
     p, q = np.concatenate(p), np.concatenate(q)
@@ -220,94 +234,67 @@ def lift_product(Uprime: Polytope, T: int) -> Polytope:
     return Polytope(n * T, P, r)
 
 
-def _facets_full_dim(points):
-    """Supporting hyperplanes of a full-dimensional hull, as (a, b) rows."""
-    k, d = points.shape
-    facets = []
-    for combo in itertools.combinations(range(k), d):
-        base = points[combo[0]]
-        diffs = points[list(combo[1:])] - base
-        if d == 1:
-            normal = np.ones(1)
-        else:
-            _, s, vt = np.linalg.svd(diffs, full_matrices=True)
-            rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
-            if rank != d - 1:
-                continue  # combo does not span a unique hyperplane
-            normal = vt[-1]
-        offset = float(normal @ base)
-        vals = points @ normal
-        if np.all(vals <= offset + 1e-9):
-            facets.append((normal, offset))
-        elif np.all(vals >= offset - 1e-9):
-            facets.append((-normal, -offset))
-    dedup = []
-    for a, b in facets:
-        scale = np.max(np.abs(a))
-        if scale < 1e-12:
-            continue
-        a, b = a / scale, b / scale
-        if all(np.max(np.abs(a - a2)) > 1e-9 or abs(b - b2) > 1e-9 for a2, b2 in dedup):
-            dedup.append((a, b))
-    return dedup
-
-
 def hull_to_inequalities(vertices) -> Polytope:
-    """Convert a vertex list (n <= 3) to inequality form.
+    """Convert a vertex list (a k x n array of nonnegative points) to
+    inequality form.
 
-    Degenerate hulls (segments, flat polygons) are handled by describing the
-    affine hull with paired inequalities and running the facet search inside
-    affine coordinates.
+    One SVD of the points' differences from the first finds the affine hull;
+    paired rows along its orthogonal complement pin it.  Inside affine
+    coordinates c_j, the facets (a, b) are the extreme rays of the cone
+    {(a, b) : c_j . a - b <= 0 for every j}, computed by the double
+    description method started from the simplicial cone of d + 1 affinely
+    independent generators, picked greedily by largest residual.  Duplicate
+    and interior generators are redundant rows.  The affine dimension d is
+    guarded at MAX_ENUM_DIM.
     """
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2:
         raise ValueError("vertices must be a 2-d array-like")
-    if V.shape[1] > 3:
-        raise DimensionTooLarge("vertex-form conversion is guarded at n <= 3")
-    return _convert_hull(V)
-
-
-def _convert_hull(V) -> Polytope:
-    """Facet conversion without the dimension guard; V is a k x n array."""
     k, n = V.shape
     if k == 0:
         raise ValueError("empty vertex list")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("uncertainty-set vertices must be finite")
     if np.any(V < -1e-12):
         raise ValueError("uncertainty-set vertices must be nonnegative")
 
     v0 = V[0]
     D = V - v0
-    if k == 1:
-        rank = 0
-        basis = np.zeros((n, 0))
-        complement = np.eye(n)
-    else:
-        _, s, vt = np.linalg.svd(D, full_matrices=True)
-        rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
-        basis = vt[:rank].T
-        complement = vt[rank:].T
-    rows, rhs = [], []
-    # Pin the affine hull with paired inequalities along its orthogonal
-    # complement, then cut within affine coordinates.
-    if rank < n:
-        for j in range(complement.shape[1]):
-            w = complement[:, j]
-            scale = np.max(np.abs(w))
-            w = w / scale
-            rows.append(w)
-            rhs.append(float(w @ v0))
-            rows.append(-w)
-            rhs.append(float(-w @ v0))
-    if rank > 0:
-        coords = D @ basis
-        for alpha, beta in _facets_full_dim(coords):
-            a = basis @ alpha
-            rows.append(a)
-            rhs.append(float(beta + a @ v0))
-    P = np.array(rows) if rows else np.zeros((0, n))
-    r = np.array(rhs) if rhs else np.zeros(0)
-    poly = Polytope(n, P, r)
-    for v in V:
-        if not poly.contains(v, tol=1e-7):
-            raise ValueError("facet conversion failed to cover an input vertex")
+    _, s, vt = np.linalg.svd(D, full_matrices=True)
+    rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
+    if rank > MAX_ENUM_DIM:
+        raise DimensionTooLarge(
+            f"hull conversion is guarded at affine dimension <= {MAX_ENUM_DIM}")
+    pin = vt[rank:] / np.max(np.abs(vt[rank:]), axis=1, keepdims=True)
+    facets = _hull_facets(D @ vt[:rank].T) if rank else np.zeros((0, 1))
+    a = facets[:, :rank] @ vt[:rank]
+    poly = Polytope(n, np.vstack([pin, -pin, a]),
+                    np.concatenate([pin @ v0, -pin @ v0, facets[:, rank] + a @ v0]))
+    if not poly.contains(V, tol=1e-7):
+        raise ValueError("facet conversion failed to cover an input vertex")
     return poly
+
+
+def _hull_facets(C):
+    """The facets (a, b), a . c <= b, of the hull of the rows of C (k x d, of
+    affine rank d >= 1), as the rows [a | b], each scaled to unit largest
+    |a_i|.
+
+    They are the extreme rays of {(a, b) : C a - b <= 0}.  The start cone
+    keeps the rows of d + 1 generators picked greedily, each the one with
+    the largest residual off the affine span of those before; its rays are
+    the columns of -R0^-1, R0 the kept rows, ray i tight on every kept row
+    but row i.
+    """
+    k, d = C.shape
+    rows = np.hstack([C, -np.ones((k, 1))])
+    chosen = [0]
+    residual = C - C[0]
+    for _ in range(d):
+        j = int(np.argmax(np.linalg.norm(residual, axis=1)))
+        chosen.append(j)
+        w = residual[j] / np.linalg.norm(residual[j])
+        residual = residual - np.outer(residual @ w, w)
+    rays = _double_description(-np.linalg.inv(rows[chosen]).T, ~np.eye(d + 1, dtype=bool),
+                               np.delete(rows, chosen, axis=0))
+    return rays / np.max(np.abs(rays[:, :d]), axis=1, keepdims=True)

@@ -9,7 +9,10 @@ re-enters the market as the cost scalings a_i (so rescaling is cost-neutral):
   zero) and a family Q of probability distributions over them, coordinate i
   spans [0, m_i] with m_i = max over q in Q of the q-expectation of
   u_hat_i; the joint set is the convex hull of the expectation image of Q's
-  vertices together with the origin, rescaled by 1/m_i per coordinate.
+  vertices together with the origin, rescaled by 1/m_i per coordinate and
+  converted to inequalities by geometry.hull_to_inequalities, the same
+  double description as vertex enumeration; repeated image points are
+  redundant generators and need no dedup.
 
 A coordinate with m_i = 0 carries no risk; it keeps its place with a free
 [0, 1] factor and scale 0 (costs unaffected) and raises a
@@ -23,21 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from robust_peakload.geometry import (
-    DimensionTooLarge,
     EmptySet,
     Polytope,
-    _convert_hull,
     box,
     enumerate_vertices,
     hull_to_inequalities,
-    validate,
 )
 from robust_peakload.market import Fixed, MarketInstance
 from robust_peakload.poa import PoAReport, poa_fixed
 
-MAX_HULL_POINTS = 12
 DEGENERATE_TOL = 1e-12
-DEDUP_TOL = 1e-12
 
 
 class BadVar(ValueError):
@@ -124,27 +122,15 @@ def build_coherent_set(spec: CoherentSpec):
             "factor with scale 0"), stacklevel=2)
     m = np.where(degenerate, 0.0, m)
     active = np.flatnonzero(~degenerate)
+    if active.size == 0:
+        return box(N), m
 
     # Expectation image of Q's vertices, origin included (the zero scenario
     # keeps the set anchored at the nominal point), rescaled coordinatewise.
-    points = [np.zeros(N)]
-    for q in enumerate_vertices(Qs):
-        p = spec.scenarios.T @ q
-        if all(np.max(np.abs(p - seen)) > DEDUP_TOL for seen in points):
-            points.append(p)
-    scaled = np.stack(points)[:, active]
-    scaled = scaled / m[active][None, :] if active.size else scaled
-
-    if active.size == 0:
-        return box(N), m
-    if active.size <= 3:
-        hull = hull_to_inequalities(scaled)
-    else:
-        if scaled.shape[0] > MAX_HULL_POINTS:
-            raise DimensionTooLarge(
-                "coherent hulls above three dimensions are guarded at "
-                f"{MAX_HULL_POINTS} image points")
-        hull = _convert_hull(scaled)
+    # Repeated image points are redundant generators of the hull.
+    image = np.stack(enumerate_vertices(Qs)) @ spec.scenarios
+    points = np.vstack([np.zeros(N), image])[:, active] / m[active]
+    hull = hull_to_inequalities(points)
 
     # Re-embed: hull rows on the active coordinates, a free [0, 1] factor on
     # the degenerate ones.

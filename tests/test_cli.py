@@ -660,6 +660,30 @@ class TestSetCommands:
         assert code == 0
         assert report["results"]["vertex_count"] == 5
 
+    def test_four_producer_vertex_file(self, capsys, tmp_path):
+        generators = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                      [0, 0, 0, 1], [0.1, 0.1, 0.1, 0.1]]
+        producer = {"c_inv": 1.0, "c_var": 1.0, "a": 1.0}
+        path = tmp_path / "hull4.json"
+        path.write_text(json.dumps(minimal_data(
+            producers=[producer] * 4,
+            uncertainty={"form": "vertices", "list": generators})))
+        code, report = run_json(capsys, "tau", "--instance", str(path))
+        assert code == 0
+        assert report["results"]["vertex_count"] == 5
+        assert_allclose(report["results"]["tau"], 0.25, atol=1e-9)
+
+    @pytest.mark.parametrize("command", ["tau", "validate-set"])
+    def test_vertex_count_null_above_the_guard(self, capsys, tmp_path, command):
+        producer = {"c_inv": 1.0, "c_var": 1.0, "a": 1.0}
+        path = tmp_path / "box13.json"
+        path.write_text(json.dumps(minimal_data(producers=[producer] * 13,
+                                                uncertainty={"form": "box"})))
+        code, report = run_json(capsys, command, "--instance", str(path))
+        assert code == 0
+        assert report["results"]["vertex_count"] is None
+        assert_allclose(report["results"]["tau"], 1.0, atol=1e-9)
+
 
 class TestReportContract:
     COMMANDS = [

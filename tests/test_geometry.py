@@ -263,9 +263,58 @@ class TestLiftProduct:
 
 
 class TestHullConversion:
-    def test_guard_above_three(self):
+    def test_guard_above_twelve(self):
         with pytest.raises(DimensionTooLarge):
-            hull_to_inequalities(np.eye(4))
+            hull_to_inequalities(np.vstack([np.zeros(13), np.eye(13)]))
+
+    def test_flat_hull_in_many_coordinates(self):
+        # The guard is on the affine dimension: a triangle in R^13 converts.
+        pts = np.vstack([np.zeros(13), np.eye(13)[:2]])
+        U = hull_to_inequalities(pts)
+        assert U.contains(pts, tol=1e-9)
+        assert U.contains(pts.mean(axis=0), tol=1e-9)
+        assert not U.contains(np.eye(13)[2] / 2, tol=1e-7)
+        assert not U.contains(pts[1] + pts[2], tol=1e-7)
+
+    def test_four_coordinate_round_trip(self):
+        # The origin, the unit vectors and the point 0.5 * ones are the
+        # vertices; the interior point and the repeated corner are not.
+        pts = np.vstack([np.zeros(4), np.eye(4), np.full(4, 0.5), np.full(4, 0.2),
+                         np.eye(4)[1]])
+        verts = np.array(enumerate_vertices(hull_to_inequalities(pts)))
+        expected = pts[:6][np.lexsort(pts[:6].T[::-1])]
+        assert_allclose(verts, expected, atol=1e-9)
+
+    def test_non_finite_generators_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                hull_to_inequalities([[bad, 0.0], [1.0, 0.0]])
+
+    def test_matches_qhull_facets(self):
+        # Generators on coordinate planes and repeated generators give
+        # facets that qhull triangulates into several coplanar simplices;
+        # its distinct facet planes are counted.
+        rng = np.random.default_rng(19)
+        for trial in range(60):
+            n = int(rng.integers(2, 7))
+            pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(n + 1, 15)), n))
+            pts[rng.uniform(size=pts.shape) < 0.25] = 0.0
+            pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=2)]])
+            if np.linalg.matrix_rank(pts - pts[0]) < n:
+                continue
+            U = hull_to_inequalities(pts)
+            assert U.contains(pts, tol=1e-9), f"trial {trial}"
+            qhull = ConvexHull(pts)
+            planes = []
+            for e in qhull.equations:
+                if all(np.max(np.abs(e - f)) > 1e-7 for f in planes):
+                    planes.append(e)
+            assert len(U.r) == len(planes), f"trial {trial}"
+            verts = np.array(enumerate_vertices(U))
+            hull_verts = pts[qhull.vertices]
+            assert len(verts) == len(hull_verts), f"trial {trial}"
+            for w in hull_verts:
+                assert np.min(np.max(np.abs(verts - w), axis=1)) <= 1e-9, f"trial {trial}"
 
     def test_round_trip_on_random_full_dim_hulls(self):
         rng = np.random.default_rng(8)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial import ConvexHull
 
 from robust_peakload.geometry import (
     Polytope,
@@ -181,6 +182,22 @@ class TestCoherentSet:
         _, C_raw, _ = solve_robust_cp_fixed(raw)
         assert_allclose(E_scaled, E_raw, atol=VALUE_TOL)
         assert_allclose(C_scaled, C_raw, atol=VALUE_TOL)
+
+    def test_four_coordinates_many_image_points(self):
+        # Q caps every weight at 1/2, so its vertices are the 15 two-point
+        # mixtures of 6 scenarios: 16 image points with the origin, over 4
+        # active coordinates.
+        rng = np.random.default_rng(24)
+        scen = np.vstack([np.zeros(4), rng.uniform(0.1, 1.0, size=(5, 4))])
+        Q = Polytope(6, np.eye(6), np.full(6, 0.5))
+        U, m = build_coherent_set(CoherentSpec(scen, Q))
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        image = np.array([np.zeros(4)] + [(scen[i] + scen[j]) / 2 for i, j in pairs])
+        assert_allclose(m, image.max(axis=0), atol=VALUE_TOL)
+        scaled = image / m
+        assert U.contains(scaled, tol=VERTEX_TOL)
+        hull = ConvexHull(scaled)
+        assert vertex_sets_match(U, scaled[hull.vertices])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
