@@ -14,8 +14,13 @@ minimization, "<=" rows of a maximization), duals <= 0 on the opposite sense,
 and free duals on equality rows.  Reduced costs play the same role for the
 variable bounds.
 
-The LP path is a dense two-phase simplex with Bland's anti-cycling rule; the
-QP path is a primal active-set method.  Final primal and dual values are
+The LP path is a dense two-phase simplex with Bland's anti-cycling rule.  It
+starts every row it can on its slack: a row is negated when its right-hand
+side is negative, or zero under ">=", so each "<=" row after that holds at
+v = 0 and its slack starts basic.  Only the "=" rows and the ">=" rows with
+a positive right-hand side take an artificial, and a program without them
+(a homogeneous cone of ">=" rows, say) runs no phase 1.  The QP path is a
+primal active-set method.  Final primal and dual values are
 recomputed from the optimal basis / working set with dense linear solves.
 Both solvers then end in one builder, _optimal: it forms the reduced costs,
 the certificate (_certificate: four KKT residuals, each relative to the size
@@ -260,9 +265,11 @@ def _lp_internal(c_int, A, kinds, b):
     certificate of the status.
     """
     m, n = A.shape
-    # Rows with a negative right-hand side are negated, which swaps <= and >=.
-    flips = np.where(b < 0.0, -1.0, 1.0)
-    rhs = flips * b
+    # Rows with a negative right-hand side are negated, which swaps <= and >=,
+    # and so are ">=" rows with a zero right-hand side: as "<= 0" rows their
+    # slacks start basic at 0, and they need no artificial.
+    flips = np.where((b < 0.0) | ((b == 0.0) & (kinds == ">=")), -1.0, 1.0)
+    rhs = np.abs(b)
     eq = kinds == "="
     le = np.where(flips > 0.0, kinds == "<=", kinds == ">=")
     # Columns: v, one slack per inequality row (+1 on <=, -1 on >=), one

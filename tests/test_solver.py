@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import lp_bruteforce, qp_box_diagonal_oracle, qp_bruteforce
+from robust_peakload import solver
 from robust_peakload.solver import (
     LpSpec,
     NotConvex,
@@ -90,6 +91,41 @@ class TestLpStatuses:
         out = solve_lp(spec)
         assert out.status == "optimal"
         assert_allclose(out.primal.sum(), 1.0, atol=FEAS_TOL)
+
+
+class TestSlackStart:
+    @staticmethod
+    def _phases(monkeypatch, spec):
+        calls = []
+        phase = solver._simplex_phase
+
+        def counted(*args):
+            calls.append(args)
+            return phase(*args)
+
+        monkeypatch.setattr(solver, "_simplex_phase", counted)
+        return solve_lp(spec), len(calls)
+
+    def test_zero_rhs_ge_rows_run_no_phase_one(self, monkeypatch):
+        # max x1 + 2 x2 s.t. x1 - 2 x2 >= 0, x1 - x2 >= 0, x1 + x2 <= 3: x = 0
+        # is feasible, so only phase 2 runs; optimum (2, 1), value 4.
+        spec = LpSpec("max", [1.0, 2.0], [[1.0, -2.0], [1.0, -1.0], [1.0, 1.0]],
+                      [0.0, 0.0, 3.0], [">=", ">=", "<="])
+        out, phases = self._phases(monkeypatch, spec)
+        assert phases == 1
+        assert out.status == "optimal"
+        assert_allclose(out.primal, [2.0, 1.0], atol=FEAS_TOL)
+        assert_allclose(out.objective, lp_bruteforce(spec)[0], atol=OBJ_TOL)
+        check_certificate(out)
+
+    @pytest.mark.parametrize("rhs, kind", [(1.0, ">="), (0.0, "=")])
+    def test_other_rows_keep_phase_one(self, monkeypatch, rhs, kind):
+        spec = LpSpec("min", [1.0, 1.0], [[1.0, -2.0], [1.0, 1.0]], [0.0, rhs],
+                      [">=", kind])
+        out, phases = self._phases(monkeypatch, spec)
+        assert phases == 2
+        assert out.status == "optimal"
+        assert_allclose(out.objective, lp_bruteforce(spec)[0], atol=OBJ_TOL)
 
 
 class TestLpBoundsAndSenses:

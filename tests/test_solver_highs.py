@@ -4,8 +4,9 @@ HiGHS (`scipy.optimize.linprog(method="highs")`) is an independent reference
 for the status and the optimal value, and solve_lp's own KKT certificate must
 hold at every optimal answer.  The programs mix all three row kinds in both
 senses, with negative right-hand sides, shifted lower bounds and finite upper
-bounds; three further families force degenerate, infeasible and unbounded
-programs.  Hypothesis runs derandomized, so every run sees the same examples.
+bounds; four further families force degenerate, infeasible and unbounded
+programs and homogeneous ones (every right-hand side and lower bound 0, so
+every ">=" row starts on its slack).  Hypothesis runs derandomized, so every run sees the same examples.
 
 HiGHS's own optimal pair is a second check on the certificate itself: its
 primal point and marginals, mapped to solve_lp's sign convention, must pass
@@ -32,7 +33,8 @@ ints = st.integers(-3, 3).map(float)
 @st.composite
 def lps(draw, family="random"):
     """An LpSpec; in the forced families the rows of the drawn program hold
-    at an integer point x0 inside the bounds (all tightly when degenerate)."""
+    at an integer point x0 inside the bounds (all tightly when degenerate),
+    and in the homogeneous family at x0 = 0 = lb."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0 if family == "random" else 1, 4))
     A = np.array(draw(st.lists(ints, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -41,7 +43,11 @@ def lps(draw, family="random"):
     sense = draw(st.sampled_from(["min", "max"]))
     lb = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
     width = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n, max_size=n))
+    if family == "homogeneous":
+        lb = np.zeros(n)
     ub = np.array([np.inf if w is None else lo + w for lo, w in zip(lb, width)])
+    if family == "homogeneous":
+        return LpSpec(sense, cost, A, np.zeros(m), kinds, lb, ub)
     if family == "random":
         rhs = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), dtype=float)
         return LpSpec(sense, cost, A, rhs, kinds, lb, ub)
@@ -154,6 +160,11 @@ class TestLpAgainstHighs:
     @given(lps("infeasible"))
     def test_infeasible(self, spec):
         assert _check_against_highs(spec) == "infeasible"
+
+    @PROPERTY
+    @given(lps("homogeneous"))
+    def test_homogeneous(self, spec):
+        assert _check_against_highs(spec) != "infeasible"
 
     @PROPERTY
     @given(lps("unbounded"))
