@@ -14,14 +14,20 @@ minimization, "<=" rows of a maximization), duals <= 0 on the opposite sense,
 and free duals on equality rows.  Reduced costs play the same role for the
 variable bounds.
 
-The LP path is a dense two-phase simplex with Bland's anti-cycling rule.  It
-starts every row it can on its slack: a row is negated when its right-hand
-side is negative, or zero under ">=", so each "<=" row after that holds at
-v = 0 and its slack starts basic.  Only the "=" rows and the ">=" rows with
-a positive right-hand side take an artificial, and a program without them
-(a homogeneous cone of ">=" rows, say) runs no phase 1.  The QP path is a
-primal active-set method.  Final primal and dual values are
-recomputed from the optimal basis / working set with dense linear solves.
+The LP path is a dense two-phase simplex.  It starts every row it can on
+its slack: a row is negated when its right-hand side is negative, or zero
+under ">=", and each "<=" row after that holds at v = 0, so its slack
+starts basic.  Only "=" rows and ">=" rows with a positive right-hand side
+take an artificial; a program without them (a homogeneous cone of ">="
+rows, say) runs no phase 1.  The entering column has the most negative
+reduced cost, except after a run of more than _STALL_LIMIT degenerate
+(zero-step) pivots, when it is the smallest improving index (Bland, 1977)
+until a positive step ends the run; the leaving row is the ratio-test
+minimizer with the smallest basic index.  A positive step strictly lowers
+the objective and Bland's rule ends every degenerate run, so no basis
+repeats.  The QP path is a primal active-set method.  Final primal and
+dual values are recomputed from the optimal basis / working set with dense
+linear solves.
 Both solvers then end in one builder, _optimal: it forms the reduced costs,
 the certificate (_certificate: four KKT residuals, each relative to the size
 of the terms it sums, the duality gap being the complementarity mass for
@@ -44,11 +50,12 @@ at the end.
 
 Two rules steer the active-set iteration.  The drop rule: a working row
 with a negative multiplier leaves, the most negative one, except while the
-iteration is stalled (more than 60 drops or zero-length steps since the last
-positive step), when it is the row with the smallest index (Bland, 1977).
-Together with the smallest-index blocking row, that bounds every stalled run,
-and a positive step strictly lowers the objective, so no cycle passes
-through one; the iteration limit stays as a guard against rounding.
+iteration is stalled (more than _STALL_LIMIT drops or zero-length steps
+since the last positive step), when it is the row with the smallest index,
+as in the simplex.  Together with the smallest-index blocking row, that
+bounds every stalled run, and a positive step strictly lowers the
+objective, so no cycle passes through one; the iteration limit stays as a
+guard against rounding.
 The curvature scale: Q's largest |eigenvalue|, from the eigenvalues the
 convexity check computes.  Q is rejected as not convex below -1e-9 times
 that scale, and a reduced-Hessian eigenvalue at or below 1e-10 times it
@@ -216,6 +223,10 @@ class SolveOutcome:
 # simplex core
 
 _MAX_PIVOTS = 20000
+# Both solvers fall back to a smallest-index rule (Bland, 1977) once a run
+# of more than this many degenerate steps has passed: zero-step pivots of
+# the simplex, drops and zero-length steps of the active-set QP.
+_STALL_LIMIT = 60
 
 
 def _pivot(S, rhs, basis, row, col):
@@ -231,19 +242,32 @@ def _pivot(S, rhs, basis, row, col):
 
 
 def _simplex_phase(S, rhs, cost, basis, allowed):
-    """Bland-rule simplex on min cost'w s.t. S w = rhs, w >= 0 (in place).
+    """Simplex on min cost'w s.t. S w = rhs, w >= 0 (in place).
+
+    The entering column has the most negative reduced cost, except after
+    more than _STALL_LIMIT degenerate (zero-step) pivots in a row, when it
+    is the improving column with the smallest index.  The leaving row is
+    the ratio-test minimizer with the smallest basic index.  A
+    nondegenerate pivot strictly lowers the objective and Bland's rule ends
+    every degenerate run, so no basis repeats.
 
     Returns (status, iterations).
     """
     tol = 1e-9 * (1.0 + np.max(np.abs(cost), initial=0.0))
     iterations = 0
+    # Degenerate pivots since the last pivot with a positive step.
+    stall = 0
     while True:
         if iterations > _MAX_PIVOTS:
             raise NumericBreakdown("simplex iteration limit exceeded")
-        improving = np.flatnonzero(allowed & (cost - cost[basis] @ S < -tol))
+        reduced = cost - cost[basis] @ S
+        improving = np.flatnonzero(allowed & (reduced < -tol))
         if improving.size == 0:
             return "optimal", iterations
-        entering = improving[0]
+        if stall > _STALL_LIMIT:
+            entering = improving[0]
+        else:
+            entering = improving[np.argmin(reduced[improving])]
         col = S[:, entering]
         rows = np.flatnonzero(col > 1e-10)
         if rows.size == 0:
@@ -254,6 +278,7 @@ def _simplex_phase(S, rhs, cost, basis, allowed):
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
         _pivot(S, rhs, basis, ties[np.argmin(basis[ties])], entering)
         iterations += 1
+        stall = stall + 1 if best <= 0.0 else 0
 
 
 def _lp_internal(c_int, A, kinds, b):
@@ -556,7 +581,7 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
                 break
             # Drop the most negative multiplier; while stalled, the row with
             # the smallest index (Bland's rule), so no stalled run cycles.
-            if stall > 60:
+            if stall > _STALL_LIMIT:
                 drop = neg[np.argmin([working[i] for i in neg])]
             else:
                 drop = neg[np.argmin(mu_w[neg])]

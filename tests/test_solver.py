@@ -128,6 +128,23 @@ class TestSlackStart:
         assert_allclose(out.objective, lp_bruteforce(spec)[0], atol=OBJ_TOL)
 
 
+class TestLpCycling:
+    def test_beale_cycling_example(self):
+        # Beale's LP cycles under most-negative pricing with the smallest
+        # basic index leaving; the smallest-index fallback after a run of
+        # degenerate pivots ends the cycle.
+        spec = LpSpec("min", [-0.75, 20.0, -0.5, 6.0],
+                      [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                       [0.0, 0.0, 1.0, 0.0]],
+                      [0.0, 0.0, 1.0], ["<=", "<=", "<="])
+        out = solve_lp(spec)
+        assert out.status == "optimal"
+        assert_allclose(out.objective, -1.25, atol=OBJ_TOL)
+        assert_allclose(out.objective, lp_bruteforce(spec)[0], atol=OBJ_TOL)
+        assert out.iterations < solver._MAX_PIVOTS // 100
+        check_certificate(out)
+
+
 class TestLpBoundsAndSenses:
     def test_upper_bounds_bind(self):
         spec = LpSpec("max", [1.0, 2.0], np.zeros((0, 2)), [], [],
