@@ -14,20 +14,19 @@ minimization, "<=" rows of a maximization), duals <= 0 on the opposite sense,
 and free duals on equality rows.  Reduced costs play the same role for the
 variable bounds.
 
-The LP path is a dense two-phase simplex.  It starts every row it can on
-its slack: a row is negated when its right-hand side is negative, or zero
-under ">=", and each "<=" row after that holds at v = 0, so its slack
-starts basic.  Only "=" rows and ">=" rows with a positive right-hand side
-take an artificial; a program without them (a homogeneous cone of ">="
-rows, say) runs no phase 1.  The entering column has the most negative
-reduced cost, except after a run of more than _STALL_LIMIT degenerate
-(zero-step) pivots, when it is the smallest improving index (Bland, 1977)
-until a positive step ends the run; the leaving row is the ratio-test
-minimizer with the smallest basic index.  A positive step strictly lowers
-the objective and Bland's rule ends every degenerate run, so no basis
-repeats.  The QP path is a primal active-set method.  Final primal and
-dual values are recomputed from the optimal basis / working set with dense
-linear solves.
+The LP path is a dense two-phase simplex that holds only the condensed
+tableau D = B^-1 A_N (Chvatal, Linear Programming, 1983, ch. 7); a pivot
+is a Jordan exchange, the entering variable's slot taking the leaving
+variable's column.  Each row starts on its slack where it can: a row is
+negated when its right-hand side is negative, or zero under ">=", and each
+"<=" row then holds at v = 0.  Only "=" rows and ">=" rows with a positive
+right-hand side take an artificial; without them (a homogeneous cone of
+">=" rows, say) no phase 1 runs, and the artificials phase 1 leaves
+nonbasic are dropped.  The pivot rules (_simplex_phase) name variables by
+index, not by slot, so a full-tableau simplex takes the same path up to
+rounding in the reduced costs.  The QP path is a primal active-set method.
+Final primal and dual values are recomputed from the optimal basis /
+working set with dense linear solves.
 Both solvers then end in one builder, _optimal: it forms the reduced costs,
 the certificate (_certificate: four KKT residuals, each relative to the size
 of the terms it sums, the duality gap being the complementarity mass for
@@ -229,61 +228,65 @@ _MAX_PIVOTS = 20000
 _STALL_LIMIT = 60
 
 
-def _pivot(S, rhs, basis, row, col):
-    piv = S[row, col]
-    S[row] /= piv
-    rhs[row] /= piv
-    factor = S[:, col].copy()
+def _pivot(D, rhs, basis, nonbasic, row, slot):
+    """Jordan exchange of basis[row] and nonbasic[slot] on D = B^-1 A_N (in
+    place): the slot receives the leaving variable's column."""
+    piv = D[row, slot]
+    factor = D[:, slot].copy()
     factor[row] = 0.0
-    S -= np.outer(factor, S[row])
+    D[row] /= piv
+    rhs[row] /= piv
+    D -= factor[:, None] * D[row]
     rhs -= factor * rhs[row]
-    np.clip(rhs, 0.0, None, out=rhs)
-    basis[row] = col
+    np.maximum(rhs, 0.0, out=rhs)
+    D[:, slot] = factor * (-1.0 / piv)
+    D[row, slot] = 1.0 / piv
+    basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
 
-def _simplex_phase(S, rhs, cost, basis, allowed):
-    """Simplex on min cost'w s.t. S w = rhs, w >= 0 (in place).
+def _simplex_phase(D, rhs, cost, basis, nonbasic, n_enter):
+    """Simplex on min cost'w s.t. B w_B + A_N w_N = b, w >= 0, in place on
+    D = B^-1 A_N and rhs = B^-1 b; cost is by variable, and only variables
+    below n_enter may enter.
 
-    The entering column has the most negative reduced cost, except after
-    more than _STALL_LIMIT degenerate (zero-step) pivots in a row, when it
-    is the improving column with the smallest index.  The leaving row is
-    the ratio-test minimizer with the smallest basic index.  A
-    nondegenerate pivot strictly lowers the objective and Bland's rule ends
-    every degenerate run, so no basis repeats.
+    The entering variable has the most negative reduced cost, ties going to
+    the smallest index, except after more than _STALL_LIMIT degenerate
+    (zero-step) pivots in a row, when it is the smallest improving index
+    (Bland, 1977); the leaving row is the ratio-test minimizer with the
+    smallest basic index.  A positive step strictly lowers the objective and
+    Bland's rule ends every degenerate run, so no basis repeats.
 
     Returns (status, iterations).
     """
     tol = 1e-9 * (1.0 + np.max(np.abs(cost), initial=0.0))
-    iterations = 0
+    # A variable barred from entering is priced at +inf, so it never improves.
+    price = np.where(np.arange(cost.size) < n_enter, cost, np.inf)
     # Degenerate pivots since the last pivot with a positive step.
     stall = 0
-    while True:
-        if iterations > _MAX_PIVOTS:
-            raise NumericBreakdown("simplex iteration limit exceeded")
-        reduced = cost - cost[basis] @ S
-        improving = np.flatnonzero(allowed & (reduced < -tol))
-        if improving.size == 0:
+    for iterations in range(_MAX_PIVOTS + 1):
+        reduced = price[nonbasic] - cost[basis] @ D
+        least = reduced.min(initial=0.0)
+        if not least < -tol:
             return "optimal", iterations
-        if stall > _STALL_LIMIT:
-            entering = improving[0]
-        else:
-            entering = improving[np.argmin(reduced[improving])]
-        col = S[:, entering]
-        rows = np.flatnonzero(col > 1e-10)
+        ties = (reduced < -tol if stall > _STALL_LIMIT else reduced == least).nonzero()[0]
+        slot = ties[nonbasic[ties].argmin()]
+        col = D[:, slot]
+        rows = (col > 1e-10).nonzero()[0]
         if rows.size == 0:
             return "unbounded", iterations
         ratios = rhs[rows] / col[rows]
-        best = np.min(ratios)
+        best = ratios.min()
         # Bland tie-break: smallest basic-variable index among the minimizers.
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        _pivot(S, rhs, basis, ties[np.argmin(basis[ties])], entering)
-        iterations += 1
+        _pivot(D, rhs, basis, nonbasic, ties[basis[ties].argmin()], slot)
         stall = stall + 1 if best <= 0.0 else 0
+    raise NumericBreakdown("simplex iteration limit exceeded")
 
 
 def _lp_internal(c_int, A, kinds, b):
     """Solve min c_int'v s.t. A v (kinds) b, v >= 0; kinds is an array of
-    "<=", ">=" and "=".
+    "<=", ">=" and "=".  Only the condensed tableau is held (see the module
+    docstring), and the final B is built from the basic columns alone.
 
     Returns (status, iterations, found): when optimal, found is v and the row
     duals for the stated rows (internal min convention); otherwise it is the
@@ -294,54 +297,62 @@ def _lp_internal(c_int, A, kinds, b):
     # and so are ">=" rows with a zero right-hand side: as "<= 0" rows their
     # slacks start basic at 0, and they need no artificial.
     flips = np.where((b < 0.0) | ((b == 0.0) & (kinds == ">=")), -1.0, 1.0)
-    rhs = np.abs(b)
     eq = kinds == "="
     le = np.where(flips > 0.0, kinds == "<=", kinds == ">=")
-    # Columns: v, one slack per inequality row (+1 on <=, -1 on >=), one
-    # artificial per >= or = row; the start basis is the slacks of the <=
-    # rows and the artificials.
-    slack = np.diag(np.where(le, 1.0, -1.0))[:, ~eq]
+    # Variables: v, one slack per inequality row (+1 on <=, -1 on >=), one
+    # artificial per >= or = row.  Variable n + k is the unit column of sign
+    # unit_sign[k] in row unit_row[k].  The start basis is the slacks of the
+    # <= rows and the artificials, so it is the identity and D = A_N.
+    unit_row = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(~le)])
+    unit_sign = np.concatenate([np.where(le[~eq], 1.0, -1.0), np.ones(np.count_nonzero(~le))])
+    n_real = n + np.count_nonzero(~eq)
+    n_all = n + unit_row.size
 
-    # Built again for the final basis instead of kept as a copy, so that
-    # only one tableau-sized array lives beside each pivot's update.
-    def tableau():
-        return np.hstack([flips[:, None] * A, slack, np.eye(m)[:, ~le]])
+    def columns(idx):
+        out = np.zeros((m, idx.size))
+        real, unit = (idx < n).nonzero()[0], (idx >= n).nonzero()[0]
+        out[:, real] = flips[:, None] * A[:, idx[real]]
+        out[unit_row[idx[unit] - n], unit] = unit_sign[idx[unit] - n]
+        return out
 
-    S = tableau()
-    n_real = n + slack.shape[1]
     basis = np.where(le, n + np.cumsum(~eq) - 1, n_real + np.cumsum(~le) - 1)
-    artificial = np.arange(S.shape[1]) >= n_real
+    nonbasic = np.concatenate([np.arange(n), n + np.flatnonzero(~le[~eq])])
+    D = columns(nonbasic)
 
-    r = rhs.copy()
+    r = np.abs(b)
     iterations = 0
-    if artificial.any():
-        phase1_cost = artificial.astype(float)
-        _, iterations = _simplex_phase(S, r, phase1_cost, basis, np.ones_like(artificial))
+    if n_real < n_all:
+        phase1_cost = (np.arange(n_all) >= n_real).astype(float)
+        _, iterations = _simplex_phase(D, r, phase1_cost, basis, nonbasic, n_all)
         phase1_val = phase1_cost[basis] @ r
         if phase1_val > 1e-9 * (1.0 + np.max(np.abs(b), initial=0.0)):
             return "infeasible", iterations, {"phase1_objective": float(phase1_val)}
-        # Drive remaining artificials out of the basis where possible.
-        for i in np.flatnonzero(artificial[basis]):
-            cols = np.flatnonzero(np.abs(S[i, :n_real]) > 1e-9)
-            if cols.size:
-                _pivot(S, r, basis, i, cols[0])
+        # Drive remaining artificials out of the basis where possible, each
+        # for the real variable of smallest index with an entry in its row.
+        for i in np.flatnonzero(basis >= n_real):
+            slots = np.flatnonzero((np.abs(D[i]) > 1e-9) & (nonbasic < n_real))
+            if slots.size:
+                _pivot(D, r, basis, nonbasic, i, slots[nonbasic[slots].argmin()])
+        real = nonbasic < n_real
+        D, nonbasic = D[:, real], nonbasic[real]
 
-    cost = np.zeros(S.shape[1])
+    cost = np.zeros(n_all)
     cost[:n] = c_int
-    status, it = _simplex_phase(S, r, cost, basis, ~artificial)
+    status, it = _simplex_phase(D, r, cost, basis, nonbasic, n_real)
     iterations += it
     if status == "unbounded":
         return "unbounded", iterations, {}
 
     # Recompute primal and dual values from the optimal basis and the
-    # original data, clearing accumulated tableau drift.
-    B = tableau()[:, basis]
+    # original data, clearing accumulated tableau drift; D goes first.
+    del D
+    B = columns(basis)
     try:
-        x_basic = np.linalg.solve(B, rhs)
+        x_basic = np.linalg.solve(B, np.abs(b))
         y = np.linalg.solve(B.T, cost[basis])
     except np.linalg.LinAlgError as exc:
         raise NumericBreakdown("optimal basis is numerically singular") from exc
-    w = np.zeros(S.shape[1])
+    w = np.zeros(n_all)
     w[basis] = x_basic
     return "optimal", iterations, (w[:n], flips * y)
 

@@ -2,7 +2,8 @@
 
 These oracles are deliberately naive (exhaustive enumeration, dense solves)
 so their answers are easy to trust; the library under test must agree with
-them on small instances.
+them on small instances.  planner_lps builds the large structured LPs that
+several solver tests share.
 """
 
 import itertools
@@ -10,10 +11,12 @@ import itertools
 import numpy as np
 from scipy.linalg import block_diag
 
-from robust_peakload.geometry import enumerate_vertices
-from robust_peakload.market import (SUPPORT_TOL, Fixed, _capacity_rows,
-                                    _clearing_rows, _fixed_program, _solve,
-                                    _welfare_program, cost_matrix)
+from robust_peakload.geometry import Polytope, enumerate_vertices, simplex
+from robust_peakload.market import (SUPPORT_TOL, Fixed, MarketInstance, Producer,
+                                    _capacity_rows, _clearing_rows, _fixed_program,
+                                    _solve, _welfare_program, cost_matrix,
+                                    scaling_matrix)
+from robust_peakload.robust import _with_adversary, lifted_set
 from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
 FEAS_TOL = 1e-7
@@ -373,3 +376,28 @@ def min_norm_duals_loop(spec, outcome, force_zero_rows):
         else:
             duals[j] = sol.primal[idxs[0]] - sol.primal[idxs[1]]
     return duals
+
+
+def planner_lps():
+    """The dualized fixed-demand robust planner LPs (robust._with_adversary)
+    of four seeded markets: 6x12 on the budget set {0 <= u <= 1, sum u <= 2}
+    at default_rng seeds 0, 1 and 2, then 8x24 on the simplex at seed 0, a
+    program of 408 rows and 224 variables.  Structured LPs, far larger than
+    the ones the random oracles can check."""
+    def budget(n):
+        return Polytope(n, np.vstack([np.eye(n), np.ones((1, n))]),
+                        np.concatenate([np.ones(n), [2.0]]))
+
+    specs = []
+    for seed, N, T, uncertainty in ((0, 6, 12, budget), (1, 6, 12, budget),
+                                    (2, 6, 12, budget), (0, 8, 24, simplex)):
+        rng = np.random.default_rng(seed)
+        producers = [Producer(c_inv=rng.uniform(0.5, 2.0), c_var=rng.uniform(0.5, 1.5),
+                              a=rng.uniform(0.5, 1.5)) for _ in range(N)]
+        inst = MarketInstance(producers=producers, demand=Fixed(rng.uniform(1.0, 3.0, T)),
+                              T=T, uncertainty=uncertainty(N))
+        A, b, kinds, cost = _with_adversary(*_fixed_program(inst, cost_matrix(inst)),
+                                            scaling_matrix(inst).reshape(-1),
+                                            lifted_set(inst), 1.0)
+        specs.append(LpSpec("min", cost, A, b, kinds))
+    return specs

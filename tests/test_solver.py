@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import lp_bruteforce, qp_box_diagonal_oracle, qp_bruteforce
+from oracles import lp_bruteforce, planner_lps, qp_box_diagonal_oracle, qp_bruteforce
 from robust_peakload import solver
 from robust_peakload.solver import (
     LpSpec,
@@ -126,6 +128,71 @@ class TestSlackStart:
         assert phases == 2
         assert out.status == "optimal"
         assert_allclose(out.objective, lp_bruteforce(spec)[0], atol=OBJ_TOL)
+
+
+class TestArtificialDriveOut:
+    @staticmethod
+    def _artificials(monkeypatch, spec):
+        """solve_lp(spec), with the number of artificials basic when phase 1
+        ends and when phase 2 starts: the drive-out runs in between."""
+        calls = []
+        phase = solver._simplex_phase
+
+        def recorded(D, rhs, cost, basis, nonbasic, n_enter):
+            start = basis.copy()
+            result = phase(D, rhs, cost, basis, nonbasic, n_enter)
+            calls.append((start, basis.copy(), n_enter))
+            return result
+
+        monkeypatch.setattr(solver, "_simplex_phase", recorded)
+        out = solve_lp(spec)
+        (_, phase1_end, _), (phase2_start, _, n_real) = calls
+        return out, int(np.sum(phase1_end >= n_real)), int(np.sum(phase2_start >= n_real))
+
+    def test_repeated_row_keeps_artificial_basic(self, monkeypatch):
+        # min x1 + 2 x2 s.t. x1 + x2 = 1 twice: after x1 enters, the copy's
+        # row has no real entry, so its artificial stays basic at zero
+        # through phase 2.  Optimum (1, 0); the copies' duals sum to 1.
+        spec = LpSpec("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], ["=", "="])
+        out, phase1_end, phase2_start = self._artificials(monkeypatch, spec)
+        assert (phase1_end, phase2_start) == (1, 1)
+        assert out.status == "optimal"
+        assert_allclose(out.primal, [1.0, 0.0], atol=FEAS_TOL)
+        assert_allclose(out.objective, 1.0, atol=OBJ_TOL)
+        assert_allclose(out.duals.sum(), 1.0, atol=CERT_TOL)
+        check_certificate(out)
+
+    def test_drive_out_pivots_on_real_entry(self, monkeypatch):
+        # min x1 + x2 s.t. x1 = 1, x1 - x2 = 1: phase 1 ends with the second
+        # row's artificial basic at zero and -1 for x2 in its row, so the
+        # drive-out pivots x2 in.  Optimum (1, 0); gradient (1, 1) = A' y
+        # gives the duals (2, -1).
+        spec = LpSpec("min", [1.0, 1.0], [[1.0, 0.0], [1.0, -1.0]], [1.0, 1.0], ["=", "="])
+        out, phase1_end, phase2_start = self._artificials(monkeypatch, spec)
+        assert (phase1_end, phase2_start) == (1, 0)
+        assert out.status == "optimal"
+        assert_allclose(out.primal, [1.0, 0.0], atol=FEAS_TOL)
+        assert_allclose(out.objective, 1.0, atol=OBJ_TOL)
+        assert_allclose(out.duals, [2.0, -1.0], atol=CERT_TOL)
+        check_certificate(out)
+
+
+class TestLpMemory:
+    def test_planner_lp_peak(self):
+        # Traced allocations of solve_lp on the 8x24 planner LP (408 rows,
+        # 224 variables): 7.48 MB at peak while the simplex kept the full
+        # 408 x 656 tableau and its pivot update, 3.02 MB with the condensed
+        # tableau (408 x 248 at most).  Bounded below the first, so that a
+        # tableau-sized temporary (2.1 MB) on top of the second fails.
+        spec = planner_lps()[-1]
+        tracemalloc.start()
+        try:
+            out = solve_lp(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "optimal"
+        assert peak < 4.5e6
 
 
 class TestLpCycling:

@@ -7,6 +7,9 @@ senses, with negative right-hand sides, shifted lower bounds and finite upper
 bounds; four further families force degenerate, infeasible and unbounded
 programs and homogeneous ones (every right-hand side and lower bound 0, so
 every ">=" row starts on its slack).  Hypothesis runs derandomized, so every run sees the same examples.
+The seeded planner LPs of oracles.planner_lps, up to 408 rows by 224
+variables, are checked against HiGHS too, their optimal values to 1e-9
+relative.
 
 HiGHS's own optimal pair is a second check on the certificate itself: its
 primal point and marginals, mapped to solve_lp's sign convention, must pass
@@ -18,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from oracles import planner_lps
 from robust_peakload.solver import CERT_TOL, LpSpec, _certificate, solve_lp
 
 OBJ_TOL = 1e-7
@@ -170,3 +174,15 @@ class TestLpAgainstHighs:
     @given(lps("unbounded"))
     def test_unbounded(self, spec):
         assert _check_against_highs(spec) == "unbounded"
+
+    def test_planner_lps(self):
+        # Structured programs up to 408 rows by 224 variables, far beyond the
+        # drawn ones: solve_lp's optimal value within 1e-9 relative of
+        # HiGHS's, and both optimal pairs certified.
+        for spec in planner_lps():
+            out = solve_lp(spec)
+            status, objective, res = _highs(spec)
+            assert out.status == status == "optimal"
+            assert abs(out.objective - objective) <= 1e-9 * abs(objective)
+            assert max(out.certificate.values()) <= CERT_TOL
+            assert _highs_certificate(spec, res) <= CERT_TOL
