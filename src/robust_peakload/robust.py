@@ -149,8 +149,9 @@ def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
     aggregate rows s_t = s*_t (market._clearing_rows), on which the objective
     is the linear w'v with w = cost + Q v_star / 2.  The optimal set is the
     feasible region cut by those rows and w'v = w'v_star; projecting onto it
-    is a strictly convex QP.  v_star is feasible for it, so a projection
-    that does not come back optimal is a solver defect: NumericBreakdown.
+    is a strictly convex QP.  v_star is feasible for it, so it is the
+    projection's start, and a projection that does not come back optimal is
+    a solver defect: NumericBreakdown.
     """
     n, N, T = v_star.size, inst.N, inst.T
     aggregate = np.zeros((T, n))
@@ -159,15 +160,17 @@ def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
     return _min_norm_point(np.vstack([A, aggregate, w]),
                            np.concatenate([rhs, aggregate @ v_star, [w @ v_star]]),
                            list(kinds) + ["="] * (T + 1), np.eye(n),
-                           "minimum-norm projection of the welfare optimum")
+                           "minimum-norm projection of the welfare optimum", start=v_star)
 
 
-def _min_norm_point(A, rhs, kinds, Q, what):
+def _min_norm_point(A, rhs, kinds, Q, what, start=None):
     """argmin of v'Q v / 2 over the face {v >= 0 : A v (kinds) rhs}: the
-    canonicalizing solve of _min_norm_optimum and _min_norm_duals.  Each
+    canonicalizing solve of _min_norm_optimum and _min_norm_duals, from
+    `start` when the caller has a point of the face (solve_qp).  Each
     caller knows its face holds a point, so a solve that does not come back
     optimal is a solver defect and raises NumericBreakdown naming `what`."""
-    out = solve_qp(QpSpec("min", np.zeros(Q.shape[0]), A, rhs, kinds, quadratic_matrix=Q))
+    out = solve_qp(QpSpec("min", np.zeros(Q.shape[0]), A, rhs, kinds, quadratic_matrix=Q),
+                   start=start)
     if out.status != "optimal":
         raise NumericBreakdown(f"{what} is {out.status}")
     return out.primal

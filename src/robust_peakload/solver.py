@@ -24,9 +24,23 @@ right-hand side take an artificial; without them (a homogeneous cone of
 ">=" rows, say) no phase 1 runs, and the artificials phase 1 leaves
 nonbasic are dropped.  The pivot rules (_simplex_phase) name variables by
 index, not by slot, so a full-tableau simplex takes the same path up to
-rounding in the reduced costs.  The QP path is a primal active-set method.
-Final primal and dual values are recomputed from the optimal basis /
-working set with dense linear solves.
+rounding in the reduced costs.
+Which side is solved follows from the input.  A program whose slack start
+needs an artificial and whose internal (min) cost is >= 0 with a positive
+entry -- the robust planners: every price of the model is >= 0 -- is
+solved from its dual, max b'lam s.t. A'lam <= c, written over w >= 0 with
+lam = S w, S signing the "<=" and ">=" rows and splitting each "=" row
+into a +/- pair (Chvatal, ch. 5 and 10).  Its rows are "<=" rows with
+right-hand side c >= 0, so it starts on its slacks and runs no phase 1;
+the primal point is its row duals, negated, and an unbounded dual means an
+infeasible primal.  Every other program is solved from the primal side.
+A zero-cost (feasibility) program keeps phase 1: its dual has a zero
+right-hand side, so every dual pivot is degenerate (177 of them against 71
+phase-1 pivots on a 6x12 tie-break feasibility LP, by one measurement).
+The QP path is a primal active-set method, from a feasible start the
+caller supplies or else from the optimum of a feasibility LP.  Final primal
+and dual values are recomputed from the optimal basis / working set with
+dense linear solves.
 Both solvers then end in one builder, _optimal: it forms the reduced costs,
 the certificate (_certificate: four KKT residuals, each relative to the size
 of the terms it sums, the duality gap being the complementarity mass for
@@ -206,8 +220,9 @@ class SolveOutcome:
     """Solution record.  Only an optimal solve fills the primal, objective,
     duals and reduced_costs fields (None otherwise), and its certificate
     holds the four scaled residuals of _certificate, each at most CERT_TOL.
-    An infeasible LP's certificate holds its phase-1 objective; an unbounded
-    solve's is empty."""
+    An infeasible LP's certificate holds its phase-1 objective, or, when it
+    was solved from its dual, {"dual_unbounded": True}; an unbounded solve's
+    is empty."""
 
     status: str
     iterations: int
@@ -285,20 +300,52 @@ def _simplex_phase(D, rhs, cost, basis, nonbasic, n_enter):
 
 def _lp_internal(c_int, A, kinds, b):
     """Solve min c_int'v s.t. A v (kinds) b, v >= 0; kinds is an array of
-    "<=", ">=" and "=".  Only the condensed tableau is held (see the module
-    docstring), and the final B is built from the basic columns alone.
+    "<=", ">=" and "=".  The primal is solved (_simplex) unless its slack
+    start needs an artificial and c_int >= 0 has a positive entry; then its
+    dual is solved, from the dual's slack start (see the module docstring).
 
     Returns (status, iterations, found): when optimal, found is v and the row
     duals for the stated rows (internal min convention); otherwise it is the
     certificate of the status.
     """
-    m, n = A.shape
-    # Rows with a negative right-hand side are negated, which swaps <= and >=,
-    # and so are ">=" rows with a zero right-hand side: as "<= 0" rows their
-    # slacks start basic at 0, and they need no artificial.
+    if np.all(_slack_start(kinds, b)[1]) or not (np.all(c_int >= 0.0) and np.any(c_int > 0.0)):
+        return _simplex(c_int, A, kinds, b)
+    # The dual max b'lam s.t. A'lam <= c_int, with lam = S w, w >= 0: S is +1
+    # on ">=" rows and -1 on "<=" rows, and splits each "=" row into a +/-
+    # pair.  Its rows are "<=" rows with right-hand side c_int >= 0, so it
+    # starts on its slacks and runs no phase 1; it cannot be infeasible
+    # (w = 0), and it is unbounded exactly when the primal is infeasible.
+    m = b.size
+    rows = np.concatenate([np.arange(m), np.flatnonzero(kinds == "=")])
+    S = np.concatenate([np.where(kinds == "<=", -1.0, 1.0), np.full(rows.size - m, -1.0)])
+    status, iterations, found = _simplex(-S * b[rows], A[rows].T * S,
+                                         np.full(c_int.size, "<="), c_int)
+    if status == "unbounded":
+        return "infeasible", iterations, {"dual_unbounded": True}
+    # The primal is the dual's row duals, negated; the row duals are S w.
+    w, y = found
+    duals = S[:m] * w[:m]
+    duals[rows[m:]] -= w[m:]
+    return "optimal", iterations, (-y, duals)
+
+
+def _slack_start(kinds, b):
+    """(flips, le): the row signs of the primal slack start and the rows that
+    are "<=" rows after them.  Rows with a negative right-hand side are
+    negated, which swaps <= and >=, and so are ">=" rows with a zero
+    right-hand side: as "<= 0" rows their slacks start basic at 0.  Every
+    row but the "<=" rows needs an artificial."""
     flips = np.where((b < 0.0) | ((b == 0.0) & (kinds == ">=")), -1.0, 1.0)
+    return flips, np.where(flips > 0.0, kinds == "<=", kinds == ">=")
+
+
+def _simplex(c_int, A, kinds, b):
+    """_lp_internal's primal path: the two-phase simplex from the slack
+    start.  Only the condensed tableau is held (see the module docstring),
+    and the final B is built from the basic columns alone."""
+    m, n = A.shape
+    flips, le = _slack_start(kinds, b)
     eq = kinds == "="
-    le = np.where(flips > 0.0, kinds == "<=", kinds == ">=")
     # Variables: v, one slack per inequality row (+1 on <=, -1 on >=), one
     # artificial per >= or = row.  Variable n + k is the unit column of sign
     # unit_sign[k] in row unit_row[k].  The start basis is the slacks of the
@@ -504,8 +551,12 @@ class _WorkingQR:
         return np.linalg.solve(self.R[:m, :m], self.Q[:, :m].T @ g)
 
 
-def solve_qp(spec: QpSpec) -> SolveOutcome:
-    """Solve a QpSpec by a primal active-set method with dual extraction."""
+def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
+    """Solve a QpSpec by a primal active-set method with dual extraction.
+    The iteration starts from `start`, a feasible point the caller knows,
+    when one is given, and otherwise from the optimum of a feasibility LP.
+    A start that violates a row or a bound by more than FEAS_TOL, scaled as
+    the phase-1 test scales it, raises ValueError."""
     n = spec.n_vars
     Q_stated = spec.quadratic_matrix
     c_stated = spec.cost
@@ -536,10 +587,16 @@ def solve_qp(spec: QpSpec) -> SolveOutcome:
     G = np.vstack([G_flip[:, None] * A[G_row], np.diag(np.full(n, -1.0)), np.eye(n)[ub_rows]])
     h = np.concatenate([G_flip * b[G_row], -lb, ub[ub_rows]])
 
-    feas = solve_lp(LpSpec("min", np.zeros(n), A, b, spec.constraint_kinds, lb, ub))
-    if feas.status != "optimal":
-        return feas
-    x = feas.primal.copy()
+    if start is None:
+        feas = solve_lp(LpSpec("min", np.zeros(n), A, b, spec.constraint_kinds, lb, ub))
+        if feas.status != "optimal":
+            return feas
+        x = feas.primal.copy()
+    else:
+        x = _as_vector(start, n, "start").copy()
+        violation = np.concatenate([np.abs(E @ x - b[eq]), G @ x - h]).max(initial=0.0)
+        if not violation <= FEAS_TOL * (1.0 + np.abs(np.concatenate([b, h])).max(initial=0.0)):
+            raise ValueError(f"start violates the constraints by {violation:.3e}")
 
     # The working set is an independent subset of the "=" rows followed by
     # the inequality rows `working`, factored as A_w' = Q R (_WorkingQR).

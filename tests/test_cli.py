@@ -850,7 +850,7 @@ class TestReportContract:
 
 def _solver_returning(status):
     """Stand-in for solve_lp/solve_qp that reports `status` for every spec."""
-    def solve(spec):
+    def solve(spec, start=None):
         return SolveOutcome(status, 0)
     return solve
 

@@ -356,11 +356,14 @@ class TestRobustCpFixed:
 
     def test_planner_pivot_count(self):
         # Pivots of the dualized planner LP are deterministic.  Summed over
-        # these markets they were 1677 with Bland's rule on every pivot,
-        # 1595 with the slack start alone, 1038 with the pricing rule alone
-        # and 653 with both; the bound fails if either change is lost.  The
-        # condensed tableau's rounding shortens the second market's path
-        # from 205 to 182 pivots, so 630 today.
+        # these markets, on the primal path, they were 1677 with Bland's
+        # rule on every pivot, 1595 with the slack start alone, 1038 with
+        # the pricing rule alone and 653 with both; the condensed tableau's
+        # rounding made that 630.  The cost is >= 0, so the LP is now solved
+        # from its dual, which starts on its slacks: 121 + 110 + 130 + 199 =
+        # 560 pivots, and 1334 with Bland's rule on every pivot, so the
+        # bound fails if the pricing rule is lost.  TestDualPath in
+        # test_solver.py checks that the dual path is taken.
         pivots = 0
         for spec in oracles.planner_lps():
             out = solve_lp(spec)
@@ -492,9 +495,9 @@ class TestCanonicalizingSolves:
         posed = {"planner": [], "tie-break": []}
 
         def recorder(key, solve):
-            def record(spec):
+            def record(spec, start=None):
                 posed[key].append(spec)
-                return solve(spec)
+                return solve(spec, start=start)
             return record
 
         monkeypatch.setattr(market, "solve_qp", recorder("planner", market.solve_qp))
@@ -512,7 +515,7 @@ class TestCanonicalizingSolves:
         assert not np.any(aggregate[:, N * T:])
 
     def test_failed_tie_break_raises(self, monkeypatch):
-        def not_optimal(spec):
+        def not_optimal(spec, start=None):
             return SolveOutcome("infeasible", 0)
 
         monkeypatch.setattr(robust, "solve_qp", not_optimal)
@@ -521,7 +524,7 @@ class TestCanonicalizingSolves:
 
     def test_missing_support_duals_raise(self, monkeypatch):
         # The duals QP is the only QP of the fixed-demand scenario form.
-        def not_optimal(spec):
+        def not_optimal(spec, start=None):
             return SolveOutcome("infeasible", 0)
 
         monkeypatch.setattr(robust, "solve_qp", not_optimal)
@@ -1151,9 +1154,9 @@ class TestMinNormDuals:
         for force_zero in (rows, []):
             posed = []
 
-            def capture(qp):
+            def capture(qp, start=None):
                 posed.append(qp)
-                return solve_qp(qp)
+                return solve_qp(qp, start=start)
 
             monkeypatch.setattr(robust, "solve_qp", capture)
             monkeypatch.setattr(oracles, "solve_qp", capture)
@@ -1218,9 +1221,9 @@ class TestQpFactorUpdates:
             monkeypatch.setattr(np.linalg, name, counted)
         solves = []
 
-        def recorded(spec):
+        def recorded(spec, start=None):
             before = len(svd_calls)
-            out = solver.solve_qp(spec)
+            out = solver.solve_qp(spec, start=start)
             solves.append((out.iterations, "=" in spec.constraint_kinds,
                            len(svd_calls) - before))
             return out

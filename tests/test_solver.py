@@ -122,6 +122,9 @@ class TestSlackStart:
 
     @pytest.mark.parametrize("rhs, kind", [(1.0, ">="), (0.0, "=")])
     def test_other_rows_keep_phase_one(self, monkeypatch, rhs, kind):
+        # The cost is >= 0, so solve_lp would take the dual path; the primal
+        # kernel is called directly for its phase 1.
+        monkeypatch.setattr(solver, "_lp_internal", solver._simplex)
         spec = LpSpec("min", [1.0, 1.0], [[1.0, -2.0], [1.0, 1.0]], [0.0, rhs],
                       [">=", kind])
         out, phases = self._phases(monkeypatch, spec)
@@ -133,8 +136,12 @@ class TestSlackStart:
 class TestArtificialDriveOut:
     @staticmethod
     def _artificials(monkeypatch, spec):
-        """solve_lp(spec), with the number of artificials basic when phase 1
-        ends and when phase 2 starts: the drive-out runs in between."""
+        """solve_lp(spec) by the primal kernel, with the number of
+        artificials basic when phase 1 ends and when phase 2 starts: the
+        drive-out runs in between.  The programs below have costs >= 0, so
+        solve_lp would take the dual path; _lp_internal is replaced by the
+        primal kernel to reach phase 1 and the drive-out."""
+        monkeypatch.setattr(solver, "_lp_internal", solver._simplex)
         calls = []
         phase = solver._simplex_phase
 
@@ -175,6 +182,72 @@ class TestArtificialDriveOut:
         assert_allclose(out.objective, 1.0, atol=OBJ_TOL)
         assert_allclose(out.duals, [2.0, -1.0], atol=CERT_TOL)
         check_certificate(out)
+
+
+class TestDualPath:
+    """A program whose slack start needs an artificial and whose internal
+    cost is >= 0 with a positive entry is solved from its dual, which starts
+    on its slacks: one _simplex_phase call and no phase 1.  A zero-cost
+    program keeps the primal phase 1."""
+
+    @staticmethod
+    def _phases(monkeypatch, spec):
+        """solve_lp(spec) and the (rows, columns) of the tableau of each
+        _simplex_phase call."""
+        shapes = []
+        phase = solver._simplex_phase
+
+        def recorded(D, *args):
+            shapes.append(D.shape)
+            return phase(D, *args)
+
+        monkeypatch.setattr(solver, "_simplex_phase", recorded)
+        return solve_lp(spec), shapes
+
+    def test_planner_lps_run_no_phase_one(self, monkeypatch):
+        # The dual tableau has one row per variable and one column per row,
+        # finite upper bound and extra "=" copy.
+        for spec in planner_lps():
+            out, shapes = self._phases(monkeypatch, spec)
+            columns = (spec.n_rows + int(np.isfinite(spec.variable_upper_bounds).sum())
+                       + spec.constraint_kinds.count("="))
+            assert shapes == [(spec.n_vars, columns)]
+            assert out.status == "optimal"
+            assert max(out.certificate.values()) <= CERT_TOL
+
+    def test_zero_cost_keeps_phase_one(self, monkeypatch):
+        # A feasibility program with an "=" row: phase 1, then phase 2 on
+        # the primal tableau (two rows).
+        spec = LpSpec("min", [0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [2.0, 0.0], ["=", ">="])
+        out, shapes = self._phases(monkeypatch, spec)
+        assert len(shapes) == 2 and shapes[0][0] == 2
+        assert out.status == "optimal"
+        assert_allclose(out.primal.sum(), 2.0, atol=FEAS_TOL)
+        assert out.primal[0] >= out.primal[1] - FEAS_TOL
+        check_certificate(out)
+
+    def test_equality_duals_mapped(self, monkeypatch):
+        # min x1 + 2 x2 s.t. x1 + x2 = 3, x1 - x2 = 1: each "=" row's dual
+        # is the difference of its +/- pair.  The optimum (2, 1) is interior
+        # to the bounds, so (1, 2) = A' y gives the unique duals (3/2, -1/2).
+        spec = LpSpec("min", [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [3.0, 1.0], ["=", "="])
+        out, shapes = self._phases(monkeypatch, spec)
+        assert shapes == [(2, 4)]
+        assert out.status == "optimal"
+        assert_allclose(out.primal, [2.0, 1.0], atol=FEAS_TOL)
+        assert_allclose(out.objective, 4.0, atol=OBJ_TOL)
+        assert_allclose(out.duals, [1.5, -0.5], atol=CERT_TOL)
+        check_certificate(out)
+
+    def test_unbounded_dual_is_infeasible(self, monkeypatch):
+        # x1 + x2 = 1 and x1 + x2 >= 2: the dual's ray raises b'lam without
+        # bound, so the primal is infeasible.
+        spec = LpSpec("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], ["=", ">="])
+        out, shapes = self._phases(monkeypatch, spec)
+        assert len(shapes) == 1
+        assert out.status == "infeasible"
+        assert out.certificate == {"dual_unbounded": True}
+        assert out.primal is None
 
 
 class TestLpMemory:
@@ -378,6 +451,38 @@ class TestQpStatuses:
         with pytest.raises(ValueError):
             QpSpec("min", [0.0, 0.0], np.zeros((0, 2)), [], [],
                    quadratic_matrix=[[1.0, 0.5], [0.0, 1.0]])
+
+
+class TestQpStart:
+    # min |x|^2 / 2 s.t. x1 + x2 + x3 = 3, x1 - x3 >= 1, x2 <= 0.5: all
+    # three bind, so the minimum is (7/4, 1/2, 3/4), with duals (5/4, 1/2)
+    # on the two rows.
+    SPEC = QpSpec("min", [0.0, 0.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
+                  [3.0, 1.0], ["=", ">="], variable_upper_bounds=[np.inf, 0.5, np.inf],
+                  quadratic_matrix=np.eye(3))
+
+    def test_start_skips_feasibility_lp(self, monkeypatch):
+        expected = solve_qp(self.SPEC)
+
+        def no_lp(spec):
+            raise AssertionError("a feasibility LP ran")
+
+        monkeypatch.setattr(solver, "solve_lp", no_lp)
+        # The last start is off the "=" row by 2e-9, inside the tolerance.
+        for start in ([3.0, 0.0, 0.0], [2.0, 0.5, 0.5], [2.0, 0.0, 1.0 - 2e-9]):
+            out = solve_qp(self.SPEC, start=start)
+            assert out.status == "optimal"
+            assert_allclose(out.primal, [1.75, 0.5, 0.75], atol=FEAS_TOL)
+            assert_allclose(out.duals, [1.25, 0.5], atol=CERT_TOL)
+            assert_allclose(out.primal, expected.primal, atol=1e-12)
+            assert_allclose(out.duals, expected.duals, atol=1e-12)
+            check_certificate(out)
+
+    @pytest.mark.parametrize("start", [[3.0, 0.0, 1e-7], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0],
+                                       [3.2, 0.0, -0.2], [0.0, 0.0], [np.nan] * 3])
+    def test_infeasible_start_raises(self, start):
+        with pytest.raises(ValueError):
+            solve_qp(self.SPEC, start=start)
 
 
 class TestNoVariables:

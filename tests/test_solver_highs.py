@@ -6,7 +6,10 @@ hold at every optimal answer.  The programs mix all three row kinds in both
 senses, with negative right-hand sides, shifted lower bounds and finite upper
 bounds; four further families force degenerate, infeasible and unbounded
 programs and homogeneous ones (every right-hand side and lower bound 0, so
-every ">=" row starts on its slack).  Hypothesis runs derandomized, so every run sees the same examples.
+every ">=" row starts on its slack), and two more draw cost-nonnegative
+programs with an "=" row, feasible and infeasible, which solve_lp solves
+from the dual.  Hypothesis runs derandomized, so every run sees the same
+examples.
 The seeded planner LPs of oracles.planner_lps, up to 408 rows by 224
 variables, are checked against HiGHS too, their optimal values to 1e-9
 relative.
@@ -38,7 +41,9 @@ ints = st.integers(-3, 3).map(float)
 def lps(draw, family="random"):
     """An LpSpec; in the forced families the rows of the drawn program hold
     at an integer point x0 inside the bounds (all tightly when degenerate),
-    and in the homogeneous family at x0 = 0 = lb."""
+    and in the homogeneous family at x0 = 0 = lb.  The "nonnegative"
+    families have an internal cost >= 0 with a positive entry and an "="
+    first row, so solve_lp takes its dual path."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0 if family == "random" else 1, 4))
     A = np.array(draw(st.lists(ints, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -52,6 +57,11 @@ def lps(draw, family="random"):
     ub = np.array([np.inf if w is None else lo + w for lo, w in zip(lb, width)])
     if family == "homogeneous":
         return LpSpec(sense, cost, A, np.zeros(m), kinds, lb, ub)
+    if family.startswith("nonnegative"):
+        cost = np.abs(cost)
+        cost[draw(st.integers(0, n - 1))] += 1.0
+        cost = cost if sense == "min" else -cost
+        kinds[0] = "="
     if family == "random":
         rhs = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), dtype=float)
         return LpSpec(sense, cost, A, rhs, kinds, lb, ub)
@@ -66,14 +76,14 @@ def lps(draw, family="random"):
         ub[j] = np.inf
         cost[j] = -1.0 if sense == "min" else 1.0
     rhs = A @ x0
-    if family == "unbounded":
+    if family in ("unbounded", "nonnegative"):
         margin = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
         rhs += np.select([np.array(kinds) == "<=", np.array(kinds) == ">="],
                          [margin, -margin], 0.0)
     if family == "degenerate":
         # A repeated row on top of every row being tight at x0.
         A, rhs, kinds = np.vstack([A, A[:1]]), np.append(rhs, rhs[0]), kinds + kinds[:1]
-    if family == "infeasible":
+    if family in ("infeasible", "nonnegative_infeasible"):
         # a'x <= k and a'x >= k + 1 for a row a of the program.
         k = float(draw(st.integers(-4, 4)))
         A, rhs, kinds = np.vstack([A, A[:1], A[:1]]), np.append(rhs, [k, k + 1.0]), \
@@ -169,6 +179,16 @@ class TestLpAgainstHighs:
     @given(lps("homogeneous"))
     def test_homogeneous(self, spec):
         assert _check_against_highs(spec) != "infeasible"
+
+    @PROPERTY
+    @given(lps("nonnegative"))
+    def test_cost_nonnegative(self, spec):
+        assert _check_against_highs(spec) == "optimal"
+
+    @PROPERTY
+    @given(lps("nonnegative_infeasible"))
+    def test_cost_nonnegative_infeasible(self, spec):
+        assert _check_against_highs(spec) == "infeasible"
 
     @PROPERTY
     @given(lps("unbounded"))
