@@ -243,20 +243,29 @@ _MAX_PIVOTS = 20000
 _STALL_LIMIT = 60
 
 
-def _pivot(D, rhs, basis, nonbasic, row, slot):
+def _exchange(D, basis, nonbasic, row, slot):
     """Jordan exchange of basis[row] and nonbasic[slot] on D = B^-1 A_N (in
     place): the slot receives the leaving variable's column."""
     piv = D[row, slot]
     factor = D[:, slot].copy()
     factor[row] = 0.0
     D[row] /= piv
-    rhs[row] /= piv
-    D -= factor[:, None] * D[row]
-    rhs -= factor * rhs[row]
-    np.maximum(rhs, 0.0, out=rhs)
+    # Only the rows with an entry in the pivot column change.
+    hit = factor.nonzero()[0]
+    D[hit] -= factor[hit, None] * D[row]
     D[:, slot] = factor * (-1.0 / piv)
     D[row, slot] = 1.0 / piv
     basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
+
+
+def _pivot(D, rhs, basis, nonbasic, row, slot):
+    """_exchange, carrying the basic values rhs = B^-1 b along (clipped at
+    0, so rounding never makes a basic value negative)."""
+    step = rhs[row] / D[row, slot]
+    rhs -= D[:, slot] * step
+    rhs[row] = step
+    np.maximum(rhs, 0.0, out=rhs)
+    _exchange(D, basis, nonbasic, row, slot)
 
 
 def _simplex_phase(D, rhs, cost, basis, nonbasic, n_enter):
@@ -339,69 +348,150 @@ def _slack_start(kinds, b):
     return flips, np.where(flips > 0.0, kinds == "<=", kinds == ">=")
 
 
+class _Tableau:
+    """The standard form both kernels pivot, at the slack start: the rows of
+    A v (kinds) b, v >= 0, each negated as _slack_start says, with one slack
+    per inequality row (+1 on "<=", -1 on ">=") and one artificial per row
+    outside the "<=" rows, over w = (v, slacks, artificials) >= 0.  Variable
+    n + k is the unit column of sign unit_sign[k] in row unit_row[k];
+    variables from n_real on are the artificials.  The start basis is the
+    slacks of the "<=" rows and the artificials, so it is the identity,
+    D = B^-1 A_N = A_N and rhs = B^-1 |b| = |b|."""
+
+    def __init__(self, A, kinds, b):
+        m, n = A.shape
+        self.A, self.n = A, n
+        self.flips, le = _slack_start(kinds, b)
+        eq = kinds == "="
+        self.unit_row = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(~le)])
+        self.unit_sign = np.concatenate([np.where(le[~eq], 1.0, -1.0),
+                                         np.ones(np.count_nonzero(~le))])
+        self.n_real = n + np.count_nonzero(~eq)
+        self.n_all = n + self.unit_row.size
+        self.basis = np.where(le, n + np.cumsum(~eq) - 1, self.n_real + np.cumsum(~le) - 1)
+        self.nonbasic = np.concatenate([np.arange(n), n + np.flatnonzero(~le[~eq])])
+        self.D = self.columns(self.nonbasic)
+        self.b = np.abs(b)
+        self.rhs = self.b.copy()
+
+    def columns(self, idx):
+        """The standard-form columns of the variables idx."""
+        n = self.n
+        out = np.zeros((self.A.shape[0], idx.size))
+        real, unit = (idx < n).nonzero()[0], (idx >= n).nonzero()[0]
+        out[:, real] = self.flips[:, None] * self.A[:, idx[real]]
+        out[self.unit_row[idx[unit] - n], unit] = self.unit_sign[idx[unit] - n]
+        return out
+
+    def phase_one(self):
+        """Phase 1 from the slack start (none without artificials), then
+        each basic artificial driven out for the real variable of smallest
+        index with an entry in its row, where there is one, and the
+        nonbasic artificials dropped.  Returns (iterations, certificate):
+        the phase-1 objective of an infeasible program, else None."""
+        if self.n_real == self.n_all:
+            return 0, None
+        cost = (np.arange(self.n_all) >= self.n_real).astype(float)
+        _, iterations = _simplex_phase(self.D, self.rhs, cost, self.basis, self.nonbasic,
+                                       self.n_all)
+        value = cost[self.basis] @ self.rhs
+        if value > 1e-9 * (1.0 + np.max(self.b, initial=0.0)):
+            return iterations, {"phase1_objective": float(value)}
+        for i in np.flatnonzero(self.basis >= self.n_real):
+            slots = np.flatnonzero((np.abs(self.D[i]) > 1e-9) & (self.nonbasic < self.n_real))
+            if slots.size:
+                _pivot(self.D, self.rhs, self.basis, self.nonbasic, i,
+                       slots[self.nonbasic[slots].argmin()])
+        self._drop_artificials()
+        return iterations, None
+
+    def cross_over(self, v):
+        """The point w of v >= 0, each slack at its row's residual, with
+        the basis moved onto it by value-preserving exchanges and no phase
+        1 (a crossover): each basic artificial leaves at zero, for the
+        column of largest |entry| among those with a positive value if its
+        row has one, else among all; each other basic at zero leaves for
+        the positive nonbasic of largest |entry| in its row, if any.  An
+        exchange leaves the rows before it clean (no entry under a positive
+        nonbasic), and a positive basic stays positive, so one pass over
+        the rows at zero suffices.  Returns w."""
+        n = self.n
+        w = np.zeros(self.n_all)
+        w[:n] = v
+        slack = slice(n, self.n_real)
+        w[slack] = (self.unit_sign[: self.n_real - n]
+                    * (self.b - self.flips * (self.A @ v))[self.unit_row[: self.n_real - n]])
+        # Rounding leaves the zeros of a computed optimum at about 1e-16 and
+        # the slacks of its tight rows at about 1e-15; they count as zero.
+        w[w <= 1e-11 * (1.0 + np.max(w, initial=0.0))] = 0.0
+        for i in np.flatnonzero(w[self.basis] == 0.0):
+            entries = np.abs(self.D[i]) * (self.nonbasic < self.n_real)
+            entries[entries <= 1e-9] = 0.0
+            positive = entries * (w[self.nonbasic] > 0.0)
+            if positive.any() or (self.basis[i] >= self.n_real and entries.any()):
+                _exchange(self.D, self.basis, self.nonbasic, i,
+                          int((positive if positive.any() else entries).argmax()))
+        self._drop_artificials()
+        return w
+
+    def _drop_artificials(self):
+        real = self.nonbasic < self.n_real
+        self.D, self.nonbasic = self.D[:, real], self.nonbasic[real]
+
+
 def _simplex(c_int, A, kinds, b):
     """_lp_internal's primal path: the two-phase simplex from the slack
     start.  Only the condensed tableau is held (see the module docstring),
     and the final B is built from the basic columns alone."""
-    m, n = A.shape
-    flips, le = _slack_start(kinds, b)
-    eq = kinds == "="
-    # Variables: v, one slack per inequality row (+1 on <=, -1 on >=), one
-    # artificial per >= or = row.  Variable n + k is the unit column of sign
-    # unit_sign[k] in row unit_row[k].  The start basis is the slacks of the
-    # <= rows and the artificials, so it is the identity and D = A_N.
-    unit_row = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(~le)])
-    unit_sign = np.concatenate([np.where(le[~eq], 1.0, -1.0), np.ones(np.count_nonzero(~le))])
-    n_real = n + np.count_nonzero(~eq)
-    n_all = n + unit_row.size
-
-    def columns(idx):
-        out = np.zeros((m, idx.size))
-        real, unit = (idx < n).nonzero()[0], (idx >= n).nonzero()[0]
-        out[:, real] = flips[:, None] * A[:, idx[real]]
-        out[unit_row[idx[unit] - n], unit] = unit_sign[idx[unit] - n]
-        return out
-
-    basis = np.where(le, n + np.cumsum(~eq) - 1, n_real + np.cumsum(~le) - 1)
-    nonbasic = np.concatenate([np.arange(n), n + np.flatnonzero(~le[~eq])])
-    D = columns(nonbasic)
-
-    r = np.abs(b)
-    iterations = 0
-    if n_real < n_all:
-        phase1_cost = (np.arange(n_all) >= n_real).astype(float)
-        _, iterations = _simplex_phase(D, r, phase1_cost, basis, nonbasic, n_all)
-        phase1_val = phase1_cost[basis] @ r
-        if phase1_val > 1e-9 * (1.0 + np.max(np.abs(b), initial=0.0)):
-            return "infeasible", iterations, {"phase1_objective": float(phase1_val)}
-        # Drive remaining artificials out of the basis where possible, each
-        # for the real variable of smallest index with an entry in its row.
-        for i in np.flatnonzero(basis >= n_real):
-            slots = np.flatnonzero((np.abs(D[i]) > 1e-9) & (nonbasic < n_real))
-            if slots.size:
-                _pivot(D, r, basis, nonbasic, i, slots[nonbasic[slots].argmin()])
-        real = nonbasic < n_real
-        D, nonbasic = D[:, real], nonbasic[real]
-
-    cost = np.zeros(n_all)
-    cost[:n] = c_int
-    status, it = _simplex_phase(D, r, cost, basis, nonbasic, n_real)
+    t = _Tableau(A, kinds, b)
+    iterations, infeasible = t.phase_one()
+    if infeasible:
+        return "infeasible", iterations, infeasible
+    cost = np.zeros(t.n_all)
+    cost[: t.n] = c_int
+    status, it = _simplex_phase(t.D, t.rhs, cost, t.basis, t.nonbasic, t.n_real)
     iterations += it
     if status == "unbounded":
         return "unbounded", iterations, {}
 
     # Recompute primal and dual values from the optimal basis and the
     # original data, clearing accumulated tableau drift; D goes first.
-    del D
-    B = columns(basis)
+    t.D = None
+    B = t.columns(t.basis)
     try:
-        x_basic = np.linalg.solve(B, np.abs(b))
-        y = np.linalg.solve(B.T, cost[basis])
+        x_basic = np.linalg.solve(B, t.b)
+        y = np.linalg.solve(B.T, cost[t.basis])
     except np.linalg.LinAlgError as exc:
         raise NumericBreakdown("optimal basis is numerically singular") from exc
-    w = np.zeros(n_all)
-    w[basis] = x_basic
-    return "optimal", iterations, (w[:n], flips * y)
+    w = np.zeros(t.n_all)
+    w[t.basis] = x_basic
+    return "optimal", iterations, (w[: t.n], t.flips * y)
+
+
+def _folded(spec):
+    """(A, kinds, b): the rows of `spec` over v = x - lb, each finite upper
+    bound folded in as a "<=" row after them.  Both kernels see only these
+    rows and v >= 0; _certificate still judges the stated spec."""
+    n, lb, ub = spec.n_vars, spec.variable_lower_bounds, spec.variable_upper_bounds
+    ub_rows = np.flatnonzero(np.isfinite(ub))
+    return (np.vstack([spec.constraint_matrix, np.eye(n)[ub_rows]]),
+            np.array(spec.constraint_kinds + ("<=",) * ub_rows.size, dtype="U2"),
+            np.concatenate([spec.constraint_rhs - spec.constraint_matrix @ lb,
+                            ub[ub_rows] - lb[ub_rows]]))
+
+
+def _violation(spec, x):
+    """(violation, A x - b, bound scale) of `spec` at x: its largest row or
+    bound violation, and 1 + the largest |b|, |lb| or finite |ub|."""
+    A, b, lb, ub = (spec.constraint_matrix, spec.constraint_rhs,
+                    spec.variable_lower_bounds, spec.variable_upper_bounds)
+    kinds = np.array(spec.constraint_kinds, dtype="U2")
+    resid = A @ x - b
+    finite_ub = np.isfinite(ub)
+    violation = np.concatenate([np.where(kinds == "=", np.abs(resid),
+                                         np.where(kinds == ">=", -resid, resid)),
+                                lb - x, (x - ub)[finite_ub]]).max(initial=0.0)
+    return violation, resid, 1.0 + np.abs(np.concatenate([b, lb, ub[finite_ub]])).max(initial=0.0)
 
 
 def _certificate(spec, x, duals, reduced):
@@ -417,13 +507,12 @@ def _certificate(spec, x, duals, reduced):
 
     Returns (primal, dual, complementarity, duality_gap).
     """
-    A, b, lb, ub = (spec.constraint_matrix, spec.constraint_rhs,
-                    spec.variable_lower_bounds, spec.variable_upper_bounds)
+    A, lb, ub = spec.constraint_matrix, spec.variable_lower_bounds, spec.variable_upper_bounds
     kinds = np.array(spec.constraint_kinds, dtype="U2")
     eq = kinds == "="
     up = np.where(kinds == ">=", -1.0, 1.0)
     sign = 1.0 if spec.objective_sense == "min" else -1.0
-    resid = A @ x - b
+    violation, resid, bound_scale = _violation(spec, x)
     finite_ub = np.isfinite(ub)
     # Bound sides of the reduced costs: a nonzero reduced cost on the side
     # that blocks the improving direction prices the lower bound, otherwise
@@ -435,16 +524,14 @@ def _certificate(spec, x, duals, reduced):
     bound_slack = np.abs(reduced * (x - bound)) * (lower | upper)
     # max(0.0, ...) turns the -0.0 that max returns for all -0.0 entries
     # into 0.0, so the certificate never reports a signed zero.
-    primal = max(0.0, np.concatenate([np.where(eq, np.abs(resid), up * resid), lb - x,
-                                      (x - ub)[finite_ub]]).max(initial=0.0))
+    primal = max(0.0, violation)
     dual = max(0.0, np.concatenate([(sign * up * duals)[~eq],
                                     np.abs(reduced[priced & ~(lower | finite_ub)])]).max(initial=0.0))
     comp = max(np.abs(duals * resid).max(initial=0.0), bound_slack.max(initial=0.0))
     mass = abs(float(duals @ resid)) + float(bound_slack.sum())
 
     abs_A, abs_x = np.abs(A), np.abs(x)
-    primal_scale = (1.0 + np.abs(np.concatenate([b, lb, ub[finite_ub]])).max(initial=0.0)
-                    + (abs_A @ abs_x).max(initial=abs_x.max(initial=0.0)))
+    primal_scale = bound_scale + (abs_A @ abs_x).max(initial=abs_x.max(initial=0.0))
     dual_scale = (1.0 + np.abs(reduced + A.T @ duals).max(initial=0.0)
                   + (np.abs(duals) @ abs_A).max(initial=0.0))
     scale = primal_scale * dual_scale
@@ -469,20 +556,11 @@ def _optimal(spec, x, duals, grad, objective, iterations):
 
 def solve_lp(spec: LpSpec) -> SolveOutcome:
     """Solve an LpSpec; statuses optimal/infeasible/unbounded, never an abort."""
-    n = spec.n_vars
     lb = spec.variable_lower_bounds
-    ub = spec.variable_upper_bounds
     c_stated = spec.cost
     c_int = c_stated if spec.objective_sense == "min" else -c_stated
 
-    # Shift to v = x - lb >= 0 and fold finite upper bounds in as rows.
-    ub_rows = np.flatnonzero(np.isfinite(ub))
-    A_all = np.vstack([spec.constraint_matrix, np.eye(n)[ub_rows]])
-    b_all = np.concatenate([spec.constraint_rhs - spec.constraint_matrix @ lb,
-                            ub[ub_rows] - lb[ub_rows]])
-    kinds = np.array(spec.constraint_kinds + ("<=",) * ub_rows.size, dtype="U2")
-
-    status, iterations, found = _lp_internal(c_int, A_all, kinds, b_all)
+    status, iterations, found = _lp_internal(c_int, *_folded(spec))
     if status != "optimal":
         return SolveOutcome(status, iterations, found)
 
@@ -494,69 +572,162 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# active-set QP
-
-# A row joins the working set only when the part of it outside the span of
-# the working set's rows has more than this share of its norm.
-_INDEPENDENT = 1e-12
+# reduced-gradient QP
 
 
-class _WorkingQR:
-    """Complete QR factorization A_w' = Q R of a working set of linearly
-    independent rows, updated in place as rows join and leave (Nocedal &
-    Wright, Numerical Optimization, section 16.5).  Q is n x n orthogonal
-    and the leading m x m block of R is upper triangular, so Q[:, :m] spans
-    the rows of A_w and Q[:, m:] its null space."""
+def _reduced_step(Q, D, basis, nonbasic, S, grad, curvature):
+    """The phase-2 direction over the superbasic slots S: (d_S, d_B, ray).
 
-    def __init__(self, n):
-        self.Q = np.eye(n)
-        self.R = np.zeros((n, n))
-        self.m = 0
+    Moving the superbasics by d_S moves the basics by d_B = -D[:, S] d_S,
+    so the null space of the rows is Z = [e_S; -D[:, S] on the basics] and
+    the reduced Hessian is Z_v' Q Z_v, Z_v being Z's rows of the original
+    variables (Q is zero on the slacks).  A flat eigenvalue (at or below
+    1e-10 times the curvature scale) along which the reduced gradient still
+    slopes gives a ray of unit length, downhill; otherwise d_S is the Newton
+    step over the positive eigenvalues."""
+    n = grad.size
+    Z = np.zeros((n, S.size))
+    own = (nonbasic[S] < n).nonzero()[0]
+    Z[nonbasic[S[own]], own] = 1.0
+    DS = D[:, S]
+    on = basis < n
+    Z[basis[on]] = -DS[on]
+    lam, V = np.linalg.eigh(Z.T @ Q @ Z)
+    slopes = V.T @ (Z.T @ grad)
+    pos = lam > 1e-10 * curvature
+    flat_slopes = np.where(pos, 0.0, np.abs(slopes))
+    if flat_slopes.max(initial=0.0) > 1e-9 * (1.0 + np.linalg.norm(grad)):
+        k = flat_slopes.argmax()
+        d = -np.sign(slopes[k]) * V[:, k]
+        return d, -DS @ d, True
+    d = V[:, pos] @ (-slopes[pos] / lam[pos])
+    return d, -DS @ d, False
 
-    def add(self, a):
-        """Append row a as column m if it is independent of the working set,
-        and return whether it was: one Householder reflection of the
-        trailing columns of Q maps the part of Q'a outside the working set
-        onto its first coordinate."""
-        m = self.m
-        v = self.Q.T @ a
-        u = v[m:].copy()
-        norm = np.linalg.norm(u)
-        if norm <= _INDEPENDENT * np.linalg.norm(a):
-            return False
-        diag = -np.copysign(norm, u[0])
-        u[0] -= diag
-        trailing = self.Q[:, m:]
-        trailing -= np.outer(trailing @ u, u * (2.0 / (u @ u)))
-        self.R[:m, m] = v[:m]
-        self.R[m, m] = diag
-        self.m = m + 1
-        return True
 
-    def drop(self, j):
-        """Remove column j; the columns after it leave an upper Hessenberg
-        block, which one QR of that block makes triangular again."""
-        m = self.m
-        self.R[:, j:m - 1] = self.R[:, j + 1:m]
-        self.R[:, m - 1] = 0.0
-        if j < m - 1:
-            q, r = np.linalg.qr(self.R[j:m, j:m - 1], mode="complete")
-            self.R[j:m, j:m - 1] = r
-            self.Q[:, j:m] = self.Q[:, j:m] @ q
-        self.m = m - 1
+def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
+    """Solve min c'v + v'Q v/2 s.t. A v (kinds) b, v >= 0 (Q convex, with
+    curvature its largest |eigenvalue|) by the reduced-gradient method on
+    the condensed tableau of _Tableau (see the module docstring), from
+    `start` (crossed over onto a basis) or else from phase 1.
 
-    def multipliers(self, g):
-        """The least-squares lam of A_w' lam = g: one triangular system in R."""
-        m = self.m
-        return np.linalg.solve(self.R[:m, :m], self.Q[:, :m].T @ g)
+    Returns (status, iterations, found) as _lp_internal does, the iterations
+    being phase-1 pivots plus phase-2 steps.
+    """
+    t = _Tableau(A, kinds, b)
+    if start is None:
+        iterations, infeasible = t.phase_one()
+        if infeasible:
+            return "infeasible", iterations, infeasible
+        w = np.zeros(t.n_all)
+        w[t.basis] = t.rhs
+    else:
+        iterations, w = 0, t.cross_over(start)
+    n, D, basis, nonbasic = t.n, t.D, t.basis, t.nonbasic
+    # The superbasics: nonbasic slots free to move, at a positive value or
+    # just priced in; the other nonbasic slots sit at zero.
+    sup = w[nonbasic] > 0.0
+    grad = np.zeros(t.n_all)
+    # Steps since the last one that moved w, and the run after which
+    # pricing turns to Bland's rule.  A start at a degenerate point (a
+    # crossed-over optimum, the origin of the planners) has a zero slack in
+    # every tight row, and its degenerate run is about as long as there are
+    # rows; Bland's rule from the 61st step on lengthens it (904 steps
+    # against 356 on the tie-break of the 8x24 box planner).
+    stall, stall_limit = 0, max(_STALL_LIMIT, basis.size)
+    # Whether w minimizes the objective over its face: after a full Newton
+    # step, or when no superbasic is left.
+    stationary = False
+    for step in range(1, 200 + 30 * (t.n_all + basis.size) + 1):
+        grad[:n] = Q @ w[:n] + c
+        S = sup.nonzero()[0]
+        small = 1e-11 * (1.0 + np.max(w, initial=0.0))
+        if not stationary and S.size:
+            dS, dB, ray = _reduced_step(Q, D, basis, nonbasic, S, grad[:n], curvature)
+            stationary = not ray and max(np.max(np.abs(dS)), np.max(np.abs(dB), initial=0.0)) <= small
+        if stationary or not S.size:
+            # Price the nonbasics at zero.  The most negative reduced cost
+            # enters S, ties and (while stalled) any improving slot going to
+            # the smallest index, as in the simplex.
+            reduced = grad[nonbasic] - grad[basis] @ D
+            improving = ~sup & (reduced < -1e-9 * (1.0 + np.max(np.abs(grad), initial=0.0)))
+            if not improving.any():
+                break
+            if stall <= stall_limit:
+                improving &= reduced == reduced[improving].min()
+            slots = improving.nonzero()[0]
+            enter = slots[nonbasic[slots].argmin()]
+            sup[enter] = True
+            if not S.size:
+                # Alone in S the entering slot moves up, so a real basic at
+                # zero with a positive entry in its column blocks at once:
+                # a degenerate simplex pivot, which needs no direction.
+                zero = ((D[:, enter] > 1e-10) & (w[basis] <= 0.0) & (basis < t.n_real)).nonzero()[0]
+                if zero.size:
+                    _exchange(D, basis, nonbasic, zero[basis[zero].argmin()], enter)
+                    sup[enter] = False
+                    stall += 1
+                    continue
+            S = sup.nonzero()[0]
+            dS, dB, ray = _reduced_step(Q, D, basis, nonbasic, S, grad[:n], curvature)
+
+        # Ratio test over the real basics and the superbasics: the step is
+        # taken in full (1 for a Newton step) unless a variable reaches zero
+        # first, the smallest index among ties; a ray nothing blocks is a
+        # direction of unbounded descent.
+        big = np.max(np.abs(dS), initial=0.0)
+        rows = ((dB < -1e-10 * big) & (basis < t.n_real)).nonzero()[0]
+        own = (dS < -1e-10 * big).nonzero()[0]
+        index = np.concatenate([basis[rows], nonbasic[S[own]]])
+        if ray and index.size == 0:
+            return "unbounded", iterations + step, {}
+        ratios = w[index] / -np.concatenate([dB[rows], dS[own]])
+        alpha = np.min(ratios, initial=np.inf if ray else 1.0)
+        w[basis] += alpha * dB
+        w[nonbasic[S]] += alpha * dS
+        # Unblocked, the step was a full Newton step (a ray is always blocked
+        # here), onto the minimum over the face.
+        stationary = not ratios.min(initial=np.inf) <= alpha
+        if not stationary:
+            first = (ratios <= alpha + 1e-12 * (1.0 + alpha)).nonzero()[0]
+            k = first[index[first].argmin()]
+            if k >= rows.size:
+                # A superbasic reached zero: it leaves S.
+                slot = S[own[k - rows.size]]
+            else:
+                # A basic reached zero: it trades places with the superbasic
+                # of largest |entry| in its row.
+                row = rows[k]
+                slot = S[np.abs(D[row, S]).argmax()]
+                _exchange(D, basis, nonbasic, row, slot)
+            w[nonbasic[slot]] = 0.0
+            sup[slot] = False
+        np.maximum(w, 0.0, out=w)
+        stall = stall + 1 if alpha * big <= small else 0
+    else:
+        raise NumericBreakdown("QP iteration limit exceeded")
+    iterations += step
+
+    # Recompute the basics from B and the superbasic columns, then the row
+    # duals y = B^-T g_B, from the original data; D goes first.
+    del D
+    t.D = None
+    moved = nonbasic[sup]
+    B = t.columns(basis)
+    try:
+        w[basis] = np.linalg.solve(B, t.b - t.columns(moved) @ w[moved])
+        grad[:n] = Q @ w[:n] + c
+        y = np.linalg.solve(B.T, grad[basis])
+    except np.linalg.LinAlgError as exc:
+        raise NumericBreakdown("optimal basis is numerically singular") from exc
+    return "optimal", iterations, (w[:n], t.flips * y)
 
 
 def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
-    """Solve a QpSpec by a primal active-set method with dual extraction.
+    """Solve a QpSpec by the reduced-gradient method, with dual extraction.
     The iteration starts from `start`, a feasible point the caller knows,
-    when one is given, and otherwise from the optimum of a feasibility LP.
-    A start that violates a row or a bound by more than FEAS_TOL, scaled as
-    the phase-1 test scales it, raises ValueError."""
+    when one is given, and otherwise from phase 1.  A start that violates a
+    row or a bound by more than FEAS_TOL, scaled as _certificate scales its
+    primal residual's bounds, raises ValueError."""
     n = spec.n_vars
     Q_stated = spec.quadratic_matrix
     c_stated = spec.cost
@@ -572,127 +743,26 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
                         f"largest |eigenvalue| {curvature:.3e}")
 
     lb = spec.variable_lower_bounds
-    ub = spec.variable_upper_bounds
-    A, b = spec.constraint_matrix, spec.constraint_rhs
-
-    # E x = b[eq] holds the "=" rows; G x <= h holds the stated inequality rows
-    # G_row (">=" rows negated, G_flip = -1), then -x <= -lb and the finite
-    # x <= ub.
-    kinds = np.array(spec.constraint_kinds, dtype="U2")
-    eq = kinds == "="
-    G_row = np.flatnonzero(~eq)
-    G_flip = np.where(kinds[G_row] == ">=", -1.0, 1.0)
-    ub_rows = np.flatnonzero(np.isfinite(ub))
-    E = A[eq]
-    G = np.vstack([G_flip[:, None] * A[G_row], np.diag(np.full(n, -1.0)), np.eye(n)[ub_rows]])
-    h = np.concatenate([G_flip * b[G_row], -lb, ub[ub_rows]])
-
-    if start is None:
-        feas = solve_lp(LpSpec("min", np.zeros(n), A, b, spec.constraint_kinds, lb, ub))
-        if feas.status != "optimal":
-            return feas
-        x = feas.primal.copy()
-    else:
-        x = _as_vector(start, n, "start").copy()
-        violation = np.concatenate([np.abs(E @ x - b[eq]), G @ x - h]).max(initial=0.0)
-        if not violation <= FEAS_TOL * (1.0 + np.abs(np.concatenate([b, h])).max(initial=0.0)):
+    if start is not None:
+        x = _as_vector(start, n, "start")
+        violation, _, scale = _violation(spec, x)
+        if not violation <= FEAS_TOL * scale:
             raise ValueError(f"start violates the constraints by {violation:.3e}")
+        start = np.maximum(x - lb, 0.0)
+    A, kinds, b = _folded(spec)
+    status, iterations, found = _qp_internal(Q, c + Q @ lb, A, kinds, b, curvature, start)
+    if status != "optimal":
+        return SolveOutcome(status, iterations, found)
 
-    # The working set is an independent subset of the "=" rows followed by
-    # the inequality rows `working`, factored as A_w' = Q R (_WorkingQR).
-    # Both start-up scans offer their rows in order, and `add` keeps those
-    # independent of the rows before them (none once the rank is n): first
-    # the "=" rows, then the inequality rows binding at the feasible point.
-    fac = _WorkingQR(n)
-    n_eq = sum(fac.add(a) for a in E)
-    scale = 1.0 + np.max(np.abs(h), initial=0.0)
-    working = [int(k) for k in np.flatnonzero(np.abs(h - G @ x) <= 1e-8 * scale)
-               if fac.add(G[k])]
-    # Inequality rows dependent on the working set: set aside by the
-    # blocking-row search until a row leaves (see below).
-    aside = []
-
-    max_iter = 200 + 30 * (n + G.shape[0])
-    iterations = 0
-    # Drops and zero-length steps since the last positive step.
-    stall = 0
-    while True:
-        if iterations > max_iter:
-            raise NumericBreakdown("active-set iteration limit exceeded")
-        iterations += 1
-        grad = Q @ x + c
-        Z = fac.Q[:, fac.m:]
-        ray = None
-        p = np.zeros(n)
-        if Z.size:
-            H = Z.T @ Q @ Z
-            gz = Z.T @ grad
-            lam, V = np.linalg.eigh(H)
-            pos = lam > 1e-10 * curvature
-            slopes = V.T @ gz
-            flat = ~pos
-            if np.any(flat):
-                flat_slopes = np.where(flat, np.abs(slopes), 0.0)
-                k = int(np.argmax(flat_slopes))
-                if flat_slopes[k] > 1e-9 * (1.0 + np.linalg.norm(grad)):
-                    ray = Z @ (-np.sign(slopes[k]) * V[:, k])
-            if ray is None and np.any(pos):
-                w = np.zeros(lam.size)
-                w[pos] = -slopes[pos] / lam[pos]
-                p = Z @ (V @ w)
-
-        if ray is None and (np.max(np.abs(p), initial=0.0)
-                            <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0))):
-            mu_w = fac.multipliers(-grad)[n_eq:]
-            neg = np.flatnonzero(mu_w < -1e-9 * (1.0 + np.linalg.norm(grad)))
-            if neg.size == 0:
-                break
-            # Drop the most negative multiplier; while stalled, the row with
-            # the smallest index (Bland's rule), so no stalled run cycles.
-            if stall > _STALL_LIMIT:
-                drop = neg[np.argmin([working[i] for i in neg])]
-            else:
-                drop = neg[np.argmin(mu_w[neg])]
-            working.pop(int(drop))
-            fac.drop(n_eq + int(drop))
-            aside = []
-            stall += 1
-            continue
-
-        # One blocking-row search for both directions: the step p is taken
-        # in full (alpha = 1) unless a row blocks it, the ray has no full
-        # step, and a ray that no row blocks is a direction of unbounded
-        # descent.
-        d, full = (p, 1.0) if ray is None else (ray, np.inf)
-        s = G @ d
-        free = np.ones(s.size, dtype=bool)
-        free[working + aside] = False
-        cands = np.flatnonzero((s > 1e-11) & free)
-        if cands.size == 0 and ray is not None:
-            return SolveOutcome("unbounded", iterations)
-        ratios = np.clip(h[cands] - G[cands] @ x, 0.0, None) / s[cands]
-        alpha = np.min(ratios, initial=full)
-        x = x + alpha * d
-        if alpha < full:
-            # G_k d > 0 along d in the null space of A_w makes row k
-            # independent of the working set, so it joins.  Rounding along a
-            # long d can make a dependent row (say a copy of a working row)
-            # look blocking; such a row is constant along that null space,
-            # so it is set aside until a drop widens it.
-            k = int(cands[ratios <= alpha + 1e-9 * (1.0 + alpha)].min())
-            (working if fac.add(G[k]) else aside).append(k)
-        stall = stall + 1 if alpha <= 1e-13 else 0
-
-    # Map working-set multipliers back to stated rows.  The inequality
-    # multipliers are unique; the "=" rows' are not when those rows are
-    # dependent, and they are reported as the minimum-norm solution over all
-    # of them (copies of a repeated row split its multiplier evenly).
-    duals = np.zeros(spec.n_rows)
-    if E.size:
-        duals[eq] = -sign * np.linalg.lstsq(E.T, -grad - G[working].T @ mu_w, rcond=None)[0]
-    k = np.array(working, dtype=int)
-    on_row = k < G_row.size
-    duals[G_row[k[on_row]]] = -sign * G_flip[k[on_row]] * mu_w[on_row]
-
+    v, duals_int = found
+    x = v + lb
+    duals = sign * duals_int[: spec.n_rows]
+    # The "=" duals are not unique when those rows are dependent; they are
+    # reported as the minimum-norm split of the same E' duals, so copies of
+    # a repeated row share its multiplier evenly.
+    eq = kinds[: spec.n_rows] == "="
+    if eq.any():
+        E = spec.constraint_matrix[eq]
+        duals[eq] = np.linalg.lstsq(E.T, E.T @ duals[eq], rcond=None)[0]
     return _optimal(spec, x, duals, Q_stated @ x + c_stated,
                     float(c_stated @ x + 0.5 * x @ Q_stated @ x), iterations)
