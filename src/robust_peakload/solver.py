@@ -705,7 +705,7 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
         stall = stall + 1 if alpha * big <= small else 0
     else:
         raise NumericBreakdown("QP iteration limit exceeded")
-    iterations += step
+    iterations += step - 1
 
     # Recompute the basics from B and the superbasic columns, then the row
     # duals y = B^-T g_B, from the original data; D goes first.

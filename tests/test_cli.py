@@ -822,13 +822,23 @@ class TestReportContract:
         assert err.count("\n") == 1
 
     def test_failed_certificate_maps_to_exit_four(self, capsys, monkeypatch):
-        # A simplex that reports "optimal" with a primal entry moved by 1e-3:
-        # the certificate gate of every optimal solve refuses it.
+        # A QP kernel that reports "optimal" with a primal entry moved by
+        # 1e-3: the certificate gate of every optimal solve refuses it.  The
+        # instance has elastic demand, so its planner is a QP.
+        self._perturbed_kernel_exits_four(capsys, monkeypatch, "_qp_internal",
+                                          "subsidy_example.json")
+
+    def test_failed_lp_certificate_maps_to_exit_four(self, capsys, monkeypatch):
+        # The same through the simplex, on a fixed-demand instance.
+        self._perturbed_kernel_exits_four(capsys, monkeypatch, "_lp_internal", "box_fixed.json")
+
+    @staticmethod
+    def _perturbed_kernel_exits_four(capsys, monkeypatch, kernel, instance):
         load = cli.load_instance
-        lp_internal = solver._lp_internal
+        original = getattr(solver, kernel)
 
         def perturbed(*args):
-            status, iterations, found = lp_internal(*args)
+            status, iterations, found = original(*args)
             if status == "optimal":
                 v, duals = found
                 found = (v + np.eye(v.size)[0] * 1e-3, duals)
@@ -836,12 +846,11 @@ class TestReportContract:
 
         def load_then_perturb(path):
             loaded = load(path)
-            monkeypatch.setattr(solver, "_lp_internal", perturbed)
+            monkeypatch.setattr(solver, kernel, perturbed)
             return loaded
 
         monkeypatch.setattr(cli, "load_instance", load_then_perturb)
-        code, out, err = run_cli(capsys, "solve", "--instance",
-                                 str(INSTANCES / "subsidy_example.json"),
+        code, out, err = run_cli(capsys, "solve", "--instance", str(INSTANCES / instance),
                                  "--mode", "robust-cp")
         assert code == cli.EXIT_SOLVER and not out
         assert err.startswith("error:") and "certificate" in err

@@ -1112,10 +1112,11 @@ class TestScenarioFormByPeriod:
         lps = [spec for name, spec in calls if name == "solve_lp" and np.any(spec.cost)]
         assert len(lps) == 1
         assert lps[0].n_rows == 4 * inst.T * (inst.N + 2)
-        # The rest is the one minimum-norm dual QP and its zero-cost phase-1 LP.
+        # The rest is the one minimum-norm dual QP, which finds its first
+        # feasible point by its own phase 1, with no feasibility LP.
         names = [name for name, _ in calls]
         assert names.count("solve_qp") == 1
-        assert names.count("solve_lp") == 2
+        assert names.count("solve_lp") == 1
         assert form["productions"].shape == (4, inst.N, inst.T)
 
 
@@ -1201,11 +1202,12 @@ class TestMinNormDuals:
 
 
 class TestQpFactorUpdates:
-    """solve_qp updates a QR factorization of its working set instead of
-    factoring it at each step: on the robust planner and its tie-break, the
-    SVD-based calls of solver.py number at most one per QP (the
-    minimum-norm equality duals), and only for a QP with "=" rows, while
-    the step counts stay those of the per-step SVD kernel."""
+    """solve_qp pivots the condensed tableau instead of factoring its rows
+    at each step: on the robust planner and its tie-break, the SVD-based
+    calls of solver.py number at most one per QP (the minimum-norm equality
+    duals), and only for a QP with "=" rows.  The step counts are those of
+    the reduced-gradient kernel: 62 for the planner from the origin, and one
+    for the tie-break, crossed over at the planner's optimum."""
 
     def test_no_svd_per_step(self, monkeypatch):
         inst = _load_workloads().elastic_market(np.random.default_rng(3), 4, 8, "simplex")
@@ -1231,6 +1233,32 @@ class TestQpFactorUpdates:
         monkeypatch.setattr(market, "solve_qp", recorded)
         monkeypatch.setattr(robust, "solve_qp", recorded)
         solve_robust_cp_elastic(inst)
-        assert [iterations for iterations, _, _ in solves] == [61, 3]
+        assert [iterations for iterations, _, _ in solves] == [62, 1]
         for _, has_eq, calls in solves:
             assert calls <= (1 if has_eq else 0)
+
+
+class TestElasticPlannerSteps:
+    """The elastic planner at 8x24 on box and budget sets, the shapes that
+    were slow under the former working-set QP (ROADMAP item 3).  Its QP
+    step counts are deterministic: with perfbench's generator and
+    default_rng(3), planner + tie-break take 402 + 355 steps on the box and
+    416 + 10 on the budget set.  Pricing by Bland's rule from the 61st
+    stalled step on, as the simplex does, gave the box tie-break 904, so a
+    bound of 500 per QP catches a lost stall rule."""
+
+    @pytest.mark.parametrize("kind", ["box", "budget"])
+    def test_step_counts(self, monkeypatch, kind):
+        inst = _load_workloads().elastic_market(np.random.default_rng(3), 8, 24, kind)
+        steps = []
+
+        def recorded(spec, start=None):
+            out = solver.solve_qp(spec, start=start)
+            steps.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(market, "solve_qp", recorded)
+        monkeypatch.setattr(robust, "solve_qp", recorded)
+        solve_robust_cp_elastic(inst)
+        assert len(steps) == 2
+        assert max(steps) <= 500, steps

@@ -478,6 +478,23 @@ class TestQpStart:
             assert_allclose(out.duals, expected.duals, atol=1e-12)
             check_certificate(out)
 
+    def test_never_poses_an_lp(self, monkeypatch):
+        # The QP finds its first feasible point by its own phase 1, or
+        # crosses a start over onto a basis: solve_lp never runs, whether
+        # the program is feasible or not.
+        def no_lp(spec):
+            raise AssertionError("solve_qp posed an LP")
+
+        monkeypatch.setattr(solver, "solve_lp", no_lp)
+        for start in (None, [3.0, 0.0, 0.0]):
+            out = solve_qp(self.SPEC, start=start)
+            assert out.status == "optimal"
+            assert_allclose(out.primal, [1.75, 0.5, 0.75], atol=FEAS_TOL)
+        infeasible = QpSpec("min", [0.0], [[1.0], [1.0]], [1.0, 2.0], ["<=", ">="],
+                            quadratic_matrix=[[1.0]])
+        out = solve_qp(infeasible)
+        assert out.status == "infeasible" and out.certificate["phase1_objective"] > 0.0
+
     @pytest.mark.parametrize("start", [[3.0, 0.0, 1e-7], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0],
                                        [3.2, 0.0, -0.2], [0.0, 0.0], [np.nan] * 3])
     def test_infeasible_start_raises(self, start):
@@ -786,3 +803,25 @@ class TestQpAgainstBruteForce:
         assert abs(out.objective - objective) <= 1e-9 * (1.0 + abs(objective))
         assert np.all(np.abs(out.primal - x) <= 1e-9 * (1.0 + np.abs(x)))
         assert max(kkt_residuals(spec, out)) <= CERT_TOL
+
+
+class TestQpWarmStart:
+    """On strictly convex programs the optimum is unique, so a warm start
+    from another feasible point (a vertex: the optimum of an LP over the
+    same constraints with a drawn cost >= 0) and the cold solve from phase 1
+    must reach the same point."""
+
+    @PROPERTY
+    @given(strictly_convex_qps(), st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    def test_warm_start_matches_cold(self, spec, lp_cost):
+        cold = solve_qp(spec)
+        if cold.status != "optimal":
+            return
+        vertex = solve_lp(LpSpec("min", lp_cost[:spec.n_vars], spec.constraint_matrix,
+                                 spec.constraint_rhs, spec.constraint_kinds,
+                                 spec.variable_lower_bounds, spec.variable_upper_bounds))
+        assert vertex.status == "optimal"
+        warm = solve_qp(spec, start=vertex.primal)
+        assert warm.status == "optimal"
+        assert np.all(np.abs(warm.primal - cold.primal) <= 1e-9 * (1.0 + np.abs(cold.primal)))
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))

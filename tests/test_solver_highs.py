@@ -12,7 +12,9 @@ from the dual.  Hypothesis runs derandomized, so every run sees the same
 examples.
 The seeded planner LPs of oracles.planner_lps, up to 408 rows by 224
 variables, are checked against HiGHS too, their optimal values to 1e-9
-relative.
+relative.  So are QPs with Q = 0 whose rows bind at the origin, as the
+planners' do: solve_qp's reduced-gradient kernel then works as a simplex
+that starts at a degenerate vertex.
 
 HiGHS's own optimal pair is a second check on the certificate itself: its
 primal point and marginals, mapped to solve_lp's sign convention, must pass
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from oracles import planner_lps
-from robust_peakload.solver import CERT_TOL, LpSpec, _certificate, solve_lp
+from robust_peakload.solver import CERT_TOL, LpSpec, QpSpec, _certificate, solve_lp, solve_qp
 
 OBJ_TOL = 1e-7
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -206,3 +208,42 @@ class TestLpAgainstHighs:
             assert abs(out.objective - objective) <= 1e-9 * abs(objective)
             assert max(out.certificate.values()) <= CERT_TOL
             assert _highs_certificate(spec, res) <= CERT_TOL
+
+
+@st.composite
+def origin_qps(draw):
+    """A QpSpec with Q = 0 over (x, y, z), k variables each, shaped like a
+    planner: capacity rows x_i - y_j <= 0 and adversary rows
+    -a_i x_i + z_i >= 0, all binding at the origin, so the kernel starts at
+    a degenerate vertex; then up to two drawn rows of any kind with
+    right-hand sides from -2 to 3, so that some programs need phase 1 and
+    some are infeasible.  Drawn costs of both signs make some unbounded."""
+    k = draw(st.integers(1, 3))
+    n = 3 * k
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    a = np.array(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)), dtype=float)
+    eye = np.eye(n)
+    rows = [eye[i] - eye[k + owner[i]] for i in range(k)]
+    rows += [eye[2 * k + i] - a[i] * eye[i] for i in range(k)]
+    kinds = ["<="] * k + [">="] * k
+    m = draw(st.integers(0, 2))
+    extra = np.array(draw(st.lists(st.integers(-1, 2), min_size=m * n, max_size=m * n)),
+                     dtype=float).reshape(m, n)
+    kinds += draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))
+    rhs = np.concatenate([np.zeros(2 * k), draw(st.lists(st.integers(-2, 3), min_size=m,
+                                                          max_size=m))])
+    cost = np.array(draw(st.lists(ints, min_size=n, max_size=n)))
+    return QpSpec(draw(st.sampled_from(["min", "max"])), cost, np.vstack(rows + list(extra)),
+                  rhs, kinds, quadratic_matrix=np.zeros((n, n)))
+
+
+class TestZeroCurvatureQpAgainstHighs:
+    @PROPERTY
+    @given(origin_qps())
+    def test_degenerate_origin(self, spec):
+        out = solve_qp(spec)
+        status, objective, _ = _highs(spec)
+        assert out.status == status
+        if status == "optimal":
+            assert abs(out.objective - objective) <= OBJ_TOL * (1.0 + abs(objective))
+            assert max(_certificate(spec, out.primal, out.duals, out.reduced_costs)) <= CERT_TOL
