@@ -165,10 +165,12 @@ def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
 
 def _min_norm_point(A, rhs, kinds, Q, what, start=None):
     """argmin of v'Q v / 2 over the face {v >= 0 : A v (kinds) rhs}: the
-    canonicalizing solve of _min_norm_optimum and _min_norm_duals, from
-    `start` when the caller has a point of the face (solve_qp).  Each
-    caller knows its face holds a point, so a solve that does not come back
-    optimal is a solver defect and raises NumericBreakdown naming `what`."""
+    canonicalizing solve of _min_norm_optimum and _min_norm_duals.  solve_qp
+    crosses `start`, when the caller has a point of the face, over onto a
+    basis, and otherwise finds its first basis by its own phase 1; neither
+    poses an LP.  Each caller knows its face holds a point, so a solve that
+    does not come back optimal is a solver defect and raises
+    NumericBreakdown naming `what`."""
     out = solve_qp(QpSpec("min", np.zeros(Q.shape[0]), A, rhs, kinds, quadratic_matrix=Q),
                    start=start)
     if out.status != "optimal":

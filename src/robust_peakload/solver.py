@@ -14,61 +14,70 @@ minimization, "<=" rows of a maximization), duals <= 0 on the opposite sense,
 and free duals on equality rows.  Reduced costs play the same role for the
 variable bounds.
 
-The LP path is a dense two-phase simplex that holds only the condensed
-tableau D = B^-1 A_N (Chvatal, Linear Programming, 1983, ch. 7); a pivot
-is a Jordan exchange, the entering variable's slot taking the leaving
-variable's column.  Each row starts on its slack where it can: a row is
-negated when its right-hand side is negative, or zero under ">=", and each
-"<=" row then holds at v = 0.  Only "=" rows and ">=" rows with a positive
-right-hand side take an artificial; without them (a homogeneous cone of
-">=" rows, say) no phase 1 runs, and the artificials phase 1 leaves
+Both kernels see only rows and v >= 0: solve_lp and solve_qp shift x to
+v = x - lb and fold each finite upper bound in as a "<=" row (_folded),
+while _certificate keeps judging the stated program.
+
+Both kernels pivot one standard form (_Tableau) that holds only the
+condensed tableau D = B^-1 A_N (Chvatal, Linear Programming, 1983, ch. 7);
+a pivot is a Jordan exchange, the entering variable's slot taking the
+leaving variable's column.  Each row starts on its slack where it can: a row
+is negated when its right-hand side is negative, or zero under ">=", and
+each "<=" row then holds at v = 0.  Only "=" rows and ">=" rows with a
+positive right-hand side take an artificial; without them (a homogeneous
+cone of ">=" rows, say) no phase 1 runs, and the artificials phase 1 leaves
 nonbasic are dropped.  The pivot rules (_simplex_phase) name variables by
 index, not by slot, so a full-tableau simplex takes the same path up to
 rounding in the reduced costs.
-Which side is solved follows from the input.  A program whose slack start
-needs an artificial and whose internal (min) cost is >= 0 with a positive
-entry -- the robust planners: every price of the model is >= 0 -- is
-solved from its dual, max b'lam s.t. A'lam <= c, written over w >= 0 with
-lam = S w, S signing the "<=" and ">=" rows and splitting each "=" row
-into a +/- pair (Chvatal, ch. 5 and 10).  Its rows are "<=" rows with
+Which side of an LP is solved follows from the input.  A program whose
+slack start needs an artificial and whose internal (min) cost is >= 0 with
+a positive entry -- the robust planners: every price of the model is >= 0
+-- is solved from its dual, max b'lam s.t. A'lam <= c, written over w >= 0
+with lam = S w, S signing the "<=" and ">=" rows and splitting each "="
+row into a +/- pair (Chvatal, ch. 5 and 10).  Its rows are "<=" rows with
 right-hand side c >= 0, so it starts on its slacks and runs no phase 1;
 the primal point is its row duals, negated, and an unbounded dual means an
 infeasible primal.  Every other program is solved from the primal side.
 A zero-cost (feasibility) program keeps phase 1: its dual has a zero
 right-hand side, so every dual pivot is degenerate (177 of them against 71
 phase-1 pivots on a 6x12 tie-break feasibility LP, by one measurement).
-The QP path is a primal active-set method, from a feasible start the
-caller supplies or else from the optimum of a feasibility LP.  Final primal
-and dual values are recomputed from the optimal basis / working set with
-dense linear solves.
-Both solvers then end in one builder, _optimal: it forms the reduced costs,
-the certificate (_certificate: four KKT residuals, each relative to the size
-of the terms it sums, the duality gap being the complementarity mass for
-both solvers) and the optimal SolveOutcome.  The residuals sit near machine
+
+The QP path is the reduced-gradient method (Murtagh & Saunders, Math.
+Prog. 14, 1978; Gill, Murray & Wright, Practical Optimization, 1981,
+sections 5.5-5.6) on the same tableau.  Its first basis comes from phase 1,
+or from the caller's feasible `start`, which a crossover moves onto a basis
+by exchanges that keep its values (_Tableau.cross_over), with no phase 1.
+Every variable is basic, superbasic (a nonbasic slot free to move: at a
+positive value, or just priced in) or nonbasic at zero, and w holds all
+their values.  Moving the superbasics S by d_S moves the basics by
+-D[:, S] d_S, so the null space of the rows is Z = [e_S; -D[:, S] on the
+basics] and the reduced Hessian is Z_v' Q Z_v over the original variables,
+s x s with s small: the welfare Hessian has rank T.  A step is a Newton
+step over its positive eigenvalues, or a ray along a flat one that still
+slopes, cut short where a basic or a superbasic reaches zero (the smallest
+index among ties).  A superbasic that does leaves S; a basic trades places
+with the superbasic of largest |entry| in its row, an exchange of D alone,
+the values staying in w.  Once w is stationary on its face, the nonbasic at
+zero with the most negative reduced cost enters S, ties going to the
+smallest index; alone in S and blocked at once by a basic at zero, it is a
+degenerate simplex pivot and needs no direction.  After more stalled
+(zero-length) steps in a row than _STALL_LIMIT or the number of rows,
+whichever is larger, pricing takes the smallest improving index instead
+(Bland, 1977), as the simplex does after _STALL_LIMIT; the iteration limit
+stays as a guard against rounding.  At the end the basics are recomputed
+from B and the superbasic columns, and the row duals are y = B^-T g_B.  The
+"=" duals, not unique when those rows are dependent, are reported as the
+minimum-norm split of the same E' duals (one least-squares solve), so the
+copies of a repeated row share its multiplier evenly.  A QP's iterations
+are its phase-1 pivots plus its phase-2 steps.
+
+Both solvers end in one builder, _optimal: it forms the reduced costs, the
+certificate (_certificate: four KKT residuals, each relative to the size of
+the terms it sums, the duality gap being the complementarity mass for both
+solvers) and the optimal SolveOutcome.  The residuals sit near machine
 precision, and an optimum whose largest residual exceeds CERT_TOL raises
 NumericBreakdown rather than reaching the caller.
 
-The active-set working set is kept linearly independent: the "=" rows enter
-as an independent subset, the start-up scan adds only the binding rows that
-are independent of those before it, and a blocking row is independent too
-(it has G_k d > 0 along a direction d in the working set's null space; a
-dependent row that rounding makes look blocking is set aside instead).  So
-a complete QR factorization A_w' = Q R is updated in place rather than
-recomputed: a row that joins is one Householder reflection of the trailing
-columns of Q, a row that leaves is one QR of the Hessenberg block it leaves
-in R, the null space is Q[:, m:], and the multipliers are one triangular
-system in R.  Only the equality duals, which are not unique when "=" rows
-are dependent, take one minimum-norm least-squares solve over all "=" rows
-at the end.
-
-Two rules steer the active-set iteration.  The drop rule: a working row
-with a negative multiplier leaves, the most negative one, except while the
-iteration is stalled (more than _STALL_LIMIT drops or zero-length steps
-since the last positive step), when it is the row with the smallest index,
-as in the simplex.  Together with the smallest-index blocking row, that
-bounds every stalled run, and a positive step strictly lowers the
-objective, so no cycle passes through one; the iteration limit stays as a
-guard against rounding.
 The curvature scale: Q's largest |eigenvalue|, from the eigenvalues the
 convexity check computes.  Q is rejected as not convex below -1e-9 times
 that scale, and a reduced-Hessian eigenvalue at or below 1e-10 times it
@@ -79,10 +88,8 @@ These hand-written kernels stay rather than delegating to scipy's bundled
 HiGHS: on top of `import robust_peakload` (about 33 MB peak resident memory
 and 0.11 s), importing scipy.optimize adds about 44 MB and 0.44 s (Python
 3.11, numpy 2.4, scipy 1.17, 2-CPU Linux container), against a 5% bound on
-the benchmark's peak_rss_mb (perfbench/).  For the same reason the
-factorization updates are written in numpy rather than with
-scipy.linalg.qr_insert / qr_delete.  HiGHS remains the differential oracle
-of the tests, both for statuses and values and, through _certificate, for
+the benchmark's peak_rss_mb (perfbench/).  HiGHS remains the differential
+oracle of the tests, both for statuses and values and, through _certificate, for
 its own primal/dual pair.
 """
 
@@ -100,7 +107,7 @@ class SolverError(Exception):
 
 
 class NumericBreakdown(SolverError):
-    """Pivoting or the active-set iteration stalled numerically."""
+    """Pivoting or the QP iteration stalled numerically."""
 
 
 class NotConvex(SolverError):
@@ -237,9 +244,9 @@ class SolveOutcome:
 # simplex core
 
 _MAX_PIVOTS = 20000
-# Both solvers fall back to a smallest-index rule (Bland, 1977) once a run
-# of more than this many degenerate steps has passed: zero-step pivots of
-# the simplex, drops and zero-length steps of the active-set QP.
+# The simplex falls back to a smallest-index rule (Bland, 1977) once a run
+# of more than this many zero-step pivots has passed; the QP once more than
+# this many or as many as it has rows, whichever is larger.
 _STALL_LIMIT = 60
 
 
