@@ -227,9 +227,9 @@ class SolveOutcome:
     """Solution record.  Only an optimal solve fills the primal, objective,
     duals and reduced_costs fields (None otherwise), and its certificate
     holds the four scaled residuals of _certificate, each at most CERT_TOL.
-    An infeasible LP's certificate holds its phase-1 objective, or, when it
-    was solved from its dual, {"dual_unbounded": True}; an unbounded solve's
-    is empty."""
+    An infeasible solve's certificate holds its phase-1 objective, or, for
+    an LP solved from its dual, {"dual_unbounded": True}; an unbounded
+    solve's is empty."""
 
     status: str
     iterations: int
