@@ -54,8 +54,9 @@ their values.  Moving the superbasics S by d_S moves the basics by
 basics] and the reduced Hessian is Z_v' Q Z_v over the original variables,
 s x s with s small: the welfare Hessian has rank T.  A step is a Newton
 step over its positive eigenvalues, or a ray along a flat one that still
-slopes, cut short where a basic or a superbasic reaches zero (the smallest
-index among ties).  A superbasic that does leaves S; a basic trades places
+slopes (stopping at its minimum where that eigenvalue is above rounding),
+cut short where a basic or a superbasic reaches zero (the smallest index
+among ties).  A superbasic that does leaves S; a basic trades places
 with the superbasic of largest |entry| in its row, an exchange of D alone,
 the values staying in w.  Once w is stationary on its face, the nonbasic at
 zero with the most negative reduced cost enters S, ties going to the
@@ -422,15 +423,20 @@ class _Tableau:
         exchange leaves the rows before it clean (no entry under a positive
         nonbasic), and a positive basic stays positive, so one pass over
         the rows at zero suffices.  Returns w."""
-        n = self.n
+        n, k = self.n, self.n_real - self.n
+        rows = self.unit_row[:k]
         w = np.zeros(self.n_all)
         w[:n] = v
-        slack = slice(n, self.n_real)
-        w[slack] = (self.unit_sign[: self.n_real - n]
-                    * (self.b - self.flips * (self.A @ v))[self.unit_row[: self.n_real - n]])
-        # Rounding leaves the zeros of a computed optimum at about 1e-16 and
-        # the slacks of its tight rows at about 1e-15; they count as zero.
-        w[w <= 1e-11 * (1.0 + np.max(w, initial=0.0))] = 0.0
+        w[n:self.n_real] = self.unit_sign[:k] * (self.b - self.flips * (self.A @ v))[rows]
+        # Rounding leaves the zeros of a computed optimum, and the slacks of
+        # its tight rows, at about 1e-16 of the terms they come from; at or
+        # below 1e-11 of those terms (the largest entry of v, a row's
+        # |b| + |A| v) they count as zero.  A scale shared by all of w would
+        # zero small entries of v next to the slack of a loose row.
+        scale = np.zeros(self.n_all)
+        scale[:n] = np.max(v, initial=0.0)
+        scale[n:self.n_real] = (self.b + np.abs(self.A) @ v)[rows]
+        w[w <= 1e-11 * scale] = 0.0
         for i in np.flatnonzero(w[self.basis] == 0.0):
             entries = np.abs(self.D[i]) * (self.nonbasic < self.n_real)
             entries[entries <= 1e-9] = 0.0
@@ -583,15 +589,19 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
 
 
 def _reduced_step(Q, D, basis, nonbasic, S, grad, curvature):
-    """The phase-2 direction over the superbasic slots S: (d_S, d_B, ray).
+    """The phase-2 direction over the superbasic slots S: (d_S, d_B, ray,
+    full), full being the length of a step that nothing blocks.
 
     Moving the superbasics by d_S moves the basics by d_B = -D[:, S] d_S,
     so the null space of the rows is Z = [e_S; -D[:, S] on the basics] and
     the reduced Hessian is Z_v' Q Z_v, Z_v being Z's rows of the original
     variables (Q is zero on the slacks).  A flat eigenvalue (at or below
     1e-10 times the curvature scale) along which the reduced gradient still
-    slopes gives a ray of unit length, downhill; otherwise d_S is the Newton
-    step over the positive eigenvalues."""
+    slopes gives a ray of unit length, downhill.  Its eigenvalue can still
+    be above rounding (1e-13 times the scale), and the ray then stops at
+    its minimum, so that no step raises the objective; otherwise its length
+    is infinite.  Without a ray, d_S is the Newton step over the positive
+    eigenvalues, of full length 1."""
     n = grad.size
     Z = np.zeros((n, S.size))
     own = (nonbasic[S] < n).nonzero()[0]
@@ -606,9 +616,10 @@ def _reduced_step(Q, D, basis, nonbasic, S, grad, curvature):
     if flat_slopes.max(initial=0.0) > 1e-9 * (1.0 + np.linalg.norm(grad)):
         k = flat_slopes.argmax()
         d = -np.sign(slopes[k]) * V[:, k]
-        return d, -DS @ d, True
+        curved = lam[k] > 1e-13 * curvature
+        return d, -DS @ d, True, abs(slopes[k]) / lam[k] if curved else np.inf
     d = V[:, pos] @ (-slopes[pos] / lam[pos])
-    return d, -DS @ d, False
+    return d, -DS @ d, False, 1.0
 
 
 def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
@@ -649,7 +660,7 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
         S = sup.nonzero()[0]
         small = 1e-11 * (1.0 + np.max(w, initial=0.0))
         if not stationary and S.size:
-            dS, dB, ray = _reduced_step(Q, D, basis, nonbasic, S, grad[:n], curvature)
+            dS, dB, ray, full = _reduced_step(Q, D, basis, nonbasic, S, grad[:n], curvature)
             stationary = not ray and max(np.max(np.abs(dS)), np.max(np.abs(dB), initial=0.0)) <= small
         if stationary or not S.size:
             # Price the nonbasics at zero.  The most negative reduced cost
@@ -675,26 +686,26 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
                     stall += 1
                     continue
             S = sup.nonzero()[0]
-            dS, dB, ray = _reduced_step(Q, D, basis, nonbasic, S, grad[:n], curvature)
+            dS, dB, ray, full = _reduced_step(Q, D, basis, nonbasic, S, grad[:n], curvature)
 
         # Ratio test over the real basics and the superbasics: the step is
-        # taken in full (1 for a Newton step) unless a variable reaches zero
-        # first, the smallest index among ties; a ray nothing blocks is a
-        # direction of unbounded descent.
+        # taken in full unless a variable reaches zero first, the smallest
+        # index among ties; a ray of infinite length that nothing blocks is
+        # a direction of unbounded descent.
         big = np.max(np.abs(dS), initial=0.0)
         rows = ((dB < -1e-10 * big) & (basis < t.n_real)).nonzero()[0]
         own = (dS < -1e-10 * big).nonzero()[0]
         index = np.concatenate([basis[rows], nonbasic[S[own]]])
-        if ray and index.size == 0:
+        if index.size == 0 and full == np.inf:
             return "unbounded", iterations + step, {}
         ratios = w[index] / -np.concatenate([dB[rows], dS[own]])
-        alpha = np.min(ratios, initial=np.inf if ray else 1.0)
+        alpha = np.min(ratios, initial=full)
         w[basis] += alpha * dB
         w[nonbasic[S]] += alpha * dS
-        # Unblocked, the step was a full Newton step (a ray is always blocked
-        # here), onto the minimum over the face.
-        stationary = not ratios.min(initial=np.inf) <= alpha
-        if not stationary:
+        blocked = ratios.min(initial=np.inf) <= alpha
+        # A full Newton step lands on the minimum over the face.
+        stationary = not (ray or blocked)
+        if blocked:
             first = (ratios <= alpha + 1e-12 * (1.0 + alpha)).nonzero()[0]
             k = first[index[first].argmin()]
             if k >= rows.size:

@@ -416,6 +416,18 @@ class TestQpStatuses:
         out = solve_qp(spec)
         assert out.status == "unbounded"
 
+    def test_slightly_curved_ray_stops_at_its_minimum(self):
+        # Q = diag(1, 2e-11): the second eigenvalue is flat against the
+        # curvature scale 1 (below 1e-10), yet far above rounding, and the
+        # cost slopes along it, so the step is a ray; it stops at the
+        # minimum x_2 = 1e-8 / 2e-11 = 500 instead of reporting a strictly
+        # convex program unbounded.
+        out = solve_qp(QpSpec("min", [0.0, -1e-8], np.zeros((0, 2)), [], [],
+                              quadratic_matrix=np.diag([1.0, 2e-11])))
+        assert out.status == "optimal"
+        assert_allclose(out.primal, [0.0, 500.0], rtol=1e-12)
+        check_certificate(out)
+
     def test_not_convex_raises(self):
         with pytest.raises(NotConvex):
             solve_qp(QpSpec("min", [0.0], np.zeros((0, 1)), [], [],
@@ -494,6 +506,19 @@ class TestQpStart:
                             quadratic_matrix=[[1.0]])
         out = solve_qp(infeasible)
         assert out.status == "infeasible" and out.certificate["phase1_objective"] > 0.0
+
+    def test_small_entries_survive_the_crossover(self):
+        # min |x - t|^2 / 2 over x1 + x2 + x3 <= sum(t), x <= 1e6: the
+        # optimum is t, whose small entries sit next to ub-row slacks of
+        # about 1e6.  Started at t, the crossover must keep them (entries
+        # at rounding level count as zero, judged against their own terms).
+        t = np.array([1e-6, 1.0, 3e-7])
+        spec = QpSpec("min", -t, [[1.0, 1.0, 1.0]], [t.sum()], ["<="],
+                      variable_upper_bounds=np.full(3, 1e6), quadratic_matrix=np.eye(3))
+        for start in (None, t):
+            out = solve_qp(spec, start=start)
+            assert out.status == "optimal"
+            assert_allclose(out.primal, t, rtol=1e-9, atol=1e-15)
 
     @pytest.mark.parametrize("start", [[3.0, 0.0, 1e-7], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0],
                                        [3.2, 0.0, -0.2], [0.0, 0.0], [np.nan] * 3])
