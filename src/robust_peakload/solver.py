@@ -652,8 +652,8 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
     # rows; Bland's rule from the 61st step on lengthens it (904 steps
     # against 356 on the tie-break of the 8x24 box planner).
     stall, stall_limit = 0, max(_STALL_LIMIT, basis.size)
-    # Whether w minimizes the objective over its face: after a full Newton
-    # step, or when no superbasic is left.
+    # Whether w is known to minimize the objective over its face: after a
+    # full Newton step, or when the direction came out negligible.
     stationary = False
     for step in range(1, 200 + 30 * (t.n_all + basis.size) + 1):
         grad[:n] = Q @ w[:n] + c
