@@ -649,8 +649,8 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
     # pricing turns to Bland's rule.  A start at a degenerate point (a
     # crossed-over optimum, the origin of the planners) has a zero slack in
     # every tight row, and its degenerate run is about as long as there are
-    # rows; Bland's rule from the 61st step on lengthens it (904 steps
-    # against 356 on the tie-break of the 8x24 box planner).
+    # rows; Bland's rule from the 61st step on lengthens it (926 steps
+    # against 355 on the tie-break of the 8x24 box planner).
     stall, stall_limit = 0, max(_STALL_LIMIT, basis.size)
     # Whether w is known to minimize the objective over its face: after a
     # full Newton step, or when the direction came out negligible.

@@ -1244,7 +1244,7 @@ class TestElasticPlannerSteps:
     step counts are deterministic: with perfbench's generator and
     default_rng(3), planner + tie-break take 402 + 355 steps on the box and
     416 + 10 on the budget set.  Pricing by Bland's rule from the 61st
-    stalled step on, as the simplex does, gave the box tie-break 904, so a
+    stalled step on, as the simplex does, gave the box tie-break 926, so a
     bound of 500 per QP catches a lost stall rule."""
 
     @pytest.mark.parametrize("kind", ["box", "budget"])
