@@ -4,7 +4,9 @@ Subcommands: `solve` (nominal, robust market, robust planner, expected-cost
 solves), `poa` (price-of-anarchy reports for an instance or a generated tight
 family), `subsidy` (welfare-restoring subsidies with equilibrium checks),
 `tau` and `validate-set` (uncertainty-set diagnostics; their vertex_count is
-null above 12 producers, where vertex enumeration is guarded).
+null above 12 producers, where vertex enumeration is guarded).  Every command
+acts on the market that `load_instance` builds from the file, the risk set
+installed where the file has one.
 
 Exit codes: 0 success, 1 input error (bad flags, schema violations, parameter
 validation), 2 infeasible or unbounded program, 3 subsidy verification
@@ -12,13 +14,12 @@ failure, 4 solver defect (SaddleViolated or a SolverError: a failed check of
 the solver's own output, which no input should cause).  JSON reports are
 canonical: re-parsing and re-emitting reproduces the bytes, and identical
 inputs produce identical reports apart from the timing field.  The
-environment variable ROBUST_PEAKLOAD_SEED overrides any --seed flag or
-instance-file seed.
+subsidy audit's seed and sample count come from --seed and --samples, else
+from the library defaults.
 """
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
@@ -39,7 +40,6 @@ from robust_peakload.poa import (ZeroCost, elastic_family_values,
                                  gen_tight_instance_restricted, poa_elastic,
                                  poa_fixed, tight_fixed_values,
                                  tight_restricted_values)
-from robust_peakload.risk import poa_with_risk_set
 from robust_peakload.robust import (DEFAULT_SEED, Infeasible, SaddleViolated,
                                     Unbounded, solve_robust_cp_elastic,
                                     solve_robust_cp_fixed,
@@ -57,7 +57,6 @@ EXIT_INFEASIBLE = 2
 EXIT_NOT_EQUILIBRIUM = 3
 EXIT_SOLVER = 4
 
-SEED_ENV = "ROBUST_PEAKLOAD_SEED"
 WITNESS_TOL = 1e-9
 
 
@@ -96,29 +95,6 @@ def _parse_mean(text, N, T):
         return np.array(values).reshape(N, T)
     raise CliError(f"--mean-u must list 1, {N}, or {N * T} values, "
                    f"got {len(values)}")
-
-
-def _resolve_seed(flag_seed, file_seed):
-    """The audit seed: the environment, else --seed, else the file's
-    options.seed, else the default.  A negative seed is an input error."""
-    env = os.environ.get(SEED_ENV)
-    source = "--seed"
-    if env is not None:
-        try:
-            flag_seed, source = int(env), SEED_ENV
-        except ValueError:
-            raise CliError(f"{SEED_ENV} must be an integer, got {env!r}") \
-                from None
-    if flag_seed is not None and flag_seed < 0:
-        raise CliError(f"{source} must be nonnegative, got {flag_seed}")
-    return _first(flag_seed, file_seed, DEFAULT_SEED)
-
-
-def _first(*values):
-    for value in values:
-        if value is not None:
-            return value
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +148,7 @@ def _emit(report, fmt):
 
 
 def _cmd_solve(args):
-    inst, digest, _, _ = load_instance(args.instance)
+    inst, digest = load_instance(args.instance)
     fixed = isinstance(inst.demand, Fixed)
     flags = {"instance": args.instance, "mode": args.mode,
              "mean_u": args.mean_u, "format": args.format}
@@ -248,22 +224,16 @@ def _cmd_poa(args):
     certificates = {}
 
     if args.instance is not None:
-        inst, digest, _, risk_spec = load_instance(args.instance)
+        inst, digest = load_instance(args.instance)
         closed = None
     else:
         inst, closed = _generate_instance(args)
-        risk_spec = None
         digest = instance_digest(instance_to_data(inst))
         if args.emit_instance is not None:
             write_instance(args.emit_instance, instance_to_data(inst))
-    if risk_spec is not None:
-        report = poa_with_risk_set(inst, risk_spec)
-    elif isinstance(inst.demand, Fixed):
-        report = poa_fixed(inst)
-    else:
-        report = poa_elastic(inst)
+    report = (poa_fixed(inst) if isinstance(inst.demand, Fixed)
+              else poa_elastic(inst))
     results = dataclasses.asdict(report)
-    results["risk_set_applied"] = risk_spec is not None
     if closed is not None:
         certificates["closed_form"] = closed
         certificates["max_closed_form_gap"] = _closed_form_gap(report, closed)
@@ -272,12 +242,11 @@ def _cmd_poa(args):
 
 
 def _cmd_subsidy(args):
-    inst, digest, options, _ = load_instance(args.instance)
-    samples = _first(args.samples, options["sample_count"],
-                     DEFAULT_AUDIT_SAMPLES)
-    seed = _resolve_seed(args.seed, options["seed"])
-    flags = {"instance": args.instance, "samples": samples,
-             "seed": seed, "eta": args.eta, "format": args.format}
+    inst, digest = load_instance(args.instance)
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
+    flags = {"instance": args.instance, "samples": args.samples,
+             "seed": args.seed, "eta": args.eta, "format": args.format}
     override = None
     if args.eta is not None:
         override = np.array(_parse_floats("eta", args.eta))
@@ -285,7 +254,8 @@ def _cmd_subsidy(args):
             raise CliError(f"--eta must list {inst.N} values, "
                            f"got {len(override)}")
 
-    bundle = compute_subsidies(inst, audit_samples=samples, seed=seed)
+    bundle = compute_subsidies(inst, audit_samples=args.samples,
+                               seed=args.seed)
     if override is not None:
         bundle = dataclasses.replace(bundle, eta=override)
 
@@ -332,7 +302,7 @@ def _cmd_subsidy(args):
 
 
 def _cmd_set_report(args):
-    inst, digest, _, _ = load_instance(args.instance)
+    inst, digest = load_instance(args.instance)
     U = inst.uncertainty
     value, witness = tau(U)
     rep = inst.uncertainty_report
@@ -392,8 +362,8 @@ def _build_parser():
                              help="welfare-restoring subsidies with "
                                   "equilibrium verification")
     subsidy.add_argument("--instance", required=True)
-    subsidy.add_argument("--samples", type=int)
-    subsidy.add_argument("--seed", type=int)
+    subsidy.add_argument("--samples", type=int, default=DEFAULT_AUDIT_SAMPLES)
+    subsidy.add_argument("--seed", type=int, default=DEFAULT_SEED)
     subsidy.add_argument("--eta",
                          help="override the computed subsidies "
                               "(comma-separated, one per producer)")

@@ -1,5 +1,11 @@
 """Strict JSON instance files and canonical report serialization.
 
+An instance file describes one market, and this module is the one place
+that reads it: `load_instance` returns the MarketInstance every command
+acts on.  A `risk` section replaces the `uncertainty` set and the scalings
+`a` with the set built from the risk data (fixed demand only).  A file holds
+no run settings; seeds and sample counts come from the caller.
+
 The schema is versioned and closed: unknown keys anywhere are rejected with
 the offending field named, so golden files cannot drift silently.  Canonical
 serialization writes numbers with 17 significant digits (floats round-trip
@@ -16,12 +22,12 @@ import numpy as np
 
 from robust_peakload.geometry import Polytope, box, hull_to_inequalities, simplex
 from robust_peakload.market import AffineElastic, Fixed, MarketInstance, Producer
-from robust_peakload.risk import CoherentSpec, VarSpec
+from robust_peakload.risk import CoherentSpec, VarSpec, _risk_market
 
 SCHEMA_VERSION = "1"
 
 _TOP_KEYS = {"schema_version", "periods", "producers", "demand",
-             "uncertainty", "risk", "options"}
+             "uncertainty", "risk"}
 _PRODUCER_KEYS = {"c_inv", "c_var", "a"}
 _DEMAND_KEYS = {"mode", "d", "alpha", "beta"}
 _UNCERTAINTY_KEYS = {"form", "P", "r", "list"}
@@ -29,7 +35,6 @@ _RISK_KEYS = {"var", "coherent"}
 _VAR_KEYS = {"alpha", "marginal_var"}
 _COHERENT_KEYS = {"scenarios", "Q"}
 _Q_KEYS = {"P", "r"}
-_OPTION_KEYS = {"sample_count", "seed"}
 
 
 class SchemaError(ValueError):
@@ -136,10 +141,48 @@ def _count(section, value, minimum=0):
 # parsing
 
 
-def parse_instance_data(data: dict):
-    """Validate a parsed instance document and build the domain objects.
+def _build(section, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError re-raised as a SchemaError that
+    names the section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{section}: {exc}") from exc
 
-    Returns (MarketInstance, options dict, risk spec or None)."""
+
+def _risk_spec(risk_data, N):
+    """The VarSpec or CoherentSpec of a file's `risk` section."""
+    _require_keys("risk", risk_data, _RISK_KEYS, [])
+    if len(risk_data) != 1:
+        raise SchemaError("risk must hold exactly one of 'var', 'coherent'")
+    if "var" in risk_data:
+        var_data = risk_data["var"]
+        _require_keys("risk.var", var_data, _VAR_KEYS, ["alpha", "marginal_var"])
+        return _build("risk.var", VarSpec,
+                      alpha=_number("risk.var.alpha", var_data["alpha"]),
+                      marginal_var=_vector("risk.var.marginal_var",
+                                           var_data["marginal_var"], N))
+    coh = risk_data["coherent"]
+    _require_keys("risk.coherent", coh, _COHERENT_KEYS, ["scenarios", "Q"])
+    scenarios = _matrix("risk.coherent.scenarios", coh["scenarios"], N)
+    K = scenarios.shape[0]
+    _require_keys("risk.coherent.Q", coh["Q"], _Q_KEYS, ["P", "r"])
+    if coh["Q"]["P"] == [] and coh["Q"]["r"] == []:
+        # No rows: Q is cut down to the full probability simplex.
+        QP, Qr = np.zeros((0, K)), np.zeros(0)
+    else:
+        QP = _matrix("risk.coherent.Q.P", coh["Q"]["P"], K)
+        Qr = _vector("risk.coherent.Q.r", coh["Q"]["r"], QP.shape[0])
+    return _build("risk.coherent", CoherentSpec, scenarios, Polytope(K, QP, Qr))
+
+
+def parse_instance_data(data: dict) -> MarketInstance:
+    """Validate a parsed instance document and build its market.
+
+    A `risk` section replaces the `uncertainty` set and the producers'
+    scalings `a` with the set built from the risk data and its scale
+    (`risk._risk_market`); it requires fixed demand.  Any violation raises
+    a SchemaError that names the field."""
     _require_keys("instance", data, _TOP_KEYS,
                   ["schema_version", "periods", "producers", "demand",
                    "uncertainty"])
@@ -156,13 +199,11 @@ def parse_instance_data(data: dict):
     for i, entry in enumerate(raw_producers):
         section = f"producers[{i}]"
         _require_keys(section, entry, _PRODUCER_KEYS, ["c_inv", "c_var"])
-        try:
-            producers.append(Producer(
-                c_inv=_number(f"{section}.c_inv", entry["c_inv"]),
-                c_var=_number(f"{section}.c_var", entry["c_var"]),
-                a=_number(f"{section}.a", entry.get("a", 0.0))))
-        except ValueError as exc:
-            raise SchemaError(f"{section}: {exc}") from exc
+        producers.append(_build(
+            section, Producer,
+            c_inv=_number(f"{section}.c_inv", entry["c_inv"]),
+            c_var=_number(f"{section}.c_var", entry["c_var"]),
+            a=_number(f"{section}.a", entry.get("a", 0.0))))
     N = len(producers)
 
     demand_data = data["demand"]
@@ -170,12 +211,14 @@ def parse_instance_data(data: dict):
     mode = demand_data["mode"]
     if mode == "fixed":
         _require_keys("demand", demand_data, {"mode", "d"}, ["d"])
-        demand = Fixed(_vector("demand.d", demand_data["d"], T))
+        demand = _build("demand.d", Fixed,
+                        _vector("demand.d", demand_data["d"], T))
     elif mode == "elastic":
         _require_keys("demand", demand_data, {"mode", "alpha", "beta"},
                       ["alpha", "beta"])
-        demand = AffineElastic(_vector("demand.alpha", demand_data["alpha"], T),
-                               _vector("demand.beta", demand_data["beta"], T))
+        demand = _build("demand", AffineElastic,
+                        _vector("demand.alpha", demand_data["alpha"], T),
+                        _vector("demand.beta", demand_data["beta"], T))
     else:
         raise SchemaError("demand.mode must be 'fixed' or 'elastic'")
 
@@ -196,72 +239,24 @@ def parse_instance_data(data: dict):
     elif form == "vertices":
         _require_keys("uncertainty", unc, {"form", "list"}, ["list"])
         V = _matrix("uncertainty.list", unc["list"], N)
-        try:
-            uncertainty = hull_to_inequalities(V)
-        except ValueError as exc:
-            raise SchemaError(f"uncertainty.list: {exc}") from exc
+        uncertainty = _build("uncertainty.list", hull_to_inequalities, V)
     else:
         raise SchemaError("uncertainty.form must be one of "
                           "'box', 'simplex', 'inequalities', 'vertices'")
 
-    try:
-        instance = MarketInstance(producers=producers, demand=demand, T=T,
-                                  uncertainty=uncertainty)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-    risk_spec = None
+    instance = _build("uncertainty", MarketInstance, producers=producers,
+                      demand=demand, T=T, uncertainty=uncertainty)
     if "risk" in data:
-        risk_data = data["risk"]
-        _require_keys("risk", risk_data, _RISK_KEYS, [])
-        if len(risk_data) != 1:
-            raise SchemaError("risk must hold exactly one of 'var', 'coherent'")
-        if "var" in risk_data:
-            var_data = risk_data["var"]
-            _require_keys("risk.var", var_data, _VAR_KEYS,
-                          ["alpha", "marginal_var"])
-            try:
-                risk_spec = VarSpec(
-                    alpha=_number("risk.var.alpha", var_data["alpha"]),
-                    marginal_var=_vector("risk.var.marginal_var",
-                                         var_data["marginal_var"], N))
-            except ValueError as exc:
-                raise SchemaError(f"risk.var: {exc}") from exc
-        else:
-            coh = risk_data["coherent"]
-            _require_keys("risk.coherent", coh, _COHERENT_KEYS,
-                          ["scenarios", "Q"])
-            scenarios = _matrix("risk.coherent.scenarios", coh["scenarios"], N)
-            K = scenarios.shape[0]
-            _require_keys("risk.coherent.Q", coh["Q"], _Q_KEYS, ["P", "r"])
-            if coh["Q"]["P"] == [] and coh["Q"]["r"] == []:
-                # No rows: Q is cut down to the full probability simplex.
-                QP, Qr = np.zeros((0, K)), np.zeros(0)
-            else:
-                QP = _matrix("risk.coherent.Q.P", coh["Q"]["P"], K)
-                Qr = _vector("risk.coherent.Q.r", coh["Q"]["r"], QP.shape[0])
-            try:
-                risk_spec = CoherentSpec(scenarios, Polytope(K, QP, Qr))
-            except ValueError as exc:
-                raise SchemaError(f"risk.coherent: {exc}") from exc
-
-    options = {"sample_count": None, "seed": None}
-    if "options" in data:
-        opt = data["options"]
-        _require_keys("options", opt, _OPTION_KEYS, [])
-        if "sample_count" in opt:
-            options["sample_count"] = _count("options.sample_count",
-                                             opt["sample_count"])
-        if "seed" in opt:
-            options["seed"] = _count("options.seed", opt["seed"])
-
-    return instance, options, risk_spec
+        instance = _build("risk", _risk_market, instance,
+                          _risk_spec(data["risk"], N))
+    return instance
 
 
 def load_instance(path: str):
     """Read and validate an instance file.
 
-    Returns (MarketInstance, digest, options, risk spec)."""
+    Returns (MarketInstance, digest); the digest hashes the file's content,
+    not its formatting."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -275,15 +270,14 @@ def load_instance(path: str):
             f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise SchemaError("instance file must hold a JSON object")
-    instance, options, risk_spec = parse_instance_data(data)
-    return instance, instance_digest(data), options, risk_spec
+    return parse_instance_data(data), instance_digest(data)
 
 
 # ---------------------------------------------------------------------------
 # emission
 
 
-def instance_to_data(inst: MarketInstance, options: dict = None) -> dict:
+def instance_to_data(inst: MarketInstance) -> dict:
     """Serializable document for a MarketInstance; uncertainty is emitted in
     inequality form (exact for any polytope).  Raises ValueError for a
     producer with per-period scalings, which the schema cannot hold."""
@@ -306,8 +300,6 @@ def instance_to_data(inst: MarketInstance, options: dict = None) -> dict:
     data["uncertainty"] = {"form": "inequalities",
                            "P": inst.uncertainty.P.tolist(),
                            "r": inst.uncertainty.r.tolist()}
-    if options:
-        data["options"] = options
     return data
 
 

@@ -17,6 +17,10 @@ re-enters the market as the cost scalings a_i (so rescaling is cost-neutral):
 A coordinate with m_i = 0 carries no risk; it keeps its place with a free
 [0, 1] factor and scale 0 (costs unaffected) and raises a
 DegenerateScenario warning rather than changing the market's size.
+
+`_risk_market` installs a set and its scale in a fixed-demand market.  The
+instance-file loader calls it for a file's `risk` section, so every command
+acts on the same market, and `poa_with_risk_set` certifies it.
 """
 
 import dataclasses
@@ -143,11 +147,12 @@ def build_coherent_set(spec: CoherentSpec):
     return Polytope(N, P, r), m
 
 
-def poa_with_risk_set(inst: MarketInstance, spec) -> PoAReport:
-    """Build the uncertainty set for the risk data, install its scale as the
-    producers' cost scalings, and certify the price of anarchy."""
+def _risk_market(inst: MarketInstance, spec) -> MarketInstance:
+    """The market with the uncertainty set built from the risk data and its
+    scale installed as the producers' cost scalings; `inst`'s own set and
+    scalings are replaced.  Risk sets require fixed demand."""
     if not isinstance(inst.demand, Fixed):
-        raise ValueError("risk-set certification requires fixed demand")
+        raise ValueError("risk sets require fixed demand")
     if isinstance(spec, VarSpec):
         U, scale = build_mvar_set(spec)
     elif isinstance(spec, CoherentSpec):
@@ -158,6 +163,11 @@ def poa_with_risk_set(inst: MarketInstance, spec) -> PoAReport:
         raise ValueError("risk data must cover every producer")
     producers = [dataclasses.replace(p, a=float(scale[i]), a_by_period=None)
                  for i, p in enumerate(inst.producers)]
-    risk_inst = MarketInstance(producers=producers, demand=inst.demand,
-                               T=inst.T, uncertainty=U)
-    return poa_fixed(risk_inst)
+    return MarketInstance(producers=producers, demand=inst.demand,
+                          T=inst.T, uncertainty=U)
+
+
+def poa_with_risk_set(inst: MarketInstance, spec) -> PoAReport:
+    """Build the uncertainty set for the risk data, install its scale as the
+    producers' cost scalings, and certify the price of anarchy."""
+    return poa_fixed(_risk_market(inst, spec))

@@ -100,7 +100,7 @@ class gate:
 
 
 def load_market(name):
-    inst, _, _, _ = load_instance(INSTANCES / name)
+    inst, _ = load_instance(INSTANCES / name)
     return inst
 
 

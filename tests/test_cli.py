@@ -15,17 +15,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import robust_peakload
 from robust_peakload import cli, market, robust, solver, subsidy
-from robust_peakload.geometry import box, simplex, tau
+from robust_peakload.geometry import Polytope, box, simplex, tau
 from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
                                           canonical_dumps, format_number,
                                           instance_digest, instance_to_data,
                                           load_instance, parse_instance_data,
                                           write_instance)
 from robust_peakload.market import AffineElastic, Fixed, MarketInstance, Producer
+from robust_peakload.poa import poa_fixed
+from robust_peakload.risk import DegenerateScenario
 from oracles import compose_lifted, per_period_index
 from robust_peakload.geometry import enumerate_vertices
 from robust_peakload.robust import Infeasible, SaddleViolated, Unbounded
@@ -35,6 +39,11 @@ VALUE_TOL = 1e-7
 CERT_TOL = 1e-6
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+RISK_FILES = ("mvar_example.json", "coherent_example.json")
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=80,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def run_cli(capsys, *args):
@@ -62,11 +71,45 @@ def minimal_data(**overrides):
     return data
 
 
-@pytest.fixture(autouse=True)
-def _clear_seed_env(monkeypatch):
-    # The env override must not leak into tests that exercise flag and
-    # file-level seed resolution.
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def assert_same_market(got, want):
+    """Producers, demand arrays and (P, r) equal exactly."""
+    assert got.T == want.T
+    assert [(p.c_inv, p.c_var, p.a, p.a_by_period) for p in got.producers] == \
+        [(p.c_inv, p.c_var, p.a, p.a_by_period) for p in want.producers]
+    assert type(got.demand) is type(want.demand)
+    for name in ("d", "alpha", "beta"):
+        if hasattr(want.demand, name):
+            assert_array_equal(getattr(got.demand, name),
+                               getattr(want.demand, name))
+    assert_array_equal(got.uncertainty.P, want.uncertainty.P)
+    assert_array_equal(got.uncertainty.r, want.uncertainty.r)
+
+
+positive = st.floats(0.01, 10.0)
+
+
+@st.composite
+def markets(draw):
+    """Markets of 1-4 producers and 1-3 periods, fixed or elastic demand,
+    over the box, the simplex or the box cut by one halfspace w'u <= b that
+    keeps the origin and the unit axis points (a valid set)."""
+    N = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 3))
+    producers = [Producer(c_inv=draw(positive), c_var=draw(st.floats(0.0, 10.0)),
+                          a=draw(st.floats(0.0, 10.0))) for _ in range(N)]
+    periods = st.lists(positive, min_size=T, max_size=T)
+    if draw(st.booleans()):
+        demand = Fixed(draw(periods))
+    else:
+        demand = AffineElastic(draw(periods), draw(periods))
+    form = draw(st.sampled_from(["box", "simplex", "inequalities"]))
+    if form == "inequalities":
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N)))
+        b = draw(st.floats(max(float(w.max()), 1e-3), float(w.sum()) + 1.0))
+        U = Polytope(N, np.vstack([np.eye(N), w]), np.append(np.ones(N), b))
+    else:
+        U = box(N) if form == "box" else simplex(N)
+    return MarketInstance(producers=producers, demand=demand, T=T, uncertainty=U)
 
 
 class TestCanonicalSerialization:
@@ -99,23 +142,23 @@ class TestCanonicalSerialization:
 
 class TestInstanceFile:
     def test_parses_fixed_instance(self):
-        inst, options, risk = parse_instance_data(minimal_data())
+        inst = parse_instance_data(minimal_data())
         assert inst.N == 2 and inst.T == 1
         assert isinstance(inst.demand, Fixed)
-        assert risk is None
-        assert set(options) == {"sample_count", "seed"}
+        assert_array_equal(inst.uncertainty.P, simplex(2).P)
+        assert [p.a for p in inst.producers] == [1.0, 1.0]
 
     def test_parses_elastic_instance(self):
         data = minimal_data(
             demand={"mode": "elastic", "alpha": [5.0], "beta": [1.0]})
-        inst, _, _ = parse_instance_data(data)
+        inst = parse_instance_data(data)
         assert isinstance(inst.demand, AffineElastic)
 
     def test_vertices_form_matches_simplex(self):
         data = minimal_data(uncertainty={
             "form": "vertices",
             "list": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]})
-        inst, _, _ = parse_instance_data(data)
+        inst = parse_instance_data(data)
         t_hull, _ = tau(inst.uncertainty)
         t_simplex, _ = tau(simplex(2))
         assert_allclose(t_hull, t_simplex, atol=1e-9)
@@ -126,8 +169,8 @@ class TestInstanceFile:
         spaced = tmp_path / "spaced.json"
         compact.write_text(json.dumps(data, separators=(",", ":")))
         spaced.write_text(json.dumps(data, indent=4))
-        _, digest_a, _, _ = load_instance(str(compact))
-        _, digest_b, _, _ = load_instance(str(spaced))
+        _, digest_a = load_instance(str(compact))
+        _, digest_b = load_instance(str(spaced))
         assert digest_a == digest_b
         assert digest_a.startswith("sha256:")
 
@@ -145,6 +188,10 @@ class TestInstanceFile:
         (lambda d: d.update(producers=[]), "producers"),
         (lambda d: d["producers"][0].pop("c_inv"), "c_inv"),
         (lambda d: d["producers"][0].update(c_inv=-1.0), "producers[0]"),
+        (lambda d: d.update(demand={"mode": "fixed", "d": [-1.0]}),
+         "demand.d"),
+        (lambda d: d.update(demand={"mode": "elastic", "alpha": [5.0],
+                                    "beta": [0.0]}), "demand: beta"),
         (lambda d: d.update(demand={"mode": "fixed", "d": [1.0],
                                     "alpha": [1.0]}), "unknown key 'alpha'"),
         (lambda d: d.update(demand={"mode": "spot", "d": [1.0]}), "demand.mode"),
@@ -157,9 +204,20 @@ class TestInstanceFile:
         (lambda d: d.update(risk={"var": {"alpha": 2.0,
                                           "marginal_var": [1.0, 1.0]}}),
          "risk.var"),
-        (lambda d: d.update(options={"grid": 101}), "unknown key 'grid'"),
-        (lambda d: d.update(options={"speed": 1}), "unknown key 'speed'"),
-        (lambda d: d.update(options={"tolerances": {"value": 1e-7}}),
+        (lambda d: d.update(risk={"var": {"alpha": 0.95,
+                                          "marginal_var": [1.0, 1.0]}},
+                            demand={"mode": "elastic", "alpha": [5.0],
+                                    "beta": [1.0]}), "risk: "),
+        # Run settings are not part of a market: a file has no options.
+        (lambda d: d.update(options={"seed": 2024}), "unknown key 'options'"),
+        # The nested sections are closed too.
+        (lambda d: d["producers"][1].update(grid=101), "unknown key 'grid'"),
+        (lambda d: d.update(risk={"var": {"alpha": 0.95, "speed": 1,
+                                          "marginal_var": [1.0, 1.0]}}),
+         "unknown key 'speed'"),
+        (lambda d: d.update(risk={"coherent": {
+            "scenarios": [[0.0, 0.0]],
+            "Q": {"P": [], "r": [], "tolerances": {"value": 1e-7}}}}),
          "unknown key 'tolerances'"),
     ])
     def test_schema_violations_name_the_field(self, mutate, fragment):
@@ -177,26 +235,51 @@ class TestInstanceFile:
         assert "line 2" in str(excinfo.value)
 
     def test_risk_sections_parse(self):
+        # A risk section replaces the file's set and scalings: the VaR box
+        # is the unit box with a_i = VaR_i.  The coherent hull of (0, 0) and
+        # (1, 0) is [0, 1] on the first coordinate with scale 1; the second
+        # carries no risk, so it keeps a free [0, 1] factor with scale 0.
         data = minimal_data(risk={"var": {"alpha": 0.95,
                                           "marginal_var": [0.3, 0.6]}})
-        _, _, risk = parse_instance_data(data)
-        assert_allclose(risk.marginal_var, [0.3, 0.6])
+        inst = parse_instance_data(data)
+        assert [p.a for p in inst.producers] == [0.3, 0.6]
+        assert_array_equal(inst.uncertainty.P, box(2).P)
+        assert_array_equal(inst.uncertainty.r, box(2).r)
         data = minimal_data(risk={"coherent": {
             "scenarios": [[0.0, 0.0], [1.0, 0.0]],
             "Q": {"P": [], "r": []}}})
-        _, _, risk = parse_instance_data(data)
-        assert risk.Q.dimension == 2
-        assert risk.Q.P.shape == (0, 2)
+        with pytest.warns(DegenerateScenario):
+            inst = parse_instance_data(data)
+        assert [p.a for p in inst.producers] == [1.0, 0.0]
+        assert inst.uncertainty.contains([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert not inst.uncertainty.contains([1.0 + 1e-6, 0.0])
 
     def test_emitted_instance_reloads(self, tmp_path):
-        inst, _, _ = parse_instance_data(minimal_data())
+        inst = parse_instance_data(minimal_data())
         path = tmp_path / "emitted.json"
         write_instance(str(path), instance_to_data(inst))
-        reloaded, _, _, _ = load_instance(str(path))
-        assert reloaded.N == inst.N and reloaded.T == inst.T
-        t_a, _ = tau(inst.uncertainty)
-        t_b, _ = tau(reloaded.uncertainty)
-        assert_allclose(t_a, t_b, atol=1e-9)
+        reloaded, _ = load_instance(str(path))
+        assert_same_market(reloaded, inst)
+        assert tau(reloaded.uncertainty)[0] == tau(inst.uncertainty)[0]
+
+    @PROPERTY
+    @given(markets())
+    def test_emitted_market_round_trips(self, inst):
+        text = canonical_dumps(instance_to_data(inst))
+        assert_same_market(parse_instance_data(json.loads(text)), inst)
+
+    @pytest.mark.parametrize("name", RISK_FILES)
+    def test_emitted_risk_market_reloads(self, tmp_path, name):
+        # The loaded market of a risk file, written out, is the same market:
+        # the set in inequality form and the scale as the scalings a.
+        inst, _ = load_instance(str(INSTANCES / name))
+        path = tmp_path / name
+        write_instance(str(path), instance_to_data(inst))
+        reloaded, _ = load_instance(str(path))
+        assert_same_market(reloaded, inst)
+        want, got = poa_fixed(inst), poa_fixed(reloaded)
+        for field in ("E", "C", "ratio", "tau", "bound", "rho"):
+            assert getattr(got, field) == getattr(want, field), field
 
     def test_per_period_scalings_are_not_emitted(self):
         # The schema has one scaling a per producer; writing a_by_period as
@@ -381,7 +464,9 @@ class TestPoaCommand:
         code, report = run_json(capsys, "poa", "--instance",
                                 str(INSTANCES / "mvar_example.json"))
         assert code == 0
-        assert report["results"]["risk_set_applied"] is True
+        # The VaR box with a = (0.3, 0.6), not the file's unit box with
+        # a = 1, whose market worst case is 6.
+        assert_allclose(report["results"]["C"], 4.6, atol=VALUE_TOL)
         assert_allclose(report["results"]["tau"], 1.0, atol=1e-9)
         assert_allclose(report["results"]["ratio"], 1.0, atol=VALUE_TOL)
 
@@ -389,7 +474,8 @@ class TestPoaCommand:
         code, report = run_json(capsys, "poa", "--instance",
                                 str(INSTANCES / "coherent_example.json"))
         assert code == 0
-        assert report["results"]["risk_set_applied"] is True
+        # The scenario hull, not the file's box (tau 1, C 6).
+        assert_allclose(report["results"]["C"], 5.5, atol=VALUE_TOL)
         assert_allclose(report["results"]["tau"], 0.75, atol=1e-7)
         assert report["results"]["within_bound"] is True
 
@@ -399,7 +485,7 @@ class TestPoaCommand:
                                 "--delta", "0.25", "--emit-instance",
                                 str(path))
         assert code == 0
-        _, digest, _, _ = load_instance(str(path))
+        _, digest = load_instance(str(path))
         assert digest == report["instance_digest"]
         code, resolved = run_json(capsys, "poa", "--instance", str(path))
         assert_allclose(resolved["results"]["E"], report["results"]["E"],
@@ -522,28 +608,19 @@ class TestSubsidyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "eta" in err
 
-    def test_seed_resolution_order(self, capsys, monkeypatch):
+    def test_seed_resolution_order(self, capsys):
         instance = str(INSTANCES / "subsidy_example.json")
-        # File default (options.seed = 2024).
+        # The library default.
         _, report = run_json(capsys, "subsidy", "--instance", instance)
         assert report["results"]["audit"]["seed"] == 2024
-        # Flag beats the file.
+        assert report["flags"]["seed"] == 2024
+        assert report["results"]["audit"]["samples"] == \
+            subsidy.DEFAULT_AUDIT_SAMPLES
+        # The flag beats the default.
         _, report = run_json(capsys, "subsidy", "--instance", instance,
-                             "--seed", "99")
+                             "--seed", "99", "--samples", "8")
         assert report["results"]["audit"]["seed"] == 99
-        # Environment beats the flag.
-        monkeypatch.setenv(cli.SEED_ENV, "7")
-        _, report = run_json(capsys, "subsidy", "--instance", instance,
-                             "--seed", "99")
-        assert report["results"]["audit"]["seed"] == 7
-
-    def test_bad_seed_env_is_input_error(self, capsys, monkeypatch):
-        for value in ("soon", "-1"):
-            monkeypatch.setenv(cli.SEED_ENV, value)
-            code, _, err = run_cli(capsys, "subsidy", "--instance",
-                                   str(INSTANCES / "subsidy_example.json"),
-                                   "--seed", "5")
-            assert code == 1 and cli.SEED_ENV in err, value
+        assert report["results"]["audit"]["samples"] == 8
 
     def test_fixed_demand_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "subsidy", "--instance",
@@ -709,6 +786,33 @@ class TestReportContract:
         first.pop("timing")
         second.pop("timing")
         assert canonical_dumps(first) == canonical_dumps(second)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in INSTANCES.glob("*.json")))
+    def test_commands_act_on_one_market(self, capsys, name):
+        # solve, tau and poa read a file as the same market, the risk set
+        # installed where the file has one: E is the market's worst case, C
+        # the planner's optimum and tau the set's.
+        path = str(INSTANCES / name)
+        values = {}
+        for mode in ("robust", "robust-cp"):
+            code, report = run_json(capsys, "solve", "--instance", path,
+                                    "--mode", mode)
+            assert code == 0
+            values[mode] = report["results"]["worst_case_value"]
+        code, report = run_json(capsys, "tau", "--instance", path)
+        assert code == 0
+        values["tau"] = report["results"]["tau"]
+        code, out, err = run_cli(capsys, "poa", "--instance", path,
+                                 "--format", "json")
+        if code != 0:
+            # Only a zero planner cost stops poa, and solve agrees on it.
+            assert code == 1 and "planner cost is zero" in err
+            assert values["robust-cp"] == 0.0
+            return
+        results = json.loads(out)["results"]
+        assert results["E"] == values["robust"]
+        assert results["C"] == values["robust-cp"]
+        assert results["tau"] == values["tau"]
 
     def test_report_shape(self, capsys):
         _, report = run_json(capsys, "tau", "--instance",
