@@ -4,7 +4,9 @@ Subcommands: `solve` (nominal, robust market, robust planner, expected-cost
 solves), `poa` (price-of-anarchy reports for an instance or a generated tight
 family), `subsidy` (welfare-restoring subsidies with equilibrium checks),
 `tau` and `validate-set` (uncertainty-set diagnostics; their vertex_count is
-null above 12 producers, where vertex enumeration is guarded).  Every command
+null above 12 producers, where vertex enumeration is guarded).  A poa source
+takes only the flags it reads; any other of --delta, --rho, --alpha and
+--emit-instance is an input error.  Every command
 acts on the market that `load_instance` builds from the file, the risk set
 installed where the file has one.
 
@@ -20,6 +22,7 @@ from the library defaults.
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -185,7 +188,14 @@ def _cmd_solve(args):
     return _report("solve", flags, digest, results, certificates), EXIT_OK
 
 
-_GENERATORS = ("tight-fixed", "tight-restricted", "elastic-family")
+# The value flags each poa source reads, keyed by --generate (None for
+# --instance); giving one that the source does not read is an input error.
+_POA_FLAGS = ("delta", "rho", "alpha", "emit_instance")
+_POA_READS = {None: (),
+              "tight-fixed": ("delta", "emit_instance"),
+              "tight-restricted": ("delta", "rho", "emit_instance"),
+              "elastic-family": ("alpha", "emit_instance")}
+_GENERATORS = tuple(name for name in _POA_READS if name is not None)
 
 
 def _generate_instance(args):
@@ -217,6 +227,11 @@ def _cmd_poa(args):
         raise CliError("exactly one of --instance and --generate is required")
     if args.producers < 1:
         raise CliError(f"--producers must be at least 1, got {args.producers}")
+    source = ("--instance" if args.generate is None
+              else f"--generate {args.generate}")
+    for name in _POA_FLAGS:
+        if getattr(args, name) is not None and name not in _POA_READS[args.generate]:
+            raise CliError(f"--{name.replace('_', '-')} is not read with {source}")
     flags = {"instance": args.instance, "generate": args.generate,
              "delta": args.delta, "rho": args.rho, "alpha": args.alpha,
              "producers": args.producers,
@@ -332,7 +347,10 @@ _COMMANDS = {"solve": _cmd_solve, "poa": _cmd_poa, "subsidy": _cmd_subsidy,
 # parser
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process on the first call of
+    main; parse_args keeps no state between calls."""
     parser = _Parser(prog="robust-peakload",
                      description="Robust peak-load-pricing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,9 +2,15 @@
 coordinate program tau, conversion between vertex and inequality form, and
 the per-period product lift.
 
-Every linear program over a set, tau's and validate's included, is one call
-of Polytope.maximize, which raises EmptySet for an empty set and ValueError
-for a set unbounded along the objective.
+Every linear program over a set is one call of Polytope.maximize, which
+raises EmptySet for an empty set and ValueError for a set unbounded along the
+objective.  validate's axis maxima and tau pose no program on a down-closed
+set, one with P >= 0 and r >= 0 entrywise (box, simplex, budget and VaR
+boxes): with u in U, every 0 <= v <= u is in U, so the largest t with t d in
+U along a direction d >= 0 is the least r_k / (P d)_k over the rows with
+(P d)_k > 0, and no such row means the set is unbounded along d (the same
+ValueError).  The axis maximum of coordinate i takes d = e_i; tau takes
+d = 1, with witness tau * 1.  Any other set poses maximize's LPs.
 
 Both conversions run one double description routine, which itself solves
 no linear system and has one zero tolerance, VERTEX_ZERO_TOL, on the value of
@@ -97,14 +103,35 @@ def simplex(n):
     return Polytope(n, np.ones((1, n)), np.ones(1))
 
 
+def _down_closed_reach(U: Polytope, D):
+    """The largest t with t d in U for each column d >= 0 of D, or None when
+    U is not down-closed (some entry of P or r negative).
+
+    On a down-closed set that is the least r_k / (P d)_k over the rows with
+    (P d)_k > 0; a column with no such row raises the ValueError of an
+    unbounded LP."""
+    if not (np.all(U.P >= 0.0) and np.all(U.r >= 0.0)):
+        return None
+    PD = U.P @ D
+    ratio = np.divide(U.r[:, None], PD, out=np.full(PD.shape, np.inf), where=PD > 0.0)
+    reach = np.min(ratio, axis=0, initial=np.inf)
+    if np.any(np.isinf(reach)):
+        raise ValueError("linear objective is unbounded; the set is not bounded")
+    return reach
+
+
 def tau(U: Polytope):
     """Largest t such that some u in U has every coordinate >= t.
 
-    Returns (tau, witness).  Solved as one LP over (t, u) >= 0: maximize t
-    subject to t - u_i <= 0 for each coordinate and P u <= r, the rows
-    [[1, -I], [0, P]].
+    Returns (tau, witness).  On a down-closed set, the closed form of the
+    module docstring with witness tau * 1.  Otherwise one LP over
+    (t, u) >= 0: maximize t subject to t - u_i <= 0 for each coordinate and
+    P u <= r, the rows [[1, -I], [0, P]].
     """
     n, m = U.dimension, U.P.shape[0]
+    reach = _down_closed_reach(U, np.ones((n, 1)))
+    if reach is not None:
+        return float(reach[0]), np.full(n, reach[0])
     rows = np.block([[np.ones((n, 1)), np.diag(np.full(n, -1.0))],
                      [np.zeros((m, 1)), U.P]])
     lifted = Polytope(1 + n, rows, np.concatenate([np.zeros(n), U.r]))
@@ -200,11 +227,14 @@ def validate(U: Polytope) -> ValidationReport:
     """Check the standing requirements on an uncertainty set.
 
     Valid means: contains the origin, sits inside the unit box, and projects
-    onto exactly [0, 1] on every coordinate axis.  Invalid sets produce a
-    warning, never an exception; callers read the report.
+    onto exactly [0, 1] on every coordinate axis.  The axis maxima are closed
+    forms on a down-closed set and one LP per coordinate otherwise.  Invalid
+    sets produce a warning, never an exception; callers read the report.
     """
     contains_zero = bool(np.all(U.r >= -AXIS_TOL))
-    maxima = np.array([U.maximize(e)[0] for e in np.eye(U.dimension)])
+    maxima = _down_closed_reach(U, np.eye(U.dimension))
+    if maxima is None:
+        maxima = np.array([U.maximize(e)[0] for e in np.eye(U.dimension)])
     inside_unit_box = bool(np.all(maxima <= 1.0 + AXIS_TOL))
     full_projections = bool(np.all(np.abs(maxima - 1.0) <= AXIS_TOL))
     is_valid = contains_zero and inside_unit_box and full_projections

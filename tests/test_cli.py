@@ -524,6 +524,27 @@ class TestPoaCommand:
                                      "elastic-family", "--alpha", value)
             assert code == 1 and out == "" and "alpha" in err, value
 
+    # Each poa source reads only its own flags: --instance none of the
+    # generator flags, each generator its parameters and --emit-instance.
+    @pytest.mark.parametrize("source, flag", [
+        (("--instance", str(INSTANCES / "box_fixed.json")), "--delta"),
+        (("--instance", str(INSTANCES / "box_fixed.json")), "--rho"),
+        (("--instance", str(INSTANCES / "box_fixed.json")), "--alpha"),
+        (("--instance", str(INSTANCES / "box_fixed.json")), "--emit-instance"),
+        (("--generate", "tight-fixed", "--delta", "0.5"), "--rho"),
+        (("--generate", "tight-fixed", "--delta", "0.5"), "--alpha"),
+        (("--generate", "tight-restricted", "--delta", "0.5", "--rho", "1"), "--alpha"),
+        (("--generate", "elastic-family", "--alpha", "2"), "--delta"),
+        (("--generate", "elastic-family", "--alpha", "2"), "--rho"),
+    ], ids=lambda v: v.lstrip("-") if isinstance(v, str) else v[1].split("/")[-1])
+    def test_unread_flag_is_input_error(self, capsys, tmp_path, source, flag):
+        path = tmp_path / "emitted.json"
+        value = str(path) if flag == "--emit-instance" else "0.5"
+        code, out, err = run_cli(capsys, "poa", *source, flag, value)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err.startswith("error:") and f"{flag} is not read" in err
+        assert not path.exists()
+
     def test_unwritable_emit_path_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "family.json"
         code, out, err = run_cli(capsys, "poa", "--generate", "tight-fixed",
@@ -762,6 +783,47 @@ class TestSetCommands:
         assert_allclose(report["results"]["tau"], 1.0, atol=1e-9)
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call leaves state in it."""
+
+    @staticmethod
+    def _report(capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        report = json.loads(out) if out else None
+        if report is not None:
+            report.pop("timing")
+        return code, report, err
+
+    def test_reports_match_a_first_call(self, capsys):
+        box_file = str(INSTANCES / "box_fixed.json")
+        sequence = [
+            ("poa", "--instance", box_file, "--delta", "0.5"),
+            ("poa", "--instance", box_file),
+            ("solve", "--instance", box_file, "--mode", "nominal"),
+            ("solve", "--instance", box_file),
+            ("tau", "--instance", str(INSTANCES / "coherent_example.json")),
+            ("poa", "--generate", "tight-restricted", "--delta", "0.25", "--rho", "2"),
+            ("poa", "--generate", "tight-fixed", "--delta", "0.25"),
+            ("solve", "--mode", "robust-cp"),
+            ("validate-set", "--instance", box_file),
+        ]
+        first = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            first.append(self._report(capsys, argv))
+        parser = cli._build_parser()
+        again = [self._report(capsys, argv) for argv in sequence]
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in first] == [1, 0, 0, 0, 0, 0, 0, 1, 0]
+        for argv, (code, report, err), (code2, report2, err2) in zip(sequence, first, again):
+            assert code2 == code and err2 == err, argv
+            if report is not None:
+                assert canonical_dumps(report2) == canonical_dumps(report), argv
+        assert again[2][1]["results"]["mode"] == "nominal"
+        assert again[3][1]["results"]["mode"] == "robust"
+        assert again[6][1]["flags"]["rho"] is None
+
+
 class TestReportContract:
     COMMANDS = [
         ("solve", "--instance", str(INSTANCES / "prices_reform.json")),
@@ -908,6 +970,8 @@ class TestReportContract:
         assert err.count("\n") == 1
 
     def test_numeric_breakdown_maps_to_exit_four(self, capsys, monkeypatch):
+        # The coherent file's set is a scenario hull with negative entries,
+        # so tau poses its LP; a down-closed set would pose none.
         load = cli.load_instance
 
         def breakdown(spec):
@@ -920,7 +984,7 @@ class TestReportContract:
 
         monkeypatch.setattr(cli, "load_instance", load_then_break)
         code, out, err = run_cli(capsys, "tau", "--instance",
-                                 str(INSTANCES / "prices_reform.json"))
+                                 str(INSTANCES / "coherent_example.json"))
         assert code == cli.EXIT_SOLVER and not out
         assert err.startswith("error:") and "forced" in err
         assert err.count("\n") == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -490,3 +492,106 @@ class TestMaximize:
         assert spec.constraint_matrix.tobytes() == A.tobytes()
         assert spec.constraint_rhs.tobytes() == np.concatenate([np.zeros(n), U.r]).tobytes()
         assert spec.constraint_kinds == ("<=",) * (n + m)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms on down-closed sets (P >= 0 and r >= 0 entrywise)
+
+
+@st.composite
+def down_closed_sets(draw):
+    """Nonnegative integer rows and right-hand sides, zero rows, zero
+    columns, zero right-hand sides and no rows at all included."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 4))
+    P = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    r = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    return Polytope(n, np.array(P, dtype=float).reshape(m, n), np.array(r) / 2.0)
+
+
+def _lp_twin(U):
+    """U with the redundant row -u_1 <= 0: the same set, not down-closed, so
+    validate and tau pose their LPs on it."""
+    return Polytope(U.dimension, np.vstack([U.P, -np.eye(U.dimension)[:1]]),
+                    np.concatenate([U.r, [0.0]]))
+
+
+def _validate_warnings(U):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = validate(U)
+    return report, len(caught)
+
+
+class TestDownClosed:
+    @PROPERTY
+    @given(down_closed_sets())
+    def test_axis_maxima_match_the_lp(self, U):
+        bounded = np.any(U.P > 0.0, axis=0)
+        if not np.all(bounded):
+            with pytest.raises(ValueError, match="unbounded"):
+                validate(U)
+            with pytest.raises(ValueError, match="unbounded"):
+                validate(_lp_twin(U))
+            return
+        report, warned = _validate_warnings(U)
+        lp_report, lp_warned = _validate_warnings(_lp_twin(U))
+        assert warned == lp_warned
+        assert report.is_valid_uncertainty_set == lp_report.is_valid_uncertainty_set
+        assert report.inside_unit_box == lp_report.inside_unit_box
+        assert report.contains_zero and lp_report.contains_zero
+        vertices = enumerate_vertices(U)
+        for i, e in enumerate(np.eye(U.dimension)):
+            value = report.axis_projections[i]
+            assert abs(value - U.maximize(e)[0]) <= MAXIMIZE_TOL
+            assert abs(value - max(v[i] for v in vertices)) <= MAXIMIZE_TOL
+
+    @PROPERTY
+    @given(down_closed_sets())
+    def test_tau_matches_the_lp_and_lifted_vertices(self, U):
+        if not np.any(U.P > 0.0):
+            with pytest.raises(ValueError, match="unbounded"):
+                tau(U)
+            with pytest.raises(ValueError, match="unbounded"):
+                tau(_lp_twin(U))
+            return
+        n, m = U.dimension, U.P.shape[0]
+        lifted = Polytope(1 + n, np.vstack([np.hstack([np.ones((n, 1)), -np.eye(n)]),
+                                            np.hstack([np.zeros((m, 1)), U.P])]),
+                          np.concatenate([np.zeros(n), U.r]))
+        t, witness = tau(U)
+        assert abs(t - tau(_lp_twin(U))[0]) <= MAXIMIZE_TOL
+        assert abs(t - max(v[0] for v in enumerate_vertices(lifted))) <= MAXIMIZE_TOL
+        assert U.contains(witness, tol=MAXIMIZE_TOL)
+        assert np.min(witness) == t
+
+    def test_named_sets_pose_no_lp(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("a down-closed set posed an LP")
+
+        monkeypatch.setattr(geometry, "solve_lp", refuse)
+        for U in (box(3), simplex(3), _budget(6, 2.0)):
+            report = validate(U)
+            assert report.is_valid_uncertainty_set
+            assert report.axis_projections.tolist() == [1.0] * U.dimension
+            t, witness = tau(U)
+            assert witness.tolist() == [t] * U.dimension
+        assert tau(box(3))[0] == 1.0
+        assert tau(simplex(3))[0] == 1.0 / 3.0
+        assert tau(_budget(6, 2.0))[0] == 2.0 / 6.0
+
+    def test_hull_poses_its_lps(self, monkeypatch):
+        posed = []
+
+        def count(spec):
+            posed.append(spec)
+            return solve_lp(spec)
+
+        monkeypatch.setattr(geometry, "solve_lp", count)
+        U = hull_to_inequalities(HULL_POINTS)
+        assert np.any(U.P < 0.0)
+        validate(U)
+        assert len(posed) == U.dimension
+        tau(U)
+        assert len(posed) == U.dimension + 1
