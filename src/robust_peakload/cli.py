@@ -195,7 +195,6 @@ _POA_READS = {None: (),
               "tight-fixed": ("delta", "emit_instance"),
               "tight-restricted": ("delta", "rho", "emit_instance"),
               "elastic-family": ("alpha", "emit_instance")}
-_GENERATORS = tuple(name for name in _POA_READS if name is not None)
 
 
 def _generate_instance(args):
@@ -366,7 +365,7 @@ def _build_parser():
 
     poa = sub.add_parser("poa", help="price-of-anarchy report")
     poa.add_argument("--instance")
-    poa.add_argument("--generate", choices=list(_GENERATORS))
+    poa.add_argument("--generate", choices=[name for name in _POA_READS if name])
     poa.add_argument("--delta", type=float)
     poa.add_argument("--rho", type=float)
     poa.add_argument("--alpha", type=float)
