@@ -5,8 +5,8 @@ solves), `poa` (price-of-anarchy reports for an instance or a generated tight
 family), `subsidy` (welfare-restoring subsidies with equilibrium checks),
 `tau` and `validate-set` (uncertainty-set diagnostics; their vertex_count is
 null above 12 producers, where vertex enumeration is guarded).  A poa source
-takes only the flags it reads; any other of --delta, --rho, --alpha and
---emit-instance is an input error.  Every command
+takes only the flags it reads; any other of --delta, --rho, --alpha,
+--producers and --emit-instance is an input error.  Every command
 acts on the market that `load_instance` builds from the file, the risk set
 installed where the file has one.
 
@@ -190,29 +190,29 @@ def _cmd_solve(args):
 
 # The value flags each poa source reads, keyed by --generate (None for
 # --instance); giving one that the source does not read is an input error.
-_POA_FLAGS = ("delta", "rho", "alpha", "emit_instance")
+_POA_FLAGS = ("delta", "rho", "alpha", "producers", "emit_instance")
 _POA_READS = {None: (),
-              "tight-fixed": ("delta", "emit_instance"),
-              "tight-restricted": ("delta", "rho", "emit_instance"),
+              "tight-fixed": ("delta", "producers", "emit_instance"),
+              "tight-restricted": ("delta", "rho", "producers", "emit_instance"),
               "elastic-family": ("alpha", "emit_instance")}
 
 
 def _generate_instance(args):
     """Build the requested family member and its closed-form values (closed
-    forms cover the 2-simplex tight families and the elastic family)."""
+    forms cover the 2-simplex tight families and the elastic family).  The
+    tight families span the simplex of --producers, 2 when it is absent."""
+    producers = 2 if args.producers is None else args.producers
     if args.generate == "tight-fixed":
         if args.delta is None:
             raise CliError("--generate tight-fixed requires --delta")
-        inst = gen_tight_instance_fixed(simplex(args.producers), args.delta)
-        closed = tight_fixed_values(args.delta) if args.producers == 2 else None
+        inst = gen_tight_instance_fixed(simplex(producers), args.delta)
+        closed = tight_fixed_values(args.delta) if producers == 2 else None
     elif args.generate == "tight-restricted":
         if args.delta is None or args.rho is None:
             raise CliError("--generate tight-restricted requires "
                            "--delta and --rho")
-        inst = gen_tight_instance_restricted(simplex(args.producers),
-                                             args.rho, args.delta)
-        closed = (tight_restricted_values(args.rho, args.delta)
-                  if args.producers == 2 else None)
+        inst = gen_tight_instance_restricted(simplex(producers), args.rho, args.delta)
+        closed = tight_restricted_values(args.rho, args.delta) if producers == 2 else None
     else:
         if args.alpha is None:
             raise CliError("--generate elastic-family requires --alpha")
@@ -224,7 +224,7 @@ def _generate_instance(args):
 def _cmd_poa(args):
     if (args.instance is None) == (args.generate is None):
         raise CliError("exactly one of --instance and --generate is required")
-    if args.producers < 1:
+    if args.producers is not None and args.producers < 1:
         raise CliError(f"--producers must be at least 1, got {args.producers}")
     source = ("--instance" if args.generate is None
               else f"--generate {args.generate}")
@@ -369,8 +369,9 @@ def _build_parser():
     poa.add_argument("--delta", type=float)
     poa.add_argument("--rho", type=float)
     poa.add_argument("--alpha", type=float)
-    poa.add_argument("--producers", type=int, default=2,
-                     help="simplex dimension for the tight generators")
+    poa.add_argument("--producers", type=int,
+                     help="simplex dimension for the tight generators "
+                          "(default 2)")
     poa.add_argument("--emit-instance",
                      help="write the generated instance to this path")
     poa.add_argument("--format", default="text", choices=["text", "json"])

@@ -16,7 +16,11 @@ variable bounds.
 
 Both kernels see only rows and v >= 0: solve_lp and solve_qp shift x to
 v = x - lb and fold each finite upper bound in as a "<=" row (_folded),
-while _certificate keeps judging the stated program.
+once per solve, and _certificate judges that same folded program.  Past
+LpSpec's checks the bounds are read only there, in the shifts x = v + lb
+and c + Q lb, and in _map_back, which maps the stated reduced costs onto
+the folded rows (a reduced cost on the side of a finite upper bound is
+that bound row's dual, the rest price v >= 0).
 
 Both kernels pivot one standard form (_Tableau) that holds only the
 condensed tableau D = B^-1 A_N (Chvatal, Linear Programming, 1983, ch. 7);
@@ -66,18 +70,20 @@ degenerate simplex pivot and needs no direction.  After more stalled
 whichever is larger, pricing takes the smallest improving index instead
 (Bland, 1977), as the simplex does after _STALL_LIMIT; the iteration limit
 stays as a guard against rounding.  At the end the basics are recomputed
-from B and the superbasic columns, and the row duals are y = B^-T g_B.  The
+from B and the superbasic columns, and the row duals are y = B^-T g_B, by
+the readout the simplex ends in too (_Tableau.read_out).  The
 "=" duals, not unique when those rows are dependent, are reported as the
 minimum-norm split of the same E' duals (one least-squares solve), so the
 copies of a repeated row share its multiplier evenly.  A QP's iterations
 are its phase-1 pivots plus its phase-2 steps.
 
 Both solvers end in one builder, _optimal: it forms the reduced costs, the
-certificate (_certificate: four KKT residuals, each relative to the size of
-the terms it sums, the duality gap being the complementarity mass for both
-solvers) and the optimal SolveOutcome.  The residuals sit near machine
-precision, and an optimum whose largest residual exceeds CERT_TOL raises
-NumericBreakdown rather than reaching the caller.
+certificate (_certificate: four KKT residuals of the folded program over
+its rows and v >= 0 alone, each relative to the size of the terms it sums,
+the duality gap being the complementarity mass for both solvers) and the
+optimal SolveOutcome.  The residuals sit near machine precision, and an
+optimum whose largest residual exceeds CERT_TOL raises NumericBreakdown
+rather than reaching the caller.
 
 The curvature scale: Q's largest |eigenvalue|, from the eigenvalues the
 convexity check computes.  Q is rejected as not convex below -1e-9 times
@@ -226,8 +232,9 @@ class QpSpec(LpSpec):
 @dataclass
 class SolveOutcome:
     """Solution record.  Only an optimal solve fills the primal, objective,
-    duals and reduced_costs fields (None otherwise), and its certificate
-    holds the four scaled residuals of _certificate, each at most CERT_TOL.
+    duals and reduced_costs fields (None otherwise), all of the stated
+    program, and its certificate holds the four scaled residuals with which
+    _certificate judges the folded program, each at most CERT_TOL.
     An infeasible solve's certificate holds its phase-1 objective, or, for
     an LP solved from its dual, {"dual_unbounded": True}; an unbounded
     solve's is empty."""
@@ -451,11 +458,30 @@ class _Tableau:
         real = self.nonbasic < self.n_real
         self.D, self.nonbasic = self.D[:, real], self.nonbasic[real]
 
+    def read_out(self, w, moved, gradient):
+        """The optimum (v, row duals) at the final basis, recomputed from
+        the original data to clear the tableau's drift: D is dropped first,
+        the basics are solved from B and the moved (superbasic) columns at
+        their values in w, and the row duals are y = B^-T g_B, g being
+        gradient(v) on v and zero on the slacks.  A singular B raises
+        NumericBreakdown."""
+        self.D = None
+        B = self.columns(self.basis)
+        g = np.zeros(self.n_all)
+        try:
+            w[self.basis] = np.linalg.solve(B, self.b - self.columns(moved) @ w[moved])
+            g[: self.n] = gradient(w[: self.n])
+            y = np.linalg.solve(B.T, g[self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericBreakdown("optimal basis is numerically singular") from exc
+        return w[: self.n], self.flips * y
+
 
 def _simplex(c_int, A, kinds, b):
     """_lp_internal's primal path: the two-phase simplex from the slack
     start.  Only the condensed tableau is held (see the module docstring),
-    and the final B is built from the basic columns alone."""
+    and the optimum is read out at the final basis with no moved columns
+    and the constant gradient c_int."""
     t = _Tableau(A, kinds, b)
     iterations, infeasible = t.phase_one()
     if infeasible:
@@ -466,25 +492,14 @@ def _simplex(c_int, A, kinds, b):
     iterations += it
     if status == "unbounded":
         return "unbounded", iterations, {}
-
-    # Recompute primal and dual values from the optimal basis and the
-    # original data, clearing accumulated tableau drift; D goes first.
-    t.D = None
-    B = t.columns(t.basis)
-    try:
-        x_basic = np.linalg.solve(B, t.b)
-        y = np.linalg.solve(B.T, cost[t.basis])
-    except np.linalg.LinAlgError as exc:
-        raise NumericBreakdown("optimal basis is numerically singular") from exc
-    w = np.zeros(t.n_all)
-    w[t.basis] = x_basic
-    return "optimal", iterations, (w[: t.n], t.flips * y)
+    return "optimal", iterations, t.read_out(np.zeros(t.n_all), np.zeros(0, int),
+                                             lambda v: c_int)
 
 
 def _folded(spec):
     """(A, kinds, b): the rows of `spec` over v = x - lb, each finite upper
     bound folded in as a "<=" row after them.  Both kernels see only these
-    rows and v >= 0; _certificate still judges the stated spec."""
+    rows and v >= 0, and _certificate judges the same program."""
     n, lb, ub = spec.n_vars, spec.variable_lower_bounds, spec.variable_upper_bounds
     ub_rows = np.flatnonzero(np.isfinite(ub))
     return (np.vstack([spec.constraint_matrix, np.eye(n)[ub_rows]]),
@@ -493,72 +508,73 @@ def _folded(spec):
                             ub[ub_rows] - lb[ub_rows]]))
 
 
-def _violation(spec, x):
-    """(violation, A x - b, bound scale) of `spec` at x: its largest row or
-    bound violation, and 1 + the largest |b|, |lb| or finite |ub|."""
-    A, b, lb, ub = (spec.constraint_matrix, spec.constraint_rhs,
-                    spec.variable_lower_bounds, spec.variable_upper_bounds)
-    kinds = np.array(spec.constraint_kinds, dtype="U2")
-    resid = A @ x - b
-    finite_ub = np.isfinite(ub)
+def _violation(rows, v):
+    """(violation, A v - b, 1 + max |b|) of the folded rows (A, kinds, b)
+    at v: the largest row violation or negative entry of v."""
+    A, kinds, b = rows
+    resid = A @ v - b
     violation = np.concatenate([np.where(kinds == "=", np.abs(resid),
                                          np.where(kinds == ">=", -resid, resid)),
-                                lb - x, (x - ub)[finite_ub]]).max(initial=0.0)
-    return violation, resid, 1.0 + np.abs(np.concatenate([b, lb, ub[finite_ub]])).max(initial=0.0)
+                                -v]).max(initial=0.0)
+    return violation, resid, 1.0 + np.abs(b).max(initial=0.0)
 
 
-def _certificate(spec, x, duals, reduced):
-    """KKT residuals of `spec` at (x, duals, reduced), each relative to the
-    size of the terms it sums: primal residuals are divided by
-    1 + ||b||_inf + || |A| |x| ||_inf, the finite bounds counted among the
-    rows (A, b); dual residuals by 1 + ||g||_inf + || |A'| |duals| ||_inf,
-    g = A' duals + reduced being the objective gradient; complementarity,
-    the largest single product, and the duality gap, the total
-    complementarity mass, by the product of the two.  So a solve at large
-    |x| is judged by its relative accuracy.  For an LP the primal minus the
-    dual objective is the signed sum of the same complementarity terms.
+def _map_back(spec, x, duals, reduced):
+    """The stated (x, duals, reduced) of `spec` as the folded program's
+    (v, row duals, reduced costs of v >= 0), in the kernels' min
+    convention: v = x - lb, and a reduced cost on the side of a finite
+    upper bound becomes that bound row's dual, the rest pricing v >= 0."""
+    sign = 1.0 if spec.objective_sense == "min" else -1.0
+    capped = np.isfinite(spec.variable_upper_bounds)
+    reduced = sign * reduced
+    upper = np.where(capped & (reduced < 0.0), reduced, 0.0)
+    return (x - spec.variable_lower_bounds, np.concatenate([sign * duals, upper[capped]]),
+            reduced - upper)
+
+
+def _certificate(spec, rows, x, duals, reduced):
+    """KKT residuals at the stated (x, duals, reduced) of `spec`, judged on
+    its folded rows = _folded(spec) over v >= 0 after _map_back, each
+    relative to the size of the terms it sums: primal residuals are divided
+    by 1 + ||b||_inf + || |A| |v| ||_inf; dual residuals by
+    1 + ||g||_inf + || |A'| |y| ||_inf, g = A' y + r being the objective
+    gradient; complementarity, the largest single product, and the duality
+    gap, the total complementarity mass, by the product of the two.  So a
+    solve at large |x| is judged by its relative accuracy.  For an LP the
+    primal minus the dual objective is the signed sum of the same
+    complementarity terms.
 
     Returns (primal, dual, complementarity, duality_gap).
     """
-    A, lb, ub = spec.constraint_matrix, spec.variable_lower_bounds, spec.variable_upper_bounds
-    kinds = np.array(spec.constraint_kinds, dtype="U2")
-    eq = kinds == "="
-    up = np.where(kinds == ">=", -1.0, 1.0)
-    sign = 1.0 if spec.objective_sense == "min" else -1.0
-    violation, resid, bound_scale = _violation(spec, x)
-    finite_ub = np.isfinite(ub)
-    # Bound sides of the reduced costs: a nonzero reduced cost on the side
-    # that blocks the improving direction prices the lower bound, otherwise
-    # the (finite) upper bound; with no upper bound it is dual infeasible.
-    priced = np.abs(reduced) > 1e-12
-    lower = priced & (sign * reduced > 0)
-    upper = priced & ~lower & finite_ub
-    bound = np.where(lower, lb, np.where(upper, ub, 0.0))
-    bound_slack = np.abs(reduced * (x - bound)) * (lower | upper)
+    A, kinds, _ = rows
+    v, y, r = _map_back(spec, x, duals, reduced)
+    violation, resid, b_scale = _violation(rows, v)
+    v_slack = np.abs(r * v)
     # max(0.0, ...) turns the -0.0 that max returns for all -0.0 entries
     # into 0.0, so the certificate never reports a signed zero.
     primal = max(0.0, violation)
-    dual = max(0.0, np.concatenate([(sign * up * duals)[~eq],
-                                    np.abs(reduced[priced & ~(lower | finite_ub)])]).max(initial=0.0))
-    comp = max(np.abs(duals * resid).max(initial=0.0), bound_slack.max(initial=0.0))
-    mass = abs(float(duals @ resid)) + float(bound_slack.sum())
+    dual = max(0.0, np.concatenate([np.where(kinds == ">=", -y, y)[kinds != "="],
+                                    -r]).max(initial=0.0))
+    comp = max(np.abs(y * resid).max(initial=0.0), v_slack.max(initial=0.0))
+    mass = abs(float(y @ resid)) + float(v_slack.sum())
 
-    abs_A, abs_x = np.abs(A), np.abs(x)
-    primal_scale = bound_scale + (abs_A @ abs_x).max(initial=abs_x.max(initial=0.0))
-    dual_scale = (1.0 + np.abs(reduced + A.T @ duals).max(initial=0.0)
-                  + (np.abs(duals) @ abs_A).max(initial=0.0))
+    abs_A, abs_v = np.abs(A), np.abs(v)
+    primal_scale = b_scale + (abs_A @ abs_v).max(initial=abs_v.max(initial=0.0))
+    dual_scale = (1.0 + np.abs(r + A.T @ y).max(initial=0.0)
+                  + (np.abs(y) @ abs_A).max(initial=0.0))
     scale = primal_scale * dual_scale
     return primal / primal_scale, dual / dual_scale, comp / scale, mass / scale
 
 
-def _optimal(spec, x, duals, grad, objective, iterations):
+def _optimal(spec, rows, x, duals, grad, objective, iterations):
     """The optimal SolveOutcome at (x, duals), with grad the objective
-    gradient at x: the one place either solver builds it.  It forms the
-    reduced costs grad - A' duals and the certificate, and raises
-    NumericBreakdown when a scaled residual exceeds CERT_TOL, so a wrong
-    primal or dual never reaches the caller as "optimal"."""
+    gradient at x and rows = _folded(spec), folded once by the caller: the
+    one place either solver builds it.  It forms the reduced costs
+    grad - A' duals and the certificate, and raises NumericBreakdown when a
+    scaled residual exceeds CERT_TOL, so a wrong primal or dual never
+    reaches the caller as "optimal"."""
     reduced = grad - spec.constraint_matrix.T @ duals
-    residuals = [float(r) for r in _certificate(spec, x, duals, reduced)]
+    residuals = [float(r) for r in _certificate(spec, rows, x, duals, reduced)]
     if not max(residuals) <= CERT_TOL:
         raise NumericBreakdown(f"optimality certificate fails: largest scaled KKT "
                                f"residual {max(residuals):.3e} exceeds CERT_TOL {CERT_TOL:g}")
@@ -569,19 +585,18 @@ def _optimal(spec, x, duals, grad, objective, iterations):
 
 def solve_lp(spec: LpSpec) -> SolveOutcome:
     """Solve an LpSpec; statuses optimal/infeasible/unbounded, never an abort."""
-    lb = spec.variable_lower_bounds
     c_stated = spec.cost
     c_int = c_stated if spec.objective_sense == "min" else -c_stated
-
-    status, iterations, found = _lp_internal(c_int, *_folded(spec))
+    rows = _folded(spec)
+    status, iterations, found = _lp_internal(c_int, *rows)
     if status != "optimal":
         return SolveOutcome(status, iterations, found)
 
     v, duals_int = found
-    x = v + lb
+    x = v + spec.variable_lower_bounds
     duals_int = duals_int[: spec.n_rows]
     duals = duals_int if spec.objective_sense == "min" else -duals_int
-    return _optimal(spec, x, duals, c_stated, float(c_stated @ x), iterations)
+    return _optimal(spec, rows, x, duals, c_stated, float(c_stated @ x), iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -724,28 +739,17 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
     else:
         raise NumericBreakdown("QP iteration limit exceeded")
     iterations += step - 1
-
-    # Recompute the basics from B and the superbasic columns, then the row
-    # duals y = B^-T g_B, from the original data; D goes first.
-    del D
-    t.D = None
-    moved = nonbasic[sup]
-    B = t.columns(basis)
-    try:
-        w[basis] = np.linalg.solve(B, t.b - t.columns(moved) @ w[moved])
-        grad[:n] = Q @ w[:n] + c
-        y = np.linalg.solve(B.T, grad[basis])
-    except np.linalg.LinAlgError as exc:
-        raise NumericBreakdown("optimal basis is numerically singular") from exc
-    return "optimal", iterations, (w[:n], t.flips * y)
+    del D  # read_out frees the tableau before it builds B
+    return "optimal", iterations, t.read_out(w, nonbasic[sup], lambda v: Q @ v + c)
 
 
 def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
     """Solve a QpSpec by the reduced-gradient method, with dual extraction.
     The iteration starts from `start`, a feasible point the caller knows,
-    when one is given, and otherwise from phase 1.  A start that violates a
-    row or a bound by more than FEAS_TOL, scaled as _certificate scales its
-    primal residual's bounds, raises ValueError."""
+    when one is given, and otherwise from phase 1.  The start is judged on
+    the folded rows at start - lb, as _certificate judges them: one that
+    violates a row, a folded upper bound or v >= 0 by more than FEAS_TOL
+    times 1 + the largest folded |right-hand side| raises ValueError."""
     n = spec.n_vars
     Q_stated = spec.quadratic_matrix
     c_stated = spec.cost
@@ -761,14 +765,14 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
                         f"largest |eigenvalue| {curvature:.3e}")
 
     lb = spec.variable_lower_bounds
+    rows = _folded(spec)
     if start is not None:
-        x = _as_vector(start, n, "start")
-        violation, _, scale = _violation(spec, x)
+        v = _as_vector(start, n, "start") - lb
+        violation, _, scale = _violation(rows, v)
         if not violation <= FEAS_TOL * scale:
             raise ValueError(f"start violates the constraints by {violation:.3e}")
-        start = np.maximum(x - lb, 0.0)
-    A, kinds, b = _folded(spec)
-    status, iterations, found = _qp_internal(Q, c + Q @ lb, A, kinds, b, curvature, start)
+        start = np.maximum(v, 0.0)
+    status, iterations, found = _qp_internal(Q, c + Q @ lb, *rows, curvature, start)
     if status != "optimal":
         return SolveOutcome(status, iterations, found)
 
@@ -778,9 +782,9 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
     # The "=" duals are not unique when those rows are dependent; they are
     # reported as the minimum-norm split of the same E' duals, so copies of
     # a repeated row share its multiplier evenly.
-    eq = kinds[: spec.n_rows] == "="
+    eq = rows[1][: spec.n_rows] == "="
     if eq.any():
         E = spec.constraint_matrix[eq]
         duals[eq] = np.linalg.lstsq(E.T, E.T @ duals[eq], rcond=None)[0]
-    return _optimal(spec, x, duals, Q_stated @ x + c_stated,
+    return _optimal(spec, rows, x, duals, Q_stated @ x + c_stated,
                     float(c_stated @ x + 0.5 * x @ Q_stated @ x), iterations)

@@ -453,6 +453,20 @@ class TestPoaCommand:
         assert "closed_form" not in report["certificates"]
         assert_allclose(report["results"]["ratio"], 2.8, atol=VALUE_TOL)
 
+    @pytest.mark.parametrize("family", [
+        ("tight-fixed", "--delta", "0.3"),
+        ("tight-restricted", "--delta", "0.3", "--rho", "2"),
+    ], ids=lambda v: v[0])
+    def test_tight_families_default_to_two_producers(self, capsys, family):
+        code, default = run_json(capsys, "poa", "--generate", *family)
+        assert code == 0 and default["flags"]["producers"] is None
+        code, two = run_json(capsys, "poa", "--generate", *family, "--producers", "2")
+        assert code == 0 and two["flags"]["producers"] == 2
+        for report in (default, two):
+            del report["flags"], report["timing"]
+        assert default == two
+        assert "closed_form" in default["certificates"]
+
     def test_box_instance_ratio_one(self, capsys):
         code, report = run_json(capsys, "poa", "--instance",
                                 str(INSTANCES / "box_fixed.json"))
@@ -536,10 +550,12 @@ class TestPoaCommand:
         (("--generate", "tight-restricted", "--delta", "0.5", "--rho", "1"), "--alpha"),
         (("--generate", "elastic-family", "--alpha", "2"), "--delta"),
         (("--generate", "elastic-family", "--alpha", "2"), "--rho"),
+        (("--instance", str(INSTANCES / "box_fixed.json")), "--producers"),
+        (("--generate", "elastic-family", "--alpha", "2"), "--producers"),
     ], ids=lambda v: v.lstrip("-") if isinstance(v, str) else v[1].split("/")[-1])
     def test_unread_flag_is_input_error(self, capsys, tmp_path, source, flag):
         path = tmp_path / "emitted.json"
-        value = str(path) if flag == "--emit-instance" else "0.5"
+        value = {"--emit-instance": str(path), "--producers": "3"}.get(flag, "0.5")
         code, out, err = run_cli(capsys, "poa", *source, flag, value)
         assert code == cli.EXIT_INPUT and out == ""
         assert err.startswith("error:") and f"{flag} is not read" in err

@@ -14,6 +14,7 @@ from robust_peakload.solver import (
     NumericBreakdown,
     QpSpec,
     _certificate,
+    _folded,
     _optimal,
     solve_lp,
     solve_qp,
@@ -554,7 +555,12 @@ CERTIFIED = pytest.mark.parametrize("solve, spec", [
     # min (x1^2 + x2^2) / 2 s.t. x1 + x2 = 2, x1 <= 3: x = (1, 1).
     (solve_qp, QpSpec("min", [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 3.0],
                       ["=", "<="], quadratic_matrix=np.eye(2))),
-], ids=["lp", "qp"])
+    # max x1 + 2 x2 s.t. x1 + x2 <= 4, x1 - x2 >= -1, (1, 0.5) <= x <= (inf, 2):
+    # x = (2, 2), the upper bound of x2 binding with reduced cost 1.
+    (solve_lp, LpSpec("max", [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [4.0, -1.0],
+                      ["<=", ">="], variable_lower_bounds=[1.0, 0.5],
+                      variable_upper_bounds=[np.inf, 2.0])),
+], ids=["lp", "qp", "bounded-lp"])
 
 
 def _gradient(spec, x):
@@ -576,7 +582,7 @@ class TestCertificate:
         assert out.status == "optimal"
 
         def residuals(x):
-            return _certificate(spec, x, out.duals, out.reduced_costs)
+            return _certificate(spec, _folded(spec), x, out.duals, out.reduced_costs)
 
         assert max(residuals(out.primal)) <= CERT_TOL
         x = out.primal.copy()
@@ -594,14 +600,15 @@ class TestOptimalGate:
     @pytest.mark.parametrize("entry", [0, 1])
     def test_perturbed_entry_raises(self, solve, spec, field, entry):
         out = solve(spec)
-        rebuilt = _optimal(spec, out.primal, out.duals, _gradient(spec, out.primal),
-                           out.objective, out.iterations)
+        rebuilt = _optimal(spec, _folded(spec), out.primal, out.duals,
+                           _gradient(spec, out.primal), out.objective, out.iterations)
         assert rebuilt.certificate == out.certificate
         assert rebuilt.reduced_costs.tobytes() == out.reduced_costs.tobytes()
         x, duals = out.primal.copy(), out.duals.copy()
         (x if field == "primal" else duals)[entry] += 1e-3
         with pytest.raises(NumericBreakdown, match="certificate"):
-            _optimal(spec, x, duals, _gradient(spec, x), out.objective, out.iterations)
+            _optimal(spec, _folded(spec), x, duals, _gradient(spec, x), out.objective,
+                     out.iterations)
 
 
 class TestQpAgainstClosedForms:

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from oracles import planner_lps
-from robust_peakload.solver import CERT_TOL, LpSpec, QpSpec, _certificate, solve_lp, solve_qp
+from robust_peakload.solver import (CERT_TOL, LpSpec, QpSpec, _certificate, _folded, solve_lp,
+                                    solve_qp)
 
 OBJ_TOL = 1e-7
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -139,7 +140,7 @@ def _highs_certificate(spec, res):
     duals[~eq] = sign * flip * res.ineqlin.marginals
     duals[eq] = sign * res.eqlin.marginals
     reduced = sign * (res.lower.marginals + res.upper.marginals)
-    primal, dual, comp, _ = _certificate(spec, res.x, duals, reduced)
+    primal, dual, comp, _ = _certificate(spec, _folded(spec), res.x, duals, reduced)
     finite_ub = np.isfinite(spec.variable_upper_bounds)
     bound_terms = (res.lower.marginals @ spec.variable_lower_bounds
                    + res.upper.marginals[finite_ub] @ spec.variable_upper_bounds[finite_ub])
@@ -246,4 +247,5 @@ class TestZeroCurvatureQpAgainstHighs:
         assert out.status == status
         if status == "optimal":
             assert abs(out.objective - objective) <= OBJ_TOL * (1.0 + abs(objective))
-            assert max(_certificate(spec, out.primal, out.duals, out.reduced_costs)) <= CERT_TOL
+            assert max(_certificate(spec, _folded(spec), out.primal, out.duals,
+                                    out.reduced_costs)) <= CERT_TOL
