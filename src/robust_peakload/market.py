@@ -14,7 +14,10 @@ programs that need more variables append them after y.  The private block
 builders here (_capacity_rows, _clearing_rows, _welfare_hessian,
 _welfare_gradient) are the only code that lays rows out over x and y.
 _solve is the only code that turns the demand mode into a solver call (a
-cost-minimal LP or a welfare-maximal QP).  _dispatch is the one second
+cost-minimal LP or a welfare-maximal QP).  One fixed-demand planner poses no
+program: at production costs constant over the periods, solve_fixed_dispatch
+takes the screening curves (_screening), a closed form over the sorted
+demands, and poses the LP only at costs that vary.  _dispatch is the one second
 stage, production's best response at pinned capacities: at pinned
 capacities each period is a dispatch at one node, so it is solved in closed
 form over a whole stack of scenarios, with no solver call per scenario.
@@ -324,9 +327,52 @@ def _pinned_inputs(inst: MarketInstance, y_star, u):
     return np.maximum(y_star, 0.0), u[None]
 
 
+def _screening(inst: MarketInstance, costs) -> EquilibriumSolution:
+    """The fixed-demand planner at production costs constant over the
+    periods (an N x T matrix of equal columns), by screening curves over the
+    load-duration curve (Steiner, QJE 71, 1957; Boiteux, J. Business 33,
+    1960), with no solver call.
+
+    With the demands sorted in descending order, d_(1) >= ... >= d_(T) and
+    d_(T+1) = 0, layer k has height d_(k) - d_(k+1) and is served in k
+    periods, so it goes to the producer whose screening curve
+    c_inv_i + k c_i is least, the lowest index on ties.  y_i is the sum of
+    its layers and production is _dispatch at y, whose value is the plan's
+    cost.  With g(k) = min_i (c_inv_i + k c_i) and g(0) = 0, the price of
+    the k-th highest period is g(k) - g(k-1), an optimal clearing dual: g is
+    concave, so sum_t (pi_t - c_i)^+ = max_K (g(K) - K c_i) <= c_inv_i, and
+    sum_t d_t pi_t = sum_k (d_(k) - d_(k+1)) g(k) is the plan's cost.
+
+    Tie rule: periods of equal demand have no unique clearing dual, so each
+    group of them gets one price, the mean of its increments.  That is still
+    an optimal dual: sum_t (pi_t - c_i)^+ is convex and symmetric in the
+    group's prices, so averaging them cannot raise it, and sum_t d_t pi_t
+    does not change."""
+    T = inst.T
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    order = np.argsort(-inst.demand.d, kind="stable")
+    ranked = inst.demand.d[order]
+    curves = c_inv[:, None] + costs[:, :1] * np.arange(1, T + 1)
+    owner = np.argmin(curves, axis=0)
+    y = np.bincount(owner, weights=ranked - np.append(ranked[1:], 0.0), minlength=inst.N)
+    increments = np.diff(curves[owner, np.arange(T)], prepend=0.0)
+    starts = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
+    sizes = np.diff(np.append(starts, T))
+    prices = np.empty(T)
+    prices[order] = np.repeat(np.add.reduceat(increments, starts) / sizes, sizes)
+    out = _dispatch(inst, y, costs[None])
+    return EquilibriumSolution(prices, y, out.x[0], float(out.value[0]))
+
+
 def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray) -> EquilibriumSolution:
     """Cost-minimal plan meeting fixed demand exactly at the given N x T
-    production costs; prices are the duals of the T clearing rows."""
+    production costs, with clearing prices.  Costs constant over the periods
+    take the screening curves (_screening, with its tie rule at equal
+    demands) and pose no solver call; other costs pose the LP, whose prices
+    are the duals of its T clearing rows."""
+    costs = np.asarray(costs, dtype=float)
+    if np.all(costs == costs[:, :1]):
+        return _screening(inst, costs)
     N, T = inst.N, inst.T
     out = _solve(inst, *_fixed_program(inst, costs), "fixed-demand planner program")
     x = out.primal[: N * T].reshape(N, T)

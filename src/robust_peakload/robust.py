@@ -14,7 +14,9 @@ never re-solving the adversary.
 
 Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
-adversarial scenario as an N x T matrix.  Scenarios and productions share
+adversarial scenario as an N x T matrix.  When the per-period set contains
+its greatest element (_corner), that element in every period is the worst
+case of every plan, and the fixed-demand solves pose no adversary program.  Scenarios and productions share
 one coordinate order, fixed by geometry.lift_product: lifted coordinate
 i*T + t is entry (i, t), so a scenario flattens by u.reshape(-1) like the x
 variables of a program, and the adversary of coordinate k prices variable
@@ -223,8 +225,14 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
 
     Returns (surcharge value, N x T scenario).  The surcharge is
     max over u in the lifted set of sum_{i,t} a_{i,t} u_{i,t} x_{i,t}.
+    When the per-period set contains its greatest element (_corner) and the
+    plan is nonnegative, that element in every period is the scenario, with
+    no solver call; otherwise it is the lifted set's LP.
     """
     gains = scaling_matrix(inst) * np.asarray(x, dtype=float)
+    corner = _corner(inst)
+    if corner is not None and np.all(gains >= 0.0):
+        return float(np.sum(gains * corner)), corner
     value, u_vec = lifted_set(inst).maximize(gains.reshape(-1))
     return value, u_vec.reshape(inst.N, inst.T)
 
@@ -296,6 +304,17 @@ def _strict_scenario(inst: MarketInstance) -> np.ndarray:
     return np.tile(maxima[:, None], (1, inst.T))
 
 
+def _corner(inst: MarketInstance):
+    """The per-period set's greatest element m, its point of axis maxima, in
+    every period (_strict_scenario), or None when the set does not contain
+    m (Polytope.contains).  No point of the set exceeds m in any coordinate,
+    so with a >= 0 it is a worst case for every nonnegative plan.  Box and
+    VaR-box sets contain it; among valid sets, exactly those with tau = 1
+    do."""
+    m = inst.uncertainty_report.axis_projections
+    return _strict_scenario(inst) if inst.uncertainty.contains(m) else None
+
+
 def solve_robust_market_fixed(inst: MarketInstance):
     """Strict robust market equilibrium, its worst-case total cost E_R, and
     the adversary's answer to the market plan.
@@ -303,10 +322,12 @@ def solve_robust_market_fixed(inst: MarketInstance):
     Producers hedge against their individual worst case, which shifts every
     production cost to c_var + a times the coordinate's maximum over the set
     (1 for a valid uncertainty set); prices are the clearing duals of that
-    shifted program.  E_R evaluates the resulting plan against the actual
-    worst scenario in the lifted set.  Returns (solution, E_R, worst), worst
-    being that N x T scenario from worst_case_scenario: the planners'
-    (solution, value, worst_u) shape.
+    shifted program.  Those costs are constant over the periods unless some
+    a_by_period varies, so solve_fixed_dispatch takes its screening curves.
+    E_R evaluates the resulting plan against the actual worst scenario in
+    the lifted set, the greatest element on a set that contains it.  Returns
+    (solution, E_R, worst), worst being that N x T scenario from
+    worst_case_scenario: the planners' (solution, value, worst_u) shape.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("fixed-demand robust market requires Fixed demand")
@@ -318,29 +339,38 @@ def solve_robust_market_fixed(inst: MarketInstance):
 
 
 def solve_robust_cp_fixed(inst: MarketInstance):
-    """Robust central planner under fixed demand via adversary dualization.
+    """Robust central planner under fixed demand.
 
-    Returns (solution, C_R, worst_u).  The solution's prices are the duals of
-    the market-clearing rows of the dualized program, and worst_u is read
-    off the duals of its adversary rows (_readout), so the saddle property
-    total_cost(x*, y*, worst_u) = C_R holds within SADDLE_TOL or
+    Returns (solution, C_R, worst_u).  When the per-period set contains its
+    greatest element m (_corner), m is a worst case for every plan, so the
+    planner is the nominal planner at costs c_var + a m, that is the strict
+    robust market, C_R = E_R (solve_fixed_dispatch: screening curves unless
+    some a_by_period varies), and worst_u is m in every period.  Otherwise
+    the adversary is dualized: prices are the duals of the market-clearing
+    rows of the dualized program, and worst_u is read off the duals of its
+    adversary rows.  Either worst_u goes through _readout, so the saddle
+    property total_cost(x*, y*, worst_u) = C_R holds within SADDLE_TOL or
     SaddleViolated is raised.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("fixed-demand robust planner requires Fixed demand")
     N, T = inst.N, inst.T
     lifted = lifted_set(inst)
-    out = _solve(inst, *_with_adversary(*_fixed_program(inst, cost_matrix(inst)),
-                                        scaling_matrix(inst).reshape(-1), lifted, 1.0),
-                 "robust planner program")
-
-    x = out.primal[: N * T].reshape(N, T)
-    y = out.primal[N * T : N * T + N]
-    prices = out.duals[N * T : N * T + T].copy()
-    C = float(out.objective)
-    worst_u = _readout(lifted, out.duals[N * T + T:].reshape(N, T),
-                       lambda u: total_cost(inst, x, y, u), C)
-    solution = EquilibriumSolution(prices, y, x, C)
+    worst = _corner(inst)
+    if worst is not None:
+        solution = solve_fixed_dispatch(inst, cost_matrix(inst, worst))
+    else:
+        out = _solve(inst, *_with_adversary(*_fixed_program(inst, cost_matrix(inst)),
+                                            scaling_matrix(inst).reshape(-1), lifted, 1.0),
+                     "robust planner program")
+        solution = EquilibriumSolution(out.duals[N * T : N * T + T].copy(),
+                                       out.primal[N * T : N * T + N],
+                                       out.primal[: N * T].reshape(N, T), float(out.objective))
+        worst = out.duals[N * T + T:].reshape(N, T)
+    C = solution.objective
+    worst_u = _readout(lifted, worst,
+                       lambda u: total_cost(inst, solution.production, solution.capacities, u),
+                       C)
     return solution, C, worst_u
 
 

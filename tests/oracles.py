@@ -12,10 +12,10 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from robust_peakload.geometry import Polytope, enumerate_vertices, simplex
-from robust_peakload.market import (SUPPORT_TOL, Fixed, MarketInstance, Producer,
-                                    _capacity_rows, _clearing_rows, _fixed_program,
-                                    _solve, _welfare_program, cost_matrix,
-                                    scaling_matrix)
+from robust_peakload.market import (SUPPORT_TOL, EquilibriumSolution, Fixed,
+                                    MarketInstance, Producer, _capacity_rows,
+                                    _clearing_rows, _fixed_program, _solve,
+                                    _welfare_program, cost_matrix, scaling_matrix)
 from robust_peakload.robust import _with_adversary, lifted_set
 from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
@@ -378,6 +378,43 @@ def min_norm_duals_loop(spec, outcome, force_zero_rows):
     return duals
 
 
+def fixed_planner_lp(inst, costs):
+    """The fixed-demand planner LP at N x T production costs
+    (market._fixed_program) by the package's simplex: what
+    solve_fixed_dispatch poses at costs that vary over the periods, and the
+    reference for its screening curves at costs that do not.  Returns the
+    EquilibriumSolution with prices the duals of the T clearing rows."""
+    N, T = inst.N, inst.T
+    A, rhs, kinds, cost = _fixed_program(inst, np.asarray(costs, dtype=float))
+    out = _checked(solve_lp(LpSpec("min", cost, A, rhs, kinds)), "fixed-demand planner LP")
+    return EquilibriumSolution(out.duals[N * T:].copy(), out.primal[N * T:],
+                               out.primal[: N * T].reshape(N, T), float(out.objective))
+
+
+def robust_planner_spec(inst):
+    """The LpSpec of the fixed-demand robust planner with its adversary over
+    the lifted set dualized (robust._with_adversary): rows are the N*T
+    capacity rows, the T clearing rows, then the N*T adversary rows."""
+    A, b, kinds, cost = _with_adversary(*_fixed_program(inst, cost_matrix(inst)),
+                                        scaling_matrix(inst).reshape(-1),
+                                        lifted_set(inst), 1.0)
+    return LpSpec("min", cost, A, b, kinds)
+
+
+def robust_planner_lp(inst):
+    """robust_planner_spec solved by the package's simplex: what
+    solve_robust_cp_fixed poses on a set without its greatest element, and
+    the reference for its corner on a set with one.  Returns
+    (EquilibriumSolution with the clearing duals as prices, value, N x T
+    worst case read off the adversary duals)."""
+    N, T = inst.N, inst.T
+    out = _checked(solve_lp(robust_planner_spec(inst)), "robust planner LP")
+    solution = EquilibriumSolution(out.duals[N * T : N * T + T].copy(),
+                                   out.primal[N * T : N * T + N],
+                                   out.primal[: N * T].reshape(N, T), float(out.objective))
+    return solution, solution.objective, out.duals[N * T + T:].reshape(N, T)
+
+
 def planner_lps():
     """The dualized fixed-demand robust planner LPs (robust._with_adversary)
     of four seeded markets: 6x12 on the budget set {0 <= u <= 1, sum u <= 2}
@@ -394,10 +431,7 @@ def planner_lps():
         rng = np.random.default_rng(seed)
         producers = [Producer(c_inv=rng.uniform(0.5, 2.0), c_var=rng.uniform(0.5, 1.5),
                               a=rng.uniform(0.5, 1.5)) for _ in range(N)]
-        inst = MarketInstance(producers=producers, demand=Fixed(rng.uniform(1.0, 3.0, T)),
-                              T=T, uncertainty=uncertainty(N))
-        A, b, kinds, cost = _with_adversary(*_fixed_program(inst, cost_matrix(inst)),
-                                            scaling_matrix(inst).reshape(-1),
-                                            lifted_set(inst), 1.0)
-        specs.append(LpSpec("min", cost, A, b, kinds))
+        specs.append(robust_planner_spec(MarketInstance(
+            producers=producers, demand=Fixed(rng.uniform(1.0, 3.0, T)), T=T,
+            uncertainty=uncertainty(N))))
     return specs

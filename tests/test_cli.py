@@ -1013,8 +1013,10 @@ class TestReportContract:
                                           "subsidy_example.json")
 
     def test_failed_lp_certificate_maps_to_exit_four(self, capsys, monkeypatch):
-        # The same through the simplex, on a fixed-demand instance.
-        self._perturbed_kernel_exits_four(capsys, monkeypatch, "_lp_internal", "box_fixed.json")
+        # The same through the simplex, on a fixed-demand instance whose
+        # simplex set lacks its greatest element, so the planner is an LP.
+        self._perturbed_kernel_exits_four(capsys, monkeypatch, "_lp_internal",
+                                          "prices_reform.json")
 
     @staticmethod
     def _perturbed_kernel_exits_four(capsys, monkeypatch, kernel, instance):
@@ -1071,10 +1073,12 @@ def _instance(name):
 
 
 # Each call loads its instance (whose validation solves LPs) and returns the
-# solve under test, to run once the solvers are replaced.
-def _nominal_fixed():
-    inst = _instance("box_fixed.json")
-    return lambda: market.solve_nominal_fixed(inst)
+# solve under test, to run once the solvers are replaced.  Fixed demand at
+# costs constant over the periods poses no LP (screening curves), so the
+# fixed call takes a mean that varies over the periods.
+def _expected_fixed():
+    inst = _instance("prices_reform.json")
+    return lambda: market.solve_expected(inst, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def _nominal_elastic():
@@ -1088,7 +1092,7 @@ class TestNonOptimalSolves:
 
     @pytest.mark.parametrize("status, error", [("infeasible", Infeasible),
                                                ("unbounded", Unbounded)])
-    @pytest.mark.parametrize("call", [_nominal_fixed, _nominal_elastic])
+    @pytest.mark.parametrize("call", [_expected_fixed, _nominal_elastic])
     def test_typed_error(self, monkeypatch, call, status, error):
         run = call()
         _fail_solvers(monkeypatch, status)
@@ -1115,12 +1119,22 @@ class TestNonOptimalSolves:
                                    getattr(result, name), err_msg=status)
 
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
-    @pytest.mark.parametrize("solver, instance", [
-        ("solve_lp", "box_fixed.json"),
-        ("solve_qp", "subsidy_example.json"),
-    ])
+    @pytest.mark.parametrize("solver, instance", [("solve_qp", "subsidy_example.json")])
     def test_nominal_cli_exits_two(self, capsys, monkeypatch, solver, instance,
                                    status):
+        self._cli_exits_two(capsys, monkeypatch, solver, status,
+                            instance, "--mode", "nominal")
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_planner_lp_cli_exits_two(self, capsys, monkeypatch, status):
+        # A fixed-demand nominal solve poses no LP (screening curves); the
+        # robust planner over a simplex set, which lacks its greatest
+        # element, still does.
+        self._cli_exits_two(capsys, monkeypatch, "solve_lp", status,
+                            "prices_reform.json", "--mode", "robust-cp")
+
+    @staticmethod
+    def _cli_exits_two(capsys, monkeypatch, solver, status, instance, *argv):
         load = cli.load_instance
 
         def load_then_fail(path):
@@ -1130,13 +1144,70 @@ class TestNonOptimalSolves:
 
         monkeypatch.setattr(cli, "load_instance", load_then_fail)
         code, out, err = run_cli(capsys, "solve", "--instance",
-                                 str(INSTANCES / instance), "--mode", "nominal")
+                                 str(INSTANCES / instance), *argv)
         assert code == 2 and status in err and not out
 
     def test_min_norm_duals_rejects_max_sense(self):
         spec = LpSpec("max", [1.0], [[1.0]], [1.0], ["<="])
         with pytest.raises(ValueError, match="min-sense"):
             robust._min_norm_duals(spec, None, [])
+
+
+def _count_lps(monkeypatch):
+    """Route every binding of solve_lp in the package through a recorder;
+    returns the list of posed specs."""
+    posed = []
+    solve_lp = solver.solve_lp
+
+    def record(spec):
+        posed.append(spec)
+        return solve_lp(spec)
+
+    _replace_solvers(monkeypatch, record, ("solve_lp",))
+    return posed
+
+
+class TestClosedFormPaths:
+    """Fixed demand at costs constant over the periods is planned by
+    screening curves, and a per-period set that contains its greatest
+    element has that element as the worst case of every plan: on box and
+    VaR-box files, solve and poa pose no LP, load included."""
+
+    @pytest.mark.parametrize("argv", [("solve", "--mode", "nominal"),
+                                      ("solve", "--mode", "robust"),
+                                      ("solve", "--mode", "robust-cp"),
+                                      ("poa",)],
+                             ids=["nominal", "robust", "robust-cp", "poa"])
+    @pytest.mark.parametrize("instance", ["box_fixed.json", "mvar_example.json"])
+    def test_box_files_pose_no_lp(self, capsys, monkeypatch, instance, argv):
+        posed = _count_lps(monkeypatch)
+        code, report = run_json(capsys, argv[0], "--instance",
+                                str(INSTANCES / instance), *argv[1:])
+        assert code == 0 and posed == []
+        if argv[0] == "poa":
+            assert report["results"]["ratio"] == 1.0
+            assert report["results"]["E"] == report["results"]["C"]
+        elif argv[-1] != "nominal":
+            assert np.all(np.array(report["certificates"]["worst_scenario"]) == 1.0)
+
+    def test_simplex_planner_poses_its_lp(self, capsys, monkeypatch):
+        posed = _count_lps(monkeypatch)
+        code, _ = run_json(capsys, "solve", "--instance",
+                           str(INSTANCES / "prices_reform.json"), "--mode", "robust-cp")
+        assert code == 0 and len(posed) == 1
+
+    def test_period_varying_scalings_pose_the_planner_lp(self, monkeypatch):
+        # Over a box the worst case is still the corner, but the costs at it
+        # vary over the periods, so each planner is the LP.
+        inst = MarketInstance([Producer(1.0, 1.0, a_by_period=[0.5, 1.0]),
+                               Producer(0.5, 1.5, a=1.0)], Fixed([1.0, 2.0]), 2, box(2))
+        posed = _count_lps(monkeypatch)
+        _, C, worst_u = robust.solve_robust_cp_fixed(inst)
+        assert len(posed) == 1 and posed[0].n_vars == inst.N * inst.T + inst.N
+        assert_array_equal(worst_u, np.ones((2, 2)))
+        report = poa_fixed(inst)
+        assert len(posed) == 3
+        assert report.C == C and report.ratio == 1.0
 
 
 # Runs in a fresh interpreter: the package import and four commands through
