@@ -16,12 +16,14 @@ Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
 adversarial scenario as an N x T matrix.  When the per-period set contains
 its greatest element (_corner), that element in every period is the worst
-case of every plan, and the fixed-demand solves pose no adversary program.  Scenarios and productions share
-one coordinate order, fixed by geometry.lift_product: lifted coordinate
-i*T + t is entry (i, t), so a scenario flattens by u.reshape(-1) like the x
-variables of a program, and the adversary of coordinate k prices variable
-k.  Every program shares the (x, y) variable layout and block builders of
-robust_peakload.market.
+case of every plan, so no solve poses an adversary program: both markets
+and both planners, in either demand mode, are the nominal program at the
+corner's costs, and so is the scenario form, whose other vertices the
+corner dominates.  Scenarios and productions share one coordinate order,
+fixed by geometry.lift_product: lifted coordinate i*T + t is entry (i, t),
+so a scenario flattens by u.reshape(-1) like the x variables of a program,
+and the adversary of coordinate k prices variable k.  Every program shares
+the (x, y) variable layout and block builders of robust_peakload.market.
 
 The lifted set is the T-fold product of the per-period set, and the
 second stage at pinned capacities separates by period.  So the workflows at
@@ -141,9 +143,15 @@ def _with_adversary(A, rhs, kinds, cost, lam, U, sign):
             list(kinds) + [">="] * n_u, np.concatenate([cost, sign * U.r]))
 
 
-def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
-    """Minimum-norm point of the optimal set of the robust welfare QP over
-    (x, y, z) with linear part (A, rhs, kinds, cost), given one optimum v_star.
+def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star, weight):
+    """Minimum-norm point, in the norm sum_k weight_k v_k^2, of the optimal
+    set of a welfare QP over (x, y, ...) with linear part (A, rhs, kinds,
+    cost), given one optimum v_star.
+
+    The dualized planner over (x, y, z) takes unit weights.  The planner at
+    the corner poses no z; with weight 1 + a^2 on x and 1 on y it takes the
+    point the dualized planner takes wherever P = I (box, VaR box): every
+    optimum of that program has z = a x, so its unit norm is this one.
 
     Optima of a concave QP all share the same Hessian image Q v and the same
     objective.  The welfare Hessian has rank T: (Q v)_{i,t} = -beta_t s_t
@@ -161,7 +169,7 @@ def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star):
     w = cost + 0.5 * _welfare_hessian(inst, n) @ v_star
     return _min_norm_point(np.vstack([A, aggregate, w]),
                            np.concatenate([rhs, aggregate @ v_star, [w @ v_star]]),
-                           list(kinds) + ["="] * (T + 1), np.eye(n),
+                           list(kinds) + ["="] * (T + 1), np.diag(weight),
                            "minimum-norm projection of the welfare optimum", start=v_star)
 
 
@@ -325,14 +333,20 @@ def solve_robust_market_fixed(inst: MarketInstance):
     shifted program.  Those costs are constant over the periods unless some
     a_by_period varies, so solve_fixed_dispatch takes its screening curves.
     E_R evaluates the resulting plan against the actual worst scenario in
-    the lifted set, the greatest element on a set that contains it.  Returns
-    (solution, E_R, worst), worst being that N x T scenario from
-    worst_case_scenario: the planners' (solution, value, worst_u) shape.
+    the lifted set.  On a set that contains its greatest element (_corner)
+    that scenario is the corner, the costs the plan was solved at, so E_R is
+    the plan's own objective: the same number as the planner's C_R.
+    Returns (solution, E_R, worst), worst being that N x T scenario from
+    worst_case_scenario (the corner): the planners' (solution, value,
+    worst_u) shape.
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("fixed-demand robust market requires Fixed demand")
     shifted = cost_matrix(inst, _strict_scenario(inst))
     solution = solve_fixed_dispatch(inst, shifted)
+    corner = _corner(inst)
+    if corner is not None:
+        return solution, solution.objective, corner
     surcharge, worst = worst_case_scenario(inst, solution.production)
     E = total_cost(inst, solution.production, solution.capacities) + surcharge
     return solution, float(E), worst
@@ -385,48 +399,70 @@ def solve_robust_market_elastic(inst: MarketInstance):
     The equilibrium coincides with the welfare program at worst-case costs
     c_var + a times the coordinate's maximum over the set (1 for a valid
     uncertainty set); E'_R evaluates that plan's welfare under the
-    adversarial scenario for the plan.  Returns (solution, E'_R, worst),
-    worst being that N x T scenario from worst_case_scenario.
+    adversarial scenario for the plan.  On a set that contains its greatest
+    element (_corner) that scenario is the corner, the costs the plan was
+    solved at, so E'_R is the welfare program's objective: the same number
+    as the planner's C'_R.  Returns (solution, E'_R, worst), worst being
+    that N x T scenario from worst_case_scenario (the corner).
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust market requires AffineElastic demand")
     shifted = cost_matrix(inst, _strict_scenario(inst))
     solution = solve_elastic_welfare(inst, shifted)
+    corner = _corner(inst)
+    if corner is not None:
+        return solution, solution.objective, corner
     _, worst = worst_case_scenario(inst, solution.production)
     E = welfare(inst, solution.production, solution.capacities, worst)
     return solution, float(E), worst
 
 
 def solve_robust_cp_elastic(inst: MarketInstance):
-    """Robust welfare maximization as one concave QP with the adversary
-    dualized into z variables.
+    """Robust welfare maximization as one concave QP.
 
-    Returns (solution, C'_R, worst_u).  C'_R is the QP's optimal value and
-    worst_u is read off the duals of its adversary rows (_readout), so
+    Returns (solution, C'_R, worst_u).  When the per-period set contains its
+    greatest element m (_corner), m is a worst case for every plan, so the
+    planner is the welfare QP over (x, y) at costs c_var + a m
+    (solve_elastic_welfare), the strict robust market, and worst_u is m in
+    every period.  Otherwise the adversary is dualized into z variables and
+    worst_u is read off the duals of its adversary rows.  C'_R is the QP's
+    optimal value, and either worst_u goes through _readout, so
     welfare(x*, y*, worst_u) = C'_R holds within SADDLE_TOL or
     SaddleViolated is raised.  The plan is the minimum-norm optimum
-    (_min_norm_optimum), and a tie-break that fails raises NumericBreakdown.
-    Prices are read off the demand curve at total production.
+    (_min_norm_optimum): over (x, y, z) for the dualized QP, over (x, y)
+    with weight 1 + a^2 on x at the corner, the same point wherever P = I.
+    A tie-break that fails raises NumericBreakdown.  Prices are read off the
+    demand curve at total production.
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust planner requires AffineElastic demand")
     N, T = inst.N, inst.T
     demand = inst.demand
     lifted = lifted_set(inst)
-    A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
-                                        scaling_matrix(inst).reshape(-1), lifted, -1.0)
-    out = _solve(inst, A, b, kinds, cost, "robust welfare program")
+    a = scaling_matrix(inst).reshape(-1)
+    worst = _corner(inst)
+    if worst is not None:
+        costs = cost_matrix(inst, worst)
+        A, b, kinds, cost = _welfare_program(inst, costs)
+        plan = solve_elastic_welfare(inst, costs)
+        v_star = np.concatenate([plan.production.reshape(-1), plan.capacities])
+        weight = np.concatenate([1.0 + a ** 2, np.ones(N)])
+        C = plan.objective
+    else:
+        A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
+                                            a, lifted, -1.0)
+        out = _solve(inst, A, b, kinds, cost, "robust welfare program")
+        v_star, weight, C = out.primal, np.ones(out.primal.size), float(out.objective)
+        # Max-sense >= rows carry nonpositive multipliers; negate to read u.
+        worst = -out.duals[N * T:].reshape(N, T)
 
     # Welfare optima can be degenerate across capacity splits; canonicalize
     # to the minimum-norm optimum so interchangeable producers split evenly.
-    primal = _min_norm_optimum(inst, cost, A, b, kinds, out.primal)
+    primal = _min_norm_optimum(inst, cost, A, b, kinds, v_star, weight)
     x = primal[: N * T].reshape(N, T)
     y = primal[N * T : N * T + N]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
-    C = float(out.objective)
-    # Max-sense >= rows carry nonpositive multipliers; negate to read u.
-    worst_u = _readout(lifted, -out.duals[N * T:].reshape(N, T),
-                       lambda u: welfare(inst, x, y, u), C)
+    worst_u = _readout(lifted, worst, lambda u: welfare(inst, x, y, u), C)
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
 
@@ -576,6 +612,28 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
         the copies at it, productions[v][:, t] = x_{v,t}.  The lifted vertex
         (j_1, ..., j_T) takes period t of both from row j_t.
 
+    When the per-period set contains its greatest element m (_corner: box,
+    VaR box), m is the worst vertex of every period, and the program is the
+    nominal planner at costs c_var + a m (_corner_scenario_form), with no
+    LP unless some a_by_period varies.  Then m's row of clearing_duals holds
+    the planner's prices and every dominated vertex's row is zero, and the
+    productions are the dispatch at the capacities at every vertex.
+    Otherwise the program is the LP above (_vertex_scenario_form).
+    """
+    if not isinstance(inst.demand, Fixed):
+        raise ValueError("scenario reformulation requires fixed demand")
+    constant = _constant_scenarios(inst)
+    corner = _corner(inst)
+    if corner is not None:
+        return _corner_scenario_form(inst, constant, corner)
+    return _vertex_scenario_form(inst, constant)
+
+
+def _vertex_scenario_form(inst: MarketInstance, constant) -> dict:
+    """adjustable_scenario_form_fixed as one LP over the copies of the
+    |V| x N x T stack `constant` of per-period vertices: a valid program on
+    every set, posed on the sets without a greatest element.
+
     The clearing duals are the minimum-norm optimal multipliers supported
     on the active copies (those whose epigraph row binds): symmetric across
     interchangeable producers, with zero price mass on vertices the worst
@@ -589,10 +647,7 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     is an optimal dual, because the capacity stationarity rows see only the
     per-period marginals.
     """
-    if not isinstance(inst.demand, Fixed):
-        raise ValueError("scenario reformulation requires fixed demand")
     N, T = inst.N, inst.T
-    constant = _constant_scenarios(inst)
     V = len(constant)
     K = V * T
 
@@ -629,6 +684,34 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
         "productions": copies,
         "clearing_duals": duals[clearing_start:].reshape(V, T),
         "epigraph": float(out.primal[:T].sum()),
+    }
+
+
+def _corner_scenario_form(inst: MarketInstance, constant, corner):
+    """adjustable_scenario_form_fixed on a per-period set that contains its
+    greatest element m, the |V| x N x T stack `constant` of its vertices and
+    the N x T `corner` (m in every period).
+
+    The dispatch cost does not decrease in u (a >= 0), and every vertex lies
+    below m, so m is the worst vertex of every period at every y: the
+    program is the nominal planner at costs c_var + a m
+    (solve_fixed_dispatch), and its value and capacities are the form's.
+    m's copies carry the planner's prices as clearing duals and every other
+    vertex's carry zero; with epigraph multiplier 1 on m's copies that is an
+    optimal dual of the full program.  m is the vertex of largest coordinate
+    sum, since every other vertex lies below it.  Productions are the
+    dispatch at the capacities at every vertex."""
+    planner = solve_fixed_dispatch(inst, cost_matrix(inst, corner))
+    at_vertices = _dispatch(inst, planner.capacities, cost_matrix(inst, constant))
+    duals = np.zeros((len(constant), inst.T))
+    duals[np.argmax(constant[:, :, 0].sum(axis=1))] = planner.prices
+    return {
+        "value": planner.objective,
+        "capacities": planner.capacities,
+        "scenarios": constant,
+        "productions": at_vertices.x,
+        "clearing_duals": duals,
+        "epigraph": float(at_vertices.period_values.max(axis=0).sum()),
     }
 
 

@@ -16,7 +16,7 @@ from robust_peakload.market import (SUPPORT_TOL, EquilibriumSolution, Fixed,
                                     MarketInstance, Producer, _capacity_rows,
                                     _clearing_rows, _fixed_program, _solve,
                                     _welfare_program, cost_matrix, scaling_matrix)
-from robust_peakload.robust import _with_adversary, lifted_set
+from robust_peakload.robust import _min_norm_optimum, _with_adversary, lifted_set
 from robust_peakload.solver import LpSpec, QpSpec, _checked, solve_lp, solve_qp
 
 FEAS_TOL = 1e-7
@@ -413,6 +413,27 @@ def robust_planner_lp(inst):
                                    out.primal[N * T : N * T + N],
                                    out.primal[: N * T].reshape(N, T), float(out.objective))
     return solution, solution.objective, out.duals[N * T + T:].reshape(N, T)
+
+
+def robust_welfare_qp(inst):
+    """The elastic robust planner QP over (x, y, z), its adversary over the
+    lifted set dualized (robust._with_adversary), on any set, by the
+    package's QP, and its minimum-norm optimum over (x, y, z)
+    (robust._min_norm_optimum at unit weights): what solve_robust_cp_elastic
+    poses on a set without its greatest element, and the reference for its
+    corner on a set with one.  Returns (EquilibriumSolution with the prices
+    read off the demand curves, value, N x T worst case read off the
+    adversary duals)."""
+    N, T = inst.N, inst.T
+    A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
+                                        scaling_matrix(inst).reshape(-1),
+                                        lifted_set(inst), -1.0)
+    out = _solve(inst, A, b, kinds, cost, "robust welfare QP")
+    primal = _min_norm_optimum(inst, cost, A, b, kinds, out.primal, np.ones(out.primal.size))
+    x = primal[: N * T].reshape(N, T)
+    prices = inst.demand.alpha - inst.demand.beta * x.sum(axis=0)
+    solution = EquilibriumSolution(prices, primal[N * T : N * T + N], x, float(out.objective))
+    return solution, solution.objective, -out.duals[N * T:].reshape(N, T)
 
 
 def planner_lps():

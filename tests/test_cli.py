@@ -1167,11 +1167,26 @@ def _count_lps(monkeypatch):
     return posed
 
 
+def _count_qps(monkeypatch):
+    """Route every binding of solve_qp in the package through a recorder;
+    returns the list of posed specs."""
+    posed = []
+    solve_qp = solver.solve_qp
+
+    def record(spec, start=None):
+        posed.append(spec)
+        return solve_qp(spec, start=start)
+
+    _replace_solvers(monkeypatch, record, ("solve_qp",))
+    return posed
+
+
 class TestClosedFormPaths:
     """Fixed demand at costs constant over the periods is planned by
     screening curves, and a per-period set that contains its greatest
     element has that element as the worst case of every plan: on box and
-    VaR-box files, solve and poa pose no LP, load included."""
+    VaR-box files, solve and poa pose no LP, load included, and on an
+    elastic box file no program over adversary variables."""
 
     @pytest.mark.parametrize("argv", [("solve", "--mode", "nominal"),
                                       ("solve", "--mode", "robust"),
@@ -1208,6 +1223,35 @@ class TestClosedFormPaths:
         report = poa_fixed(inst)
         assert len(posed) == 3
         assert report.C == C and report.ratio == 1.0
+
+    @pytest.mark.parametrize("argv, qps", [(("solve", "--mode", "robust-cp"), 2),
+                                           (("poa",), 3)], ids=["robust-cp", "poa"])
+    def test_elastic_box_poses_no_adversary(self, capsys, monkeypatch, argv, qps):
+        # The planner is the welfare QP at the corner and its tie-break, the
+        # market the same QP: each over (x, y) alone.
+        inst = _instance("box_elastic.json")
+        lps, posed = _count_lps(monkeypatch), _count_qps(monkeypatch)
+        code, report = run_json(capsys, argv[0], "--instance",
+                                str(INSTANCES / "box_elastic.json"), *argv[1:])
+        assert code == 0 and lps == [] and len(posed) == qps
+        assert all(spec.n_vars == inst.N * inst.T + inst.N for spec in posed)
+        if argv[0] == "poa":
+            assert report["results"]["ratio"] == 1.0
+            assert report["results"]["E"] == report["results"]["C"]
+        else:
+            assert np.all(np.array(report["certificates"]["worst_scenario"]) == 1.0)
+
+    def test_box_scenario_form_poses_the_nominal_planner(self, monkeypatch):
+        # The corner dominates every vertex, so the form is the nominal
+        # planner there: screening curves at constant scalings, else its LP.
+        inst = MarketInstance([Producer(1.0, 1.0, a=0.5), Producer(0.5, 1.5, a=1.0)],
+                              Fixed([1.0, 2.0]), 2, box(2))
+        posed = _count_lps(monkeypatch)
+        robust.adjustable_scenario_form_fixed(inst)
+        assert posed == []
+        inst.producers[0].a_by_period = np.array([0.5, 1.0])
+        robust.adjustable_scenario_form_fixed(inst)
+        assert len(posed) == 1 and posed[0].n_vars == inst.N * inst.T + inst.N
 
 
 # Runs in a fresh interpreter: the package import and four commands through

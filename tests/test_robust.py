@@ -1103,21 +1103,23 @@ class TestScenarioFormByPeriod:
             assert total_cost(inst, x, zero, u) <= form["epigraph"] + 1e-7, k
 
     def test_one_small_lp(self, monkeypatch):
-        # 2 x 4 box: 4 per-period vertices, so 16 copies of 2 productions
-        # (16 * 4 = 64 rows) against 256 lifted copies of 8.
+        # 2 x 4 simplex: 3 per-period vertices, so 12 copies of 2
+        # productions (12 * 4 = 48 rows) against 81 lifted copies of 8.  A
+        # box holds its greatest element and poses the nominal planner
+        # instead (TestCornerPaths).
         rng = np.random.default_rng(101)
-        inst = per_period_instance(rng, 2, 4, "box", elastic=False)
+        inst = per_period_instance(rng, 2, 4, "simplex", elastic=False)
         calls = _count_solves(monkeypatch)
         form = adjustable_scenario_form_fixed(inst)
         lps = [spec for name, spec in calls if name == "solve_lp" and np.any(spec.cost)]
         assert len(lps) == 1
-        assert lps[0].n_rows == 4 * inst.T * (inst.N + 2)
+        assert lps[0].n_rows == 3 * inst.T * (inst.N + 2)
         # The rest is the one minimum-norm dual QP, which finds its first
         # feasible point by its own phase 1, with no feasibility LP.
         names = [name for name, _ in calls]
         assert names.count("solve_qp") == 1
         assert names.count("solve_lp") == 1
-        assert form["productions"].shape == (4, inst.N, inst.T)
+        assert form["productions"].shape == (3, inst.N, inst.T)
 
 
 def _qp_bytes(spec):
@@ -1148,7 +1150,9 @@ class TestMinNormDuals:
             return original(spec, outcome, rows)
 
         monkeypatch.setattr(robust, "_min_norm_duals", record)
-        adjustable_scenario_form_fixed(inst)
+        # The LP of the scenario form, which adjustable_scenario_form_fixed
+        # does not pose on a box (its greatest element dominates).
+        robust._vertex_scenario_form(inst, robust._constant_scenarios(inst))
         monkeypatch.undo()
         assert forms
         spec, outcome, rows = forms[0]
@@ -1242,13 +1246,18 @@ class TestElasticPlannerSteps:
     """The elastic planner at 8x24 on box and budget sets, the shapes that
     were slow under the former working-set QP (ROADMAP item 3).  Its QP
     step counts are deterministic: with perfbench's generator and
-    default_rng(3), planner + tie-break take 402 + 355 steps on the box and
-    416 + 10 on the budget set.  Pricing by Bland's rule from the 61st
-    stalled step on, as the simplex does, gave the box tie-break 926, so a
-    bound of 500 per QP catches a lost stall rule."""
+    default_rng(3), planner + tie-break take 416 + 10 steps on the budget
+    set.  The dualized box planner took 402 + 355, and pricing by Bland's
+    rule from the 61st stalled step on, as the simplex does, gave its
+    tie-break 926, so a bound of 500 per QP catches a lost stall rule.  The
+    planner now takes the welfare QP at the box's greatest element (37 + 2
+    steps), and the dualized program is posed by its oracle."""
 
-    @pytest.mark.parametrize("kind", ["box", "budget"])
-    def test_step_counts(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, solve", [("box", solve_robust_cp_elastic),
+                                             ("budget", solve_robust_cp_elastic),
+                                             ("box", oracles.robust_welfare_qp)],
+                             ids=["box", "budget", "box-dualized"])
+    def test_step_counts(self, monkeypatch, kind, solve):
         inst = _load_workloads().elastic_market(np.random.default_rng(3), 8, 24, kind)
         steps = []
 
@@ -1259,6 +1268,6 @@ class TestElasticPlannerSteps:
 
         monkeypatch.setattr(market, "solve_qp", recorded)
         monkeypatch.setattr(robust, "solve_qp", recorded)
-        solve_robust_cp_elastic(inst)
+        solve(inst)
         assert len(steps) == 2
         assert max(steps) <= 500, steps
