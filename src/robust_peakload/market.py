@@ -205,13 +205,14 @@ def _welfare_gradient(inst: MarketInstance, costs):
     return (np.tile(inst.demand.alpha, (inst.N, 1)) - costs).reshape(-1)
 
 
-def _fixed_program(inst: MarketInstance, costs):
+def _fixed_program(inst: MarketInstance, costs, demand=None):
     """(A, rhs, kinds, cost) of the fixed-demand dispatch LP over (x, y):
-    N*T capacity rows, then T clearing rows."""
+    N*T capacity rows, then T clearing rows at `demand` (by default the
+    fixed demand of inst)."""
     N, T = inst.N, inst.T
     A = np.vstack([_capacity_rows(N, T),
                    np.hstack([_clearing_rows(N, T), np.zeros((T, N))])])
-    rhs = np.concatenate([np.zeros(N * T), inst.demand.d])
+    rhs = np.concatenate([np.zeros(N * T), inst.demand.d if demand is None else demand])
     c_inv = np.array([p.c_inv for p in inst.producers])
     return (A, rhs, ["<="] * (N * T) + ["="] * T,
             np.concatenate([costs.reshape(-1), c_inv]))
@@ -226,14 +227,16 @@ def _welfare_program(inst: MarketInstance, costs):
             np.concatenate([_welfare_gradient(inst, costs), -c_inv]))
 
 
-def _solve(inst: MarketInstance, A, rhs, kinds, cost, what):
+def _solve(inst: MarketInstance, A, rhs, kinds, cost, what, start=None):
     """Solve a program over (x, y, ...) in the demand mode of inst: the
     cost-minimal LP for fixed demand, the welfare-maximal QP with the welfare
-    Hessian for elastic demand.  Non-optimal statuses raise, naming `what`."""
+    Hessian for elastic demand, from the feasible `start` when one is given
+    (solve_qp).  Non-optimal statuses raise, naming `what`."""
     if isinstance(inst.demand, Fixed):
         return _checked(solve_lp(LpSpec("min", cost, A, rhs, kinds)), what)
     return _checked(solve_qp(QpSpec("max", cost, A, rhs, kinds,
-                                    quadratic_matrix=_welfare_hessian(inst, cost.size))),
+                                    quadratic_matrix=_welfare_hessian(inst, cost.size)),
+                             start=start),
                     what)
 
 

@@ -10,7 +10,10 @@ by dualizing the inner adversary into auxiliary variables z >= 0 with rows
 P' z >= diag(lam) x, where U = {u >= 0 : P u <= r}.  The multipliers of those
 dualized rows are the worst-case scenario: each robust program reads it off
 them (_readout) and raises SaddleViolated when the readout fails its check,
-never re-solving the adversary.
+relative to the program value, never re-solving the adversary.  The
+dualized elastic planner is a QP over (x, y, z) whose start is the vertex of
+a crash LP (_crash_start): with the quantities pinned, what remains of it is
+the fixed-demand robust planner LP on the same rows.
 
 Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
@@ -273,19 +276,27 @@ def _readout(U: Polytope, u, value_at, target):
     are P u <= r) and, by complementary slackness with every optimal plan,
     value_at(u), the plan's value at u, equals the program value target:
     they are a worst case for every optimal plan.  A u that leaves U (tol
-    1e-7) or misses target by more than SADDLE_TOL therefore means the
-    solver's duals are wrong, and SaddleViolated is raised with the gap; no
-    other scenario is substituted."""
+    1e-7) or misses target by more than _saddle_tol(target), SADDLE_TOL
+    relative to 1 + |target|, therefore means the solver's duals are wrong,
+    and SaddleViolated is raised with the gap; no other scenario is
+    substituted."""
     flat = u.reshape(-1)
     if not U.contains(flat, tol=1e-7):
         excess = max(float(np.max(U.P @ flat - U.r, initial=0.0)), float(-np.min(flat)))
         raise SaddleViolated(
             f"dual worst-case scenario leaves the uncertainty set by {excess:.3e}")
     gap = abs(value_at(u) - target)
-    if gap > SADDLE_TOL:
+    if gap > _saddle_tol(target):
         raise SaddleViolated(
             f"dual worst-case scenario misses the program value by {gap:.3e}")
     return u
+
+
+def _saddle_tol(value):
+    """The tolerance of a saddle check at program value `value`: SADDLE_TOL
+    relative to 1 + |value|, the convention of solver._certificate.  At a
+    value of 1e10 rounding alone leaves gaps of about 1e-5."""
+    return SADDLE_TOL * (1.0 + abs(value))
 
 
 def _mixtures(constant, samples, seed):
@@ -363,7 +374,7 @@ def solve_robust_cp_fixed(inst: MarketInstance):
     the adversary is dualized: prices are the duals of the market-clearing
     rows of the dualized program, and worst_u is read off the duals of its
     adversary rows.  Either worst_u goes through _readout, so the saddle
-    property total_cost(x*, y*, worst_u) = C_R holds within SADDLE_TOL or
+    property total_cost(x*, y*, worst_u) = C_R holds within _saddle_tol(C_R) or
     SaddleViolated is raised.
     """
     if not isinstance(inst.demand, Fixed):
@@ -425,9 +436,13 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     planner is the welfare QP over (x, y) at costs c_var + a m
     (solve_elastic_welfare), the strict robust market, and worst_u is m in
     every period.  Otherwise the adversary is dualized into z variables and
-    worst_u is read off the duals of its adversary rows.  C'_R is the QP's
-    optimal value, and either worst_u goes through _readout, so
-    welfare(x*, y*, worst_u) = C'_R holds within SADDLE_TOL or
+    worst_u is read off the duals of its adversary rows; that QP starts at
+    the vertex of its crash LP (_crash_start), the fixed-demand robust
+    planner LP on the same rows at quantities pinned to the demand-curve
+    intercepts, and from there takes a few steps where from the origin it
+    took one per degenerate row.  C'_R is the QP's optimal value, and
+    either worst_u goes through _readout, so
+    welfare(x*, y*, worst_u) = C'_R holds within _saddle_tol(C'_R) or
     SaddleViolated is raised.  The plan is the minimum-norm optimum
     (_min_norm_optimum): over (x, y, z) for the dualized QP, over (x, y)
     with weight 1 + a^2 on x at the corner, the same point wherever P = I.
@@ -451,7 +466,8 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     else:
         A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
                                             a, lifted, -1.0)
-        out = _solve(inst, A, b, kinds, cost, "robust welfare program")
+        out = _solve(inst, A, b, kinds, cost, "robust welfare program",
+                     start=_crash_start(inst, a, lifted))
         v_star, weight, C = out.primal, np.ones(out.primal.size), float(out.objective)
         # Max-sense >= rows carry nonpositive multipliers; negate to read u.
         worst = -out.duals[N * T:].reshape(N, T)
@@ -465,6 +481,33 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     worst_u = _readout(lifted, worst, lambda u: welfare(inst, x, y, u), C)
     solution = EquilibriumSolution(prices, y, x, C)
     return solution, C, worst_u
+
+
+def _crash_start(inst: MarketInstance, a, lifted):
+    """A vertex of the dualized welfare program over (x, y, z) to start its
+    QP from: the optimum of the fixed-demand robust planner LP on the same
+    capacity and adversary rows with the quantities pinned, by the T
+    clearing rows, to the crash demand s0.
+
+    With s pinned the gross surplus is constant, so what remains of the
+    welfare program is that LP: cost c_var on x, c_inv on y and r on z
+    (_with_adversary at sign +1).  Its cost is nonnegative, so solve_lp
+    takes it from its dual with no phase 1, and its optimum is a point of
+    the QP's rows, which are the LP's without the clearing rows.  s0 is the
+    demand-curve intercepts q_t = max(alpha_t, 0) / beta_t divided by their
+    peak: the LP's rows form a cone over s0, so its optimal basis does not
+    depend on that scale, and a start of unit size passes solve_qp's
+    absolute start check in any units.  With every q_t = 0 the optimum is
+    the origin.  A crash LP that does not come back optimal raises
+    Infeasible or Unbounded."""
+    demand = inst.demand
+    q = np.maximum(demand.alpha, 0.0) / demand.beta
+    peak = q.max()
+    s0 = q / peak if peak > 0.0 else q
+    A, b, kinds, cost = _with_adversary(*_fixed_program(inst, cost_matrix(inst), s0),
+                                        a, lifted, 1.0)
+    return _checked(solve_lp(LpSpec("min", cost, A, b, kinds)),
+                    "crash LP of the robust welfare program").primal
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +538,8 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     `samples` random scenarios mixing the per-period vertices period by
     period (_mixtures): each value must be weakly dominated by the planner
     value C (cost <= C for fixed demand, welfare >= C for elastic), and the
-    extracted worst-case scenario must achieve C within 1e-6.
+    extracted worst-case scenario must achieve C, both within
+    _saddle_tol(C).
 
     The dispatch at pinned capacities is a closed form with no solver call
     per scenario (see market._dispatch).  It separates by period, so one
@@ -519,7 +563,7 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
       dominated: whether worst_vertex_value and every sample value are
         dominated by C.
 
-    dominated and saddle_ok (saddle_gap <= SADDLE_TOL) are True in every
+    dominated and saddle_ok (saddle_gap <= _saddle_tol(C)) are True in every
     returned certificate: when either check fails beyond tolerance,
     SaddleViolated is raised instead, which signals a solver defect, not a
     property of the model.
@@ -529,12 +573,12 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
     mode = "fixed" if isinstance(inst.demand, Fixed) else "elastic"
     if mode == "fixed":
         cp_solution, C, worst_u = solve_robust_cp_fixed(inst)
-        dominated = lambda value: value <= C + SADDLE_TOL
         capacity_sign, worst_of = 1.0, np.max
     else:
         cp_solution, C, worst_u = solve_robust_cp_elastic(inst)
-        dominated = lambda value: value >= C - SADDLE_TOL
         capacity_sign, worst_of = -1.0, np.min
+    tol = _saddle_tol(C)
+    dominated = lambda value: capacity_sign * (value - C) <= tol
     # Clipped at zero like every other pinned dispatch (_pinned_inputs,
     # compute_subsidies): the planner's capacities can carry -1e-15 entries.
     y_star = np.maximum(cp_solution.capacities, 0.0)
@@ -565,12 +609,12 @@ def verify_adjustable_equivalence(inst: MarketInstance, samples: int = DEFAULT_S
         "samples": samples,
         "seed": seed,
         "dominated": not failures,
-        "saddle_ok": saddle_gap <= SADDLE_TOL,
+        "saddle_ok": saddle_gap <= tol,
     }
     if failures:
         raise SaddleViolated(
             f"{len(failures)} scenario values escape the planner value {C}")
-    if saddle_gap > SADDLE_TOL:
+    if saddle_gap > tol:
         raise SaddleViolated(
             f"worst-case scenario misses the planner value by {saddle_gap:.3e}")
     return certificate

@@ -662,10 +662,11 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
     grad = np.zeros(t.n_all)
     # Steps since the last one that moved w, and the run after which
     # pricing turns to Bland's rule.  A start at a degenerate point (a
-    # crossed-over optimum, the origin of the planners) has a zero slack in
-    # every tight row, and its degenerate run is about as long as there are
-    # rows; Bland's rule from the 61st step on lengthens it (926 steps
-    # against 355 on the tie-break of the 8x24 box planner).
+    # crossed-over optimum or crash vertex, or the origin, where a program
+    # of homogeneous rows starts) has a zero slack in every tight row, and
+    # its degenerate run can be about as long as there are rows; Bland's
+    # rule from the 61st step on lengthened it from 355 to 926 steps on the
+    # tie-break of the dualized 8x24 box planner.
     stall, stall_limit = 0, max(_STALL_LIMIT, basis.size)
     # Whether w is known to minimize the objective over its face: after a
     # full Newton step, or when the direction came out negligible.

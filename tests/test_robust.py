@@ -100,6 +100,17 @@ def elastic_hull_instance():
     )
 
 
+def large_units(inst, k=1e3):
+    """inst with its demand in larger units: fixed demand times k, or the
+    demand curve's intercepts times k and slopes divided by k, which scales
+    the elastic quantities by about k^2 and the welfare by about k^3."""
+    if isinstance(inst.demand, Fixed):
+        demand = Fixed(inst.demand.d * k)
+    else:
+        demand = AffineElastic(inst.demand.alpha * k, inst.demand.beta / k)
+    return dataclasses.replace(inst, demand=demand)
+
+
 def random_uncertainty(rng, n):
     """Random valid uncertainty set: unit box cut by one halfspace that
     keeps the origin and all unit axis points inside."""
@@ -411,6 +422,23 @@ class TestRobustElastic:
             _, C, _ = solve_robust_cp_elastic(inst)
             assert E <= C + SADDLE_TOL, f"trial {trial}"
 
+    @pytest.mark.parametrize("kind", ["simplex", "budget"])
+    def test_large_units_pass_the_saddle_check(self, kind):
+        # At a welfare of about 1e10 rounding alone leaves saddle gaps of
+        # 1e-6 to 1e-5, about 1e-16 relative; an absolute tolerance of 1e-6
+        # raised SaddleViolated on 18 of these 20 markets.
+        rng = np.random.default_rng(11)
+        workloads = _load_workloads()
+        for trial in range(10):
+            inst = large_units(workloads.elastic_market(rng, 4, 8, kind))
+            solution, C, worst_u = solve_robust_cp_elastic(inst)
+            gap = abs(welfare(inst, solution.production, solution.capacities, worst_u) - C)
+            assert gap <= 1e-14 * abs(C), f"trial {trial}"
+            if trial < 2:
+                cert = verify_adjustable_equivalence(large_units(
+                    workloads.elastic_market(rng, 3, 3, kind)))
+                assert cert["dominated"] and cert["saddle_ok"], f"trial {trial}"
+
     def test_saddle_certificate_random(self):
         rng = np.random.default_rng(61)
         for trial in range(20):
@@ -435,12 +463,13 @@ def tight_robust_lp():
 def _corrupt_adversary_duals(monkeypatch, name, rows, change):
     """Wrap robust.<name> so that its outcomes carry change(duals) on their
     last `rows` dual entries, the multipliers of the dualized adversary
-    rows.  The robust program is the first solve through that binding, and
-    its readout raises before any other."""
+    rows.  The robust program is the first solve through that binding (the
+    elastic planner's crash LP goes through solve_lp), and its readout
+    raises before any other."""
     original = getattr(robust, name)
 
-    def corrupted(*args):
-        out = original(*args)
+    def corrupted(*args, **kwargs):
+        out = original(*args, **kwargs)
         duals = out.duals.copy()
         duals[-rows:] = change(duals[-rows:])
         return dataclasses.replace(out, duals=duals)
@@ -460,11 +489,17 @@ class TestSingleWorstCasePath:
         (lambda duals: duals + 5.0, "leaves the uncertainty set"),
         (lambda duals: 0.0 * duals, "misses the program value"),
     ], ids=["shifted", "zeroed"])
+    # In large units (a welfare of about 1e10 for cp_elastic) both changes
+    # still exceed the saddle tolerance, relative to the program value.
     @pytest.mark.parametrize("solve, name, rows", [
         (lambda: solve_robust_cp_fixed(two_producer_peak_instance()), "_solve", 2),
         (lambda: solve_robust_cp_elastic(elastic_hull_instance()), "_solve", 2),
+        (lambda: solve_robust_cp_fixed(large_units(two_producer_peak_instance())),
+         "_solve", 2),
+        (lambda: solve_robust_cp_elastic(large_units(elastic_hull_instance())),
+         "_solve", 2),
         (lambda: solve_robust_lp(tight_robust_lp()), "solve_lp", 2),
-    ], ids=["cp_fixed", "cp_elastic", "robust_lp"])
+    ], ids=["cp_fixed", "cp_elastic", "cp_fixed-1e3", "cp_elastic-1e3", "robust_lp"])
     def test_bad_dual_readout_raises(self, monkeypatch, solve, name, rows,
                                      change, message):
         _corrupt_adversary_duals(monkeypatch, name, rows, change)
@@ -1207,11 +1242,14 @@ class TestMinNormDuals:
 
 class TestQpFactorUpdates:
     """solve_qp pivots the condensed tableau instead of factoring its rows
-    at each step: on the robust planner and its tie-break, the SVD-based
-    calls of solver.py number at most one per QP (the minimum-norm equality
-    duals), and only for a QP with "=" rows.  The step counts are those of
-    the reduced-gradient kernel: 62 for the planner from the origin, and one
-    for the tie-break, crossed over at the planner's optimum."""
+    at each step: on the robust planner, its crash LP and its tie-break, and
+    on the same planner QP started cold (the oracle), the SVD-based calls of
+    solver.py number none for the LP and at most one per QP (the
+    minimum-norm equality duals), and only for a QP with "=" rows.  The
+    iteration counts are those of the kernels: 44 dual pivots for the crash
+    LP, one step for the planner QP started at the LP's vertex, and one for
+    the tie-break, crossed over at the planner's optimum; from the origin
+    the planner QP takes 62 steps."""
 
     def test_no_svd_per_step(self, monkeypatch):
         inst = _load_workloads().elastic_market(np.random.default_rng(3), 4, 8, "simplex")
@@ -1227,31 +1265,39 @@ class TestQpFactorUpdates:
             monkeypatch.setattr(np.linalg, name, counted)
         solves = []
 
-        def recorded(spec, start=None):
-            before = len(svd_calls)
-            out = solver.solve_qp(spec, start=start)
-            solves.append((out.iterations, "=" in spec.constraint_kinds,
-                           len(svd_calls) - before))
-            return out
+        def recorded(solve):
+            def record(spec, **kwargs):
+                before = len(svd_calls)
+                out = solve(spec, **kwargs)
+                solves.append((solve.__name__, out.iterations, "=" in spec.constraint_kinds,
+                               len(svd_calls) - before))
+                return out
+            return record
 
-        monkeypatch.setattr(market, "solve_qp", recorded)
-        monkeypatch.setattr(robust, "solve_qp", recorded)
+        monkeypatch.setattr(market, "solve_qp", recorded(solver.solve_qp))
+        monkeypatch.setattr(robust, "solve_qp", recorded(solver.solve_qp))
+        monkeypatch.setattr(robust, "solve_lp", recorded(solver.solve_lp))
         solve_robust_cp_elastic(inst)
-        assert [iterations for iterations, _, _ in solves] == [62, 1]
-        for _, has_eq, calls in solves:
-            assert calls <= (1 if has_eq else 0)
+        oracles.robust_welfare_qp(inst)
+        assert [(name, iterations) for name, iterations, _, _ in solves] == [
+            ("solve_lp", 44), ("solve_qp", 1), ("solve_qp", 1),
+            ("solve_qp", 62), ("solve_qp", 1)]
+        for name, _, has_eq, calls in solves:
+            assert calls <= (1 if has_eq and name == "solve_qp" else 0)
 
 
 class TestElasticPlannerSteps:
     """The elastic planner at 8x24 on box and budget sets, the shapes that
-    were slow under the former working-set QP (ROADMAP item 3).  Its QP
-    step counts are deterministic: with perfbench's generator and
-    default_rng(3), planner + tie-break take 416 + 10 steps on the budget
-    set.  The dualized box planner took 402 + 355, and pricing by Bland's
-    rule from the 61st stalled step on, as the simplex does, gave its
-    tie-break 926, so a bound of 500 per QP catches a lost stall rule.  The
-    planner now takes the welfare QP at the box's greatest element (37 + 2
-    steps), and the dualized program is posed by its oracle."""
+    were slow under the former working-set QP (ROADMAP item 3).  Its
+    iteration counts are deterministic: with perfbench's generator and
+    default_rng(3), the budget planner's crash LP takes 242 dual pivots,
+    then planner + tie-break take 9 + 10 QP steps (416 + 10 from the
+    origin).  The dualized box planner took 402 + 355, and pricing by
+    Bland's rule from the 61st stalled step on, as the simplex does, gave
+    its tie-break 926, so a bound of 500 per QP catches a lost stall rule.
+    The planner now takes the welfare QP at the box's greatest element
+    (37 + 2 steps), and the dualized program is posed, from the origin, by
+    its oracle."""
 
     @pytest.mark.parametrize("kind, solve", [("box", solve_robust_cp_elastic),
                                              ("budget", solve_robust_cp_elastic),
@@ -1271,3 +1317,23 @@ class TestElasticPlannerSteps:
         solve(inst)
         assert len(steps) == 2
         assert max(steps) <= 500, steps
+
+    @pytest.mark.parametrize("kind, lps", [("simplex", 1), ("budget", 1), ("hull", 1),
+                                           ("box", 0)])
+    def test_solve_counts(self, monkeypatch, kind, lps):
+        # The dualized planner poses its crash LP, the planner QP and the
+        # tie-break; the planner at the box's greatest element poses its
+        # welfare QP and the tie-break, and no LP.  Counted inside solver,
+        # below every binding, after the set's validation.
+        if kind == "hull":
+            inst = elastic_hull_instance()
+        else:
+            inst = _load_workloads().elastic_market(np.random.default_rng(3), 3, 4, kind)
+        counts = {"_lp_internal": 0, "_qp_internal": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(solver, name)):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(solver, name, counted)
+        solve_robust_cp_elastic(inst)
+        assert counts == {"_lp_internal": lps, "_qp_internal": 2}
