@@ -13,7 +13,10 @@ them (_readout) and raises SaddleViolated when the readout fails its check,
 relative to the program value, never re-solving the adversary.  The
 dualized elastic planner is a QP over (x, y, z) whose start is the vertex of
 a crash LP (_crash_start): with the quantities pinned, what remains of it is
-the fixed-demand robust planner LP on the same rows.
+the fixed-demand robust planner LP on the same rows.  Either elastic
+planner projects its optimum onto the minimum-norm point of the optimal
+face (_min_norm_optimum) only when its QP does not prove the optimum
+unique (SolveOutcome.unique_optimum).
 
 Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
@@ -149,7 +152,9 @@ def _with_adversary(A, rhs, kinds, cost, lam, U, sign):
 def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star, weight):
     """Minimum-norm point, in the norm sum_k weight_k v_k^2, of the optimal
     set of a welfare QP over (x, y, ...) with linear part (A, rhs, kinds,
-    cost), given one optimum v_star.
+    cost), given one optimum v_star.  solve_robust_cp_elastic calls it only
+    when the QP did not prove v_star the one optimum; otherwise the set is
+    {v_star} and the projection would return v_star up to rounding.
 
     The dualized planner over (x, y, z) takes unit weights.  The planner at
     the corner poses no z; with weight 1 + a^2 on x and 1 on y it takes the
@@ -433,21 +438,23 @@ def solve_robust_cp_elastic(inst: MarketInstance):
 
     Returns (solution, C'_R, worst_u).  When the per-period set contains its
     greatest element m (_corner), m is a worst case for every plan, so the
-    planner is the welfare QP over (x, y) at costs c_var + a m
-    (solve_elastic_welfare), the strict robust market, and worst_u is m in
-    every period.  Otherwise the adversary is dualized into z variables and
-    worst_u is read off the duals of its adversary rows; that QP starts at
-    the vertex of its crash LP (_crash_start), the fixed-demand robust
-    planner LP on the same rows at quantities pinned to the demand-curve
-    intercepts, and from there takes a few steps where from the origin it
-    took one per degenerate row.  C'_R is the QP's optimal value, and
+    planner is the welfare QP over (x, y) at costs c_var + a m (the program
+    of solve_elastic_welfare, posed here for its SolveOutcome), the strict
+    robust market, and worst_u is m in every period.  Otherwise the
+    adversary is dualized into z variables and worst_u is read off the
+    duals of its adversary rows; that QP starts at the vertex of its crash
+    LP (_crash_start), the fixed-demand robust planner LP on the same rows
+    at quantities pinned to the demand-curve intercepts, and from there
+    takes a few steps where from the origin it took one per degenerate row.  C'_R is the QP's optimal value, and
     either worst_u goes through _readout, so
     welfare(x*, y*, worst_u) = C'_R holds within _saddle_tol(C'_R) or
-    SaddleViolated is raised.  The plan is the minimum-norm optimum
-    (_min_norm_optimum): over (x, y, z) for the dualized QP, over (x, y)
-    with weight 1 + a^2 on x at the corner, the same point wherever P = I.
-    A tie-break that fails raises NumericBreakdown.  Prices are read off the
-    demand curve at total production.
+    SaddleViolated is raised.  The plan is the minimum-norm optimum: over
+    (x, y, z) for the dualized QP, over (x, y) with weight 1 + a^2 on x at
+    the corner, the same point wherever P = I.  When the QP proves its
+    optimum unique (SolveOutcome.unique_optimum) that optimum is the plan;
+    otherwise the tie-break _min_norm_optimum projects it onto that point,
+    and a tie-break that fails raises NumericBreakdown.  Prices are read
+    off the demand curve at total production.
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust planner requires AffineElastic demand")
@@ -457,24 +464,25 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     a = scaling_matrix(inst).reshape(-1)
     worst = _corner(inst)
     if worst is not None:
-        costs = cost_matrix(inst, worst)
-        A, b, kinds, cost = _welfare_program(inst, costs)
-        plan = solve_elastic_welfare(inst, costs)
-        v_star = np.concatenate([plan.production.reshape(-1), plan.capacities])
+        A, b, kinds, cost = _welfare_program(inst, cost_matrix(inst, worst))
+        out = _solve(inst, A, b, kinds, cost, "elastic welfare program")
         weight = np.concatenate([1.0 + a ** 2, np.ones(N)])
-        C = plan.objective
     else:
         A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
                                             a, lifted, -1.0)
         out = _solve(inst, A, b, kinds, cost, "robust welfare program",
                      start=_crash_start(inst, a, lifted))
-        v_star, weight, C = out.primal, np.ones(out.primal.size), float(out.objective)
+        weight = np.ones(out.primal.size)
         # Max-sense >= rows carry nonpositive multipliers; negate to read u.
         worst = -out.duals[N * T:].reshape(N, T)
+    C = float(out.objective)
 
-    # Welfare optima can be degenerate across capacity splits; canonicalize
-    # to the minimum-norm optimum so interchangeable producers split evenly.
-    primal = _min_norm_optimum(inst, cost, A, b, kinds, v_star, weight)
+    # Welfare optima can be degenerate across capacity splits; unless the
+    # QP proved its optimum unique, canonicalize to the minimum-norm optimum
+    # so interchangeable producers split evenly.
+    primal = out.primal
+    if not out.unique_optimum:
+        primal = _min_norm_optimum(inst, cost, A, b, kinds, primal, weight)
     x = primal[: N * T].reshape(N, T)
     y = primal[N * T : N * T + N]
     prices = demand.alpha - demand.beta * x.sum(axis=0)
@@ -496,10 +504,9 @@ def _crash_start(inst: MarketInstance, a, lifted):
     the QP's rows, which are the LP's without the clearing rows.  s0 is the
     demand-curve intercepts q_t = max(alpha_t, 0) / beta_t divided by their
     peak: the LP's rows form a cone over s0, so its optimal basis does not
-    depend on that scale, and a start of unit size passes solve_qp's
-    absolute start check in any units.  With every q_t = 0 the optimum is
-    the origin.  A crash LP that does not come back optimal raises
-    Infeasible or Unbounded."""
+    depend on that scale, and the start's quantities stay of unit size in
+    any units.  With every q_t = 0 the optimum is the origin.  A crash LP
+    that does not come back optimal raises Infeasible or Unbounded."""
     demand = inst.demand
     q = np.maximum(demand.alpha, 0.0) / demand.beta
     peak = q.max()

@@ -75,7 +75,14 @@ the readout the simplex ends in too (_Tableau.read_out).  The
 "=" duals, not unique when those rows are dependent, are reported as the
 minimum-norm split of the same E' duals (one least-squares solve), so the
 copies of a repeated row share its multiplier evenly.  A QP's iterations
-are its phase-1 pivots plus its phase-2 steps.
+are its phase-1 pivots plus its phase-2 steps.  With no further solve, the
+QP also reports whether its optimum is provably unique
+(SolveOutcome.unique_optimum): every nonbasic at zero outside S prices
+above the pricing tolerance, and the reduced Hessian over S, if S is not
+empty, is positive definite above the flat floor (strict complementarity
+and second-order sufficiency; Nocedal & Wright, Numerical Optimization,
+2006, ch. 12).  A reduced cost within the tolerance counts as zero, so a
+doubtful case reports no proof.
 
 Both solvers end in one builder, _optimal: it forms the reduced costs, the
 certificate (_certificate: four KKT residuals of the folded program over
@@ -237,7 +244,14 @@ class SolveOutcome:
     _certificate judges the folded program, each at most CERT_TOL.
     An infeasible solve's certificate holds its phase-1 objective, or, for
     an LP solved from its dual, {"dual_unbounded": True}; an unbounded
-    solve's is empty."""
+    solve's is empty.
+
+    unique_optimum is True only for an optimal QP whose kernel proved the
+    primal the program's one optimum when it stopped (_qp_internal: strict
+    complementarity and a positive definite reduced Hessian).  False says
+    nothing: the optimum may still be unique, with a reduced cost inside
+    the pricing tolerance, say.  It is always False for an LP and for a
+    solve that is not optimal."""
 
     status: str
     iterations: int
@@ -246,6 +260,7 @@ class SolveOutcome:
     objective: Optional[float] = None
     duals: Optional[np.ndarray] = None
     reduced_costs: Optional[np.ndarray] = None
+    unique_optimum: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +524,22 @@ def _folded(spec):
 
 
 def _violation(rows, v):
-    """(violation, A v - b, 1 + max |b|) of the folded rows (A, kinds, b)
-    at v: the largest row violation or negative entry of v."""
+    """(violation, A v - b) of the folded rows (A, kinds, b) at v: the
+    largest row violation or negative entry of v."""
     A, kinds, b = rows
     resid = A @ v - b
     violation = np.concatenate([np.where(kinds == "=", np.abs(resid),
                                          np.where(kinds == ">=", -resid, resid)),
                                 -v]).max(initial=0.0)
-    return violation, resid, 1.0 + np.abs(b).max(initial=0.0)
+    return violation, resid
+
+
+def _primal_scale(abs_A, b, v):
+    """1 + ||b||_inf + || |A| |v| ||_inf (at least 1 + ||b||_inf + ||v||_inf),
+    abs_A being |A|: the scale by which _certificate and solve_qp's start
+    check judge a violation of the folded rows (A, kinds, b) at v."""
+    abs_v = np.abs(v)
+    return 1.0 + np.abs(b).max(initial=0.0) + (abs_A @ abs_v).max(initial=abs_v.max(initial=0.0))
 
 
 def _map_back(spec, x, duals, reduced):
@@ -546,9 +569,9 @@ def _certificate(spec, rows, x, duals, reduced):
 
     Returns (primal, dual, complementarity, duality_gap).
     """
-    A, kinds, _ = rows
+    A, kinds, b = rows
     v, y, r = _map_back(spec, x, duals, reduced)
-    violation, resid, b_scale = _violation(rows, v)
+    violation, resid = _violation(rows, v)
     v_slack = np.abs(r * v)
     # max(0.0, ...) turns the -0.0 that max returns for all -0.0 entries
     # into 0.0, so the certificate never reports a signed zero.
@@ -558,21 +581,22 @@ def _certificate(spec, rows, x, duals, reduced):
     comp = max(np.abs(y * resid).max(initial=0.0), v_slack.max(initial=0.0))
     mass = abs(float(y @ resid)) + float(v_slack.sum())
 
-    abs_A, abs_v = np.abs(A), np.abs(v)
-    primal_scale = b_scale + (abs_A @ abs_v).max(initial=abs_v.max(initial=0.0))
+    abs_A = np.abs(A)
+    primal_scale = _primal_scale(abs_A, b, v)
     dual_scale = (1.0 + np.abs(r + A.T @ y).max(initial=0.0)
                   + (np.abs(y) @ abs_A).max(initial=0.0))
     scale = primal_scale * dual_scale
     return primal / primal_scale, dual / dual_scale, comp / scale, mass / scale
 
 
-def _optimal(spec, rows, x, duals, grad, objective, iterations):
+def _optimal(spec, rows, x, duals, grad, objective, iterations, unique=False):
     """The optimal SolveOutcome at (x, duals), with grad the objective
-    gradient at x and rows = _folded(spec), folded once by the caller: the
-    one place either solver builds it.  It forms the reduced costs
-    grad - A' duals and the certificate, and raises NumericBreakdown when a
-    scaled residual exceeds CERT_TOL, so a wrong primal or dual never
-    reaches the caller as "optimal"."""
+    gradient at x, rows = _folded(spec), folded once by the caller, and
+    `unique` the kernel's uniqueness proof: the one place either solver
+    builds it.  It forms the reduced costs grad - A' duals and the
+    certificate, and raises NumericBreakdown when a scaled residual exceeds
+    CERT_TOL, so a wrong primal or dual never reaches the caller as
+    "optimal"."""
     reduced = grad - spec.constraint_matrix.T @ duals
     residuals = [float(r) for r in _certificate(spec, rows, x, duals, reduced)]
     if not max(residuals) <= CERT_TOL:
@@ -580,7 +604,8 @@ def _optimal(spec, rows, x, duals, grad, objective, iterations):
                                f"residual {max(residuals):.3e} exceeds CERT_TOL {CERT_TOL:g}")
     certificate = dict(zip(("primal_residual", "dual_residual", "complementarity",
                             "duality_gap"), residuals))
-    return SolveOutcome("optimal", iterations, certificate, x, objective, duals, reduced)
+    return SolveOutcome("optimal", iterations, certificate, x, objective, duals, reduced,
+                        unique)
 
 
 def solve_lp(spec: LpSpec) -> SolveOutcome:
@@ -603,27 +628,34 @@ def solve_lp(spec: LpSpec) -> SolveOutcome:
 # reduced-gradient QP
 
 
-def _reduced_step(Q, D, basis, nonbasic, S, grad, curvature):
-    """The phase-2 direction over the superbasic slots S: (d_S, d_B, ray,
-    full), full being the length of a step that nothing blocks.
-
-    Moving the superbasics by d_S moves the basics by d_B = -D[:, S] d_S,
-    so the null space of the rows is Z = [e_S; -D[:, S] on the basics] and
-    the reduced Hessian is Z_v' Q Z_v, Z_v being Z's rows of the original
-    variables (Q is zero on the slacks).  A flat eigenvalue (at or below
-    1e-10 times the curvature scale) along which the reduced gradient still
-    slopes gives a ray of unit length, downhill.  Its eigenvalue can still
-    be above rounding (1e-13 times the scale), and the ray then stops at
-    its minimum, so that no step raises the objective; otherwise its length
-    is infinite.  Without a ray, d_S is the Newton step over the positive
-    eigenvalues, of full length 1."""
-    n = grad.size
+def _null_space(n, DS, basis, nonbasic, S):
+    """Z_v, the null space of the rows over the superbasic slots S, on the
+    n original variables, with DS = D[:, S].  Moving the superbasics by d_S
+    moves the basics by -DS d_S, so Z = [e_S; -DS on the basics], and Z_v
+    is its rows of the original variables (Q is zero on the slacks): the
+    reduced Hessian is Z_v' Q Z_v."""
     Z = np.zeros((n, S.size))
     own = (nonbasic[S] < n).nonzero()[0]
     Z[nonbasic[S[own]], own] = 1.0
-    DS = D[:, S]
     on = basis < n
     Z[basis[on]] = -DS[on]
+    return Z
+
+
+def _reduced_step(Q, D, basis, nonbasic, S, grad, curvature):
+    """The phase-2 direction over the superbasic slots S: (d_S, d_B, ray,
+    full), full being the length of a step that nothing blocks, and d_B =
+    -D[:, S] d_S the basics' move.
+
+    The reduced Hessian is Z_v' Q Z_v (_null_space).  A flat eigenvalue (at
+    or below 1e-10 times the curvature scale) along which the reduced
+    gradient still slopes gives a ray of unit length, downhill.  Its
+    eigenvalue can still be above rounding (1e-13 times the scale), and the
+    ray then stops at its minimum, so that no step raises the objective;
+    otherwise its length is infinite.  Without a ray, d_S is the Newton
+    step over the positive eigenvalues, of full length 1."""
+    DS = D[:, S]
+    Z = _null_space(grad.size, DS, basis, nonbasic, S)
     lam, V = np.linalg.eigh(Z.T @ Q @ Z)
     slopes = V.T @ (Z.T @ grad)
     pos = lam > 1e-10 * curvature
@@ -644,7 +676,8 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
     `start` (crossed over onto a basis) or else from phase 1.
 
     Returns (status, iterations, found) as _lp_internal does, the iterations
-    being phase-1 pivots plus phase-2 steps.
+    being phase-1 pivots plus phase-2 steps; an optimal found is
+    (v, row duals, unique), unique being the uniqueness proof below.
     """
     t = _Tableau(A, kinds, b)
     if start is None:
@@ -683,7 +716,8 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
             # enters S, ties and (while stalled) any improving slot going to
             # the smallest index, as in the simplex.
             reduced = grad[nonbasic] - grad[basis] @ D
-            improving = ~sup & (reduced < -1e-9 * (1.0 + np.max(np.abs(grad), initial=0.0)))
+            tol = 1e-9 * (1.0 + np.max(np.abs(grad), initial=0.0))
+            improving = ~sup & (reduced < -tol)
             if not improving.any():
                 break
             if stall <= stall_limit:
@@ -740,8 +774,20 @@ def _qp_internal(Q, c, A, kinds, b, curvature, start=None):
     else:
         raise NumericBreakdown("QP iteration limit exceeded")
     iterations += step - 1
+    # The optimum is unique when every nonbasic at zero outside S prices
+    # above the pricing tolerance and S is empty or its reduced Hessian is
+    # positive definite (above the flat floor): a move d that keeps the rows
+    # gains f(w + d) - f(w) >= g'd = sum of r_j d_j over the nonbasics
+    # outside S (r_S = 0 at stationarity), which is positive unless those
+    # d_j are all 0, and a move of S alone gains d_S' Z'QZ d_S / 2 > 0.
+    # A reduced cost within the tolerance counts as zero (Mangasarian, Lin.
+    # Alg. Appl. 25, 1979; Nocedal & Wright, Numerical Optimization, ch. 12).
+    unique = bool(np.all(reduced[~sup] > tol))
+    if unique and S.size:
+        Z = _null_space(n, D[:, S], basis, nonbasic, S)
+        unique = bool(np.linalg.eigvalsh(Z.T @ Q @ Z)[0] > 1e-10 * curvature)
     del D  # read_out frees the tableau before it builds B
-    return "optimal", iterations, t.read_out(w, nonbasic[sup], lambda v: Q @ v + c)
+    return "optimal", iterations, (*t.read_out(w, nonbasic[sup], lambda v: Q @ v + c), unique)
 
 
 def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
@@ -750,7 +796,9 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
     when one is given, and otherwise from phase 1.  The start is judged on
     the folded rows at start - lb, as _certificate judges them: one that
     violates a row, a folded upper bound or v >= 0 by more than FEAS_TOL
-    times 1 + the largest folded |right-hand side| raises ValueError."""
+    times the primal scale 1 + ||b||_inf + || |A| |v| ||_inf (_primal_scale)
+    raises ValueError, so the check holds in any units.  The outcome's
+    unique_optimum is the kernel's proof that the optimum is unique."""
     n = spec.n_vars
     Q_stated = spec.quadratic_matrix
     c_stated = spec.cost
@@ -769,15 +817,15 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
     rows = _folded(spec)
     if start is not None:
         v = _as_vector(start, n, "start") - lb
-        violation, _, scale = _violation(rows, v)
-        if not violation <= FEAS_TOL * scale:
+        violation, _ = _violation(rows, v)
+        if not violation <= FEAS_TOL * _primal_scale(np.abs(rows[0]), rows[2], v):
             raise ValueError(f"start violates the constraints by {violation:.3e}")
         start = np.maximum(v, 0.0)
     status, iterations, found = _qp_internal(Q, c + Q @ lb, *rows, curvature, start)
     if status != "optimal":
         return SolveOutcome(status, iterations, found)
 
-    v, duals_int = found
+    v, duals_int, unique = found
     x = v + lb
     duals = sign * duals_int[: spec.n_rows]
     # The "=" duals are not unique when those rows are dependent; they are
@@ -788,4 +836,4 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
         E = spec.constraint_matrix[eq]
         duals[eq] = np.linalg.lstsq(E.T, E.T @ duals[eq], rcond=None)[0]
     return _optimal(spec, rows, x, duals, Q_stated @ x + c_stated,
-                    float(c_stated @ x + 0.5 * x @ Q_stated @ x), iterations)
+                    float(c_stated @ x + 0.5 * x @ Q_stated @ x), iterations, unique)

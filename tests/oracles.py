@@ -419,11 +419,11 @@ def robust_welfare_qp(inst):
     """The elastic robust planner QP over (x, y, z), its adversary over the
     lifted set dualized (robust._with_adversary), on any set, by the
     package's QP, and its minimum-norm optimum over (x, y, z)
-    (robust._min_norm_optimum at unit weights): what solve_robust_cp_elastic
-    poses on a set without its greatest element, and the reference for its
-    corner on a set with one.  Returns (EquilibriumSolution with the prices
-    read off the demand curves, value, N x T worst case read off the
-    adversary duals)."""
+    (robust._min_norm_optimum at unit weights, called whatever the QP
+    proved): what solve_robust_cp_elastic poses on a set without its
+    greatest element, and the reference for its corner on a set with one.
+    Returns (EquilibriumSolution with the prices read off the demand
+    curves, value, N x T worst case read off the adversary duals)."""
     N, T = inst.N, inst.T
     A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
                                         scaling_matrix(inst).reshape(-1),

@@ -976,7 +976,9 @@ class TestReportContract:
 
     def test_failed_tie_break_maps_to_exit_four(self, capsys, monkeypatch):
         # The elastic planner's minimum-norm tie-break is the only QP that
-        # robust.solve_qp runs here; a non-optimal projection has no fallback.
+        # robust.solve_qp runs here (the file's twin producers tie, so the
+        # planner proves no unique optimum); a non-optimal projection has no
+        # fallback.
         monkeypatch.setattr(robust, "solve_qp", _solver_returning("infeasible"))
         code, out, err = run_cli(capsys, "solve", "--instance",
                                  str(INSTANCES / "subsidy_example.json"),
@@ -1026,8 +1028,9 @@ class TestReportContract:
         def perturbed(*args):
             status, iterations, found = original(*args)
             if status == "optimal":
-                v, duals = found
-                found = (v + np.eye(v.size)[0] * 1e-3, duals)
+                # (v, duals), and for the QP its uniqueness proof after them.
+                v, *rest = found
+                found = (v + np.eye(v.size)[0] * 1e-3, *rest)
             return status, iterations, found
 
         def load_then_perturb(path):
@@ -1224,11 +1227,12 @@ class TestClosedFormPaths:
         assert len(posed) == 3
         assert report.C == C and report.ratio == 1.0
 
-    @pytest.mark.parametrize("argv, qps", [(("solve", "--mode", "robust-cp"), 2),
-                                           (("poa",), 3)], ids=["robust-cp", "poa"])
+    @pytest.mark.parametrize("argv, qps", [(("solve", "--mode", "robust-cp"), 1),
+                                           (("poa",), 2)], ids=["robust-cp", "poa"])
     def test_elastic_box_poses_no_adversary(self, capsys, monkeypatch, argv, qps):
-        # The planner is the welfare QP at the corner and its tie-break, the
-        # market the same QP: each over (x, y) alone.
+        # The planner is the welfare QP at the corner, the market the same
+        # QP: each over (x, y) alone.  The planner's optimum is proven
+        # unique, so no tie-break runs.
         inst = _instance("box_elastic.json")
         lps, posed = _count_lps(monkeypatch), _count_qps(monkeypatch)
         code, report = run_json(capsys, argv[0], "--instance",
@@ -1240,6 +1244,17 @@ class TestClosedFormPaths:
             assert report["results"]["E"] == report["results"]["C"]
         else:
             assert np.all(np.array(report["certificates"]["worst_scenario"]) == 1.0)
+
+    def test_twin_producers_split_evenly(self, capsys, monkeypatch):
+        # Two identical producers free of uncertainty: any split of their
+        # output is optimal, so the planner QP proves no unique optimum and
+        # the minimum-norm tie-break, the second QP, splits them evenly.
+        posed = _count_qps(monkeypatch)
+        code, report = run_json(capsys, "solve", "--instance",
+                                str(INSTANCES / "twin_elastic.json"), "--mode", "robust-cp")
+        capacities = report["results"]["capacities"]
+        assert code == 0 and len(posed) == 2
+        assert capacities[0] > 1.0 and abs(capacities[0] - capacities[1]) <= 1e-9
 
     def test_box_scenario_form_poses_the_nominal_planner(self, monkeypatch):
         # The corner dominates every vertex, so the form is the nominal

@@ -5,8 +5,9 @@ solve_robust_cp_elastic poses, on a per-period set without a greatest
 element, the fixed-demand robust planner LP at the crash demand (the
 demand-curve intercepts at unit peak) and starts the welfare QP over
 (x, y, z) from that LP's optimum.  tests/oracles.py's robust_welfare_qp
-poses the same QP from the origin.  Both end in the same minimum-norm
-tie-break, so value, prices and plan agree to rounding; the worst case may
+poses the same QP from the origin.  Both end at the same minimum-norm
+optimum (the planner's tie-break runs unless its QP proves the optimum
+unique), so value, prices and plan agree to rounding; the worst case may
 differ at tied adversary optima, and is checked by the planner's own
 readout.  Markets are drawn from coarse grids over the simplex, a budget
 set and a vertex hull with no greatest element (like

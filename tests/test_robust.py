@@ -39,6 +39,7 @@ from robust_peakload.robust import (
     Infeasible,
     RobustLp,
     SaddleViolated,
+    Unbounded,
     adjustable_scenario_form_fixed,
     dispatch_at_capacity,
     lifted_set,
@@ -97,6 +98,22 @@ def elastic_hull_instance():
         demand=AffineElastic(np.array([5.0]), np.array([1.0])),
         T=1,
         uncertainty=hull,
+    )
+
+
+def twin_elastic_instance():
+    """instances/twin_elastic.json: N=3, T=2 on the simplex, producers 0
+    and 1 identical and free of uncertainty (a = 0), so any split of their
+    output is optimal and the elastic planner's optimum is a face; producer
+    2 is cheaper but uncertain.  The minimum-norm plan gives each twin
+    capacity 1.225."""
+    return MarketInstance(
+        producers=[Producer(c_inv=0.2, c_var=0.5, a=0.0),
+                   Producer(c_inv=0.2, c_var=0.5, a=0.0),
+                   Producer(c_inv=0.05, c_var=0.1, a=0.5)],
+        demand=AffineElastic(np.array([5.0, 3.0]), np.array([1.0, 1.0])),
+        T=2,
+        uncertainty=simplex(3),
     )
 
 
@@ -439,6 +456,27 @@ class TestRobustElastic:
                     workloads.elastic_market(rng, 3, 3, kind)))
                 assert cert["dominated"] and cert["saddle_ok"], f"trial {trial}"
 
+    def test_crash_start_passes_the_start_check_at_large_units(self):
+        # With alpha and a times 1e9, the crash start's z grows with a while
+        # the capacity rows' right-hand sides stay 0.  Judged against
+        # 1 + max |b| alone, 4 of these 10 starts raised ValueError, which
+        # the CLI reports as invalid input.  Judged relative to |A| |v|, as
+        # the certificate judges the optimum, none does.  The planner still
+        # fails on these markets (3 raise SaddleViolated, 1 Unbounded, the
+        # rest as before), by the kernel's accuracy at such units, ROADMAP
+        # item 14; only those errors may escape here.
+        workloads = _load_workloads()
+        for seed in range(10):
+            inst = workloads.elastic_market(np.random.default_rng(seed), 3, 4, "simplex")
+            inst = MarketInstance([Producer(p.c_inv, p.c_var, p.a * 1e9)
+                                   for p in inst.producers],
+                                  AffineElastic(inst.demand.alpha * 1e9, inst.demand.beta),
+                                  inst.T, inst.uncertainty)
+            try:
+                solve_robust_cp_elastic(inst)
+            except (SaddleViolated, Unbounded, NumericBreakdown):
+                pass
+
     def test_saddle_certificate_random(self):
         rng = np.random.default_rng(61)
         for trial in range(20):
@@ -523,24 +561,27 @@ class TestSingleWorstCasePath:
 class TestCanonicalizingSolves:
     """The two canonicalizing solves, the elastic planner's minimum-norm
     tie-break and the scenario form's minimum-norm duals, have no fallback:
-    a failed solve raises NumericBreakdown.  The tie-break poses the optimal
-    face with the T aggregate rows, not one Hessian row per production."""
+    a failed solve raises NumericBreakdown.  The tie-break runs when the
+    planner QP proves no unique optimum, and poses the optimal face with the
+    T aggregate rows, not one Hessian row per production."""
 
     def test_tie_break_poses_t_aggregate_rows(self, monkeypatch):
         posed = {"planner": [], "tie-break": []}
 
         def recorder(key, solve):
             def record(spec, start=None):
-                posed[key].append(spec)
-                return solve(spec, start=start)
+                out = solve(spec, start=start)
+                posed[key].append((spec, out))
+                return out
             return record
 
         monkeypatch.setattr(market, "solve_qp", recorder("planner", market.solve_qp))
         monkeypatch.setattr(robust, "solve_qp", recorder("tie-break", robust.solve_qp))
-        inst = per_period_instance(np.random.default_rng(109), 3, 2, "simplex",
-                                   elastic=True)
-        solve_robust_cp_elastic(inst)
-        (planner,), (tie_break,) = posed["planner"], posed["tie-break"]
+        inst = twin_elastic_instance()
+        solution, _, _ = solve_robust_cp_elastic(inst)
+        ((planner, out),), ((tie_break, _),) = posed["planner"], posed["tie-break"]
+        assert not out.unique_optimum
+        assert_allclose(solution.capacities[:2], [1.225, 1.225], atol=1e-12)
         m, N, T = planner.n_rows, inst.N, inst.T
         assert tie_break.n_rows == m + T + 1
         assert tie_break.constraint_kinds[m:] == ("=",) * (T + 1)
@@ -548,6 +589,18 @@ class TestCanonicalizingSolves:
         aggregate = tie_break.constraint_matrix[m : m + T]
         assert_array_equal(aggregate[:, : N * T], np.tile(np.eye(T), N))
         assert not np.any(aggregate[:, N * T:])
+
+    def test_unique_optimum_skips_the_tie_break(self, monkeypatch):
+        def forbidden(spec, start=None):
+            raise AssertionError("tie-break posed")
+
+        inst = per_period_instance(np.random.default_rng(109), 3, 2, "simplex",
+                                   elastic=True)
+        oracle, C_qp, _ = oracles.robust_welfare_qp(inst)
+        monkeypatch.setattr(robust, "solve_qp", forbidden)
+        solution, C, _ = solve_robust_cp_elastic(inst)
+        assert abs(C - C_qp) <= 1e-12 * abs(C_qp)
+        assert_allclose(solution.capacities, oracle.capacities, rtol=0, atol=1e-9)
 
     def test_failed_tie_break_raises(self, monkeypatch):
         def not_optimal(spec, start=None):
@@ -1242,14 +1295,17 @@ class TestMinNormDuals:
 
 class TestQpFactorUpdates:
     """solve_qp pivots the condensed tableau instead of factoring its rows
-    at each step: on the robust planner, its crash LP and its tie-break, and
-    on the same planner QP started cold (the oracle), the SVD-based calls of
+    at each step: on the robust planner and its crash LP, on the same
+    planner QP started cold with its tie-break (the oracle), and on the
+    planner of a tied market with its tie-break, the SVD-based calls of
     solver.py number none for the LP and at most one per QP (the
     minimum-norm equality duals), and only for a QP with "=" rows.  The
     iteration counts are those of the kernels: 44 dual pivots for the crash
-    LP, one step for the planner QP started at the LP's vertex, and one for
-    the tie-break, crossed over at the planner's optimum; from the origin
-    the planner QP takes 62 steps."""
+    LP and one step for the planner QP started at the LP's vertex, whose
+    optimum it proves unique, so no tie-break runs; from the origin the
+    planner QP takes 62 steps, and the oracle's tie-break, crossed over at
+    its optimum, one.  The tied market (twin_elastic_instance) takes 9
+    pivots, then 4 + 4 steps, the tie-break included."""
 
     def test_no_svd_per_step(self, monkeypatch):
         inst = _load_workloads().elastic_market(np.random.default_rng(3), 4, 8, "simplex")
@@ -1279,9 +1335,11 @@ class TestQpFactorUpdates:
         monkeypatch.setattr(robust, "solve_lp", recorded(solver.solve_lp))
         solve_robust_cp_elastic(inst)
         oracles.robust_welfare_qp(inst)
+        solve_robust_cp_elastic(twin_elastic_instance())
         assert [(name, iterations) for name, iterations, _, _ in solves] == [
-            ("solve_lp", 44), ("solve_qp", 1), ("solve_qp", 1),
-            ("solve_qp", 62), ("solve_qp", 1)]
+            ("solve_lp", 44), ("solve_qp", 1),
+            ("solve_qp", 62), ("solve_qp", 1),
+            ("solve_lp", 9), ("solve_qp", 4), ("solve_qp", 4)]
         for name, _, has_eq, calls in solves:
             assert calls <= (1 if has_eq and name == "solve_qp" else 0)
 
@@ -1291,19 +1349,20 @@ class TestElasticPlannerSteps:
     were slow under the former working-set QP (ROADMAP item 3).  Its
     iteration counts are deterministic: with perfbench's generator and
     default_rng(3), the budget planner's crash LP takes 242 dual pivots,
-    then planner + tie-break take 9 + 10 QP steps (416 + 10 from the
-    origin).  The dualized box planner took 402 + 355, and pricing by
-    Bland's rule from the 61st stalled step on, as the simplex does, gave
-    its tie-break 926, so a bound of 500 per QP catches a lost stall rule.
-    The planner now takes the welfare QP at the box's greatest element
-    (37 + 2 steps), and the dualized program is posed, from the origin, by
-    its oracle."""
+    then the planner QP 9 steps (416 from the origin), and it proves its
+    optimum unique, so no tie-break runs (it took 10 steps).  The dualized
+    box planner took 402 + 355, and pricing by Bland's rule from the 61st
+    stalled step on, as the simplex does, gave its tie-break 926, so a
+    bound of 500 per QP catches a lost stall rule.  The planner now takes
+    the welfare QP at the box's greatest element (37 steps, unique, where
+    the tie-break took 2), and the dualized program is posed, from the
+    origin, by its oracle, which always runs the tie-break."""
 
-    @pytest.mark.parametrize("kind, solve", [("box", solve_robust_cp_elastic),
-                                             ("budget", solve_robust_cp_elastic),
-                                             ("box", oracles.robust_welfare_qp)],
+    @pytest.mark.parametrize("kind, solve, qps", [("box", solve_robust_cp_elastic, 1),
+                                                  ("budget", solve_robust_cp_elastic, 1),
+                                                  ("box", oracles.robust_welfare_qp, 2)],
                              ids=["box", "budget", "box-dualized"])
-    def test_step_counts(self, monkeypatch, kind, solve):
+    def test_step_counts(self, monkeypatch, kind, solve, qps):
         inst = _load_workloads().elastic_market(np.random.default_rng(3), 8, 24, kind)
         steps = []
 
@@ -1315,18 +1374,22 @@ class TestElasticPlannerSteps:
         monkeypatch.setattr(market, "solve_qp", recorded)
         monkeypatch.setattr(robust, "solve_qp", recorded)
         solve(inst)
-        assert len(steps) == 2
+        assert len(steps) == qps
         assert max(steps) <= 500, steps
 
     @pytest.mark.parametrize("kind, lps", [("simplex", 1), ("budget", 1), ("hull", 1),
-                                           ("box", 0)])
+                                           ("twin", 1), ("box", 0)])
     def test_solve_counts(self, monkeypatch, kind, lps):
-        # The dualized planner poses its crash LP, the planner QP and the
-        # tie-break; the planner at the box's greatest element poses its
-        # welfare QP and the tie-break, and no LP.  Counted inside solver,
-        # below every binding, after the set's validation.
+        # The dualized planner poses its crash LP and the planner QP, and
+        # the tie-break only where that QP proves no unique optimum: on the
+        # hull market and the twin market, whose twin producers tie; the
+        # planner at the box's greatest element poses its welfare QP and no
+        # LP.  Counted inside solver, below every binding, after the set's
+        # validation.
         if kind == "hull":
             inst = elastic_hull_instance()
+        elif kind == "twin":
+            inst = twin_elastic_instance()
         else:
             inst = _load_workloads().elastic_market(np.random.default_rng(3), 3, 4, kind)
         counts = {"_lp_internal": 0, "_qp_internal": 0}
@@ -1336,4 +1399,5 @@ class TestElasticPlannerSteps:
                 return _original(*args)
             monkeypatch.setattr(solver, name, counted)
         solve_robust_cp_elastic(inst)
-        assert counts == {"_lp_internal": lps, "_qp_internal": 2}
+        tied = kind in ("hull", "twin")
+        assert counts == {"_lp_internal": lps, "_qp_internal": 2 if tied else 1}

@@ -528,6 +528,75 @@ class TestQpStart:
             solve_qp(self.SPEC, start=start)
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_start_check_is_relative(self, scale):
+        # min (x - 2 s)^2 / 2 + s y s.t. x - y <= 0, a homogeneous row like
+        # the planners' capacity rows, with optimum (s, s): the start is
+        # judged relative to |A| |v|, so a start off by 1e-12 relative
+        # passes in any units and one off by 1e-6 relative raises.
+        spec = QpSpec("min", [-2.0 * scale, scale], [[1.0, -1.0]], [0.0], ["<="],
+                      quadratic_matrix=np.diag([1.0, 0.0]))
+        out = solve_qp(spec, start=[scale * (1.0 + 1e-12), scale])
+        assert out.status == "optimal"
+        assert_allclose(out.primal, [scale, scale], rtol=1e-12)
+        with pytest.raises(ValueError, match="start violates"):
+            solve_qp(spec, start=[scale * (1.0 + 1e-6), scale])
+
+
+class TestUniqueOptimum:
+    """SolveOutcome.unique_optimum: the QP kernel's proof, from strict
+    complementarity and a positive definite reduced Hessian, that its
+    optimum is the only one.  A reduced cost within the pricing tolerance
+    counts as zero, so a unique optimum may go unproven, never the
+    reverse; an LP never carries the proof."""
+
+    @pytest.mark.parametrize("start", [None, [0.0, 1.0]])
+    def test_strictly_convex_is_unique(self, start):
+        # min |x - (1, 1)|^2 / 2 s.t. x1 + x2 <= 1: (1/2, 1/2), row dual 1/2.
+        spec = QpSpec("min", [-1.0, -1.0], [[1.0, 1.0]], [1.0], ["<="],
+                      quadratic_matrix=np.eye(2))
+        out = solve_qp(spec, start=start)
+        assert_allclose(out.primal, [0.5, 0.5], atol=1e-12)
+        assert out.unique_optimum
+
+    def test_strict_vertex_of_a_linear_objective_is_unique(self):
+        # Q = 0: min x1 + 2 x2 s.t. x1 + x2 >= 1 at (1, 0), every reduced
+        # cost of the vertex positive.
+        spec = QpSpec("min", [1.0, 2.0], [[1.0, 1.0]], [1.0], [">="],
+                      quadratic_matrix=np.zeros((2, 2)))
+        out = solve_qp(spec)
+        assert_allclose(out.primal, [1.0, 0.0], atol=1e-12)
+        assert out.unique_optimum
+
+    @pytest.mark.parametrize("start", [None, [0.5, 0.5]])
+    def test_flat_optimal_face_is_not_unique(self, start):
+        # min (x1 + x2 - 1)^2: every point of x1 + x2 = 1, x >= 0 is
+        # optimal.  From the start both coordinates stay superbasic, and
+        # only the reduced Hessian, of rank 1, shows the face.
+        spec = QpSpec("min", [-2.0, -2.0], np.zeros((0, 2)), [], [],
+                      quadratic_matrix=2.0 * np.ones((2, 2)))
+        out = solve_qp(spec, start=start)
+        assert out.status == "optimal"
+        assert_allclose(out.primal.sum(), 1.0, atol=1e-12)
+        assert not out.unique_optimum
+
+    def test_vertex_with_a_zero_reduced_cost_is_not_proven(self):
+        # min x1^2 / 2 + x2 s.t. x1 + x2 >= 1: the optimum (1, 0) is unique
+        # (along the row the objective is 1/2 + x2^2 / 2), but x2's reduced
+        # cost is 0, so the first-order proof does not hold.
+        spec = QpSpec("min", [0.0, 1.0], [[1.0, 1.0]], [1.0], [">="],
+                      quadratic_matrix=np.diag([1.0, 0.0]))
+        out = solve_qp(spec)
+        assert_allclose(out.primal, [1.0, 0.0], atol=1e-12)
+        assert_allclose(out.reduced_costs, [0.0, 0.0], atol=1e-12)
+        assert not out.unique_optimum
+
+    def test_lp_carries_no_proof(self):
+        out = solve_lp(LpSpec("min", [1.0, 2.0], [[1.0, 1.0]], [1.0], [">="]))
+        assert_allclose(out.primal, [1.0, 0.0], atol=1e-12)
+        assert not out.unique_optimum
+
+
 class TestNoVariables:
     """An m x 0 constraint matrix keeps its m rows: a program over no
     variables is optimal at the empty point exactly when every row holds
