@@ -31,13 +31,12 @@ import numpy as np
 from robust_peakload.geometry import (MAX_ENUM_DIM, DimensionTooLarge,
                                       EmptySet, enumerate_vertices, simplex,
                                       tau)
-from robust_peakload.instancefile import (SCHEMA_VERSION, SchemaError,
-                                          canonical_dumps, instance_digest,
-                                          instance_to_data, load_instance,
-                                          write_instance)
-from robust_peakload.market import (AffineElastic, BadMean, Fixed,
-                                    solve_expected, solve_nominal_elastic,
-                                    solve_nominal_fixed, total_cost, welfare)
+from robust_peakload.instancefile import (SCHEMA_VERSION, canonical_dumps,
+                                          instance_digest, instance_to_data,
+                                          load_instance, write_instance)
+from robust_peakload.market import (BadMean, Fixed, solve_expected,
+                                    solve_nominal_elastic, solve_nominal_fixed,
+                                    total_cost, welfare)
 from robust_peakload.poa import (ZeroCost, elastic_family_values,
                                  gen_elastic_family, gen_tight_instance_fixed,
                                  gen_tight_instance_restricted, poa_elastic,
@@ -104,10 +103,12 @@ def _parse_mean(text, N, T):
 # report assembly
 
 
-def _report(command, flags, digest, results, certificates):
+def _report(args, digest, results, certificates):
+    """The report of a command: its flags are every parsed option, in the
+    order the parser declares them."""
     return {
-        "command": command,
-        "flags": flags,
+        "command": args.command,
+        "flags": {k: v for k, v in vars(args).items() if k != "command"},
         "schema_version": SCHEMA_VERSION,
         "instance_digest": digest,
         "results": results,
@@ -153,8 +154,6 @@ def _emit(report, fmt):
 def _cmd_solve(args):
     inst, digest = load_instance(args.instance)
     fixed = isinstance(inst.demand, Fixed)
-    flags = {"instance": args.instance, "mode": args.mode,
-             "mean_u": args.mean_u, "format": args.format}
     results = {"mode": args.mode,
                "demand_mode": "fixed" if fixed else "elastic"}
     certificates = {}
@@ -185,7 +184,7 @@ def _cmd_solve(args):
         certificates["worst_scenario"] = worst.tolist()
         certificates[gap] = abs(float(at_worst) - float(value))
 
-    return _report("solve", flags, digest, results, certificates), EXIT_OK
+    return _report(args, digest, results, certificates), EXIT_OK
 
 
 # The value flags each poa source reads, keyed by --generate (None for
@@ -231,10 +230,6 @@ def _cmd_poa(args):
     for name in _POA_FLAGS:
         if getattr(args, name) is not None and name not in _POA_READS[args.generate]:
             raise CliError(f"--{name.replace('_', '-')} is not read with {source}")
-    flags = {"instance": args.instance, "generate": args.generate,
-             "delta": args.delta, "rho": args.rho, "alpha": args.alpha,
-             "producers": args.producers,
-             "emit_instance": args.emit_instance, "format": args.format}
     certificates = {}
 
     if args.instance is not None:
@@ -252,15 +247,13 @@ def _cmd_poa(args):
         certificates["closed_form"] = closed
         certificates["max_closed_form_gap"] = _closed_form_gap(report, closed)
 
-    return _report("poa", flags, digest, results, certificates), EXIT_OK
+    return _report(args, digest, results, certificates), EXIT_OK
 
 
 def _cmd_subsidy(args):
     inst, digest = load_instance(args.instance)
     if args.seed < 0:
         raise CliError(f"--seed must be nonnegative, got {args.seed}")
-    flags = {"instance": args.instance, "samples": args.samples,
-             "seed": args.seed, "eta": args.eta, "format": args.format}
     override = None
     if args.eta is not None:
         override = np.array(_parse_floats("eta", args.eta))
@@ -312,7 +305,7 @@ def _cmd_subsidy(args):
             np.max(np.abs(record["worst_case_profits"]))
             if len(record["worst_case_profits"]) else 0.0)
 
-    return _report("subsidy", flags, digest, results, certificates), code
+    return _report(args, digest, results, certificates), code
 
 
 def _cmd_set_report(args):
@@ -320,7 +313,6 @@ def _cmd_set_report(args):
     U = inst.uncertainty
     value, witness = tau(U)
     rep = inst.uncertainty_report
-    flags = {"instance": args.instance, "format": args.format}
     results = {
         "tau": float(value),
         "witness": witness.tolist(),
@@ -335,7 +327,7 @@ def _cmd_set_report(args):
         "witness_in_set": bool(U.contains(witness, tol=WITNESS_TOL)),
         "witness_min_gap": abs(float(np.min(witness)) - float(value)),
     }
-    return _report(args.command, flags, digest, results, certificates), EXIT_OK
+    return _report(args, digest, results, certificates), EXIT_OK
 
 
 _COMMANDS = {"solve": _cmd_solve, "poa": _cmd_poa, "subsidy": _cmd_subsidy,

@@ -12,7 +12,9 @@ N x T matrix flattened producer-major (x[i*T + t] is production of producer
 i in period t, as x.reshape(-1) gives it), followed by the N capacities y;
 programs that need more variables append them after y.  The private block
 builders here (_capacity_rows, _clearing_rows, _welfare_hessian,
-_welfare_gradient) are the only code that lays rows out over x and y.
+_welfare_gradient) are the only code that lays rows out over x and y, and
+_plan is the only code that reads a plan (production, capacities, prices)
+back out of a solved program.
 _solve is the only code that turns the demand mode into a solver call (a
 cost-minimal LP or a welfare-maximal QP).  One fixed-demand planner poses no
 program: at production costs constant over the periods, solve_fixed_dispatch
@@ -240,6 +242,20 @@ def _solve(inst: MarketInstance, A, rhs, kinds, cost, what, start=None):
                     what)
 
 
+def _plan(inst: MarketInstance, out, primal=None) -> EquilibriumSolution:
+    """The plan of a solved program over (x, y, ...): x and y from `primal`
+    (by default out.primal) and the objective of the outcome `out`.  Prices
+    are the duals of the T clearing rows, which follow the N*T capacity rows
+    (_fixed_program), for fixed demand, and the demand curves at total
+    production for elastic demand."""
+    N, T = inst.N, inst.T
+    v = out.primal if primal is None else primal
+    x = v[: N * T].reshape(N, T)
+    prices = (out.duals[N * T : N * T + T].copy() if isinstance(inst.demand, Fixed)
+              else inst.demand.alpha - inst.demand.beta * x.sum(axis=0))
+    return EquilibriumSolution(prices, v[N * T : N * T + N], x, float(out.objective))
+
+
 class Dispatch(NamedTuple):
     """Outcome of _dispatch over S scenarios: production x (S x N x T), the
     value of each scenario including the cost of y (S), and its per-period
@@ -376,12 +392,8 @@ def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray) -> Equilibrium
     costs = np.asarray(costs, dtype=float)
     if np.all(costs == costs[:, :1]):
         return _screening(inst, costs)
-    N, T = inst.N, inst.T
-    out = _solve(inst, *_fixed_program(inst, costs), "fixed-demand planner program")
-    x = out.primal[: N * T].reshape(N, T)
-    y = out.primal[N * T:]
-    prices = out.duals[N * T:].copy()
-    return EquilibriumSolution(prices, y, x, float(out.objective))
+    return _plan(inst, _solve(inst, *_fixed_program(inst, costs),
+                              "fixed-demand planner program"))
 
 
 def solve_nominal_fixed(inst: MarketInstance) -> EquilibriumSolution:
@@ -394,13 +406,8 @@ def solve_nominal_fixed(inst: MarketInstance) -> EquilibriumSolution:
 def solve_elastic_welfare(inst: MarketInstance, costs: np.ndarray) -> EquilibriumSolution:
     """Welfare-maximal plan under the affine demand curves at the given
     N x T production costs; prices are read off the demand curves."""
-    demand = inst.demand
-    N, T = inst.N, inst.T
-    out = _solve(inst, *_welfare_program(inst, costs), "elastic welfare program")
-    x = out.primal[: N * T].reshape(N, T)
-    y = out.primal[N * T:]
-    prices = demand.alpha - demand.beta * x.sum(axis=0)
-    return EquilibriumSolution(prices, y, x, float(out.objective))
+    return _plan(inst, _solve(inst, *_welfare_program(inst, costs),
+                              "elastic welfare program"))
 
 
 def solve_nominal_elastic(inst: MarketInstance) -> EquilibriumSolution:

@@ -8,11 +8,13 @@ re-enters the market as the cost scalings a_i (so rescaling is cost-neutral):
 * coherent scenario hulls: given past realizations u_hat^j (the first one
   zero) and a family Q of probability distributions over them, coordinate i
   spans [0, m_i] with m_i = max over q in Q of the q-expectation of
-  u_hat_i; the joint set is the convex hull of the expectation image of Q's
-  vertices together with the origin, rescaled by 1/m_i per coordinate and
-  converted to inequalities by geometry.hull_to_inequalities, the same
-  double description as vertex enumeration; repeated image points are
-  redundant generators and need no dedup.
+  u_hat_i, the largest entry i of the expectation image of Q's vertices
+  (a linear function is largest at a vertex, so no LP is posed); the joint
+  set is the convex hull of that image together with the origin, rescaled
+  by 1/m_i per coordinate and converted to inequalities by
+  geometry.hull_to_inequalities, the same double description as vertex
+  enumeration; repeated image points are redundant generators and need no
+  dedup.
 
 A coordinate with m_i = 0 carries no risk; it keeps its place with a free
 [0, 1] factor and scale 0 (costs unaffected) and raises a
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from robust_peakload.geometry import (
-    EmptySet,
     Polytope,
     box,
     enumerate_vertices,
@@ -110,13 +111,18 @@ def _simplex_restricted(Q: Polytope) -> Polytope:
 
 def build_coherent_set(spec: CoherentSpec):
     """Rescaled hull of the expectation image of Q, plus the scale vector
-    m_i = max_{q in Q} E_q[u_hat_i]."""
+    m_i = max_{q in Q} E_q[u_hat_i], read off that image with no LP: the
+    q-expectation is linear in q, so its maximum over the polytope Q (on
+    the simplex) sits at a vertex, and m is the image's column maximum.
+    Raises ValueError when Q does not meet the probability simplex."""
     N = spec.scenarios.shape[1]
-    Qs = _simplex_restricted(spec.Q)
-    try:
-        m = np.array([max(Qs.maximize(u_hat)[0], 0.0) for u_hat in spec.scenarios.T])
-    except EmptySet as exc:
-        raise ValueError("Q does not intersect the probability simplex") from exc
+    vertices = enumerate_vertices(_simplex_restricted(spec.Q))
+    if not vertices:
+        raise ValueError("Q does not intersect the probability simplex")
+    # Expectation image of Q's vertices; repeated image points are redundant
+    # generators of the hull.
+    image = np.stack(vertices) @ spec.scenarios
+    m = np.maximum(image.max(axis=0), 0.0)
 
     degenerate = m <= DEGENERATE_TOL
     if np.any(degenerate):
@@ -129,10 +135,8 @@ def build_coherent_set(spec: CoherentSpec):
     if active.size == 0:
         return box(N), m
 
-    # Expectation image of Q's vertices, origin included (the zero scenario
-    # keeps the set anchored at the nominal point), rescaled coordinatewise.
-    # Repeated image points are redundant generators of the hull.
-    image = np.stack(enumerate_vertices(Qs)) @ spec.scenarios
+    # The image with the origin (the zero scenario keeps the set anchored at
+    # the nominal point), rescaled coordinatewise.
     points = np.vstack([np.zeros(N), image])[:, active] / m[active]
     hull = hull_to_inequalities(points)
 

@@ -29,7 +29,11 @@ corner dominates.  Scenarios and productions share one coordinate order,
 fixed by geometry.lift_product: lifted coordinate i*T + t is entry (i, t),
 so a scenario flattens by u.reshape(-1) like the x variables of a program,
 and the adversary of coordinate k prices variable k.  Every program shares
-the (x, y) variable layout and block builders of robust_peakload.market.
+the (x, y) variable layout and block builders of robust_peakload.market,
+and every solved program's plan is read back by market._plan; the
+adversary's rows come last (_with_adversary), so both planners read their
+worst case off the last N*T duals.  The two strict robust markets are one
+body (_strict_market) over the demand mode's solve and value.
 
 The lifted set is the T-fold product of the per-period set, and the
 second stage at pinned capacities separates by period.  So the workflows at
@@ -38,7 +42,9 @@ subsidies) return data over the |V| vertices of the per-period set, one
 constant scenario per vertex (_constant_scenarios), and reduce it by period:
 a max or min over the |V|^T lifted vertices of a sum over periods is the
 sum over periods of the per-period max or min.  No lifted vertex list is
-built.
+built.  The second stage is one closed form, market._dispatch: the scenario
+form reports its productions and epigraph from the dispatch at its
+capacities on every set, and judges its slack copies there.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +61,6 @@ from robust_peakload.geometry import (
 )
 from robust_peakload.market import (
     AffineElastic,
-    EquilibriumSolution,
     Fixed,
     MarketInstance,
     _capacity_rows,
@@ -63,6 +68,7 @@ from robust_peakload.market import (
     _dispatch,
     _fixed_program,
     _pinned_inputs,
+    _plan,
     _solve,
     _welfare_hessian,
     _welfare_program,
@@ -358,14 +364,23 @@ def solve_robust_market_fixed(inst: MarketInstance):
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("fixed-demand robust market requires Fixed demand")
-    shifted = cost_matrix(inst, _strict_scenario(inst))
-    solution = solve_fixed_dispatch(inst, shifted)
+    return _strict_market(inst, solve_fixed_dispatch, total_cost)
+
+
+def _strict_market(inst: MarketInstance, solve, value_at):
+    """The strict robust market of either demand mode: the plan `solve`
+    (solve_fixed_dispatch or solve_elastic_welfare) gives at the strict
+    costs c_var + a m, with m the axis maxima (_strict_scenario), and its
+    value_at (total_cost or welfare) under the worst case of that plan:
+    the corner, where the set holds it, at which the value is the plan's own
+    objective; otherwise worst_case_scenario's LP.  Returns (solution,
+    value, worst)."""
+    solution = solve(inst, cost_matrix(inst, _strict_scenario(inst)))
     corner = _corner(inst)
     if corner is not None:
         return solution, solution.objective, corner
-    surcharge, worst = worst_case_scenario(inst, solution.production)
-    E = total_cost(inst, solution.production, solution.capacities) + surcharge
-    return solution, float(E), worst
+    _, worst = worst_case_scenario(inst, solution.production)
+    return solution, value_at(inst, solution.production, solution.capacities, worst), worst
 
 
 def solve_robust_cp_fixed(inst: MarketInstance):
@@ -393,10 +408,9 @@ def solve_robust_cp_fixed(inst: MarketInstance):
         out = _solve(inst, *_with_adversary(*_fixed_program(inst, cost_matrix(inst)),
                                             scaling_matrix(inst).reshape(-1), lifted, 1.0),
                      "robust planner program")
-        solution = EquilibriumSolution(out.duals[N * T : N * T + T].copy(),
-                                       out.primal[N * T : N * T + N],
-                                       out.primal[: N * T].reshape(N, T), float(out.objective))
-        worst = out.duals[N * T + T:].reshape(N, T)
+        solution = _plan(inst, out)
+        # _with_adversary appends its N*T rows last.
+        worst = out.duals[-N * T:].reshape(N, T)
     C = solution.objective
     worst_u = _readout(lifted, worst,
                        lambda u: total_cost(inst, solution.production, solution.capacities, u),
@@ -423,14 +437,7 @@ def solve_robust_market_elastic(inst: MarketInstance):
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust market requires AffineElastic demand")
-    shifted = cost_matrix(inst, _strict_scenario(inst))
-    solution = solve_elastic_welfare(inst, shifted)
-    corner = _corner(inst)
-    if corner is not None:
-        return solution, solution.objective, corner
-    _, worst = worst_case_scenario(inst, solution.production)
-    E = welfare(inst, solution.production, solution.capacities, worst)
-    return solution, float(E), worst
+    return _strict_market(inst, solve_elastic_welfare, welfare)
 
 
 def solve_robust_cp_elastic(inst: MarketInstance):
@@ -459,7 +466,6 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust planner requires AffineElastic demand")
     N, T = inst.N, inst.T
-    demand = inst.demand
     lifted = lifted_set(inst)
     a = scaling_matrix(inst).reshape(-1)
     worst = _corner(inst)
@@ -473,9 +479,9 @@ def solve_robust_cp_elastic(inst: MarketInstance):
         out = _solve(inst, A, b, kinds, cost, "robust welfare program",
                      start=_crash_start(inst, a, lifted))
         weight = np.ones(out.primal.size)
-        # Max-sense >= rows carry nonpositive multipliers; negate to read u.
-        worst = -out.duals[N * T:].reshape(N, T)
-    C = float(out.objective)
+        # The adversary's N*T rows come last; as >= rows of a max program
+        # they carry nonpositive multipliers, so negate to read u.
+        worst = -out.duals[-N * T:].reshape(N, T)
 
     # Welfare optima can be degenerate across capacity splits; unless the
     # QP proved its optimum unique, canonicalize to the minimum-norm optimum
@@ -483,11 +489,10 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     primal = out.primal
     if not out.unique_optimum:
         primal = _min_norm_optimum(inst, cost, A, b, kinds, primal, weight)
-    x = primal[: N * T].reshape(N, T)
-    y = primal[N * T : N * T + N]
-    prices = demand.alpha - demand.beta * x.sum(axis=0)
-    worst_u = _readout(lifted, worst, lambda u: welfare(inst, x, y, u), C)
-    solution = EquilibriumSolution(prices, y, x, C)
+    solution = _plan(inst, out, primal)
+    C = solution.objective
+    worst_u = _readout(lifted, worst,
+                       lambda u: welfare(inst, solution.production, solution.capacities, u), C)
     return solution, C, worst_u
 
 
@@ -652,50 +657,77 @@ def adjustable_scenario_form_fixed(inst: MarketInstance) -> dict:
     the adjustable optimum.  It is exact whenever the worst case is attained
     at a vertex, in particular when dispatch is capacity-forced.
 
-    Returns a dict with
+    Once the capacities are fixed, each copy is the second stage at its
+    vertex, so the report takes every copy from the closed-form dispatch at
+    the capacities (market._dispatch): an optimal copy, whatever the LP's
+    basis chose.  Returns a dict with
       value, capacities: the optimum c_inv'y + sum_t theta_t and its y;
-      epigraph: sum_t theta_t, the worst production cost over the vertices;
+      epigraph: sum_t theta_t, the sum over periods of the dispatch's
+        largest period cost over the vertices;
       clearing_duals: |V| x T, the multiplier of the clearing row of copy
         (v, t), rows in enumerate_vertices(inst.uncertainty) order, so that
         value = sum_{v,t} clearing_duals[v, t] d_t;
       scenarios, productions: |V| x N x T, row v aligned with
         clearing_duals[v]: the constant scenario at per-period vertex v and
-        the copies at it, productions[v][:, t] = x_{v,t}.  The lifted vertex
-        (j_1, ..., j_T) takes period t of both from row j_t.
+        the dispatch at y there, productions[v][:, t] = x_{v,t}.  The lifted
+        vertex (j_1, ..., j_T) takes period t of both from row j_t.
 
     When the per-period set contains its greatest element m (_corner: box,
-    VaR box), m is the worst vertex of every period, and the program is the
-    nominal planner at costs c_var + a m (_corner_scenario_form), with no
-    LP unless some a_by_period varies.  Then m's row of clearing_duals holds
-    the planner's prices and every dominated vertex's row is zero, and the
-    productions are the dispatch at the capacities at every vertex.
-    Otherwise the program is the LP above (_vertex_scenario_form).
+    VaR box), the program is the nominal planner at costs c_var + a m
+    (solve_fixed_dispatch), with no LP unless some a_by_period varies: the
+    dispatch cost does not decrease in u (a >= 0) and every vertex lies
+    below m, so m is the worst vertex of every period at every y.  m's
+    copies carry the planner's prices as clearing duals and every other
+    vertex's carry zero; with epigraph multiplier 1 on m's copies that is an
+    optimal dual of the full program.  m is the vertex of largest coordinate
+    sum, since every other vertex lies below it.  Otherwise the program is
+    the LP above (_vertex_scenario_form).
     """
     if not isinstance(inst.demand, Fixed):
         raise ValueError("scenario reformulation requires fixed demand")
     constant = _constant_scenarios(inst)
     corner = _corner(inst)
     if corner is not None:
-        return _corner_scenario_form(inst, constant, corner)
-    return _vertex_scenario_form(inst, constant)
+        planner = solve_fixed_dispatch(inst, cost_matrix(inst, corner))
+        value, y = planner.objective, planner.capacities
+        duals = np.zeros((len(constant), inst.T))
+        duals[np.argmax(constant[:, :, 0].sum(axis=1))] = planner.prices
+    else:
+        value, y, duals = _vertex_scenario_form(inst, constant)
+    at_y = _dispatch(inst, y, cost_matrix(inst, constant))
+    return {
+        "value": value,
+        "capacities": y,
+        "scenarios": constant,
+        "productions": at_y.x,
+        "clearing_duals": duals,
+        "epigraph": float(at_y.period_values.max(axis=0).sum()),
+    }
 
 
-def _vertex_scenario_form(inst: MarketInstance, constant) -> dict:
-    """adjustable_scenario_form_fixed as one LP over the copies of the
+def _vertex_scenario_form(inst: MarketInstance, constant):
+    """(value, capacities, clearing duals as |V| x T) of
+    adjustable_scenario_form_fixed, from one LP over the copies of the
     |V| x N x T stack `constant` of per-period vertices: a valid program on
     every set, posed on the sets without a greatest element.
 
-    The clearing duals are the minimum-norm optimal multipliers supported
-    on the active copies (those whose epigraph row binds): symmetric across
+    The clearing duals are the minimum-norm optimal multipliers with no mass
+    on the slack copies, judged at the dispatch: the copies whose
+    closed-form dispatch at the LP's capacities (market._dispatch) costs
+    less than the largest of its period.  They are symmetric across
     interchangeable producers, with zero price mass on vertices the worst
-    case of their period never activates.  Such multipliers always exist:
-    dropping a copy whose epigraph row is slack leaves the LP's optimum
-    unchanged, because the copy's only condition on y, sum_i y_i >= d_t, is
-    the same for every copy of its period and the period's active copy
-    already imposes it.  A support-restricted QP that finds none therefore
-    raises NumericBreakdown.  A lifted layout would add nothing: in the
-    lifted program any coupling of these per-period weights across periods
-    is an optimal dual, because the capacity stationarity rows see only the
+    case of their period never activates.  The dispatch is an optimal
+    primal in which such a copy's epigraph row is slack, and every optimal
+    dual is complementary to every optimal primal, so no optimal dual puts
+    an epigraph multiplier on that copy, whichever copy the LP's basis
+    took.  Multipliers with no clearing mass there always exist: dropping a
+    slack copy leaves the LP's optimum unchanged, because the copy's only
+    condition on y, sum_i y_i >= d_t, is the same for every copy of its
+    period and the period's active copy already imposes it.  A
+    support-restricted QP that finds none therefore raises
+    NumericBreakdown.  A lifted layout would add nothing: in the lifted
+    program any coupling of these per-period weights across periods is an
+    optimal dual, because the capacity stationarity rows see only the
     per-period marginals.
     """
     N, T = inst.N, inst.T
@@ -721,49 +753,14 @@ def _vertex_scenario_form(inst: MarketInstance, constant) -> dict:
     cost = np.concatenate([np.ones(T), np.zeros(K * N), c_inv])
     spec = LpSpec("min", cost, np.hstack([theta, x_part, y_part]), rhs, kinds)
     out = _checked(solve_lp(spec), "scenario reformulation")
+    y = out.primal[T + K * N:].copy()
 
-    # Copies whose epigraph row is slack get zero clearing-dual mass.
-    epi_slack = spec.constraint_matrix[:K] @ out.primal - rhs[:K]
-    inactive = np.flatnonzero(epi_slack > 1e-8 * (1.0 + abs(out.objective)))
+    # Copies whose dispatch at y is slack get zero clearing-dual mass.
+    periods = _dispatch(inst, y, cost_matrix(inst, constant)).period_values
+    slack = (periods.max(axis=0) - periods).reshape(-1)
+    inactive = np.flatnonzero(slack > 1e-8 * (1.0 + abs(out.objective)))
     duals = _min_norm_duals(spec, out, clearing_start + inactive)
-
-    copies = out.primal[T : T + K * N].reshape(V, T, N).transpose(0, 2, 1).copy()
-    return {
-        "value": float(out.objective),
-        "capacities": out.primal[T + K * N:].copy(),
-        "scenarios": constant,
-        "productions": copies,
-        "clearing_duals": duals[clearing_start:].reshape(V, T),
-        "epigraph": float(out.primal[:T].sum()),
-    }
-
-
-def _corner_scenario_form(inst: MarketInstance, constant, corner):
-    """adjustable_scenario_form_fixed on a per-period set that contains its
-    greatest element m, the |V| x N x T stack `constant` of its vertices and
-    the N x T `corner` (m in every period).
-
-    The dispatch cost does not decrease in u (a >= 0), and every vertex lies
-    below m, so m is the worst vertex of every period at every y: the
-    program is the nominal planner at costs c_var + a m
-    (solve_fixed_dispatch), and its value and capacities are the form's.
-    m's copies carry the planner's prices as clearing duals and every other
-    vertex's carry zero; with epigraph multiplier 1 on m's copies that is an
-    optimal dual of the full program.  m is the vertex of largest coordinate
-    sum, since every other vertex lies below it.  Productions are the
-    dispatch at the capacities at every vertex."""
-    planner = solve_fixed_dispatch(inst, cost_matrix(inst, corner))
-    at_vertices = _dispatch(inst, planner.capacities, cost_matrix(inst, constant))
-    duals = np.zeros((len(constant), inst.T))
-    duals[np.argmax(constant[:, :, 0].sum(axis=1))] = planner.prices
-    return {
-        "value": planner.objective,
-        "capacities": planner.capacities,
-        "scenarios": constant,
-        "productions": at_vertices.x,
-        "clearing_duals": duals,
-        "epigraph": float(at_vertices.period_values.max(axis=0).sum()),
-    }
+    return float(out.objective), y, duals[clearing_start:].reshape(V, T)
 
 
 def _min_norm_duals(spec: LpSpec, outcome, force_zero_rows):

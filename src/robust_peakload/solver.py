@@ -82,7 +82,8 @@ above the pricing tolerance, and the reduced Hessian over S, if S is not
 empty, is positive definite above the flat floor (strict complementarity
 and second-order sufficiency; Nocedal & Wright, Numerical Optimization,
 2006, ch. 12).  A reduced cost within the tolerance counts as zero, so a
-doubtful case reports no proof.
+doubtful case reports no proof from the kernel; a Q whose smallest
+eigenvalue is above the flat floor proves the optimum unique on its own.
 
 Both solvers end in one builder, _optimal: it forms the reduced costs, the
 certificate (_certificate: four KKT residuals of the folded program over
@@ -248,7 +249,8 @@ class SolveOutcome:
 
     unique_optimum is True only for an optimal QP whose kernel proved the
     primal the program's one optimum when it stopped (_qp_internal: strict
-    complementarity and a positive definite reduced Hessian).  False says
+    complementarity and a positive definite reduced Hessian), or whose Q is
+    positive definite above the flat floor (solve_qp).  False says
     nothing: the optimum may still be unique, with a reduced cost inside
     the pricing tolerance, say.  It is always False for an LP and for a
     solve that is not optimal."""
@@ -798,7 +800,9 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
     violates a row, a folded upper bound or v >= 0 by more than FEAS_TOL
     times the primal scale 1 + ||b||_inf + || |A| |v| ||_inf (_primal_scale)
     raises ValueError, so the check holds in any units.  The outcome's
-    unique_optimum is the kernel's proof that the optimum is unique."""
+    unique_optimum is the proof that the optimum is unique: the kernel's,
+    or Q's smallest eigenvalue, from the convexity check, above the flat
+    floor (a strictly convex objective has one minimizer)."""
     n = spec.n_vars
     Q_stated = spec.quadratic_matrix
     c_stated = spec.cost
@@ -826,6 +830,8 @@ def solve_qp(spec: QpSpec, start=None) -> SolveOutcome:
         return SolveOutcome(status, iterations, found)
 
     v, duals_int, unique = found
+    # A positive definite Q makes the objective strictly convex: one optimum.
+    unique = unique or bool(eigs.size and eigs[0] > 1e-10 * curvature)
     x = v + lb
     duals = sign * duals_int[: spec.n_rows]
     # The "=" duals are not unique when those rows are dependent; they are

@@ -48,7 +48,6 @@ from robust_peakload.robust import (
     solve_robust_cp_elastic,
 )
 
-KKT_TOL = 1e-7
 PROFIT_TOL = 1e-6
 DEFAULT_AUDIT_SAMPLES = 256
 

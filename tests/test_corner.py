@@ -1,5 +1,6 @@
 """Property tests: the robust solves on a per-period set that contains its
-greatest element m (box, VaR box) against the programs they no longer pose.
+greatest element m (box, VaR box) against the programs they no longer pose,
+and the readouts that are one closed form on every set.
 
 There m in every period is the worst case of every plan, so the elastic
 planner is the welfare QP at costs c_var + a m over (x, y), and the
@@ -10,8 +11,10 @@ scenario form with one production copy per lifted vertex.  Markets are
 drawn from coarse grids, so tied demands are common; some hold a pair of
 producers tied at m with different a, whose split only the tie-break
 fixes, and some a varying a_by_period, which keeps costs varying over the
-periods.  Hypothesis runs derandomized, so every run sees the same
-examples.
+periods.  Off the corner (simplex, budget and vertex-hull sets) the
+scenario form still reports the dispatch at its capacities, and the strict
+markets value their plan at its worst case.  Hypothesis runs derandomized,
+so every run sees the same examples.
 """
 
 import numpy as np
@@ -21,12 +24,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (lifted_scenario_form, lifted_vertices, merit_order_dispatch,
                      robust_planner_lp, robust_welfare_qp)
-from robust_peakload.geometry import box, enumerate_vertices
+from robust_peakload.geometry import (Polytope, box, enumerate_vertices,
+                                      hull_to_inequalities, simplex)
 from robust_peakload.market import (AffineElastic, Fixed, MarketInstance, Producer,
-                                    _dispatch, cost_matrix)
+                                    _dispatch, cost_matrix, total_cost, welfare)
 from robust_peakload.poa import poa_elastic, poa_fixed
 from robust_peakload.risk import VarSpec, build_mvar_set
-from robust_peakload.robust import adjustable_scenario_form_fixed, solve_robust_cp_elastic
+from robust_peakload.robust import (_corner, adjustable_scenario_form_fixed,
+                                    solve_robust_cp_elastic, solve_robust_market_elastic,
+                                    solve_robust_market_fixed)
 
 REL_TOL = 1e-12
 PLAN_TOL = 1e-9
@@ -75,6 +81,41 @@ def corner_markets(draw, elastic):
         demand = Fixed(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
                                      min_size=T, max_size=T)))
     return MarketInstance(producers, demand, T, uncertainty)
+
+
+@st.composite
+def off_corner_markets(draw, elastic):
+    """A market (N 2-4, T 1-4) over a simplex, a budget set or a vertex
+    hull, none of which holds its greatest element; every other draw has a
+    twin of producer 0, whose split the dispatch's index rule fixes."""
+    N = draw(st.integers(2, 4))
+    T = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["simplex", "budget", "hull"]))
+    if kind == "simplex":
+        uncertainty = simplex(N)
+    elif kind == "budget":
+        uncertainty = Polytope(N, np.vstack([np.eye(N), np.ones((1, N))]),
+                               np.concatenate([np.ones(N), [draw(st.sampled_from([1.5, N - 0.5]))]]))
+    else:
+        corner = draw(st.sampled_from([0.5, 0.75]))
+        uncertainty = hull_to_inequalities(np.vstack([np.zeros(N), np.eye(N),
+                                                      np.full(N, corner)]))
+    producers = [Producer(draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+                          draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                          draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))) for _ in range(N)]
+    if draw(st.booleans()):
+        producers[-1] = Producer(producers[0].c_inv, producers[0].c_var, producers[0].a)
+    if elastic:
+        demand = AffineElastic(draw(st.lists(st.sampled_from([2.0, 3.0, 4.0, 6.0]),
+                                             min_size=T, max_size=T)),
+                               draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                             min_size=T, max_size=T)))
+    else:
+        demand = Fixed(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                                     min_size=T, max_size=T)))
+    inst = MarketInstance(producers, demand, T, uncertainty)
+    assert _corner(inst) is None
+    return inst
 
 
 def _scale(values):
@@ -135,3 +176,22 @@ class TestScenarioForm:
 
         report = poa_fixed(inst)
         assert report.E == report.C and report.ratio == 1.0
+
+
+class TestOffTheCorner:
+    @PROPERTY
+    @given(off_corner_markets(elastic=False))
+    def test_scenario_form_reports_the_dispatch(self, inst):
+        form = adjustable_scenario_form_fixed(inst)
+        at_y = _dispatch(inst, form["capacities"], cost_matrix(inst, form["scenarios"]))
+        assert_array_equal(form["productions"], at_y.x)
+        assert form["epigraph"] == at_y.period_values.max(axis=0).sum()
+
+    @PROPERTY
+    @given(st.booleans().flatmap(lambda elastic: off_corner_markets(elastic=elastic)))
+    def test_strict_market_values_its_plan_at_the_worst_case(self, inst):
+        fixed = isinstance(inst.demand, Fixed)
+        solve, value_at = ((solve_robust_market_fixed, total_cost) if fixed
+                           else (solve_robust_market_elastic, welfare))
+        solution, E, worst = solve(inst)
+        assert E == value_at(inst, solution.production, solution.capacities, worst)

@@ -15,16 +15,22 @@ whose curve meets the price axis at or below zero.  Hypothesis runs
 derandomized, so every run sees the same examples.
 """
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import robust_welfare_qp
+from robust_peakload import robust
 from robust_peakload.geometry import Polytope, box, hull_to_inequalities, simplex
+from robust_peakload.instancefile import load_instance
 from robust_peakload.market import AffineElastic, MarketInstance, Producer
 from robust_peakload.robust import solve_robust_cp_elastic
 
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 PLAN_TOL = 1e-9
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -83,3 +89,25 @@ class TestUniqueOptimumSkip:
         plan_tol = PLAN_TOL * max(1.0, float(np.max(oracle.capacities, initial=0.0)))
         assert_allclose(solution.capacities, oracle.capacities, rtol=0, atol=plan_tol)
         assert_allclose(solution.production, oracle.production, rtol=0, atol=plan_tol)
+
+
+class TestProjectionProof:
+    """The projection QP of _min_norm_optimum minimizes a weighted norm with
+    positive weights: its Q is positive definite, so solve_qp proves its
+    optimum unique from Q alone, even where the crossed-over face point
+    leaves reduced costs at zero."""
+
+    @pytest.mark.parametrize("name", ["twin_elastic.json", "subsidy_example.json"])
+    def test_projection_reports_unique(self, monkeypatch, name):
+        inst, _ = load_instance(INSTANCES / name)
+        solve_qp, outcomes = robust.solve_qp, []
+
+        def record(spec, start=None):
+            outcomes.append(solve_qp(spec, start=start))
+            return outcomes[-1]
+
+        # In the elastic planner robust.solve_qp poses the projection alone.
+        monkeypatch.setattr(robust, "solve_qp", record)
+        solve_robust_cp_elastic(inst)
+        assert len(outcomes) == 1
+        assert outcomes[0].status == "optimal" and outcomes[0].unique_optimum
