@@ -12,7 +12,8 @@ without a greatest element and the box (the planner at its corner), with
 twin producers that carry no uncertainty (a = 0, a face of optima), a
 producer whose cost reaches the demand curve's intercept, and periods
 whose curve meets the price axis at or below zero.  Hypothesis runs
-derandomized, so every run sees the same examples.
+derandomized, so every run sees the same examples.  The projection QP
+itself, whose Q is positive definite, proves its own optimum unique.
 """
 
 from pathlib import Path
