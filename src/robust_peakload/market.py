@@ -16,13 +16,15 @@ _welfare_gradient) are the only code that lays rows out over x and y, and
 _plan is the only code that reads a plan (production, capacities, prices)
 back out of a solved program.
 _solve is the only code that turns the demand mode into a solver call (a
-cost-minimal LP or a welfare-maximal QP).  One fixed-demand planner poses no
-program: at production costs constant over the periods, solve_fixed_dispatch
-takes the screening curves (_screening), a closed form over the sorted
-demands, and poses the LP only at costs that vary.  _dispatch is the one second
-stage, production's best response at pinned capacities: at pinned
-capacities each period is a dispatch at one node, so it is solved in closed
-form over a whole stack of scenarios, with no solver call per scenario.
+cost-minimal LP or a welfare-maximal QP).  Neither planner poses a program
+at production costs constant over the periods: solve_fixed_dispatch takes
+the screening curves (_screening), a closed form over the sorted demands,
+and solve_elastic_welfare their elastic mirror (_elastic_screening), a
+merit-order stack of capacity slices; each poses its program only at costs
+that vary.  _dispatch is the one second stage, production's best response
+at pinned capacities: at pinned capacities each period is a dispatch at one
+node, so it is solved in closed form over a whole stack of scenarios, with
+no solver call per scenario.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +37,7 @@ from robust_peakload.solver import (FEAS_TOL, Infeasible, LpSpec, QpSpec, _check
                                     solve_lp, solve_qp)
 
 SUPPORT_TOL = 1e-9
+UNIQUE_TOL = 1e-9
 
 
 class BadMean(Exception):
@@ -242,18 +245,17 @@ def _solve(inst: MarketInstance, A, rhs, kinds, cost, what, start=None):
                     what)
 
 
-def _plan(inst: MarketInstance, out, primal=None) -> EquilibriumSolution:
-    """The plan of a solved program over (x, y, ...): x and y from `primal`
-    (by default out.primal) and the objective of the outcome `out`.  Prices
-    are the duals of the T clearing rows, which follow the N*T capacity rows
-    (_fixed_program), for fixed demand, and the demand curves at total
-    production for elastic demand."""
+def _plan(inst: MarketInstance, v, objective, duals=None) -> EquilibriumSolution:
+    """The plan of a solved program over (x, y, ...) at its solution v, with
+    the program's optimal value `objective`.  Prices are the duals of the T
+    clearing rows, which follow the N*T capacity rows (_fixed_program), for
+    fixed demand, and the demand curves at total production for elastic
+    demand."""
     N, T = inst.N, inst.T
-    v = out.primal if primal is None else primal
     x = v[: N * T].reshape(N, T)
-    prices = (out.duals[N * T : N * T + T].copy() if isinstance(inst.demand, Fixed)
+    prices = (duals[N * T : N * T + T].copy() if isinstance(inst.demand, Fixed)
               else inst.demand.alpha - inst.demand.beta * x.sum(axis=0))
-    return EquilibriumSolution(prices, v[N * T : N * T + N], x, float(out.objective))
+    return EquilibriumSolution(prices, v[N * T : N * T + N], x, float(objective))
 
 
 class Dispatch(NamedTuple):
@@ -337,13 +339,22 @@ def _pinned_inputs(inst: MarketInstance, y_star, u):
         raise ValueError("y_star must be finite")
     if np.any(y_star < -SUPPORT_TOL):
         raise ValueError("y_star must be nonnegative")
-    u = np.zeros((N, T)) if u is None else np.asarray(u, dtype=float)
-    if u.shape != (N, T):
-        raise ValueError(f"scenario u must be an N x T matrix ({N} x {T}), "
-                         f"got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("scenario u must be finite")
+    u = np.zeros((N, T)) if u is None else _period_matrix(inst, u, "scenario u")
     return np.maximum(y_star, 0.0), u[None]
+
+
+def _period_matrix(inst: MarketInstance, value, name):
+    """The input check of every public solve that takes an N x T matrix (a
+    cost, a plan, a scenario): value as a float array, which must be a
+    finite N x T matrix.  Raises ValueError naming the argument `name`."""
+    N, T = inst.N, inst.T
+    value = np.asarray(value, dtype=float)
+    if value.shape != (N, T):
+        raise ValueError(f"{name} must be an N x T matrix ({N} x {T}), "
+                         f"got shape {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 def _screening(inst: MarketInstance, costs) -> EquilibriumSolution:
@@ -388,12 +399,13 @@ def solve_fixed_dispatch(inst: MarketInstance, costs: np.ndarray) -> Equilibrium
     production costs, with clearing prices.  Costs constant over the periods
     take the screening curves (_screening, with its tie rule at equal
     demands) and pose no solver call; other costs pose the LP, whose prices
-    are the duals of its T clearing rows."""
-    costs = np.asarray(costs, dtype=float)
+    are the duals of its T clearing rows.  Costs that are not a finite
+    N x T matrix raise ValueError."""
+    costs = _period_matrix(inst, costs, "costs")
     if np.all(costs == costs[:, :1]):
         return _screening(inst, costs)
-    return _plan(inst, _solve(inst, *_fixed_program(inst, costs),
-                              "fixed-demand planner program"))
+    out = _solve(inst, *_fixed_program(inst, costs), "fixed-demand planner program")
+    return _plan(inst, out.primal, out.objective, out.duals)
 
 
 def solve_nominal_fixed(inst: MarketInstance) -> EquilibriumSolution:
@@ -403,11 +415,116 @@ def solve_nominal_fixed(inst: MarketInstance) -> EquilibriumSolution:
     return solve_fixed_dispatch(inst, cost_matrix(inst))
 
 
+def _first_root(grid, f, strict):
+    """The least k >= 0 with f(k) >= 0 (f(k) > 0 when strict) for f linear
+    between the points of the ascending grid, which starts at 0, and
+    constant past its last point, given as its values there; inf when there
+    is none.  The root is exact on its segment."""
+    ahead = f > 0.0 if strict else f >= 0.0
+    i = int(np.argmax(ahead))
+    if not ahead[i]:
+        return np.inf
+    if i == 0:
+        return 0.0
+    return grid[i - 1] - f[i - 1] * (grid[i] - grid[i - 1]) / (f[i] - f[i - 1])
+
+
+def _elastic_screening(inst: MarketInstance, costs):
+    """The welfare program at production costs constant over the periods
+    (an N x T matrix of equal columns), by screening curves on a merit-order
+    stack of capacity slices (Boiteux, J. Business 33, 1960; Crew &
+    Kleindorfer, Bell J. Econ. 7, 1976), with no solver call.  Returns
+    (solution, unique).
+
+    Stack the capacity in merit order and give each slice at height k to
+    one producer.  Slice k of producer j earns
+    V_j(k) = sum_t (alpha_t - c_j - beta_t k)^+ - c_inv_j, and the welfare of
+    a plan is the integral of its slices' earnings, so the optimum gives
+    slice k to argmax_j V_j(k) while that value is positive.  For c_j <= c_l
+    the difference V_l - V_j does not decrease in k, so each pair crosses
+    once and the winners rise in c with k: one pass over the producers in
+    merit order keeps a stack of winners with the heights they win from,
+    and pops a winner that the new producer beats from its start on.  Every
+    V_j is linear between the heights (alpha_t - c_j) / beta_t, so each
+    crossing is an exact root on that grid.  Winner j's interval ends where
+    the next one starts; the last ends where its V_j reaches 0.  y is the
+    lengths of the intervals; production and value come from _dispatch at
+    y, and _plan reads the prices off the demand curves.
+
+    Tie rule: where producers tie on a slice, the lowest index wins it, the
+    rule of _screening and _dispatch; twins (equal cost and c_inv) put all
+    their capacity on the lower index.  `unique` is whether the plan is the
+    one optimum: every c_inv > 0 (a zero c_inv leaves y free) and no other
+    producer within UNIQUE_TOL, relative to 1 + the largest |V|, of a winner
+    at both ends of a grid segment that the winner's interval overlaps,
+    where the two would tie on an interval of positive length; a doubtful
+    case counts as tied."""
+    N = inst.N
+    alpha, beta = inst.demand.alpha, inst.demand.beta
+    c = costs[:, 0]
+    c_inv = np.array([p.c_inv for p in inst.producers])
+    margins = alpha - c[:, None]
+    kinks = margins / beta
+    grid = np.unique(np.append(kinks[kinks > 0.0], 0.0))
+    # V_j on the grid: the periods whose kink lies above k pay
+    # margin - beta k, so V_j(k) is a suffix sum over the sorted kinks.
+    values = np.empty((N, grid.size))
+    for j in range(N):
+        order = np.argsort(kinks[j])
+        above = np.searchsorted(kinks[j, order], grid, side="right")
+        paid = np.append(np.cumsum(margins[j, order][::-1])[::-1], 0.0)
+        slope = np.append(np.cumsum(beta[order][::-1])[::-1], 0.0)
+        values[j] = paid[above] - slope[above] * grid - c_inv[j]
+
+    stack = []  # (producer, height it wins from, height where its V reaches 0)
+    for l in np.argsort(c, kind="stable"):
+        zero = _first_root(grid, -values[l], strict=False)
+        if zero <= 0.0:
+            continue
+        start = 0.0
+        while stack:
+            j, s, _ = stack[-1]
+            start = _first_root(grid, values[l] - values[j], strict=l > j)
+            if start > s:
+                break
+            stack.pop()
+            start = 0.0
+        if start < zero:
+            stack.append((l, start, zero))
+
+    y = np.zeros(N)
+    ends = [s for _, s, _ in stack[1:]] + [z for _, _, z in stack[-1:]]
+    tol = UNIQUE_TOL * (1.0 + np.max(np.abs(values)))
+    unique = bool(np.all(c_inv > 0.0))
+    for (j, start, _), end in zip(stack, ends):
+        y[j] = end - start
+        overlaps = (grid[:-1] < end) & (grid[1:] > start)
+        close = np.abs(values - values[j]) <= tol
+        close[j] = False
+        unique = unique and not np.any(close[:, :-1] & close[:, 1:] & overlaps)
+    out = _dispatch(inst, y, costs[None])
+    return _plan(inst, np.append(out.x[0], y), out.value[0]), unique
+
+
+def _welfare_plan(inst: MarketInstance, costs):
+    """(solution, unique) of the welfare program at the N x T production
+    costs: _elastic_screening where the costs are constant over the periods,
+    the QP otherwise, with its SolveOutcome.unique_optimum.  unique is
+    whether the plan is proven the one optimum."""
+    if np.all(costs == costs[:, :1]):
+        return _elastic_screening(inst, costs)
+    out = _solve(inst, *_welfare_program(inst, costs), "elastic welfare program")
+    return _plan(inst, out.primal, out.objective), out.unique_optimum
+
+
 def solve_elastic_welfare(inst: MarketInstance, costs: np.ndarray) -> EquilibriumSolution:
     """Welfare-maximal plan under the affine demand curves at the given
-    N x T production costs; prices are read off the demand curves."""
-    return _plan(inst, _solve(inst, *_welfare_program(inst, costs),
-                              "elastic welfare program"))
+    N x T production costs; prices are read off the demand curves.  Costs
+    constant over the periods take the screening curves (_elastic_screening,
+    with its lowest-index tie rule) and pose no solver call; other costs
+    pose the QP.  Costs that are not a finite N x T matrix raise
+    ValueError."""
+    return _welfare_plan(inst, _period_matrix(inst, costs, "costs"))[0]
 
 
 def solve_nominal_elastic(inst: MarketInstance) -> EquilibriumSolution:

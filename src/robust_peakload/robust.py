@@ -15,8 +15,9 @@ dualized elastic planner is a QP over (x, y, z) whose start is the vertex of
 a crash LP (_crash_start): with the quantities pinned, what remains of it is
 the fixed-demand robust planner LP on the same rows.  Either elastic
 planner projects its optimum onto the minimum-norm point of the optimal
-face (_min_norm_optimum) only when its QP does not prove the optimum
-unique (SolveOutcome.unique_optimum).
+face (_min_norm_optimum) only when its optimum is not proven unique: by
+its QP (SolveOutcome.unique_optimum), or by the screening curves at the
+corner (market._welfare_plan).
 
 Market solves lift the per-period uncertainty set over the horizon and
 report equilibria/plans together with the worst-case value and the
@@ -25,7 +26,10 @@ its greatest element (_corner), that element in every period is the worst
 case of every plan, so no solve poses an adversary program: both markets
 and both planners, in either demand mode, are the nominal program at the
 corner's costs, and so is the scenario form, whose other vertices the
-corner dominates.  Scenarios and productions share one coordinate order,
+corner dominates.  Off the corner the worst case of a plan is read off the
+table of the per-period vertices (worst_case_scenario), with no LP, so at
+costs constant over the periods the strict markets pose no program at all.
+Scenarios and productions share one coordinate order,
 fixed by geometry.lift_product: lifted coordinate i*T + t is entry (i, t),
 so a scenario flattens by u.reshape(-1) like the x variables of a program,
 and the adversary of coordinate k prices variable k.  Every program shares
@@ -52,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from robust_peakload.geometry import (
+    DimensionTooLarge,
     Polytope,
     ValidationReport,
     enumerate_vertices,
@@ -67,10 +72,12 @@ from robust_peakload.market import (
     _clearing_rows,
     _dispatch,
     _fixed_program,
+    _period_matrix,
     _pinned_inputs,
     _plan,
     _solve,
     _welfare_hessian,
+    _welfare_plan,
     _welfare_program,
     cost_matrix,
     scaling_matrix,
@@ -85,6 +92,7 @@ from robust_peakload.solver import (Infeasible, LpSpec, NumericBreakdown, QpSpec
                                     Unbounded, _checked, solve_lp, solve_qp)
 
 CHAIN_TOL = 1e-7
+WORST_CASE_TIE_TOL = 1e-12
 SADDLE_TOL = 1e-6
 DEFAULT_SAMPLES = 64
 DEFAULT_SEED = 2024
@@ -159,8 +167,9 @@ def _min_norm_optimum(inst: MarketInstance, cost, A, rhs, kinds, v_star, weight)
     """Minimum-norm point, in the norm sum_k weight_k v_k^2, of the optimal
     set of a welfare QP over (x, y, ...) with linear part (A, rhs, kinds,
     cost), given one optimum v_star.  solve_robust_cp_elastic calls it only
-    when the QP did not prove v_star the one optimum; otherwise the set is
-    {v_star} and the projection would return v_star up to rounding.
+    when v_star is not proven the one optimum (by the QP, or at the corner
+    by the screening curves); otherwise the set is {v_star} and the
+    projection would return v_star up to rounding.
 
     The dualized planner over (x, y, z) takes unit weights.  The planner at
     the corner poses no z; with weight 1 + a^2 on x and 1 on y it takes the
@@ -249,14 +258,34 @@ def worst_case_scenario(inst: MarketInstance, x) -> tuple:
     max over u in the lifted set of sum_{i,t} a_{i,t} u_{i,t} x_{i,t}.
     When the per-period set contains its greatest element (_corner) and the
     plan is nonnegative, that element in every period is the scenario, with
-    no solver call; otherwise it is the lifted set's LP.
+    no solver call.  Otherwise the lifted set is a product, so the maximum
+    separates by period, and a linear function's maximum over a polytope is
+    its maximum over the vertices (Rockafellar, Convex Analysis, section
+    13): with V the vertices of the per-period set, the |V| x T table
+    V (a * x) holds every period's value at every vertex, and the value is
+    the sum of the chosen entries.
+
+    Tie rule: in each period the scenario is the first vertex, in
+    enumerate_vertices order, whose value is within WORST_CASE_TIE_TOL of
+    that period's maximum, relative to the period's largest |value|; it
+    follows no solver path.  Above the enumeration guard
+    (geometry.MAX_ENUM_DIM) the scenario is the lifted set's LP optimum,
+    which follows the LP's pivot path.  x that is not a finite N x T matrix
+    raises ValueError.
     """
-    gains = scaling_matrix(inst) * np.asarray(x, dtype=float)
+    gains = scaling_matrix(inst) * _period_matrix(inst, x, "plan x")
     corner = _corner(inst)
     if corner is not None and np.all(gains >= 0.0):
         return float(np.sum(gains * corner)), corner
-    value, u_vec = lifted_set(inst).maximize(gains.reshape(-1))
-    return value, u_vec.reshape(inst.N, inst.T)
+    try:
+        vertices = np.stack(enumerate_vertices(inst.uncertainty))
+    except DimensionTooLarge:
+        value, u_vec = lifted_set(inst).maximize(gains.reshape(-1))
+        return value, u_vec.reshape(inst.N, inst.T)
+    table = vertices @ gains
+    near = table >= table.max(axis=0) - WORST_CASE_TIE_TOL * np.abs(table).max(axis=0)
+    first = np.argmax(near, axis=0)
+    return float(table[first, np.arange(inst.T)].sum()), vertices[first].T.copy()
 
 
 def _vertex_dispatch(inst: MarketInstance, y):
@@ -373,8 +402,10 @@ def _strict_market(inst: MarketInstance, solve, value_at):
     costs c_var + a m, with m the axis maxima (_strict_scenario), and its
     value_at (total_cost or welfare) under the worst case of that plan:
     the corner, where the set holds it, at which the value is the plan's own
-    objective; otherwise worst_case_scenario's LP.  Returns (solution,
-    value, worst)."""
+    objective; otherwise worst_case_scenario's vertex table.  The strict
+    costs are constant over the periods unless some a_by_period varies, so
+    either solve takes its screening curves and the market poses no
+    program.  Returns (solution, value, worst)."""
     solution = solve(inst, cost_matrix(inst, _strict_scenario(inst)))
     corner = _corner(inst)
     if corner is not None:
@@ -408,7 +439,7 @@ def solve_robust_cp_fixed(inst: MarketInstance):
         out = _solve(inst, *_with_adversary(*_fixed_program(inst, cost_matrix(inst)),
                                             scaling_matrix(inst).reshape(-1), lifted, 1.0),
                      "robust planner program")
-        solution = _plan(inst, out)
+        solution = _plan(inst, out.primal, out.objective, out.duals)
         # _with_adversary appends its N*T rows last.
         worst = out.duals[-N * T:].reshape(N, T)
     C = solution.objective
@@ -428,11 +459,13 @@ def solve_robust_market_elastic(inst: MarketInstance):
 
     The equilibrium coincides with the welfare program at worst-case costs
     c_var + a times the coordinate's maximum over the set (1 for a valid
-    uncertainty set); E'_R evaluates that plan's welfare under the
-    adversarial scenario for the plan.  On a set that contains its greatest
-    element (_corner) that scenario is the corner, the costs the plan was
-    solved at, so E'_R is the welfare program's objective: the same number
-    as the planner's C'_R.  Returns (solution, E'_R, worst), worst being
+    uncertainty set), which solve_elastic_welfare takes by its screening
+    curves, with the lowest index winning tied slices, unless some
+    a_by_period varies; E'_R evaluates that plan's welfare under the
+    adversarial scenario for the plan (worst_case_scenario).  On a set that
+    contains its greatest element (_corner) that scenario is the corner,
+    the costs the plan was solved at, so E'_R is the welfare program's
+    objective: the same number as the planner's C'_R.  Returns (solution, E'_R, worst), worst being
     that N x T scenario from worst_case_scenario (the corner).
     """
     if not isinstance(inst.demand, AffineElastic):
@@ -445,23 +478,26 @@ def solve_robust_cp_elastic(inst: MarketInstance):
 
     Returns (solution, C'_R, worst_u).  When the per-period set contains its
     greatest element m (_corner), m is a worst case for every plan, so the
-    planner is the welfare QP over (x, y) at costs c_var + a m (the program
-    of solve_elastic_welfare, posed here for its SolveOutcome), the strict
-    robust market, and worst_u is m in every period.  Otherwise the
-    adversary is dualized into z variables and worst_u is read off the
-    duals of its adversary rows; that QP starts at the vertex of its crash
-    LP (_crash_start), the fixed-demand robust planner LP on the same rows
-    at quantities pinned to the demand-curve intercepts, and from there
-    takes a few steps where from the origin it took one per degenerate row.  C'_R is the QP's optimal value, and
-    either worst_u goes through _readout, so
-    welfare(x*, y*, worst_u) = C'_R holds within _saddle_tol(C'_R) or
-    SaddleViolated is raised.  The plan is the minimum-norm optimum: over
-    (x, y, z) for the dualized QP, over (x, y) with weight 1 + a^2 on x at
-    the corner, the same point wherever P = I.  When the QP proves its
-    optimum unique (SolveOutcome.unique_optimum) that optimum is the plan;
-    otherwise the tie-break _min_norm_optimum projects it onto that point,
-    and a tie-break that fails raises NumericBreakdown.  Prices are read
-    off the demand curve at total production.
+    planner is the welfare program over (x, y) at costs c_var + a m, the
+    strict robust market, and worst_u is m in every period: one welfare
+    solve shared with the market (market._welfare_plan: the screening
+    curves at costs constant over the periods, else the QP), whose value is
+    C'_R, so poa reports E == C bit for bit.  Otherwise the adversary is
+    dualized into z variables and worst_u is read off the duals of its
+    adversary rows; that QP starts at the vertex of its crash LP
+    (_crash_start), the fixed-demand robust planner LP on the same rows at
+    quantities pinned to the demand-curve intercepts, and from there takes
+    a few steps where from the origin it took one per degenerate row.
+    C'_R is the QP's optimal value, and either worst_u goes through
+    _readout, so welfare(x*, y*, worst_u) = C'_R holds within
+    _saddle_tol(C'_R) or SaddleViolated is raised.  The plan is the
+    minimum-norm optimum: over (x, y, z) for the dualized QP, over (x, y)
+    with weight 1 + a^2 on x at the corner, the same point wherever P = I.
+    When the optimum is proven unique (SolveOutcome.unique_optimum, or the
+    screening curves' proof) it is the plan; otherwise the tie-break
+    _min_norm_optimum projects it onto that point, and a tie-break that
+    fails raises NumericBreakdown.  Prices are read off the demand curve
+    at total production.
     """
     if not isinstance(inst.demand, AffineElastic):
         raise ValueError("elastic robust planner requires AffineElastic demand")
@@ -469,27 +505,30 @@ def solve_robust_cp_elastic(inst: MarketInstance):
     lifted = lifted_set(inst)
     a = scaling_matrix(inst).reshape(-1)
     worst = _corner(inst)
+    # Welfare optima can be degenerate across capacity splits; unless the
+    # optimum is proven unique, canonicalize to the minimum-norm optimum so
+    # interchangeable producers split evenly.
     if worst is not None:
-        A, b, kinds, cost = _welfare_program(inst, cost_matrix(inst, worst))
-        out = _solve(inst, A, b, kinds, cost, "elastic welfare program")
-        weight = np.concatenate([1.0 + a ** 2, np.ones(N)])
+        costs = cost_matrix(inst, worst)
+        solution, unique = _welfare_plan(inst, costs)
+        if not unique:
+            A, b, kinds, cost = _welfare_program(inst, costs)
+            start = np.concatenate([solution.production.reshape(-1), solution.capacities])
+            primal = _min_norm_optimum(inst, cost, A, b, kinds, start,
+                                       np.concatenate([1.0 + a ** 2, np.ones(N)]))
+            solution = _plan(inst, primal, solution.objective)
     else:
         A, b, kinds, cost = _with_adversary(*_welfare_program(inst, cost_matrix(inst)),
                                             a, lifted, -1.0)
         out = _solve(inst, A, b, kinds, cost, "robust welfare program",
                      start=_crash_start(inst, a, lifted))
-        weight = np.ones(out.primal.size)
+        primal = out.primal
+        if not out.unique_optimum:
+            primal = _min_norm_optimum(inst, cost, A, b, kinds, primal, np.ones(primal.size))
+        solution = _plan(inst, primal, out.objective)
         # The adversary's N*T rows come last; as >= rows of a max program
         # they carry nonpositive multipliers, so negate to read u.
         worst = -out.duals[-N * T:].reshape(N, T)
-
-    # Welfare optima can be degenerate across capacity splits; unless the
-    # QP proved its optimum unique, canonicalize to the minimum-norm optimum
-    # so interchangeable producers split evenly.
-    primal = out.primal
-    if not out.unique_optimum:
-        primal = _min_norm_optimum(inst, cost, A, b, kinds, primal, weight)
-    solution = _plan(inst, out, primal)
     C = solution.objective
     worst_u = _readout(lifted, worst,
                        lambda u: welfare(inst, solution.production, solution.capacities, u), C)

@@ -391,6 +391,30 @@ def fixed_planner_lp(inst, costs):
                                out.primal[: N * T].reshape(N, T), float(out.objective))
 
 
+def elastic_welfare_qp(inst, costs):
+    """The welfare QP at N x T production costs (market._welfare_program)
+    by the package's QP: what solve_elastic_welfare poses at costs that
+    vary over the periods, and the reference for its screening curves at
+    costs that do not.  Returns (EquilibriumSolution with the prices read
+    off the demand curves, SolveOutcome)."""
+    N, T = inst.N, inst.T
+    out = _solve(inst, *_welfare_program(inst, np.asarray(costs, dtype=float)),
+                 "elastic welfare QP")
+    x = out.primal[: N * T].reshape(N, T)
+    prices = inst.demand.alpha - inst.demand.beta * x.sum(axis=0)
+    return EquilibriumSolution(prices, out.primal[N * T:], x, float(out.objective)), out
+
+
+def worst_case_lp(inst, x):
+    """The worst case of plan x over the lifted set as one LP over its N*T
+    coordinates (lifted_set(inst).maximize): what worst_case_scenario poses
+    above the enumeration guard, and the reference for its vertex table.
+    Returns (value, N x T scenario)."""
+    gains = scaling_matrix(inst) * np.asarray(x, dtype=float)
+    value, u = lifted_set(inst).maximize(gains.reshape(-1))
+    return value, u.reshape(inst.N, inst.T)
+
+
 def robust_planner_spec(inst):
     """The LpSpec of the fixed-demand robust planner with its adversary over
     the lifted set dualized (robust._with_adversary): rows are the N*T

@@ -1076,17 +1076,17 @@ def _instance(name):
 
 
 # Each call loads its instance (whose validation solves LPs) and returns the
-# solve under test, to run once the solvers are replaced.  Fixed demand at
-# costs constant over the periods poses no LP (screening curves), so the
-# fixed call takes a mean that varies over the periods.
+# solve under test, to run once the solvers are replaced.  At costs constant
+# over the periods fixed demand poses no LP and elastic demand no QP
+# (screening curves), so each call takes a mean that varies over the periods.
 def _expected_fixed():
     inst = _instance("prices_reform.json")
     return lambda: market.solve_expected(inst, [[0.0, 1.0], [1.0, 0.0]])
 
 
-def _nominal_elastic():
-    inst = _instance("subsidy_example.json")
-    return lambda: market.solve_nominal_elastic(inst)
+def _expected_elastic():
+    inst = _instance("box_elastic.json")
+    return lambda: market.solve_expected(inst, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
 class TestNonOptimalSolves:
@@ -1095,7 +1095,7 @@ class TestNonOptimalSolves:
 
     @pytest.mark.parametrize("status, error", [("infeasible", Infeasible),
                                                ("unbounded", Unbounded)])
-    @pytest.mark.parametrize("call", [_expected_fixed, _nominal_elastic])
+    @pytest.mark.parametrize("call", [_expected_fixed, _expected_elastic])
     def test_typed_error(self, monkeypatch, call, status, error):
         run = call()
         _fail_solvers(monkeypatch, status)
@@ -1122,11 +1122,11 @@ class TestNonOptimalSolves:
                                    getattr(result, name), err_msg=status)
 
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
-    @pytest.mark.parametrize("solver, instance", [("solve_qp", "subsidy_example.json")])
-    def test_nominal_cli_exits_two(self, capsys, monkeypatch, solver, instance,
-                                   status):
-        self._cli_exits_two(capsys, monkeypatch, solver, status,
-                            instance, "--mode", "nominal")
+    def test_expected_cli_exits_two(self, capsys, monkeypatch, status):
+        # An elastic nominal solve poses no QP (screening curves); at a mean
+        # scenario that varies over the periods the welfare QP still runs.
+        self._cli_exits_two(capsys, monkeypatch, "solve_qp", status, "box_elastic.json",
+                            "--mode", "expected", "--mean-u", "0,1,0,1,0,1")
 
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
     def test_planner_lp_cli_exits_two(self, capsys, monkeypatch, status):
@@ -1227,23 +1227,43 @@ class TestClosedFormPaths:
         assert len(posed) == 3
         assert report.C == C and report.ratio == 1.0
 
-    @pytest.mark.parametrize("argv, qps", [(("solve", "--mode", "robust-cp"), 1),
-                                           (("poa",), 2)], ids=["robust-cp", "poa"])
-    def test_elastic_box_poses_no_adversary(self, capsys, monkeypatch, argv, qps):
-        # The planner is the welfare QP at the corner, the market the same
-        # QP: each over (x, y) alone.  The planner's optimum is proven
-        # unique, so no tie-break runs.
-        inst = _instance("box_elastic.json")
-        lps, posed = _count_lps(monkeypatch), _count_qps(monkeypatch)
+    @pytest.mark.parametrize("argv", [("solve", "--mode", "robust-cp"), ("poa",)],
+                             ids=["robust-cp", "poa"])
+    def test_elastic_box_poses_no_adversary(self, capsys, monkeypatch, argv):
+        # The planner is the welfare program at the corner and the market
+        # the same program, at costs constant over the periods: screening
+        # curves, which prove the plan unique, so neither poses a QP and no
+        # tie-break runs.
+        lps, qps = _count_lps(monkeypatch), _count_qps(monkeypatch)
         code, report = run_json(capsys, argv[0], "--instance",
                                 str(INSTANCES / "box_elastic.json"), *argv[1:])
-        assert code == 0 and lps == [] and len(posed) == qps
-        assert all(spec.n_vars == inst.N * inst.T + inst.N for spec in posed)
+        assert code == 0 and lps == [] and qps == []
         if argv[0] == "poa":
             assert report["results"]["ratio"] == 1.0
             assert report["results"]["E"] == report["results"]["C"]
         else:
             assert np.all(np.array(report["certificates"]["worst_scenario"]) == 1.0)
+
+    def test_elastic_poa_off_the_corner_poses_the_planner_alone(self, capsys, monkeypatch,
+                                                                tmp_path):
+        # On a simplex the market is screening curves at the strict costs
+        # and its worst case a vertex table: no solver.  The dualized
+        # planner poses its crash LP and its QP, which proves its optimum
+        # unique, as no two producers tie.
+        path = tmp_path / "elastic_3x2.json"
+        path.write_text(json.dumps(minimal_data(
+            periods=2,
+            producers=[{"c_inv": 0.2, "c_var": 0.1, "a": 3.0},
+                       {"c_inv": 0.3, "c_var": 0.0, "a": 4.0},
+                       {"c_inv": 0.25, "c_var": 0.2, "a": 2.0}],
+            demand={"mode": "elastic", "alpha": [5.0, 4.0], "beta": [1.0, 0.5]})))
+        inst = load_instance(str(path))[0]
+        lps, qps = _count_lps(monkeypatch), _count_qps(monkeypatch)
+        code, _ = run_json(capsys, "poa", "--instance", str(path))
+        assert code == 0 and len(lps) == 1 and len(qps) == 1
+        N, T, m = inst.N, inst.T, inst.uncertainty.P.shape[0]
+        assert qps[0].n_vars == N * T + N + m * T
+        assert lps[0].n_vars == qps[0].n_vars
 
     def test_twin_producers_split_evenly(self, capsys, monkeypatch):
         # Two identical producers free of uncertainty: any split of their

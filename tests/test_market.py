@@ -11,12 +11,15 @@ from robust_peakload.market import (
     MarketInstance,
     Producer,
     cost_matrix,
+    solve_elastic_welfare,
     solve_expected,
+    solve_fixed_dispatch,
     solve_nominal_elastic,
     solve_nominal_fixed,
     total_cost,
     welfare,
 )
+from robust_peakload.robust import worst_case_scenario
 from robust_peakload.solver import LpSpec
 
 PRICE_TOL = 1e-7
@@ -203,3 +206,38 @@ class TestInstanceValidation:
             AffineElastic([2.0, 3.0], [1.0])
         with pytest.raises(ValueError, match="demand curve parameters must be finite"):
             AffineElastic([np.inf], [1.0])
+
+
+class TestMatrixInputs:
+    """The public solves that take an N x T cost or plan refuse any other
+    shape, which would broadcast, and non-finite entries, with ValueError
+    naming the argument."""
+
+    T = 3
+
+    def _markets(self):
+        producers = [Producer(1.0, 1.0, 0.5), Producer(0.5, 1.5, 1.0)]
+        return (MarketInstance(producers, Fixed([1.0, 2.0, 1.5]), self.T, simplex(2)),
+                MarketInstance(producers, AffineElastic([3.0, 4.0, 2.0], [1.0, 1.0, 1.0]),
+                               self.T, simplex(2)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 2), (2, 3, 1)])
+    def test_wrong_shapes_raise(self, shape):
+        fixed, elastic = self._markets()
+        for solve, inst, name in ((solve_fixed_dispatch, fixed, "costs"),
+                                  (solve_elastic_welfare, elastic, "costs"),
+                                  (worst_case_scenario, fixed, "plan x"),
+                                  (worst_case_scenario, elastic, "plan x")):
+            with pytest.raises(ValueError, match=f"{name} must be an N x T matrix"):
+                solve(inst, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        fixed, elastic = self._markets()
+        matrix = np.ones((2, self.T))
+        matrix[1, 2] = bad
+        for solve, inst, name in ((solve_fixed_dispatch, fixed, "costs"),
+                                  (solve_elastic_welfare, elastic, "costs"),
+                                  (worst_case_scenario, elastic, "plan x")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                solve(inst, matrix)

@@ -1358,12 +1358,13 @@ class TestElasticPlannerSteps:
     optimum unique, so no tie-break runs (it took 10 steps).  The dualized
     box planner took 402 + 355, and pricing by Bland's rule from the 61st
     stalled step on, as the simplex does, gave its tie-break 926, so a
-    bound of 500 per QP catches a lost stall rule.  The planner now takes
-    the welfare QP at the box's greatest element (37 steps, unique, where
-    the tie-break took 2), and the dualized program is posed, from the
-    origin, by its oracle, which always runs the tie-break."""
+    bound of 500 per QP catches a lost stall rule.  The planner at the
+    box's greatest element took the welfare QP there (37 steps, unique,
+    where the tie-break took 2); it now takes the screening curves, which
+    prove the plan unique, and poses no QP.  The dualized program is posed,
+    from the origin, by its oracle, which always runs the tie-break."""
 
-    @pytest.mark.parametrize("kind, solve, qps", [("box", solve_robust_cp_elastic, 1),
+    @pytest.mark.parametrize("kind, solve, qps", [("box", solve_robust_cp_elastic, 0),
                                                   ("budget", solve_robust_cp_elastic, 1),
                                                   ("box", oracles.robust_welfare_qp, 2)],
                              ids=["box", "budget", "box-dualized"])
@@ -1380,7 +1381,7 @@ class TestElasticPlannerSteps:
         monkeypatch.setattr(robust, "solve_qp", recorded)
         solve(inst)
         assert len(steps) == qps
-        assert max(steps) <= 500, steps
+        assert all(step <= 500 for step in steps), steps
 
     @pytest.mark.parametrize("kind, lps", [("simplex", 1), ("budget", 1), ("hull", 1),
                                            ("twin", 1), ("box", 0)])
@@ -1388,9 +1389,9 @@ class TestElasticPlannerSteps:
         # The dualized planner poses its crash LP and the planner QP, and
         # the tie-break only where that QP proves no unique optimum: on the
         # hull market and the twin market, whose twin producers tie; the
-        # planner at the box's greatest element poses its welfare QP and no
-        # LP.  Counted inside solver, below every binding, after the set's
-        # validation.
+        # planner at the box's greatest element takes the screening curves,
+        # which prove this plan unique, and poses no LP and no QP.  Counted
+        # inside solver, below every binding, after the set's validation.
         if kind == "hull":
             inst = elastic_hull_instance()
         elif kind == "twin":
@@ -1404,5 +1405,5 @@ class TestElasticPlannerSteps:
                 return _original(*args)
             monkeypatch.setattr(solver, name, counted)
         solve_robust_cp_elastic(inst)
-        tied = kind in ("hull", "twin")
-        assert counts == {"_lp_internal": lps, "_qp_internal": 2 if tied else 1}
+        qps = 2 if kind in ("hull", "twin") else lps
+        assert counts == {"_lp_internal": lps, "_qp_internal": qps}
